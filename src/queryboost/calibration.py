@@ -14,7 +14,7 @@ import numpy as np
 from queryboost.corpus import Document
 from queryboost.embedding import EmbeddingProvider
 from queryboost.generation import ReferenceSet
-from queryboost.rerank import DocumentEmbeddingCache, rerank
+from queryboost.rerank import rerank
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,15 @@ def build_feedback_sets(i_bm25: list[tuple[str, float]],
                         i_pre: list[tuple[str, float]],
                         refs: ReferenceSet,
                         doc_store: dict[str, Document],
-                        cfg: CalibrationConfig) -> FeedbackSets:
+                        cfg: CalibrationConfig,
+                        field_policy: str = "title_plus_text") -> FeedbackSets:
     """Assemble positive and negative feedback texts from the two rankings.
 
     Positives: all reference texts, then the texts of documents in the top-K of
     both rankings (ordered by dense rank, deduplicated). Negatives: the last
     ``num_negatives`` entries of the sparse ranking, order preserved; a document
-    that would land in both sets stays positive only.
+    that would land in both sets stays positive only. Document texts follow the
+    index's ``field_policy``.
     """
     if not i_bm25:
         raise ValueError("sparse ranking is empty")
@@ -95,10 +97,10 @@ def build_feedback_sets(i_bm25: list[tuple[str, float]],
     for doc_id in reciprocal:
         if doc_id not in seen:
             seen.add(doc_id)
-            positives.append(doc_store[doc_id].indexed_text("title_plus_text"))
+            positives.append(doc_store[doc_id].indexed_text(field_policy))
 
     tail = i_bm25[-cfg.num_negatives:] if cfg.num_negatives else []
-    negatives = [doc_store[doc_id].indexed_text("title_plus_text")
+    negatives = [doc_store[doc_id].indexed_text(field_policy)
                  for doc_id, _ in tail if doc_id not in seen]
 
     return FeedbackSets(positives=tuple(positives), negatives=tuple(negatives))
@@ -120,6 +122,6 @@ def calibrate(provider: EmbeddingProvider, query: str, fb: FeedbackSets,
 
 def final_rank(provider: EmbeddingProvider, calibrated: np.ndarray,
                candidates: list[Document],
-               doc_cache: DocumentEmbeddingCache | None = None) -> list[tuple[str, float]]:
+               field_policy: str = "title_plus_text") -> list[tuple[str, float]]:
     """Rank candidates against the calibrated query embedding."""
-    return rerank(provider, calibrated, candidates, doc_cache)
+    return rerank(provider, calibrated, candidates, field_policy)

@@ -170,6 +170,11 @@ def cmd_eval(args) -> int:
     _require_files(args.run, args.qrels)
     run = read_run(args.run)
     qrels = read_qrels(args.qrels)
+    # As `trec_eval -c`: a judged query with no line in the run (it retrieved
+    # nothing, so write_run wrote nothing for it) scores 0 instead of vanishing.
+    in_run = {r.query_id for r in run}
+    run += [Ranking(query_id=qid, items=()) for qid, grades in sorted(qrels.items())
+            if qid not in in_run and any(g > 0 for g in grades.values())]
     report = evaluate_run(run, qrels, args.k,
                           config={"run": str(args.run)},
                           exponential_gain=args.exponential_gain)

@@ -1,8 +1,9 @@
 """Embedding providers and cosine similarity.
 
-A provider maps text to a fixed-dimension vector. Three implementations:
-a deterministic hashing embedder (tests and synthetic experiments), a remote
-JSON-over-HTTP service, and a slot for local-model adapters.
+A provider maps text to a fixed-dimension vector. Two implementations: a
+deterministic hashing embedder (tests and synthetic experiments) and a remote
+JSON-over-HTTP service. ``EmbeddingMemo`` wraps either for the length of one
+pipeline call, so that each distinct text is embedded once per call.
 """
 
 import hashlib
@@ -14,6 +15,11 @@ import requests
 from queryboost.tokenizer import tokenize
 
 
+# Below this norm the squares of the components underflow, which loses precision
+# or reads a nonzero vector as zero (the square root of the smallest normal double).
+_TINY_NORM = 1e-150
+
+
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     """u.v / (|u||v|), in [-1, 1]. Errors on zero vectors or dim mismatch."""
     u = np.asarray(u, dtype=np.float64)
@@ -22,8 +28,11 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity undefined for zero vector")
+    if nu < _TINY_NORM or nv < _TINY_NORM:
+        su, sv = np.max(np.abs(u)), np.max(np.abs(v))
+        if su == 0.0 or sv == 0.0:
+            raise ValueError("cosine similarity undefined for zero vector")
+        return cosine_sim(u / su, v / sv)  # scale-invariant; both norms now >= 1
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
@@ -60,21 +69,24 @@ class HashingEmbedder:
         self.dimension = dimension
         self.seed = seed
         self.max_input_tokens = max_input_tokens
+        self._buckets: dict[str, int] = {}  # token -> bucket; fixed by seed and dimension
 
     def _bucket(self, token: str) -> int:
-        digest = hashlib.blake2b(token.encode("utf-8"),
-                                 key=self.seed.to_bytes(8, "little"),
-                                 digest_size=8).digest()
-        return int.from_bytes(digest, "little") % self.dimension
+        bucket = self._buckets.get(token)
+        if bucket is None:
+            digest = hashlib.blake2b(token.encode("utf-8"),
+                                     key=self.seed.to_bytes(8, "little"),
+                                     digest_size=8).digest()
+            bucket = self._buckets[token] = int.from_bytes(digest, "little") % self.dimension
+        return bucket
 
     def embed(self, text: str) -> np.ndarray:
         tokens = tokenize(truncate_text(text, self.max_input_tokens))
         if not tokens:
             raise ValueError("cannot embed text with no tokens")
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for token in tokens:
-            vec[self._bucket(token)] += 1.0
-        return vec / np.linalg.norm(vec)
+        counts = np.bincount([self._bucket(token) for token in tokens],
+                             minlength=self.dimension).astype(np.float64)
+        return counts / np.linalg.norm(counts)
 
     def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
         return [self.embed(t) for t in texts]
@@ -120,3 +132,32 @@ class RemoteEmbedder:
                         f"expected dimension {self.dimension}, got {vec.shape}")
                 vectors.append(vec)
         return vectors
+
+
+class EmbeddingMemo:
+    """Text-keyed memo over a provider, made for one pipeline call and dropped after.
+
+    ``embed_batch`` answers texts it has seen from memory and sends every unseen
+    distinct text to the wrapped provider in one ``embed_batch`` call. A failed
+    call stores nothing. Vectors are returned as the provider made them, so a
+    text's vector is the same whether it came from memory or not.
+    """
+
+    def __init__(self, provider: EmbeddingProvider):
+        self.provider = provider
+        self.dimension = provider.dimension
+        self.max_input_tokens = provider.max_input_tokens
+        self._vectors: dict[str, np.ndarray] = {}
+
+    def embed(self, text: str) -> np.ndarray:
+        return self.embed_batch([text])[0]
+
+    def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
+        unseen = list(dict.fromkeys(t for t in texts if t not in self._vectors))
+        if unseen:
+            vectors = self.provider.embed_batch(unseen)
+            if len(vectors) != len(unseen):
+                raise ValueError(f"provider returned {len(vectors)} vectors "
+                                 f"for {len(unseen)} texts")
+            self._vectors.update(zip(unseen, vectors))
+        return [self._vectors[t] for t in texts]

@@ -4,16 +4,23 @@ For each query: expand it with cached pseudo-references and retrieve the
 top-k candidates with BM25, rerank those candidates with the pooled query
 embedding, then calibrate the embedding with relevance feedback and rank once
 more. All three rankings are kept for analysis.
+
+Each ``run_pipeline`` or ``run_query_pipeline`` call wraps its provider in one
+``EmbeddingMemo`` that lives for that call only and holds every distinct text
+the call embeds: document texts, pooled query texts and feedback texts. Each
+stage embeds its texts in one batch, and only texts the memo has not seen
+reach the provider. Dense stages embed documents under the index's
+``field_policy``, as BM25 indexed them.
 """
 
 from dataclasses import dataclass, field, asdict
 
 from queryboost.calibration import CalibrationConfig, build_feedback_sets, calibrate, final_rank
 from queryboost.corpus import Document, InvertedIndex
-from queryboost.embedding import EmbeddingProvider
+from queryboost.embedding import EmbeddingMemo, EmbeddingProvider
 from queryboost.evaluation import EvalReport, Qrels, Ranking, evaluate_run
 from queryboost.generation import ReferenceCache, ReferenceSet
-from queryboost.rerank import DocumentEmbeddingCache, embed_query, rerank
+from queryboost.rerank import embed_query, rerank
 from queryboost.sparse import BM25Params, ReweightConfig, SparseQuery, bm25_search, build_sparse_query
 from queryboost.tokenizer import tokenize
 
@@ -56,8 +63,11 @@ def run_query_pipeline(query_id: str, query: str, index: InvertedIndex,
 
     With no references the sparse stage uses the plain query and the dense
     stage the raw query embedding (the no-expansion baseline); calibration is
-    skipped because there is no positive feedback to build from.
+    skipped because there is no positive feedback to build from. A provider
+    that is not already an ``EmbeddingMemo`` is wrapped in one for this query.
     """
+    if not isinstance(provider, EmbeddingMemo):
+        provider = EmbeddingMemo(provider)
     if refs is not None and refs.references:
         sq = build_sparse_query(query, refs.references, cfg.reweight)
     else:
@@ -71,15 +81,15 @@ def run_query_pipeline(query_id: str, query: str, index: InvertedIndex,
         return PipelineRankings(bm25=empty, pre=empty, post=empty)
 
     candidates = [doc_store[doc_id] for doc_id, _ in i_bm25]
-    doc_cache = DocumentEmbeddingCache(provider)
+    policy = index.field_policy
 
     q_emb = embed_query(provider, query, refs, cfg.strategy)
-    i_pre = rerank(provider, q_emb, candidates, doc_cache)
+    i_pre = rerank(provider, q_emb, candidates, policy)
 
     if cfg.calibration is not None and refs is not None:
-        fb = build_feedback_sets(i_bm25, i_pre, refs, doc_store, cfg.calibration)
+        fb = build_feedback_sets(i_bm25, i_pre, refs, doc_store, cfg.calibration, policy)
         calibrated = calibrate(provider, query, fb, cfg.calibration)
-        i_post = final_rank(provider, calibrated, candidates, doc_cache)
+        i_post = final_rank(provider, calibrated, candidates, policy)
     else:
         i_post = i_pre
 
@@ -98,8 +108,10 @@ def run_pipeline(queries: list[tuple[str, str]], index: InvertedIndex,
 
     ``n_refs`` restricts each cached set to its first j references; 0 means
     the no-expansion baseline. A cache miss is an error naming the query
-    unless ``require_refs`` is off.
+    unless ``require_refs`` is off. One ``EmbeddingMemo`` serves all queries
+    of this call.
     """
+    provider = EmbeddingMemo(provider)
     results = []
     for query_id, query in queries:
         if n_refs == 0:
@@ -151,7 +163,7 @@ def keyword_overlap(query: str, refs: ReferenceSet, gt_docs: list[Document],
     """Compare the top-m idf vocabularies of ground-truth docs and references."""
     if not gt_docs:
         raise ValueError("gt_docs must be non-empty")
-    gt_text = " ".join(d.indexed_text("title_plus_text") for d in gt_docs)
+    gt_text = " ".join(d.indexed_text(index.field_policy) for d in gt_docs)
     pse_text = " ".join(refs.references)
 
     gt_top = top_idf_tokens(gt_text, index, m)

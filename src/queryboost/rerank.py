@@ -7,9 +7,13 @@ Three ways to fold pseudo-references into the query embedding:
   survives truncation).
 - mean_pool: average the query embedding with each reference embedding.
 - contex_pool: average the embeddings of each (query + reference) pair.
-"""
 
-from dataclasses import dataclass, field
+``rerank`` embeds the whole candidate list in one ``embed_batch`` call. Inside
+the pipeline the provider is an ``EmbeddingMemo`` that lives for one
+``run_pipeline`` or ``run_query_pipeline`` call and holds every distinct text
+that call embeds, so a document shared by several queries or stages is sent
+to the underlying provider once per call.
+"""
 
 import numpy as np
 
@@ -54,35 +58,22 @@ def embed_query(provider: EmbeddingProvider, query: str,
     raise ValueError(f"unknown integration strategy: {strategy!r}")
 
 
-@dataclass
-class DocumentEmbeddingCache:
-    """Per-run cache of document embeddings, keyed by doc_id."""
-
-    provider: EmbeddingProvider
-    _cache: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def embed_doc(self, doc: Document) -> np.ndarray:
-        vec = self._cache.get(doc.doc_id)
-        if vec is None:
-            try:
-                vec = self.provider.embed(doc.indexed_text("title_plus_text"))
-            except Exception as exc:
-                raise RuntimeError(f"embedding failed for doc {doc.doc_id!r}: {exc}") from exc
-            self._cache[doc.doc_id] = vec
-        return vec
-
-
 def rerank(provider: EmbeddingProvider, query_embedding: np.ndarray,
            candidates: list[Document],
-           doc_cache: DocumentEmbeddingCache | None = None) -> list[tuple[str, float]]:
+           field_policy: str = "title_plus_text") -> list[tuple[str, float]]:
     """Sort candidates by cosine similarity to the query embedding.
 
-    Ties broken by ascending doc_id; the output is a permutation of the input.
+    Documents are embedded as the index saw them (``field_policy``). Ties
+    broken by ascending doc_id; the output is a permutation of the input.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    cache = doc_cache or DocumentEmbeddingCache(provider)
-    scored = [(doc.doc_id, cosine_sim(query_embedding, cache.embed_doc(doc)))
-              for doc in candidates]
+    try:
+        vectors = provider.embed_batch([d.indexed_text(field_policy) for d in candidates])
+    except Exception as exc:
+        ids = ", ".join(repr(d.doc_id) for d in candidates)
+        raise RuntimeError(f"embedding failed for candidate docs {ids}: {exc}") from exc
+    scored = [(doc.doc_id, cosine_sim(query_embedding, vec))
+              for doc, vec in zip(candidates, vectors, strict=True)]
     scored.sort(key=lambda ds: (-ds[1], ds[0]))
     return scored

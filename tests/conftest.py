@@ -24,6 +24,32 @@ def embedder():
     return HashingEmbedder(dimension=64, seed=3)
 
 
+class CountingProvider:
+    """Wraps a provider, records the texts of every embed_batch call; can be told to fail."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.max_input_tokens = inner.max_input_tokens
+        self.calls: list[list[str]] = []
+        self.fail = False
+
+    def embed(self, text):
+        return self.embed_batch([text])[0]
+
+    def embed_batch(self, texts):
+        self.calls.append(list(texts))
+        if self.fail:
+            raise ConnectionError("service unavailable")
+        return self.inner.embed_batch(texts)
+
+
+@pytest.fixture
+def counting(embedder):
+    """A CountingProvider over the ``embedder`` fixture."""
+    return CountingProvider(embedder)
+
+
 @pytest.fixture(scope="session")
 def synthetic_dataset():
     return make_synthetic_dataset()

@@ -4,6 +4,7 @@ import pytest
 
 from queryboost.cli import (EXIT_CACHE_MISS, EXIT_FORMAT, EXIT_MISSING_FILE, EXIT_OK,
                             EXIT_USAGE, main)
+from queryboost.evaluation import Ranking, write_run
 from queryboost.synthetic import make_synthetic_dataset, write_dataset
 
 
@@ -99,6 +100,19 @@ class TestEvalCommand:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "mean\t1.000000" in out
+
+    def test_judged_query_without_hits_scores_zero(self, tmp_path, capsys):
+        # write_run writes no line for an empty ranking; eval must still score it
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 1\nq2 0 d2 1\nq3 0 d3 0\n")
+        run = tmp_path / "partial.run"
+        write_run(run, [Ranking("q1", (("d1", 1.0),)), Ranking("q2", ())])
+        rc = main(["eval", "--run", str(run), "--qrels", str(qrels), "--k", "10"])
+        assert rc == EXIT_OK
+        out = capsys.readouterr().out
+        assert "ndcg@10\tq2\t0.000000" in out
+        assert "q3" not in out  # no positive judgment: neither scored nor counted
+        assert "mean\t0.500000" in out
 
     def test_end_to_end_eval_of_pipeline_run(self, dataset_dir, tmp_path, capsys):
         prefix = tmp_path / "e2e"

@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from queryboost.embedding import HashingEmbedder, RemoteEmbedder, cosine_sim, truncate_text
+from queryboost.embedding import (EmbeddingMemo, HashingEmbedder, RemoteEmbedder, cosine_sim,
+                                  truncate_text)
+from queryboost.tokenizer import tokenize
 
 
 class TestCosine:
@@ -20,6 +24,13 @@ class TestCosine:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             cosine_sim(np.zeros(3), np.ones(3))
+
+    def test_tiny_vectors(self):
+        # the squares of these components underflow to zero
+        assert cosine_sim(np.array([0.0, 3.4e-162]), np.array([8.6e-163, 0.0])) == 0.0
+        assert cosine_sim(np.array([1e-170, 1e-170]), np.array([3.0, 3.0])) == pytest.approx(1.0)
+        with pytest.raises(ValueError):
+            cosine_sim(np.zeros(2), np.array([1e-170, 0.0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -83,6 +94,56 @@ class TestHashingEmbedder:
     def test_truncation_applied(self):
         emb = HashingEmbedder(64, seed=0, max_input_tokens=2)
         np.testing.assert_array_equal(emb.embed("a b c d"), emb.embed("a b"))
+
+    def test_memoised_buckets_give_fresh_vectors(self):
+        text = "the cat and the dog and the cat again"
+        warm = HashingEmbedder(64, seed=7)
+        warm.embed("cat dog unrelated words")  # fills the bucket memo first
+        memoised = warm.embed(text)
+        fresh = HashingEmbedder(64, seed=7).embed(text)
+        # the definition: keyed blake2b bucket per token, integer counts, L2 norm
+        counts = np.zeros(64)
+        for token in tokenize(text):
+            digest = hashlib.blake2b(token.encode("utf-8"), key=(7).to_bytes(8, "little"),
+                                     digest_size=8).digest()
+            counts[int.from_bytes(digest, "little") % 64] += 1.0
+        np.testing.assert_array_equal(memoised, fresh)
+        np.testing.assert_array_equal(memoised, counts / np.linalg.norm(counts))
+
+
+class TestEmbeddingMemo:
+    def test_sends_each_distinct_text_once(self, counting):
+        memo = EmbeddingMemo(counting)
+        got = memo.embed_batch(["a b", "c", "a b"])
+        assert counting.calls == [["a b", "c"]]
+        assert memo.embed_batch(["c", "d", "a b", "d"])[0] is got[1]
+        assert counting.calls == [["a b", "c"], ["d"]]
+        np.testing.assert_array_equal(memo.embed("d"), counting.inner.embed("d"))
+        assert len(counting.calls) == 2
+
+    def test_order_and_values_preserved(self, counting):
+        memo = EmbeddingMemo(counting)
+        texts = ["x y", "z", "x y", "w"]
+        memo.embed_batch(["w"])
+        for got, text in zip(memo.embed_batch(texts), texts, strict=True):
+            np.testing.assert_array_equal(got, counting.inner.embed(text))
+
+    def test_all_seen_makes_no_call(self, counting):
+        memo = EmbeddingMemo(counting)
+        memo.embed_batch(["a", "b"])
+        memo.embed_batch(["b", "a"])
+        memo.embed_batch([])
+        assert counting.calls == [["a", "b"]]
+
+    def test_short_answer_rejected_and_nothing_stored(self, counting):
+        short = counting.inner.embed_batch
+        counting.inner.embed_batch = lambda texts: short(texts)[:1]
+        memo = EmbeddingMemo(counting)
+        with pytest.raises(ValueError, match="1 vectors for 2 texts"):
+            memo.embed_batch(["a", "b"])
+        counting.inner.embed_batch = short
+        memo.embed_batch(["a", "b"])
+        assert counting.calls == [["a", "b"], ["a", "b"]]
 
 
 class _FakeSession:

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from queryboost import pipeline
 from queryboost.calibration import CalibrationConfig
 from queryboost.corpus import Document, build_index
 from queryboost.evaluation import evaluate_run
@@ -229,3 +232,109 @@ def test_synthetic_dataset_end_to_end_smoke(synthetic_dataset, embedder):
             for qid, q in ds.queries[:5]]
     report = evaluate_run([o.post for o in outs], ds.qrels, 10)
     assert report.mean > 0.9
+
+
+def _synthetic_run(ds):
+    index = build_index(ds.documents)
+    store = {d.doc_id: d for d in ds.documents}
+    refs = {rs.query_id: rs for rs in ds.reference_sets}
+    return index, store, refs
+
+
+class _Cache:
+    """Reference-cache stand-in over the synthetic reference sets."""
+
+    def __init__(self, refs):
+        self.refs = refs
+
+    def get(self, query_id, model_id):
+        return self.refs.get(query_id)
+
+
+class TestEmbeddingMemoInPipeline:
+    def test_each_text_reaches_provider_once_per_run(self, synthetic_dataset, counting):
+        ds = synthetic_dataset
+        index, store, refs = _synthetic_run(ds)
+        run_pipeline(ds.queries, index, store, counting, _Cache(refs), "m", PipelineConfig())
+        sent = Counter(t for call in counting.calls for t in call)
+        assert sent and max(sent.values()) == 1
+
+    def test_query_dedupes_within_itself(self, synthetic_dataset, counting):
+        ds = synthetic_dataset
+        index, store, refs = _synthetic_run(ds)
+        qid, query = ds.queries[0]
+        run_query_pipeline(qid, query, index, store, counting, refs[qid], PipelineConfig())
+        sent = Counter(t for call in counting.calls for t in call)
+        assert max(sent.values()) == 1
+        # calibration negatives are BM25-tail docs, already embedded by rerank
+        assert len(counting.calls) <= 3  # query embedding, candidates, new positives
+
+    def test_each_rerank_makes_at_most_one_provider_call(self, synthetic_dataset,
+                                                         counting, monkeypatch):
+        ds = synthetic_dataset
+        index, store, refs = _synthetic_run(ds)
+        per_stage = []
+
+        def counted(stage):
+            def wrapper(*args, **kwargs):
+                before = len(counting.calls)
+                result = stage(*args, **kwargs)
+                per_stage.append(len(counting.calls) - before)
+                return result
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "rerank", counted(pipeline.rerank))
+        monkeypatch.setattr(pipeline, "final_rank", counted(pipeline.final_rank))
+        run_pipeline(ds.queries, index, store, counting, _Cache(refs), "m", PipelineConfig())
+        assert len(per_stage) == 2 * len(ds.queries)
+        assert max(per_stage) == 1
+
+    def test_run_pipeline_equals_per_query_runs(self, synthetic_dataset, embedder):
+        ds = synthetic_dataset
+        index, store, refs = _synthetic_run(ds)
+        cfg = PipelineConfig()
+        batch = run_pipeline(ds.queries, index, store, embedder, _Cache(refs), "m", cfg)
+        alone = [run_query_pipeline(qid, q, index, store, embedder, refs[qid], cfg)
+                 for qid, q in ds.queries]
+        assert batch == alone
+
+    def test_no_memo_outlives_a_call(self, synthetic_dataset, counting):
+        ds = synthetic_dataset
+        index, store, refs = _synthetic_run(ds)
+        queries = ds.queries[:3]
+        run_pipeline(queries, index, store, counting, _Cache(refs), "m", PipelineConfig())
+        first = Counter(t for call in counting.calls for t in call)
+        counting.calls.clear()
+        run_pipeline(queries, index, store, counting, _Cache(refs), "m", PipelineConfig())
+        assert Counter(t for call in counting.calls for t in call) == first
+
+
+class TestFieldPolicy:
+    def _titled(self):
+        docs = [Document("rel", "zebra", "neutron star collapse gravity"),
+                Document("near", "", "star gravity telescope"),
+                Document("off", "", "cooking recipes pasta star")]
+        return docs, build_index(docs, field_policy="text_only")
+
+    def test_text_only_index_embeds_no_titles(self, embedder, counting):
+        docs, index = self._titled()
+        store = {d.doc_id: d for d in docs}
+        refs = ReferenceSet("q1", "star", ("neutron star gravity",), "m")
+        cfg = PipelineConfig(retrieve_k=3, eval_k=1,
+                             calibration=CalibrationConfig(k_reciprocal=3,
+                                                           num_negatives=3))
+        out = run_query_pipeline("q1", "star", index, store, counting, refs, cfg)
+        sent = [t for call in counting.calls for t in call]
+        assert "neutron star collapse gravity" in sent
+        assert not any("zebra" in t for t in sent)
+        # the rankings are those of an untitled corpus
+        plain = [Document(d.doc_id, "", d.text) for d in docs]
+        expected = run_query_pipeline("q1", "star", build_index(plain),
+                                      {d.doc_id: d for d in plain}, embedder, refs, cfg)
+        assert out == expected
+
+    def test_keyword_overlap_follows_field_policy(self):
+        docs, index = self._titled()
+        refs = ReferenceSet("q1", "q", ("neutron",), "m")
+        rep = keyword_overlap("q", refs, [docs[0]], index, m=10)
+        assert "zebra" not in rep.gt_top

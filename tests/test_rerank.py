@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from queryboost.corpus import Document
-from queryboost.embedding import HashingEmbedder, cosine_sim
+from queryboost.embedding import EmbeddingMemo, HashingEmbedder, cosine_sim
 from queryboost.generation import ReferenceSet
-from queryboost.rerank import (DocumentEmbeddingCache, embed_concat, embed_contex_pool,
-                               embed_mean_pool, embed_query, rerank)
+from queryboost.rerank import (embed_concat, embed_contex_pool, embed_mean_pool,
+                               embed_query, rerank)
 
 
 def make_refs(*texts):
@@ -128,25 +128,33 @@ class TestRerank:
         with pytest.raises(RuntimeError, match="dbad"):
             rerank(embedder, embedder.embed("q"), docs)
 
-    def test_doc_cache_reused(self, embedder):
-        calls = []
-        orig = embedder.embed
+    def test_one_provider_call_for_all_candidates(self, embedder, counting):
+        docs = [Document(f"d{i}", "", f"word{i} cat") for i in range(7)]
+        rerank(counting, embedder.embed("cat"), docs)
+        assert counting.calls == [[d.text for d in docs]]
 
-        class Counting:
-            dimension = embedder.dimension
-            max_input_tokens = None
+    def test_memo_reused_across_reranks(self, embedder, counting):
+        memo = EmbeddingMemo(counting)
+        docs = [Document("d1", "", "cat"), Document("d2", "", "dog"),
+                Document("d2dup", "", "dog")]
+        first = rerank(memo, embedder.embed("cat"), docs)
+        assert counting.calls == [["cat", "dog"]]  # duplicate text sent once
+        second = rerank(memo, embedder.embed("cat"), docs)
+        assert counting.calls == [["cat", "dog"]]  # second pass is served by the memo
+        assert second == first == rerank(embedder, embedder.embed("cat"), docs)
 
-            def embed(self, text):
-                calls.append(text)
-                return orig(text)
-
-            def embed_batch(self, texts):
-                return [self.embed(t) for t in texts]
-
-        prov = Counting()
+    def test_batch_failure_names_docs_and_stores_nothing(self, embedder, counting):
+        memo = EmbeddingMemo(counting)
         docs = [Document("d1", "", "cat"), Document("d2", "", "dog")]
-        cache = DocumentEmbeddingCache(prov)
-        rerank(prov, orig("cat"), docs, cache)
-        n_after_first = len(calls)
-        rerank(prov, orig("dog"), docs, cache)
-        assert len(calls) == n_after_first  # second pass hits the cache
+        counting.fail = True
+        with pytest.raises(RuntimeError, match="'d1', 'd2'.*service unavailable"):
+            rerank(memo, embedder.embed("cat"), docs)
+        counting.fail = False
+        rerank(memo, embedder.embed("cat"), docs)
+        assert counting.calls == [["cat", "dog"], ["cat", "dog"]]
+
+    def test_field_policy_selects_embedded_text(self, embedder, counting):
+        docs = [Document("d1", "zebra", "cat")]
+        rerank(counting, embedder.embed("cat"), docs, "text_only")
+        rerank(counting, embedder.embed("cat"), docs, "title_plus_text")
+        assert counting.calls == [["cat"], [docs[0].indexed_text("title_plus_text")]]

@@ -1,9 +1,10 @@
 """Command-line interface: index, generate, search, pipeline, eval, analyze, sweep.
 
 Exit codes: 0 success, 2 usage error, 3 missing input file, 4 reference-cache
-miss, 5 malformed data file, 1 anything else. Logs go to stderr; data goes to
-files or stdout. Every command that writes outputs drops a JSON run manifest
-next to its primary output.
+miss, 5 malformed data file (an index included), 6 index built from another
+corpus, 1 anything else. Logs go to stderr; data goes to files or stdout. Every
+command that writes outputs drops a JSON run manifest next to its primary
+output.
 """
 
 import argparse
@@ -15,7 +16,8 @@ from pathlib import Path
 
 from queryboost import __version__
 from queryboost.calibration import CalibrationConfig
-from queryboost.corpus import build_index, load_corpus_jsonl, load_index, save_index
+from queryboost.corpus import (IndexFormatError, IndexMismatchError, build_index,
+                               check_corpus, load_corpus_jsonl, load_index, save_index)
 from queryboost.embedding import HashingEmbedder, RemoteEmbedder
 from queryboost.evaluation import (Ranking, evaluate_run, read_qrels, read_queries_tsv,
                                    read_run, write_run)
@@ -31,6 +33,7 @@ EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
 EXIT_CACHE_MISS = 4
 EXIT_FORMAT = 5
+EXIT_MISMATCH = 6
 
 log = logging.getLogger("queryboost")
 
@@ -81,6 +84,14 @@ def _pipeline_config(args) -> PipelineConfig:
                                       num_negatives=args.negatives),
         retrieve_k=args.retrieve_k,
         eval_k=args.eval_k)
+
+
+def _load_index_and_corpus(args):
+    """The index and a doc_id -> Document store of the corpus it was built from."""
+    index = load_index(args.index)
+    doc_store = {d.doc_id: d for d in load_corpus_jsonl(args.corpus)}
+    check_corpus(index, doc_store)
+    return index, doc_store
 
 
 def cmd_index(args) -> int:
@@ -137,8 +148,7 @@ def cmd_search(args) -> int:
 
 def cmd_pipeline(args) -> int:
     _require_files(args.index, args.corpus, args.queries, args.cache)
-    index = load_index(args.index)
-    doc_store = {d.doc_id: d for d in load_corpus_jsonl(args.corpus)}
+    index, doc_store = _load_index_and_corpus(args)
     queries = read_queries_tsv(args.queries)
     cache = ReferenceCache(args.cache)
     provider = _provider_from_args(args)
@@ -188,8 +198,7 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     _require_files(args.index, args.corpus, args.queries, args.cache, args.qrels)
-    index = load_index(args.index)
-    doc_store = {d.doc_id: d for d in load_corpus_jsonl(args.corpus)}
+    index, doc_store = _load_index_and_corpus(args)
     queries = read_queries_tsv(args.queries)
     cache = ReferenceCache(args.cache)
     qrels = read_qrels(args.qrels)
@@ -218,8 +227,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     _require_files(args.index, args.corpus, args.queries, args.cache, args.qrels)
-    index = load_index(args.index)
-    doc_store = {d.doc_id: d for d in load_corpus_jsonl(args.corpus)}
+    index, doc_store = _load_index_and_corpus(args)
     queries = read_queries_tsv(args.queries)
     cache = ReferenceCache(args.cache)
     qrels = read_qrels(args.qrels)
@@ -390,9 +398,12 @@ def main(argv: list[str] | None = None) -> int:
     except LookupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CACHE_MISS
-    except CacheFormatError as exc:
+    except (CacheFormatError, IndexFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    except IndexMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except ValueError as exc:
         msg = str(exc)
         if ":" in msg and any(w in msg for w in ("malformed", "expected", "corrupt",

@@ -1,13 +1,41 @@
-"""Corpus ingestion and an immutable inverted index with BM25 statistics."""
+"""Corpus ingestion and an immutable columnar inverted index with BM25 statistics.
+
+Documents are numbered by ordinal in ascending ``doc_id`` order, so an integer
+tie-break on ordinals equals a tie-break on doc ids. Postings are stored in
+CSR form: term id ``t`` owns entries ``offsets[t]:offsets[t + 1]`` of the
+``doc_ordinals`` and ``tfs`` arrays, sorted by ordinal. ``save_index`` writes
+these arrays to one ``.npz`` archive and ``load_index`` reads them back.
+"""
 
 import json
+import os
+import uuid
+import zipfile
+from array import array
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from queryboost.tokenizer import tokenize
 
 FIELD_POLICIES = ("text_only", "title_plus_text")
+INDEX_FORMAT_VERSION = 1
+
+
+class IndexFormatError(ValueError):
+    """An index file that this version cannot read; rebuild it."""
+
+    def __init__(self, path, problem: str):
+        super().__init__(f"{path}: not a current queryboost index ({problem}); "
+                         f"rebuild it with `queryboost index`")
+
+
+class IndexMismatchError(ValueError):
+    """The corpus does not hold exactly the documents the index was built from."""
 
 
 @dataclass(frozen=True)
@@ -28,22 +56,119 @@ class Document:
 class CorpusStats:
     num_docs: int
     avgdl: float
-    doc_length: dict[str, int] = field(default_factory=dict)
+    doc_length: Mapping[str, int]
+
+
+class _ArrayView(Mapping):
+    """Read-only mapping over index arrays; two views of one kind compare their arrays."""
+
+    def _parts(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                       for a, b in zip(self._parts(), other._parts()))
+        return Mapping.__eq__(self, other)
+
+    __hash__ = None
+
+
+class DocLengths(_ArrayView):
+    """doc_id -> token length."""
+
+    def __init__(self, doc_ids: tuple[str, ...], lengths: np.ndarray):
+        self._ids = doc_ids
+        self._lengths = lengths
+
+    def __getitem__(self, doc_id: str) -> int:
+        i = bisect_left(self._ids, doc_id)
+        if i == len(self._ids) or self._ids[i] != doc_id:
+            raise KeyError(doc_id)
+        return int(self._lengths[i])
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def _parts(self) -> tuple:
+        return self._ids, self._lengths
+
+
+class _TermView(_ArrayView):
+    """A mapping keyed by the index's terms, in term-id order."""
+
+    def __init__(self, index: "InvertedIndex"):
+        self._index = index
+
+    def __iter__(self):
+        return iter(self._index.terms)
+
+    def __len__(self) -> int:
+        return len(self._index.terms)
+
+    def __contains__(self, term) -> bool:
+        return term in self._index.term_ids
+
+
+class Postings(_TermView):
+    """term -> list of (doc_id, tf) in ascending doc_id order."""
+
+    def __getitem__(self, term: str) -> list[tuple[str, int]]:
+        ix = self._index
+        t = ix.term_ids[term]
+        lo, hi = ix.offsets[t], ix.offsets[t + 1]
+        return [(ix.doc_ids[o], tf) for o, tf in zip(ix.doc_ordinals[lo:hi].tolist(),
+                                                     ix.tfs[lo:hi].tolist())]
+
+    def _parts(self) -> tuple:
+        ix = self._index
+        return ix.terms, ix.doc_ids, ix.offsets, ix.doc_ordinals, ix.tfs
+
+
+class DocFreqs(_TermView):
+    """term -> number of documents containing it."""
+
+    def __getitem__(self, term: str) -> int:
+        ix = self._index
+        t = ix.term_ids[term]
+        return int(ix.offsets[t + 1] - ix.offsets[t])
+
+    def _parts(self) -> tuple:
+        return self._index.terms, self._index.offsets
 
 
 class InvertedIndex:
-    """Immutable term -> postings map plus the corpus statistics BM25 needs.
+    """Immutable columnar index plus the corpus statistics BM25 needs.
 
-    Postings are lists of (doc_id, tf) sorted by doc_id. Built once by
-    ``build_index``; safe for unlimited concurrent readers afterwards.
+    ``doc_ids[i]`` and ``doc_lengths[i]`` belong to ordinal ``i``; ``terms[t]``
+    is the term with id ``t`` and ``term_ids`` its inverse. ``postings``, ``df`` and
+    ``stats.doc_length`` are read-only mapping views over the arrays. Built
+    once by ``build_index``; safe for unlimited concurrent readers afterwards.
     """
 
-    def __init__(self, postings: dict[str, list[tuple[str, int]]],
-                 df: dict[str, int], stats: CorpusStats, field_policy: str):
-        self.postings = postings
-        self.df = df
-        self.stats = stats
+    def __init__(self, doc_ids: tuple[str, ...], doc_lengths: np.ndarray,
+                 terms: tuple[str, ...],
+                 offsets: np.ndarray, doc_ordinals: np.ndarray, tfs: np.ndarray,
+                 field_policy: str):
+        for arr in (doc_lengths, offsets, doc_ordinals, tfs):
+            arr.flags.writeable = False
+        self.doc_ids = doc_ids
+        self.doc_lengths = doc_lengths
+        self.terms = terms
+        self.term_ids = {term: t for t, term in enumerate(terms)}
+        self.offsets = offsets
+        self.doc_ordinals = doc_ordinals
+        self.tfs = tfs
         self.field_policy = field_policy
+        n = len(doc_ids)
+        self.stats = CorpusStats(num_docs=n,
+                                 avgdl=int(doc_lengths.sum()) / n if n else 0.0,
+                                 doc_length=DocLengths(doc_ids, doc_lengths))
+        self.postings = Postings(self)
+        self.df = DocFreqs(self)
 
     @property
     def num_docs(self) -> int:
@@ -52,9 +177,6 @@ class InvertedIndex:
     @property
     def avgdl(self) -> float:
         return self.stats.avgdl
-
-    def doc_ids(self) -> list[str]:
-        return list(self.stats.doc_length)
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self.stats.doc_length
@@ -65,27 +187,47 @@ def build_index(docs, field_policy: str = "title_plus_text") -> InvertedIndex:
     if field_policy not in FIELD_POLICIES:
         raise ValueError(f"unknown field_policy: {field_policy!r}")
 
-    postings: dict[str, list[tuple[str, int]]] = {}
-    doc_length: dict[str, int] = {}
-    total_len = 0
-
+    by_id: dict[str, Document] = {}
     for doc in docs:
-        if doc.doc_id in doc_length:
+        if doc.doc_id in by_id:
             raise ValueError(f"duplicate doc_id: {doc.doc_id!r}")
-        tokens = tokenize(doc.indexed_text(field_policy))
-        doc_length[doc.doc_id] = len(tokens)
-        total_len += len(tokens)
-        for term, tf in Counter(tokens).items():
-            postings.setdefault(term, []).append((doc.doc_id, tf))
+        by_id[doc.doc_id] = doc
+    doc_ids = tuple(sorted(by_id))
 
-    for plist in postings.values():
-        plist.sort(key=lambda entry: entry[0])
-    df = {term: len(plist) for term, plist in postings.items()}
+    # One entry per (doc, term) in ordinal order; term ids by first appearance.
+    term_ids: dict[str, int] = {}
+    entry_terms, entry_tfs = array("i"), array("i")
+    doc_lengths, terms_per_doc = array("i"), array("i")
+    for doc_id in doc_ids:
+        tokens = tokenize(by_id[doc_id].indexed_text(field_policy))
+        counts = Counter(tokens)
+        doc_lengths.append(len(tokens))
+        terms_per_doc.append(len(counts))
+        entry_terms.extend([term_ids.setdefault(t, len(term_ids)) for t in counts])
+        entry_tfs.extend(counts.values())
 
-    n = len(doc_length)
-    stats = CorpusStats(num_docs=n, avgdl=total_len / n if n else 0.0,
-                        doc_length=doc_length)
-    return InvertedIndex(postings, df, stats, field_policy)
+    entry_terms = np.frombuffer(entry_terms, dtype=np.int32)
+    by_term = np.argsort(entry_terms, kind="stable")  # keeps ordinal order per term
+    offsets = np.zeros(len(term_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(entry_terms, minlength=len(term_ids)), out=offsets[1:])
+    ordinals = np.repeat(np.arange(len(doc_ids), dtype=np.int32),
+                         np.frombuffer(terms_per_doc, dtype=np.int32))
+    return InvertedIndex(doc_ids, np.frombuffer(doc_lengths, dtype=np.int32).copy(),
+                         tuple(term_ids), offsets, ordinals[by_term],
+                         np.frombuffer(entry_tfs, dtype=np.int32)[by_term], field_policy)
+
+
+def check_corpus(index: InvertedIndex, doc_ids) -> None:
+    """Raise IndexMismatchError unless doc_ids are exactly the indexed documents."""
+    corpus = set(doc_ids)
+    differing = corpus.symmetric_difference(index.doc_ids)
+    if differing:
+        example = min(differing)
+        side = "corpus" if example in corpus else "index"
+        raise IndexMismatchError(
+            f"index and corpus differ in {len(differing)} doc ids "
+            f"(e.g. {example!r} is only in the {side}); "
+            f"rebuild the index from this corpus with `queryboost index`")
 
 
 def load_corpus_jsonl(path) -> list[Document]:
@@ -107,26 +249,85 @@ def load_corpus_jsonl(path) -> list[Document]:
     return docs
 
 
+def _pack_strings(strings) -> tuple[np.ndarray, np.ndarray]:
+    encoded = [s.encode("utf-8") for s in strings]
+    return (np.frombuffer(b"".join(encoded), dtype=np.uint8),
+            np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)))
+
+
+def _unpack_strings(blob: np.ndarray, lengths: np.ndarray) -> tuple[str, ...]:
+    data = blob.tobytes()
+    ends = np.cumsum(lengths).tolist()
+    if (ends[-1] if ends else 0) != len(data):
+        raise ValueError("string lengths do not add up to the stored bytes")
+    return tuple(data[a:b].decode("utf-8") for a, b in zip([0] + ends[:-1], ends))
+
+
 def save_index(index: InvertedIndex, path) -> None:
-    """Persist an index as a single JSON artifact (round-trips exactly)."""
-    payload = {
-        "field_policy": index.field_policy,
-        "num_docs": index.stats.num_docs,
-        "avgdl": index.stats.avgdl,
-        "doc_length": index.stats.doc_length,
-        "postings": {term: [[d, tf] for d, tf in plist]
-                     for term, plist in index.postings.items()},
-    }
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False, sort_keys=True),
-                          encoding="utf-8")
+    """Persist an index as one ``.npz`` archive, written to exactly ``path``.
+
+    The archive is written to a temporary file in the target directory and
+    renamed over ``path``, so a failed write leaves any previous index intact.
+    """
+    path = Path(path)
+    doc_id_bytes, doc_id_lengths = _pack_strings(index.doc_ids)
+    term_bytes, term_lengths = _pack_strings(index.terms)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, format_version=np.int64(INDEX_FORMAT_VERSION),
+                     field_policy=np.str_(index.field_policy),
+                     doc_id_bytes=doc_id_bytes, doc_id_lengths=doc_id_lengths,
+                     doc_lengths=index.doc_lengths,
+                     term_bytes=term_bytes, term_lengths=term_lengths,
+                     offsets=index.offsets, doc_ordinals=index.doc_ordinals,
+                     tfs=index.tfs)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+_INDEX_ARRAYS = ("format_version", "field_policy", "doc_id_bytes", "doc_id_lengths",
+                 "doc_lengths", "term_bytes", "term_lengths", "offsets",
+                 "doc_ordinals", "tfs")
 
 
 def load_index(path) -> InvertedIndex:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    postings = {term: [(d, int(tf)) for d, tf in plist]
-                for term, plist in payload["postings"].items()}
-    df = {term: len(plist) for term, plist in postings.items()}
-    stats = CorpusStats(num_docs=int(payload["num_docs"]),
-                        avgdl=float(payload["avgdl"]),
-                        doc_length={d: int(n) for d, n in payload["doc_length"].items()})
-    return InvertedIndex(postings, df, stats, payload["field_policy"])
+    """Read an index written by ``save_index``; IndexFormatError for anything else."""
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+    if not magic:
+        raise IndexFormatError(path, "empty file")
+    if magic.startswith(b"{"):
+        raise IndexFormatError(path, "a JSON index, a format no longer read")
+    if magic != b"PK\x03\x04":
+        raise IndexFormatError(path, "not an .npz archive")
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            a = {k: npz[k] for k in _INDEX_ARRAYS if k in npz.files}
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise IndexFormatError(path, f"truncated or corrupt: {exc}") from exc
+    if "format_version" not in a:
+        raise IndexFormatError(path, "no format_version")
+    if a["format_version"].tolist() != INDEX_FORMAT_VERSION:
+        raise IndexFormatError(path, f"unknown format version {a['format_version']}")
+    missing = [k for k in _INDEX_ARRAYS if k not in a]
+    if missing:
+        raise IndexFormatError(path, f"missing arrays: {', '.join(missing)}")
+
+    try:
+        doc_ids = _unpack_strings(a["doc_id_bytes"], a["doc_id_lengths"])
+        terms = _unpack_strings(a["term_bytes"], a["term_lengths"])
+    except ValueError as exc:
+        raise IndexFormatError(path, f"corrupt strings: {exc}") from exc
+    offsets, field_policy = a["offsets"], str(a["field_policy"])
+    if not (field_policy in FIELD_POLICIES
+            and a["doc_lengths"].shape == (len(doc_ids),)
+            and offsets.shape == (len(terms) + 1,) and offsets[0] == 0
+            and a["doc_ordinals"].shape == a["tfs"].shape == (offsets[-1],)):
+        raise IndexFormatError(path, "inconsistent arrays")
+    return InvertedIndex(doc_ids, a["doc_lengths"], terms, offsets,
+                         a["doc_ordinals"], a["tfs"], field_policy)

@@ -10,6 +10,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from queryboost.corpus import InvertedIndex
 from queryboost.tokenizer import tokenize
 
@@ -69,63 +71,59 @@ class SparseQuery:
 
 def idf(index: InvertedIndex, term: str) -> float:
     """ln(1 + (N - df + 0.5) / (df + 0.5)); non-negative for every df <= N."""
-    n = index.num_docs
-    df = index.df.get(term, 0)
+    return idf_of_df(index.num_docs, index.df.get(term, 0))
+
+
+def idf_of_df(n: int, df: int) -> float:
+    """The idf of a term found in df of n documents (see ``idf``)."""
     return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-
-
-def bm25_score(index: InvertedIndex, params: BM25Params,
-               query_tokens, doc_id: str) -> float:
-    """BM25 score of one document against a query token multiset.
-
-    A token appearing m times in the query contributes m identical summands.
-    """
-    if doc_id not in index:
-        raise KeyError(f"unknown doc_id: {doc_id!r}")
-    dl = index.stats.doc_length[doc_id]
-    avgdl = index.avgdl
-    norm = 1.0 - params.b + (params.b * dl / avgdl if avgdl > 0 else 0.0)
-
-    score = 0.0
-    for term, q_count in Counter(query_tokens).items():
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        tf = next((tf for d, tf in plist if d == doc_id), 0)
-        if tf == 0:
-            continue
-        score += q_count * idf(index, term) * tf * (params.k1 + 1.0) / (
-            tf + params.k1 * norm)
-    return score
 
 
 def bm25_search(index: InvertedIndex, params: BM25Params,
                 query: SparseQuery, top_k: int) -> list[tuple[str, float]]:
     """Top-k documents with positive BM25 score, ties broken by ascending doc_id.
 
-    Accumulates per-document scores over the postings of each distinct query
-    term; equivalent to scoring every document exhaustively.
+    Gathers the CSR postings of every distinct query term and scores them in
+    one vectorized pass. The result is bit-identical to accumulating
+    ``q * idf * tf * (k1 + 1) / (tf + k1 * norm)`` term by term in
+    ``query.counts()`` order: the expression keeps that association, and
+    ``bincount`` adds each document's contributions in input order.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    avgdl = index.avgdl
-    b, k1 = params.b, params.k1
-
-    scores: dict[str, float] = {}
+    term_ids, q_counts = [], []
     for term, q_count in query.counts().items():
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        term_idf = idf(index, term)
-        for doc_id, tf in plist:
-            dl = index.stats.doc_length[doc_id]
-            norm = 1.0 - b + (b * dl / avgdl if avgdl > 0 else 0.0)
-            contrib = q_count * term_idf * tf * (k1 + 1.0) / (tf + k1 * norm)
-            scores[doc_id] = scores.get(doc_id, 0.0) + contrib
+        t = index.term_ids.get(term)
+        if t is not None:
+            term_ids.append(t)
+            q_counts.append(q_count)
+    if not term_ids:
+        return []
 
-    ranked = sorted(((d, s) for d, s in scores.items() if s > 0.0),
-                    key=lambda ds: (-ds[1], ds[0]))
-    return ranked[:top_k]
+    starts = index.offsets[term_ids]
+    lengths = index.offsets[np.add(term_ids, 1)] - starts  # the terms' df
+    n = index.num_docs
+    weights = [q * idf_of_df(n, df) for q, df in zip(q_counts, lengths.tolist())]
+    # Row numbers of every posting of those terms, term after term.
+    ends = np.cumsum(lengths)
+    rows = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+    doc = index.doc_ordinals[rows]
+    tf = index.tfs[rows].astype(np.float64)
+    b, k1 = params.b, params.k1
+    # avgdl > 0 whenever a posting exists
+    norm = (1.0 - b) + b * index.doc_lengths[doc] / index.avgdl
+    contrib = np.repeat(weights, lengths) * tf * (k1 + 1.0) / (tf + k1 * norm)
+    scores = np.bincount(doc, weights=contrib, minlength=n)
+
+    hits = np.flatnonzero(scores > 0.0)
+    hit_scores = scores[hits]
+    if len(hits) > top_k:
+        kth = np.partition(hit_scores, len(hits) - top_k)[len(hits) - top_k]
+        keep = hit_scores >= kth
+        hits, hit_scores = hits[keep], hit_scores[keep]
+    order = np.lexsort((hits, -hit_scores))[:top_k]
+    ids = index.doc_ids
+    return [(ids[d], s) for d, s in zip(hits[order].tolist(), hit_scores[order].tolist())]
 
 
 def compute_lambda(references, query: str, beta: float, lambda_min: int = 1) -> int:

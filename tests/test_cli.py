@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from queryboost.cli import (EXIT_CACHE_MISS, EXIT_FORMAT, EXIT_MISSING_FILE, EXIT_OK,
-                            EXIT_USAGE, main)
+from queryboost.cli import (EXIT_CACHE_MISS, EXIT_FORMAT, EXIT_MISMATCH, EXIT_MISSING_FILE,
+                            EXIT_OK, EXIT_USAGE, main)
 from queryboost.evaluation import Ranking, write_run
 from queryboost.synthetic import make_synthetic_dataset, write_dataset
 
@@ -14,9 +15,9 @@ def dataset_dir(tmp_path_factory):
     ds = make_synthetic_dataset(num_topics=4, num_docs=60)
     paths = write_dataset(ds, out)
     rc = main(["index", "--corpus", str(paths["corpus"]),
-               "--out", str(out / "index.json")])
+               "--out", str(out / "index.npz")])
     assert rc == EXIT_OK
-    paths["index"] = out / "index.json"
+    paths["index"] = out / "index.npz"
     paths["dir"] = out
     return paths
 
@@ -25,7 +26,7 @@ class TestIndexCommand:
     def test_writes_index_and_manifest(self, dataset_dir):
         assert dataset_dir["index"].exists()
         manifest = json.loads(
-            (dataset_dir["dir"] / "index.json.manifest.json").read_text())
+            (dataset_dir["dir"] / "index.npz.manifest.json").read_text())
         assert manifest["outputs"] == [str(dataset_dir["index"])]
 
     def test_missing_corpus_exit_code(self, tmp_path):
@@ -38,6 +39,97 @@ class TestIndexCommand:
         bad.write_text("not json\n")
         rc = main(["index", "--corpus", str(bad), "--out", str(tmp_path / "i.json")])
         assert rc == EXIT_FORMAT
+
+
+def _rewrite_npz(src, dst, **changes):
+    """Copy an index archive, replacing (or, with None, dropping) some arrays."""
+    with np.load(src) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    for key, value in changes.items():
+        if value is None:
+            del arrays[key]
+        else:
+            arrays[key] = value
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class TestBadIndexFile:
+    """Anything that is not a current index exits EXIT_FORMAT with a rebuild hint."""
+
+    def _search(self, dataset_dir, index, tmp_path):
+        return main(["search", "--index", str(index),
+                     "--queries", str(dataset_dir["queries"]),
+                     "--cache", str(dataset_dir["cache"]),
+                     "--out", str(tmp_path / "x.run")])
+
+    def _assert_rejected(self, dataset_dir, index, tmp_path, capsys, detail):
+        assert self._search(dataset_dir, index, tmp_path) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert str(index) in err
+        assert "rebuild it with `queryboost index`" in err
+        assert detail in err
+        assert not (tmp_path / "x.run").exists()
+
+    def test_old_json_index(self, dataset_dir, tmp_path, capsys):
+        index = tmp_path / "old.json"
+        index.write_text(json.dumps({"field_policy": "title_plus_text", "num_docs": 1,
+                                     "avgdl": 1.0, "doc_length": {"d1": 1},
+                                     "postings": {"cat": [["d1", 1]]}}))
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys, "JSON index")
+
+    def test_zero_byte_file(self, dataset_dir, tmp_path, capsys):
+        index = tmp_path / "empty.idx"
+        index.write_bytes(b"")
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys, "empty file")
+
+    def test_truncated_file(self, dataset_dir, tmp_path, capsys):
+        data = dataset_dir["index"].read_bytes()
+        index = tmp_path / "truncated.idx"
+        index.write_bytes(data[:len(data) // 2])
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys, "truncated or corrupt")
+
+    def test_missing_format_version(self, dataset_dir, tmp_path, capsys):
+        index = tmp_path / "noversion.idx"
+        _rewrite_npz(dataset_dir["index"], index, format_version=None)
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys, "format_version")
+
+    def test_unknown_format_version(self, dataset_dir, tmp_path, capsys):
+        index = tmp_path / "future.idx"
+        _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(99))
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              "unknown format version 99")
+
+
+class TestIndexCorpusMismatch:
+    """pipeline, analyze and sweep refuse an index built from another corpus."""
+
+    @pytest.fixture(scope="class")
+    def other_index(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("other")
+        paths = write_dataset(make_synthetic_dataset(num_topics=4, num_docs=63), out)
+        assert main(["index", "--corpus", str(paths["corpus"]),
+                     "--out", str(out / "index.idx")]) == EXIT_OK
+        return out / "index.idx"
+
+    @pytest.mark.parametrize("command", [
+        ["pipeline", "--out-prefix", "{tmp}/out"],
+        ["analyze", "--qrels", "{qrels}"],
+        ["sweep", "--axis", "beta", "--values", "4", "--qrels", "{qrels}"],
+    ])
+    def test_exits_with_count_and_example(self, dataset_dir, other_index, tmp_path,
+                                          capsys, command):
+        argv = [a.format(tmp=tmp_path, qrels=dataset_dir["qrels"]) for a in command]
+        rc = main(argv + ["--index", str(other_index),
+                          "--corpus", str(dataset_dir["corpus"]),
+                          "--queries", str(dataset_dir["queries"]),
+                          "--cache", str(dataset_dir["cache"])])
+        assert rc == EXIT_MISMATCH
+        err = capsys.readouterr().err
+        # the other corpus has three more background documents, bg48 to bg50
+        assert "index and corpus differ in 3 doc ids" in err
+        assert "'bg48' is only in the index" in err
+        assert not list(tmp_path.glob("out*"))
 
 
 class TestSearchCommand:

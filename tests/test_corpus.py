@@ -1,5 +1,8 @@
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -106,8 +109,48 @@ class TestJsonlLoading:
 def test_index_round_trip(tmp_path, small_index):
     path = tmp_path / "index.json"
     save_index(small_index, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["index.json"]  # no ".npz" appended
     loaded = load_index(path)
     assert loaded.postings == small_index.postings
     assert loaded.df == small_index.df
     assert loaded.stats == small_index.stats
     assert loaded.field_policy == small_index.field_policy
+
+
+@given(st.dictionaries(st.text(min_size=1, max_size=6), st.text(alphabet="ab cé", max_size=12),
+                       max_size=10))
+def test_round_trip_any_doc_ids(texts_by_id):
+    idx = build_index([Document(d, "", t) for d, t in texts_by_id.items()])
+    with tempfile.TemporaryDirectory() as tmp:
+        save_index(idx, Path(tmp) / "index")
+        loaded = load_index(Path(tmp) / "index")
+    assert loaded.postings == idx.postings
+    assert dict(loaded.postings) == dict(idx.postings)
+    assert loaded.stats == idx.stats
+    assert loaded.doc_ids == tuple(sorted(texts_by_id))
+
+
+def test_failed_save_leaves_previous_index(tmp_path, small_index, monkeypatch):
+    path = tmp_path / "index.idx"
+    save_index(small_index, path)
+    before = path.read_bytes()
+
+    def fail_midway(fh, **arrays):
+        fh.write(b"PK\x03\x04partial")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(np, "savez", fail_midway)
+    with pytest.raises(OSError, match="No space left"):
+        save_index(build_index([Document("other", "", "dog")]), path)
+    assert [p.name for p in tmp_path.iterdir()] == ["index.idx"]
+    assert path.read_bytes() == before
+    assert load_index(path).postings == small_index.postings
+
+
+def test_views_compare_without_numpy_truth_values(small_docs, small_index):
+    other = build_index(small_docs[:2])
+    assert (small_index.postings == other.postings) is False
+    assert (small_index.df == other.df) is False
+    assert (small_index.stats == other.stats) is False
+    assert small_index.postings["cat"] == [("d1", 1), ("d3", 3)]
+    assert dict(small_index.df) == {"cat": 2, "sat": 2, "mat": 1, "dog": 1, "log": 1}

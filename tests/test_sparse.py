@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from queryboost.corpus import Document, build_index
-from queryboost.sparse import (BM25Params, ReweightConfig, SparseQuery, bm25_score,
-                               bm25_search, build_sparse_query, compute_lambda, idf)
+from queryboost.sparse import (BM25Params, ReweightConfig, SparseQuery, bm25_search,
+                               build_sparse_query, compute_lambda, idf)
 from queryboost.tokenizer import tokenize
 
 
@@ -58,34 +58,98 @@ class TestIdf:
         assert idf(idx, "common") >= 0.0
 
 
+def search_scores(index, params, tokens, top_k=1000):
+    sq = SparseQuery(tokens=tuple(tokens), query_repeats=1, num_references=0)
+    return dict(bm25_search(index, params, sq, top_k))
+
+
 class TestBm25Score:
-    def test_no_overlap_is_zero(self, small_index):
-        assert bm25_score(small_index, BM25Params(), ["zebra"], "d1") == 0.0
+    """The scores bm25_search returns, against the direct formula in oracle_bm25."""
+
+    def test_no_overlap_is_zero(self, small_docs, small_index):
+        assert search_scores(small_index, BM25Params(), ["zebra"]) == {}
+        assert set(oracle_bm25(small_docs, BM25Params(), ["zebra"]).values()) == {0.0}
 
     def test_matches_direct_oracle(self, small_docs, small_index):
         params = BM25Params(k1=0.9, b=0.4)
         expected = oracle_bm25(small_docs, params, ["cat"])
+        got = search_scores(small_index, params, ["cat"])
         for doc_id in ("d1", "d2", "d3"):
-            got = bm25_score(small_index, params, ["cat"], doc_id)
-            assert got == pytest.approx(expected[doc_id], abs=1e-9)
+            assert got.get(doc_id, 0.0) == pytest.approx(expected[doc_id], abs=1e-9)
 
-    def test_duplicate_query_token_doubles_score(self, small_index):
+    def test_duplicate_query_token_doubles_score(self, small_docs, small_index):
         params = BM25Params()
-        single = bm25_score(small_index, params, ["cat"], "d1")
-        double = bm25_score(small_index, params, ["cat", "cat"], "d1")
+        single = search_scores(small_index, params, ["cat"])["d1"]
+        double = search_scores(small_index, params, ["cat", "cat"])["d1"]
         assert double == pytest.approx(2 * single, abs=1e-12)
+        assert double == pytest.approx(
+            oracle_bm25(small_docs, params, ["cat", "cat"])["d1"], abs=1e-9)
 
-    def test_unknown_doc_id(self, small_index):
+    def test_unknown_doc_id(self, small_docs, small_index):
+        assert "nope" not in small_index
         with pytest.raises(KeyError, match="nope"):
-            bm25_score(small_index, BM25Params(), ["cat"], "nope")
+            small_index.stats.doc_length["nope"]
+        got = search_scores(small_index, BM25Params(), ["cat", "sat", "dog"])
+        expected = oracle_bm25(small_docs, BM25Params(), ["cat", "sat", "dog"])
+        assert set(got) == {d for d, s in expected.items() if s > 0}
 
     def test_b_zero_ignores_doc_length(self):
         docs = [Document("short", "", "cat"),
                 Document("long", "", "cat " + "pad " * 30)]
         idx = build_index(docs)
         params = BM25Params(k1=0.9, b=0.0)
-        assert bm25_score(idx, params, ["cat"], "short") == pytest.approx(
-            bm25_score(idx, params, ["cat"], "long"), abs=1e-12)
+        got = search_scores(idx, params, ["cat"])
+        assert got["short"] == pytest.approx(got["long"], abs=1e-12)
+        assert got["short"] == pytest.approx(oracle_bm25(docs, params, ["cat"])["short"],
+                                             abs=1e-9)
+
+
+def exhaustive_bm25(docs, params, query_tokens, top_k):
+    """Score every document, in bm25_search's float order, and rank.
+
+    Per document, the summands follow the distinct query terms in order of
+    first appearance, each computed as ((q * idf) * tf) * (k1 + 1) / (tf + k1 *
+    norm); that is the order the vectorized search must reproduce bit for bit.
+    """
+    token_lists = {d.doc_id: tokenize(d.indexed_text()) for d in docs}
+    n = len(docs)
+    avgdl = sum(map(len, token_lists.values())) / n if n else 0.0
+    df = Counter(t for toks in token_lists.values() for t in set(toks))
+    ranked = []
+    for doc_id, toks in token_lists.items():
+        tf = Counter(toks)
+        norm = 1.0 - params.b + (params.b * len(toks) / avgdl if avgdl > 0 else 0.0)
+        score = 0.0
+        for term, q_count in Counter(query_tokens).items():
+            if tf[term]:
+                w = math.log(1.0 + (n - df[term] + 0.5) / (df[term] + 0.5))
+                score += q_count * w * tf[term] * (params.k1 + 1.0) / (
+                    tf[term] + params.k1 * norm)
+        if score > 0.0:
+            ranked.append((doc_id, score))
+    ranked.sort(key=lambda ds: (-ds[1], ds[0]))
+    return ranked[:top_k]
+
+
+words = st.sampled_from(["x", "y", "z", "w", "v", "u"])
+
+
+@given(doc_ids=st.lists(st.text(alphabet="abc", min_size=1, max_size=3), unique=True,
+                        max_size=12),
+       texts=st.lists(st.lists(words, max_size=8).map(" ".join), min_size=12, max_size=12),
+       query=st.lists(st.sampled_from(["x", "y", "z", "w", "v", "u", "unindexed"]),
+                      min_size=1, max_size=12),
+       k1=st.floats(min_value=0.0, max_value=3.0), b=st.floats(min_value=0.0, max_value=1.0),
+       extra_k=st.integers(min_value=-12, max_value=3))
+def test_bm25_search_equals_exhaustive_scorer(doc_ids, texts, query, k1, b, extra_k):
+    # Few words and short texts: tied scores are common, some documents are
+    # empty (all of them, sometimes: avgdl == 0), and the index may be empty.
+    docs = [Document(doc_id, "", text) for doc_id, text in zip(doc_ids, texts)]
+    params = BM25Params(k1=k1, b=b)
+    top_k = max(1, len(docs) + extra_k)
+    sq = SparseQuery(tokens=tuple(query), query_repeats=1, num_references=0)
+    assert bm25_search(build_index(docs), params, sq, top_k) == exhaustive_bm25(
+        docs, params, query, top_k)
 
 
 def random_corpus(rng, max_docs=50, max_len=8, vocab="abcdefgh"):

@@ -60,10 +60,10 @@ class CorpusStats:
 
 
 class _ArrayView(Mapping):
-    """Read-only mapping over index arrays; two views of one kind compare their arrays."""
+    """Read-only mapping over index arrays; two views of one kind compare their arrays.
 
-    def _parts(self) -> tuple:
-        raise NotImplementedError
+    Subclasses define ``_parts()``: the arrays and sequences that determine them.
+    """
 
     def __eq__(self, other):
         if type(other) is type(self):
@@ -143,16 +143,16 @@ class DocFreqs(_TermView):
 class InvertedIndex:
     """Immutable columnar index plus the corpus statistics BM25 needs.
 
-    ``doc_ids[i]`` and ``doc_lengths[i]`` belong to ordinal ``i``; ``terms[t]``
-    is the term with id ``t`` and ``term_ids`` its inverse. ``postings``, ``df`` and
-    ``stats.doc_length`` are read-only mapping views over the arrays. Built
-    once by ``build_index``; safe for unlimited concurrent readers afterwards.
+    ``doc_ids[i]`` and ``doc_lengths[i]`` belong to ordinal ``i``;
+    ``terms[t]`` is the term with id ``t`` and ``term_ids`` its inverse.
+    ``postings``, ``df`` and ``stats.doc_length`` are read-only mapping views
+    over the arrays. Built once by ``build_index``; safe for unlimited
+    concurrent readers afterwards.
     """
 
     def __init__(self, doc_ids: tuple[str, ...], doc_lengths: np.ndarray,
-                 terms: tuple[str, ...],
-                 offsets: np.ndarray, doc_ordinals: np.ndarray, tfs: np.ndarray,
-                 field_policy: str):
+                 terms: tuple[str, ...], offsets: np.ndarray, doc_ordinals: np.ndarray,
+                 tfs: np.ndarray, field_policy: str):
         for arr in (doc_lengths, offsets, doc_ordinals, tfs):
             arr.flags.writeable = False
         self.doc_ids = doc_ids

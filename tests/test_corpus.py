@@ -117,8 +117,8 @@ def test_index_round_trip(tmp_path, small_index):
     assert loaded.field_policy == small_index.field_policy
 
 
-@given(st.dictionaries(st.text(min_size=1, max_size=6), st.text(alphabet="ab cé", max_size=12),
-                       max_size=10))
+@given(st.dictionaries(st.text(min_size=1, max_size=6),
+                       st.text(alphabet="ab cé", max_size=12), max_size=10))
 def test_round_trip_any_doc_ids(texts_by_id):
     idx = build_index([Document(d, "", t) for d, t in texts_by_id.items()])
     with tempfile.TemporaryDirectory() as tmp:

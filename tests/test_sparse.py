@@ -139,7 +139,8 @@ words = st.sampled_from(["x", "y", "z", "w", "v", "u"])
        texts=st.lists(st.lists(words, max_size=8).map(" ".join), min_size=12, max_size=12),
        query=st.lists(st.sampled_from(["x", "y", "z", "w", "v", "u", "unindexed"]),
                       min_size=1, max_size=12),
-       k1=st.floats(min_value=0.0, max_value=3.0), b=st.floats(min_value=0.0, max_value=1.0),
+       k1=st.floats(min_value=0.0, max_value=3.0),
+       b=st.floats(min_value=0.0, max_value=1.0),
        extra_k=st.integers(min_value=-12, max_value=3))
 def test_bm25_search_equals_exhaustive_scorer(doc_ids, texts, query, k1, b, extra_k):
     # Few words and short texts: tied scores are common, some documents are

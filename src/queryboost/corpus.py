@@ -3,10 +3,13 @@
 Documents are numbered by ordinal in ascending ``doc_id`` order, so an integer
 tie-break on ordinals equals a tie-break on doc ids. Postings are stored in
 CSR form: term id ``t`` owns entries ``offsets[t]:offsets[t + 1]`` of the
-``doc_ordinals`` and ``tfs`` arrays, sorted by ordinal. ``save_index`` writes
+``doc_ordinals`` and ``tfs`` arrays, sorted by ordinal. Each document also
+keeps an 8-byte blake2b digest of the text it was indexed from, so a corpus
+whose text changed under the same doc ids is caught. ``save_index`` writes
 these arrays to one ``.npz`` archive and ``load_index`` reads them back.
 """
 
+import hashlib
 import json
 import os
 import uuid
@@ -23,7 +26,7 @@ import numpy as np
 from queryboost.tokenizer import tokenize
 
 FIELD_POLICIES = ("text_only", "title_plus_text")
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 
 class IndexFormatError(ValueError):
@@ -143,7 +146,7 @@ class DocFreqs(_TermView):
 class InvertedIndex:
     """Immutable columnar index plus the corpus statistics BM25 needs.
 
-    ``doc_ids[i]`` and ``doc_lengths[i]`` belong to ordinal ``i``;
+    ``doc_ids[i]``, ``doc_lengths[i]`` and ``doc_digests[i]`` belong to ordinal ``i``;
     ``terms[t]`` is the term with id ``t`` and ``term_ids`` its inverse.
     ``postings``, ``df`` and ``stats.doc_length`` are read-only mapping views
     over the arrays. Built once by ``build_index``; safe for unlimited
@@ -151,12 +154,13 @@ class InvertedIndex:
     """
 
     def __init__(self, doc_ids: tuple[str, ...], doc_lengths: np.ndarray,
-                 terms: tuple[str, ...], offsets: np.ndarray, doc_ordinals: np.ndarray,
-                 tfs: np.ndarray, field_policy: str):
-        for arr in (doc_lengths, offsets, doc_ordinals, tfs):
+                 doc_digests: np.ndarray, terms: tuple[str, ...], offsets: np.ndarray,
+                 doc_ordinals: np.ndarray, tfs: np.ndarray, field_policy: str):
+        for arr in (doc_lengths, doc_digests, offsets, doc_ordinals, tfs):
             arr.flags.writeable = False
         self.doc_ids = doc_ids
         self.doc_lengths = doc_lengths
+        self.doc_digests = doc_digests
         self.terms = terms
         self.term_ids = {term: t for t, term in enumerate(terms)}
         self.offsets = offsets
@@ -182,6 +186,13 @@ class InvertedIndex:
         return doc_id in self.stats.doc_length
 
 
+def text_digests(texts) -> np.ndarray:
+    """One 8-byte blake2b digest of each text's UTF-8 bytes, as little-endian uint64."""
+    digests = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest()
+                       for t in texts)
+    return np.frombuffer(digests, dtype="<u8")
+
+
 def build_index(docs, field_policy: str = "title_plus_text") -> InvertedIndex:
     """Build an inverted index over the chosen field of each document."""
     if field_policy not in FIELD_POLICIES:
@@ -198,8 +209,9 @@ def build_index(docs, field_policy: str = "title_plus_text") -> InvertedIndex:
     term_ids: dict[str, int] = {}
     entry_terms, entry_tfs = array("i"), array("i")
     doc_lengths, terms_per_doc = array("i"), array("i")
-    for doc_id in doc_ids:
-        tokens = tokenize(by_id[doc_id].indexed_text(field_policy))
+    texts = [by_id[doc_id].indexed_text(field_policy) for doc_id in doc_ids]
+    for text in texts:
+        tokens = tokenize(text)
         counts = Counter(tokens)
         doc_lengths.append(len(tokens))
         terms_per_doc.append(len(counts))
@@ -213,21 +225,31 @@ def build_index(docs, field_policy: str = "title_plus_text") -> InvertedIndex:
     ordinals = np.repeat(np.arange(len(doc_ids), dtype=np.int32),
                          np.frombuffer(terms_per_doc, dtype=np.int32))
     return InvertedIndex(doc_ids, np.frombuffer(doc_lengths, dtype=np.int32).copy(),
-                         tuple(term_ids), offsets, ordinals[by_term],
+                         text_digests(texts), tuple(term_ids), offsets, ordinals[by_term],
                          np.frombuffer(entry_tfs, dtype=np.int32)[by_term], field_policy)
 
 
-def check_corpus(index: InvertedIndex, doc_ids) -> None:
-    """Raise IndexMismatchError unless doc_ids are exactly the indexed documents."""
-    corpus = set(doc_ids)
-    differing = corpus.symmetric_difference(index.doc_ids)
+def check_corpus(index: InvertedIndex, doc_store: Mapping[str, Document]) -> None:
+    """Raise IndexMismatchError unless doc_store holds exactly the indexed documents.
+
+    Compares the doc ids, then each document's text under the index's
+    ``field_policy`` against the digest stored at build time.
+    """
+    rebuild = "rebuild the index from this corpus with `queryboost index`"
+    differing = set(doc_store).symmetric_difference(index.doc_ids)
     if differing:
         example = min(differing)
-        side = "corpus" if example in corpus else "index"
+        side = "corpus" if example in doc_store else "index"
         raise IndexMismatchError(
             f"index and corpus differ in {len(differing)} doc ids "
-            f"(e.g. {example!r} is only in the {side}); "
-            f"rebuild the index from this corpus with `queryboost index`")
+            f"(e.g. {example!r} is only in the {side}); {rebuild}")
+    digests = text_digests(doc_store[d].indexed_text(index.field_policy)
+                           for d in index.doc_ids)
+    changed = np.flatnonzero(digests != index.doc_digests)
+    if len(changed):
+        raise IndexMismatchError(
+            f"index and corpus differ in the text of {len(changed)} documents "
+            f"(first: {index.doc_ids[changed[0]]!r}); {rebuild}")
 
 
 def load_corpus_jsonl(path) -> list[Document]:
@@ -278,7 +300,7 @@ def save_index(index: InvertedIndex, path) -> None:
             np.savez(fh, format_version=np.int64(INDEX_FORMAT_VERSION),
                      field_policy=np.str_(index.field_policy),
                      doc_id_bytes=doc_id_bytes, doc_id_lengths=doc_id_lengths,
-                     doc_lengths=index.doc_lengths,
+                     doc_lengths=index.doc_lengths, doc_digests=index.doc_digests,
                      term_bytes=term_bytes, term_lengths=term_lengths,
                      offsets=index.offsets, doc_ordinals=index.doc_ordinals,
                      tfs=index.tfs)
@@ -291,7 +313,7 @@ def save_index(index: InvertedIndex, path) -> None:
 
 
 _INDEX_ARRAYS = ("format_version", "field_policy", "doc_id_bytes", "doc_id_lengths",
-                 "doc_lengths", "term_bytes", "term_lengths", "offsets",
+                 "doc_lengths", "doc_digests", "term_bytes", "term_lengths", "offsets",
                  "doc_ordinals", "tfs")
 
 
@@ -312,6 +334,8 @@ def load_index(path) -> InvertedIndex:
         raise IndexFormatError(path, f"truncated or corrupt: {exc}") from exc
     if "format_version" not in a:
         raise IndexFormatError(path, "no format_version")
+    if a["format_version"].tolist() == 1:
+        raise IndexFormatError(path, "format version 1, which stores no document digests")
     if a["format_version"].tolist() != INDEX_FORMAT_VERSION:
         raise IndexFormatError(path, f"unknown format version {a['format_version']}")
     missing = [k for k in _INDEX_ARRAYS if k not in a]
@@ -325,9 +349,10 @@ def load_index(path) -> InvertedIndex:
         raise IndexFormatError(path, f"corrupt strings: {exc}") from exc
     offsets, field_policy = a["offsets"], str(a["field_policy"])
     if not (field_policy in FIELD_POLICIES
-            and a["doc_lengths"].shape == (len(doc_ids),)
+            and a["doc_lengths"].shape == a["doc_digests"].shape == (len(doc_ids),)
+            and a["doc_digests"].dtype == np.dtype("<u8")
             and offsets.shape == (len(terms) + 1,) and offsets[0] == 0
             and a["doc_ordinals"].shape == a["tfs"].shape == (offsets[-1],)):
         raise IndexFormatError(path, "inconsistent arrays")
-    return InvertedIndex(doc_ids, a["doc_lengths"], terms, offsets,
+    return InvertedIndex(doc_ids, a["doc_lengths"], a["doc_digests"], terms, offsets,
                          a["doc_ordinals"], a["tfs"], field_policy)

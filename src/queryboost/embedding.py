@@ -7,6 +7,7 @@ pipeline call, so that each distinct text is embedded once per call.
 """
 
 import hashlib
+from itertools import chain
 from typing import Protocol
 
 import numpy as np
@@ -81,15 +82,30 @@ class HashingEmbedder:
         return bucket
 
     def embed(self, text: str) -> np.ndarray:
-        tokens = tokenize(truncate_text(text, self.max_input_tokens))
-        if not tokens:
-            raise ValueError("cannot embed text with no tokens")
-        counts = np.bincount([self._bucket(token) for token in tokens],
-                             minlength=self.dimension).astype(np.float64)
-        return counts / np.linalg.norm(counts)
+        return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
-        return [self.embed(t) for t in texts]
+        """Embed all texts in one pass: one bucket lookup per token, one bincount.
+
+        The counts are integers, so each row's sum of squares is exact and the
+        rows equal ``counts / np.linalg.norm(counts)`` per text bit for bit.
+        """
+        token_lists = [tokenize(truncate_text(t, self.max_input_tokens)) for t in texts]
+        if not all(token_lists):
+            raise ValueError("cannot embed text with no tokens")
+        tokens = list(chain.from_iterable(token_lists))
+        try:
+            buckets = np.fromiter(map(self._buckets.__getitem__, tokens),
+                                  dtype=np.int64, count=len(tokens))
+        except KeyError:  # a token not seen before: hash the ones missing
+            buckets = np.fromiter(map(self._bucket, tokens), dtype=np.int64,
+                                  count=len(tokens))
+        d = self.dimension
+        row_starts = np.repeat(np.arange(0, len(texts) * d, d), list(map(len, token_lists)))
+        counts = np.bincount(row_starts + buckets, minlength=len(texts) * d)
+        counts = counts.reshape(len(texts), d).astype(np.float64)
+        counts /= np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]
+        return list(counts)
 
 
 class RemoteEmbedder:

@@ -142,7 +142,11 @@ class ChatCompletionClient:
         return headers
 
     def complete(self, prompt: str, cfg: GenerationConfig, n: int) -> list[str]:
-        """Request n completions for one prompt; retries transport and 5xx errors."""
+        """Request n completions for one prompt.
+
+        Transport errors, 5xx and 429 responses and malformed bodies are retried
+        with backoff; any other 4xx raises GenerationError at once.
+        """
         payload = {
             "model": cfg.model_id,
             "messages": [{"role": "user", "content": prompt}],
@@ -158,11 +162,19 @@ class ChatCompletionClient:
                 resp = self._session.post(self.endpoint, json=payload,
                                           headers=self._headers(),
                                           timeout=cfg.timeout)
+            except requests.RequestException as exc:
+                last_error = exc
+                continue
+            if 400 <= resp.status_code < 500 and resp.status_code != 429:
+                raise GenerationError(
+                    f"chat completion rejected with HTTP {resp.status_code}: "
+                    f"{resp.text[:200]}")
+            try:
                 resp.raise_for_status()
                 data = resp.json()
                 return [choice["message"]["content"]
                         for choice in data["choices"]]
-            except (requests.RequestException, KeyError, ValueError) as exc:
+            except (requests.HTTPError, KeyError, ValueError) as exc:
                 last_error = exc
         raise GenerationError(
             f"chat completion failed after {cfg.max_retries + 1} attempts: {last_error}")

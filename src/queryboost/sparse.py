@@ -110,9 +110,9 @@ def bm25_search(index: InvertedIndex, params: BM25Params,
     doc = index.doc_ordinals[rows]
     tf = index.tfs[rows].astype(np.float64)
     b, k1 = params.b, params.k1
-    # avgdl > 0 whenever a posting exists
-    norm = (1.0 - b) + b * index.doc_lengths[doc] / index.avgdl
-    contrib = np.repeat(weights, lengths) * tf * (k1 + 1.0) / (tf + k1 * norm)
+    # k1 * norm per document, gathered per posting; avgdl > 0 whenever a posting exists
+    k1_norm = k1 * ((1.0 - b) + b * index.doc_lengths / index.avgdl)
+    contrib = np.repeat(weights, lengths) * tf * (k1 + 1.0) / (tf + k1_norm[doc])
     scores = np.bincount(doc, weights=contrib, minlength=n)
 
     hits = np.flatnonzero(scores > 0.0)
@@ -128,30 +128,32 @@ def bm25_search(index: InvertedIndex, params: BM25Params,
 
 def compute_lambda(references, query: str, beta: float, lambda_min: int = 1) -> int:
     """Adaptive query repetition count: floor(sum(len(r)) / (len(q) * beta))."""
+    return _repeat_count(len(tokenize(query)), sum(len(tokenize(r)) for r in references),
+                         beta, lambda_min)
+
+
+def _repeat_count(q_len: int, total_ref_len: int, beta: float, lambda_min: int) -> int:
+    """``compute_lambda`` from token counts."""
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    q_len = len(tokenize(query))
     if q_len == 0:
         raise ValueError("query tokenizes to zero tokens; repetition count undefined")
-    total_ref_len = sum(len(tokenize(r)) for r in references)
     return max(lambda_min, math.floor(total_ref_len / (q_len * beta)))
 
 
 def build_sparse_query(query: str, references, config: ReweightConfig) -> SparseQuery:
     """Expand a query: repeat it, then append every reference's tokens."""
-    references = list(references)
+    ref_tokens = [tokenize(ref) for ref in references]
+    q_tokens = tokenize(query)
     if config.beta is not None:
-        if not references:
+        if not ref_tokens:
             raise ValueError("adaptive reweighting requires at least one reference")
-        repeats = compute_lambda(references, query, config.beta, config.lambda_min)
+        repeats = _repeat_count(len(q_tokens), sum(map(len, ref_tokens)),
+                                config.beta, config.lambda_min)
     else:
         repeats = config.t
-
-    tokens: list[str] = []
-    q_tokens = tokenize(query)
-    for _ in range(repeats):
-        tokens.extend(q_tokens)
-    for ref in references:
-        tokens.extend(tokenize(ref))
+    tokens = q_tokens * repeats
+    for t in ref_tokens:
+        tokens.extend(t)
     return SparseQuery(tokens=tuple(tokens), query_repeats=repeats,
-                       num_references=len(references))
+                       num_references=len(ref_tokens))

@@ -94,6 +94,13 @@ class TestBadIndexFile:
         _rewrite_npz(dataset_dir["index"], index, format_version=None)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys, "format_version")
 
+    def test_format_version_1(self, dataset_dir, tmp_path, capsys):
+        index = tmp_path / "v1.idx"
+        _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(1),
+                     doc_digests=None)
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              "format version 1, which stores no document digests")
+
     def test_unknown_format_version(self, dataset_dir, tmp_path, capsys):
         index = tmp_path / "future.idx"
         _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(99))
@@ -129,6 +136,35 @@ class TestIndexCorpusMismatch:
         # the other corpus has three more background documents, bg48 to bg50
         assert "index and corpus differ in 3 doc ids" in err
         assert "'bg48' is only in the index" in err
+        assert not list(tmp_path.glob("out*"))
+
+
+    @pytest.mark.parametrize("command", [
+        ["pipeline", "--out-prefix", "{tmp}/out"],
+        ["analyze", "--qrels", "{qrels}"],
+        ["sweep", "--axis", "beta", "--values", "4", "--qrels", "{qrels}"],
+    ])
+    def test_changed_text_under_kept_ids(self, dataset_dir, tmp_path, capsys, command):
+        # the relevant documents keep their ids but lose their text
+        lines = dataset_dir["corpus"].read_text().splitlines()
+        rewritten = []
+        for line in lines:
+            doc = json.loads(line)
+            if doc["_id"].startswith("rel"):
+                doc["text"] = "nothing relevant here"
+            rewritten.append(json.dumps(doc))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(rewritten) + "\n")
+        n_rel = sum(json.loads(line)["_id"].startswith("rel") for line in lines)
+
+        argv = [a.format(tmp=tmp_path, qrels=dataset_dir["qrels"]) for a in command]
+        rc = main(argv + ["--index", str(dataset_dir["index"]), "--corpus", str(corpus),
+                          "--queries", str(dataset_dir["queries"]),
+                          "--cache", str(dataset_dir["cache"])])
+        assert rc == EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert f"index and corpus differ in the text of {n_rel} documents" in err
+        assert "(first: 'rel0x0')" in err
         assert not list(tmp_path.glob("out*"))
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from queryboost.corpus import (Document, build_index, load_corpus_jsonl,
-                               load_index, save_index)
+from queryboost.corpus import (Document, IndexMismatchError, build_index, check_corpus,
+                               load_corpus_jsonl, load_index, save_index, text_digests)
 
 doc_texts = st.lists(
     st.text(alphabet="ab c", min_size=0, max_size=12), min_size=0, max_size=20)
@@ -115,6 +115,7 @@ def test_index_round_trip(tmp_path, small_index):
     assert loaded.df == small_index.df
     assert loaded.stats == small_index.stats
     assert loaded.field_policy == small_index.field_policy
+    np.testing.assert_array_equal(loaded.doc_digests, small_index.doc_digests)
 
 
 @given(st.dictionaries(st.text(min_size=1, max_size=6),
@@ -128,6 +129,7 @@ def test_round_trip_any_doc_ids(texts_by_id):
     assert dict(loaded.postings) == dict(idx.postings)
     assert loaded.stats == idx.stats
     assert loaded.doc_ids == tuple(sorted(texts_by_id))
+    np.testing.assert_array_equal(loaded.doc_digests, idx.doc_digests)
 
 
 def test_failed_save_leaves_previous_index(tmp_path, small_index, monkeypatch):
@@ -154,3 +156,26 @@ def test_views_compare_without_numpy_truth_values(small_docs, small_index):
     assert (small_index.stats == other.stats) is False
     assert small_index.postings["cat"] == [("d1", 1), ("d3", 3)]
     assert dict(small_index.df) == {"cat": 2, "sat": 2, "mat": 1, "dog": 1, "log": 1}
+
+
+class TestCheckCorpus:
+    def test_digest_is_of_the_indexed_text(self):
+        doc = Document("d1", "Title", "body")
+        assert build_index([doc]).doc_digests.tolist() == text_digests(["Title body"]).tolist()
+        assert (build_index([doc], field_policy="text_only").doc_digests.tolist()
+                == text_digests(["body"]).tolist())
+
+    def test_changed_text_names_count_and_first_doc(self, small_docs, small_index):
+        store = {d.doc_id: d for d in small_docs}
+        store["d3"] = Document("d3", "", "cat cat dog")
+        store["d2"] = Document("d2", "", "dog sat  log")  # same tokens, other text
+        with pytest.raises(IndexMismatchError,
+                           match=r"differ in the text of 2 documents \(first: 'd2'\)"):
+            check_corpus(small_index, store)
+
+    def test_title_counts_only_under_title_plus_text(self, small_docs):
+        store = {d.doc_id: d for d in small_docs}
+        store["d1"] = Document("d1", "new title", "cat sat mat")
+        check_corpus(build_index(small_docs, field_policy="text_only"), store)
+        with pytest.raises(IndexMismatchError, match="first: 'd1'"):
+            check_corpus(build_index(small_docs), store)

@@ -2,11 +2,33 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from queryboost.embedding import (EmbeddingMemo, HashingEmbedder, RemoteEmbedder, cosine_sim,
                                   truncate_text)
-from queryboost.tokenizer import tokenize
+from queryboost.tokenizer import _TOKEN_RE, tokenize
+
+
+def _definition_vectors(texts, dimension, seed, max_input_tokens=None):
+    """The hashing embedding, text by text and token by token: keyed blake2b
+    bucket per regex token, integer counts, L2 norm."""
+    vectors = []
+    for text in texts:
+        counts = np.zeros(dimension)
+        for token in _TOKEN_RE.findall(truncate_text(text, max_input_tokens).lower()):
+            digest = hashlib.blake2b(token.encode("utf-8"), key=seed.to_bytes(8, "little"),
+                                     digest_size=8).digest()
+            counts[int.from_bytes(digest, "little") % dimension] += 1.0
+        vectors.append(counts / np.linalg.norm(counts))
+    return vectors
+
+
+# Words that each hold at least one token; joined by separators that the
+# tokenizer splits on, so a text's words and tokens differ.
+_WORDS = st.sampled_from(["cat", "Dog", "a1", "zebra", "x_y", "été", "b-2", "Naïve",
+                          "42", "the"])
+_TEXTS = st.lists(st.tuples(_WORDS, st.sampled_from([" ", ", ", "\t", " -- "]))
+                  .map("".join), min_size=1, max_size=10).map("".join)
 
 
 class TestCosine:
@@ -111,7 +133,40 @@ class TestHashingEmbedder:
         np.testing.assert_array_equal(memoised, counts / np.linalg.norm(counts))
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(batches=st.lists(st.lists(_TEXTS, max_size=6), min_size=1, max_size=3),
+           dimension=st.sampled_from([8, 13, 64, 256]),
+           seed=st.integers(0, 2**64 - 1),
+           max_input_tokens=st.one_of(st.none(), st.integers(1, 5)))
+    def test_embed_batch_equals_definition(self, batches, dimension, seed, max_input_tokens):
+        emb = HashingEmbedder(dimension, seed=seed, max_input_tokens=max_input_tokens)
+        # later batches mix tokens memoised by earlier ones with new ones
+        for texts in batches:
+            texts = texts + texts[:2]  # repeated texts
+            got = emb.embed_batch(texts)
+            want = _definition_vectors(texts, dimension, seed, max_input_tokens)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64 and g.shape == (dimension,)
+                assert g.tobytes() == w.tobytes()
+
+    def test_empty_batch(self, embedder):
+        assert embedder.embed_batch([]) == []
+
+    def test_text_without_tokens_fails_the_batch(self, embedder):
+        with pytest.raises(ValueError, match="no tokens"):
+            embedder.embed_batch(["cat", "_ ...", "dog"])
+
+
 class TestEmbeddingMemo:
+    def test_batch_with_tokenless_text_stores_nothing(self, counting):
+        memo = EmbeddingMemo(counting)
+        with pytest.raises(ValueError, match="no tokens"):
+            memo.embed_batch(["cat", "...", "dog"])
+        memo.embed_batch(["cat", "dog"])
+        assert counting.calls == [["cat", "...", "dog"], ["cat", "dog"]]
+
+
     def test_sends_each_distinct_text_once(self, counting):
         memo = EmbeddingMemo(counting)
         got = memo.embed_batch(["a b", "c", "a b"])

@@ -151,6 +151,25 @@ class TestGeneration:
             generate_references(_client(stub_server), cache, "q1", "query", cfg)
         assert stub_server.call_count == 3
 
+    @pytest.mark.parametrize("status, attempts", [(400, 1), (401, 1), (404, 1),
+                                                  (429, 3), (503, 3)])
+    def test_http_status_attempts(self, stub_server, tmp_path, status, attempts):
+        stub_server.script = [(status, {"error": "no"})]
+        cache = ReferenceCache(tmp_path / "c.jsonl")
+        cfg = GenerationConfig(model_id="m", n=1, max_retries=2)
+        with pytest.raises(GenerationError, match=str(status)):
+            generate_references(_client(stub_server), cache, "q1", "query", cfg)
+        assert stub_server.call_count == attempts
+        assert len(cache) == 0
+
+    def test_http_429_then_success(self, stub_server, tmp_path):
+        stub_server.script = [(429, {"error": "slow down"}), (200, _choices)]
+        cache = ReferenceCache(tmp_path / "c.jsonl")
+        cfg = GenerationConfig(model_id="m", n=1, max_retries=2)
+        rs = generate_references(_client(stub_server), cache, "q1", "query", cfg)
+        assert rs.references == ("P",)
+        assert stub_server.call_count == 2
+
     def test_empty_completion_retried_then_fails(self, stub_server, tmp_path):
         stub_server.script = [(200, lambda body: {
             "choices": [{"message": {"content": "   "}}

@@ -10,8 +10,10 @@ from queryboost.tokenizer import _TOKEN_RE, tokenize
 
 
 def _definition_vectors(texts, dimension, seed, max_input_tokens=None):
-    """The hashing embedding, text by text and token by token: keyed blake2b
-    bucket per regex token, integer counts, L2 norm."""
+    """The hashing embedding text by text and token by token.
+
+    Keyed blake2b bucket per regex token, integer counts, L2 norm.
+    """
     vectors = []
     for text in texts:
         counts = np.zeros(dimension)
@@ -132,7 +134,6 @@ class TestHashingEmbedder:
         np.testing.assert_array_equal(memoised, fresh)
         np.testing.assert_array_equal(memoised, counts / np.linalg.norm(counts))
 
-
     @settings(max_examples=200, deadline=None)
     @given(batches=st.lists(st.lists(_TEXTS, max_size=6), min_size=1, max_size=3),
            dimension=st.sampled_from([8, 13, 64, 256]),
@@ -165,7 +166,6 @@ class TestEmbeddingMemo:
             memo.embed_batch(["cat", "...", "dog"])
         memo.embed_batch(["cat", "dog"])
         assert counting.calls == [["cat", "...", "dog"], ["cat", "dog"]]
-
 
     def test_sends_each_distinct_text_once(self, counting):
         memo = EmbeddingMemo(counting)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 missing input file, 4 reference-cache
 miss, 5 malformed data file (an index included), 6 index built from another
-corpus, 1 anything else. Logs go to stderr; data goes to files or stdout. Every
+corpus, 1 anything else (an embedding service that answers without usable
+vectors included). Logs go to stderr; data goes to files or stdout. Every
 command that writes outputs drops a JSON run manifest next to its primary
 output.
 """
@@ -18,11 +19,12 @@ from queryboost import __version__
 from queryboost.calibration import CalibrationConfig
 from queryboost.corpus import (IndexFormatError, IndexMismatchError, build_index,
                                check_corpus, load_corpus_jsonl, load_index, save_index)
-from queryboost.embedding import HashingEmbedder, RemoteEmbedder
+from queryboost.embedding import EmbeddingServiceError, HashingEmbedder, RemoteEmbedder
 from queryboost.evaluation import (Ranking, evaluate_run, read_qrels, read_queries_tsv,
                                    read_run, write_run)
-from queryboost.generation import (PROMPT_VERSION, CacheFormatError, ChatCompletionClient,
-                                   GenerationConfig, ReferenceCache, generate_for_queries)
+from queryboost.generation import (PROMPT_VERSION, CacheFormatError, CacheMissError,
+                                   ChatCompletionClient, GenerationConfig, ReferenceCache,
+                                   generate_for_queries)
 from queryboost.pipeline import (PipelineConfig, SWEEP_AXES, format_sweep_table,
                                  keyword_overlap, run_pipeline, sweep)
 from queryboost.sparse import BM25Params, ReweightConfig, bm25_search, build_sparse_query
@@ -134,7 +136,7 @@ def cmd_search(args) -> int:
     for query_id, query in queries:
         refs = cache.get(query_id, args.model)
         if refs is None:
-            raise LookupError(
+            raise CacheMissError(
                 f"no cached references for query {query_id!r} (model {args.model!r})")
         sq = build_sparse_query(query, refs.references, reweight)
         run.append(Ranking(query_id=query_id,
@@ -154,11 +156,8 @@ def cmd_pipeline(args) -> int:
     provider = _provider_from_args(args)
     cfg = _pipeline_config(args)
 
-    try:
-        rankings = run_pipeline(queries, index, doc_store, provider, cache,
-                                args.model, cfg, n_refs=args.n_refs)
-    except KeyError as exc:
-        raise LookupError(str(exc)) from exc
+    rankings = run_pipeline(queries, index, doc_store, provider, cache,
+                            args.model, cfg, n_refs=args.n_refs)
 
     out_prefix = Path(args.out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -378,11 +377,23 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as exc:
             print(f"error: malformed config file: {exc}", file=sys.stderr)
             return EXIT_FORMAT
-        parser.set_defaults(**defaults)
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub_parser in action.choices.values():
-                    sub_parser.set_defaults(**defaults)
+        if not isinstance(defaults, dict):
+            print(f"error: malformed config file: {args.config} does not hold a JSON object",
+                  file=sys.stderr)
+            return EXIT_FORMAT
+        subcommands = next(a for a in parser._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        parsers = [parser, *subcommands.choices.values()]
+        # a key any subcommand defines is allowed, since one config serves every command
+        known = {a.dest for p in parsers for a in p._actions}
+        unknown = sorted(set(defaults) - known)
+        if unknown:
+            print(f"error: config file {args.config}: unknown key(s) "
+                  f"{', '.join(map(repr, unknown))} (keys are flag names with '_' for '-', "
+                  "as in 'k_reciprocal')", file=sys.stderr)
+            return EXIT_USAGE
+        for p in parsers:
+            p.set_defaults(**defaults)
         args = parser.parse_args(argv)
     elif remaining:
         parser.parse_args(argv)  # reports unknown flags and exits 2
@@ -395,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except LookupError as exc:
+    except CacheMissError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CACHE_MISS
     except (CacheFormatError, IndexFormatError) as exc:
@@ -404,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
     except IndexMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except EmbeddingServiceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except ValueError as exc:
         msg = str(exc)
         if ":" in msg and any(w in msg for w in ("malformed", "expected", "corrupt",

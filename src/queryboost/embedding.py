@@ -7,6 +7,7 @@ pipeline call, so that each distinct text is embedded once per call.
 """
 
 import hashlib
+import math
 from itertools import chain
 from typing import Protocol
 
@@ -35,6 +36,31 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
             raise ValueError("cosine similarity undefined for zero vector")
         return cosine_sim(u / su, v / sv)  # scale-invariant; both norms now >= 1
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
+def cosine_scores(u: np.ndarray, vectors) -> list[float]:
+    """``[cosine_sim(u, v) for v in vectors]``, bit for bit, without its per-call overhead.
+
+    ``u`` is a 1-D vector, converted and its norm taken once; each float64 row
+    costs one ``v.dot(v)`` and one ``u.dot(v)``, the same BLAS dot products
+    ``cosine_sim`` computes (``np.linalg.norm`` of a 1-D float64 array is
+    ``sqrt(x.dot(x))``), with the division and the clip done on Python floats.
+    A matrix-vector product would not do: it sums in another order and changes
+    the last bits of most rows. Rows with a tiny or zero norm, another shape or
+    another dtype go to ``cosine_sim``, which rescales them or raises.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    nu = math.sqrt(u.dot(u))
+    scores = []
+    for v in vectors:
+        if type(v) is np.ndarray and v.dtype == np.float64 and v.shape == u.shape:
+            nv = math.sqrt(v.dot(v))
+            if nu >= _TINY_NORM and nv >= _TINY_NORM:
+                s = float(u.dot(v)) / (nu * nv)
+                scores.append(-1.0 if s < -1.0 else 1.0 if s > 1.0 else s)
+                continue
+        scores.append(cosine_sim(u, v))
+    return scores
 
 
 def truncate_text(text: str, max_tokens: int | None) -> str:
@@ -108,11 +134,20 @@ class HashingEmbedder:
         return list(counts)
 
 
+class EmbeddingServiceError(ValueError):
+    """The embedding service answered with a body that holds no usable vectors."""
+
+    def __init__(self, endpoint: str, problem: str):
+        super().__init__(f"embedding service {endpoint}: {problem}")
+
+
 class RemoteEmbedder:
     """JSON-over-HTTP embedding service: {"input": [texts]} -> {"embeddings": [[...]]}.
 
     Outputs are order-preserving; inputs are truncated client-side and sent in
-    batches of ``batch_size``.
+    batches of ``batch_size``. A body that is not JSON, lacks the
+    ``embeddings`` list, or holds the wrong number of vectors or a vector of
+    the wrong dimension raises ``EmbeddingServiceError``.
     """
 
     def __init__(self, endpoint: str, dimension: int,
@@ -136,17 +171,35 @@ class RemoteEmbedder:
             resp = self._session.post(self.endpoint, json={"input": batch},
                                       timeout=self.timeout)
             resp.raise_for_status()
+            vectors.extend(self._vectors(resp, len(batch)))
+        return vectors
+
+    def _vectors(self, resp, expected: int) -> list[np.ndarray]:
+        """The vectors of one response body, checked against the request."""
+        try:
             embeddings = resp.json()["embeddings"]
-            if len(embeddings) != len(batch):
-                raise ValueError(
-                    f"embedding service returned {len(embeddings)} vectors "
-                    f"for {len(batch)} inputs")
-            for emb in embeddings:
+        except ValueError as exc:
+            raise EmbeddingServiceError(self.endpoint,
+                                        f"response body is not JSON: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise EmbeddingServiceError(self.endpoint,
+                                        "response body has no 'embeddings' key") from exc
+        if not isinstance(embeddings, list):
+            raise EmbeddingServiceError(self.endpoint, "'embeddings' is not a list")
+        if len(embeddings) != expected:
+            raise EmbeddingServiceError(
+                self.endpoint, f"returned {len(embeddings)} vectors for {expected} inputs")
+        vectors = []
+        for emb in embeddings:
+            try:
                 vec = np.asarray(emb, dtype=np.float64)
-                if vec.shape != (self.dimension,):
-                    raise ValueError(
-                        f"expected dimension {self.dimension}, got {vec.shape}")
-                vectors.append(vec)
+            except (TypeError, ValueError) as exc:
+                raise EmbeddingServiceError(self.endpoint,
+                                            f"a vector is not a list of numbers: {exc}") from exc
+            if vec.shape != (self.dimension,):
+                raise EmbeddingServiceError(
+                    self.endpoint, f"expected dimension {self.dimension}, got shape {vec.shape}")
+            vectors.append(vec)
         return vectors
 
 

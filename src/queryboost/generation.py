@@ -5,6 +5,7 @@ downstream stages can run offline and deterministically from the cache.
 """
 
 import json
+import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -14,6 +15,8 @@ from pathlib import Path
 from threading import Lock
 
 import requests
+
+log = logging.getLogger(__name__)
 
 PROMPT_VERSION = "v1"
 PROMPT_TEMPLATE = ("Write a passage that provides relevant background knowledge "
@@ -26,6 +29,12 @@ class GenerationError(RuntimeError):
 
 class CacheFormatError(ValueError):
     pass
+
+
+class CacheMissError(KeyError):
+    """No cached references for a query that needs them."""
+
+    __str__ = Exception.__str__  # the message as written, not its repr as KeyError gives
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,9 @@ class ReferenceCache:
     """Append-only JSONL cache of reference sets, keyed on (query_id, model_id).
 
     Reads are concurrent-safe; writes are serialized by a single lock. The
-    latest entry for a key wins.
+    latest entry for a key wins. A final line without a trailing newline that
+    does not parse, as a crash during ``put`` leaves it, is dropped with a
+    warning; any other corrupt line is a ``CacheFormatError``.
     """
 
     def __init__(self, path):
@@ -92,29 +103,30 @@ class ReferenceCache:
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as fh:
+        # Lines run to several KB; a 64 KiB buffer spares readline most refills.
+        with open(self.path, "rb", buffering=1 << 16) as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
                 try:
-                    obj = json.loads(line)
-                    rs = ReferenceSet(
-                        query_id=obj["query_id"], query=obj["query"],
-                        references=tuple(obj["references"]), model_id=obj["model"],
-                        created_at=obj.get("created_at", ""),
-                        prompt_version=obj.get("prompt_version", PROMPT_VERSION))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise CacheFormatError(
-                        f"{self.path}:{lineno}: corrupt cache line: {exc}") from exc
-                self._entries[(rs.query_id, rs.model_id)] = rs
+                    rs = _parse_line(line)
+                except (KeyError, TypeError, ValueError) as exc:
+                    if line.endswith(b"\n"):
+                        raise CacheFormatError(
+                            f"{self.path}:{lineno}: corrupt cache line: {exc}") from exc
+                    log.warning("%s:%d: dropping torn final line (no trailing newline): %s",
+                                self.path, lineno, exc)
+                    break
+                if rs is not None:
+                    self._entries[(rs.query_id, rs.model_id)] = rs
 
     def put(self, rs: ReferenceSet) -> None:
         record = {"query_id": rs.query_id, "query": rs.query, "model": rs.model_id,
                   "prompt_version": rs.prompt_version,
                   "references": list(rs.references), "created_at": rs.created_at}
+        line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            with open(self.path, "a+b") as fh:
+                _end_last_line(fh)
+                fh.write(line)
             self._entries[(rs.query_id, rs.model_id)] = rs
 
     def get(self, query_id: str, model_id: str) -> ReferenceSet | None:
@@ -122,6 +134,43 @@ class ReferenceCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _parse_line(line: bytes) -> ReferenceSet | None:
+    """The reference set stored on one cache line, or None for a blank line."""
+    text = line.decode("utf-8")
+    if not text.strip():
+        return None
+    obj = json.loads(text)
+    return ReferenceSet(
+        query_id=obj["query_id"], query=obj["query"],
+        references=tuple(obj["references"]), model_id=obj["model"],
+        created_at=obj.get("created_at", ""),
+        prompt_version=obj.get("prompt_version", PROMPT_VERSION))
+
+
+def _end_last_line(fh) -> None:
+    """Make a cache file opened for appending end with a complete line.
+
+    A last line without a newline is ended if it parses (``_load`` kept it) and
+    cut off if it does not (``_load`` dropped it), so the next record starts a
+    line of its own.
+    """
+    size = fh.seek(0, os.SEEK_END)
+    if size == 0:
+        return
+    fh.seek(size - 1)
+    if fh.read(1) == b"\n":
+        return
+    fh.seek(0)
+    data = fh.read()
+    start = data.rfind(b"\n") + 1
+    try:
+        _parse_line(data[start:])
+    except (KeyError, TypeError, ValueError):
+        fh.truncate(start)
+    else:
+        fh.write(b"\n")
 
 
 class ChatCompletionClient:

@@ -19,7 +19,7 @@ from queryboost.calibration import CalibrationConfig, build_feedback_sets, calib
 from queryboost.corpus import Document, InvertedIndex
 from queryboost.embedding import EmbeddingMemo, EmbeddingProvider
 from queryboost.evaluation import EvalReport, Qrels, Ranking, evaluate_run
-from queryboost.generation import ReferenceCache, ReferenceSet
+from queryboost.generation import CacheMissError, ReferenceCache, ReferenceSet
 from queryboost.rerank import embed_query, rerank
 from queryboost.sparse import BM25Params, ReweightConfig, SparseQuery, bm25_search, build_sparse_query
 from queryboost.tokenizer import tokenize
@@ -120,7 +120,7 @@ def run_pipeline(queries: list[tuple[str, str]], index: InvertedIndex,
             refs = cache.get(query_id, model_id)
             if refs is None:
                 if require_refs:
-                    raise KeyError(
+                    raise CacheMissError(
                         f"no cached references for query {query_id!r} "
                         f"(model {model_id!r})")
             elif n_refs is not None:
@@ -204,11 +204,13 @@ def sweep(axis: str, values: list, base_cfg: PipelineConfig,
         needed = max(int(v) for v in values)
         for query_id, _ in queries:
             refs = cache.get(query_id, model_id)
-            if needed > 0 and (refs is None or len(refs.references) < needed):
-                have = 0 if refs is None else len(refs.references)
+            if needed > 0 and refs is None:
+                raise CacheMissError(
+                    f"no cached references for query {query_id!r} (model {model_id!r})")
+            if needed > 0 and len(refs.references) < needed:
                 raise ValueError(
                     f"query {query_id!r}: sweep needs {needed} cached references, "
-                    f"have {have}")
+                    f"have {len(refs.references)}")
 
     results = []
     for value in values:

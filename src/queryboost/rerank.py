@@ -18,7 +18,7 @@ to the underlying provider once per call.
 import numpy as np
 
 from queryboost.corpus import Document
-from queryboost.embedding import EmbeddingProvider, cosine_sim
+from queryboost.embedding import EmbeddingProvider, cosine_scores
 from queryboost.generation import ReferenceSet
 
 STRATEGIES = ("concat", "mean_pool", "contex_pool")
@@ -73,7 +73,7 @@ def rerank(provider: EmbeddingProvider, query_embedding: np.ndarray,
     except Exception as exc:
         ids = ", ".join(repr(d.doc_id) for d in candidates)
         raise RuntimeError(f"embedding failed for candidate docs {ids}: {exc}") from exc
-    scored = [(doc.doc_id, cosine_sim(query_embedding, vec))
-              for doc, vec in zip(candidates, vectors, strict=True)]
+    scored = list(zip([d.doc_id for d in candidates],
+                      cosine_scores(query_embedding, vectors), strict=True))
     scored.sort(key=lambda ds: (-ds[1], ds[0]))
     return scored

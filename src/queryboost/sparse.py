@@ -9,6 +9,7 @@ much longer references.
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -91,19 +92,22 @@ def bm25_search(index: InvertedIndex, params: BM25Params,
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    term_ids, q_counts = [], []
-    for term, q_count in query.counts().items():
-        t = index.term_ids.get(term)
-        if t is not None:
-            term_ids.append(t)
-            q_counts.append(q_count)
+    counts = query.counts()
+    term_ids = list(map(index.term_ids.get, counts))
+    q_counts = list(counts.values())
+    if None in term_ids:  # drop query terms the index has never seen
+        known = [t is not None for t in term_ids]
+        term_ids, q_counts = list(compress(term_ids, known)), list(compress(q_counts, known))
     if not term_ids:
         return []
 
     starts = index.offsets[term_ids]
     lengths = index.offsets[np.add(term_ids, 1)] - starts  # the terms' df
-    n = index.num_docs
-    weights = [q * idf_of_df(n, df) for q, df in zip(q_counts, lengths.tolist())]
+    # idf_of_df per term: the same IEEE operations on the same values, with the
+    # log from libm (math.log), not numpy's, whose SIMD log may differ in the last bit
+    x = 1.0 + (index.num_docs - lengths + 0.5) / (lengths + 0.5)
+    weights = np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=len(x))
+    weights *= np.array(q_counts, dtype=np.float64)
     # Row numbers of every posting of those terms, term after term.
     ends = np.cumsum(lengths)
     rows = np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
@@ -112,8 +116,14 @@ def bm25_search(index: InvertedIndex, params: BM25Params,
     b, k1 = params.b, params.k1
     # k1 * norm per document, gathered per posting; avgdl > 0 whenever a posting exists
     k1_norm = k1 * ((1.0 - b) + b * index.doc_lengths / index.avgdl)
-    contrib = np.repeat(weights, lengths) * tf * (k1 + 1.0) / (tf + k1_norm[doc])
-    scores = np.bincount(doc, weights=contrib, minlength=n)
+    # ((q * idf) * tf) * (k1 + 1) / (tf + k1 * norm), in place
+    contrib = np.repeat(weights, lengths)
+    contrib *= tf
+    contrib *= k1 + 1.0
+    denom = k1_norm[doc]
+    denom += tf
+    contrib /= denom
+    scores = np.bincount(doc, weights=contrib, minlength=index.num_docs)
 
     hits = np.flatnonzero(scores > 0.0)
     hit_scores = scores[hits]

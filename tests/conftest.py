@@ -1,3 +1,7 @@
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+
 import pytest
 
 from queryboost.corpus import Document, build_index
@@ -53,3 +57,42 @@ def counting(embedder):
 @pytest.fixture(scope="session")
 def synthetic_dataset():
     return make_synthetic_dataset()
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    """JSON-over-HTTP stub; behavior comes from the server's script list."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        status, reply = self.server.script[min(self.server.call_count,
+                                               len(self.server.script) - 1)]
+        self.server.call_count += 1
+        self.server.requests.append(body)
+        if callable(reply):
+            reply = reply(body)
+        payload = json.dumps(reply).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def http_stub():
+    """A loopback HTTP server answering each POST from ``script``: a list of
+    (status, body or body-making callable); the last entry repeats."""
+    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
+    server.script = [(200, {})]
+    server.call_count = 0
+    server.requests = []
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/"
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from queryboost.cli import (EXIT_CACHE_MISS, EXIT_FORMAT, EXIT_MISMATCH, EXIT_MISSING_FILE,
-                            EXIT_OK, EXIT_USAGE, main)
+from queryboost.cli import (EXIT_CACHE_MISS, EXIT_ERROR, EXIT_FORMAT, EXIT_MISMATCH,
+                            EXIT_MISSING_FILE, EXIT_OK, EXIT_USAGE, main)
 from queryboost.evaluation import Ranking, write_run
 from queryboost.synthetic import make_synthetic_dataset, write_dataset
 
@@ -218,6 +218,45 @@ class TestPipelineCommand:
         assert rc == EXIT_USAGE
 
 
+    def test_cache_miss_exit_code_and_message(self, dataset_dir, tmp_path, capsys):
+        empty_cache = tmp_path / "empty.jsonl"
+        empty_cache.write_text("")
+        rc = main(["pipeline", "--index", str(dataset_dir["index"]),
+                   "--corpus", str(dataset_dir["corpus"]),
+                   "--queries", str(dataset_dir["queries"]),
+                   "--cache", str(empty_cache), "--out-prefix", str(tmp_path / "o")])
+        assert rc == EXIT_CACHE_MISS
+        err = capsys.readouterr().err
+        assert "error: no cached references for query 'q" in err  # printed without quotes
+
+
+class TestEmbeddingServiceFaults:
+    """A service answering without usable vectors is a runtime fault (exit 1), not a
+    cache miss or a usage error, and the message names the endpoint and the problem."""
+
+    @pytest.mark.parametrize("reply, problem", [
+        (lambda body: {}, "response body has no 'embeddings' key"),
+        (lambda body: {"embeddings": [[1.0] * 8] * (len(body["input"]) - 1)},
+         "vectors for"),
+        (lambda body: {"embeddings": [[1.0] * 7] * len(body["input"])},
+         "expected dimension 8, got shape (7,)"),
+    ], ids=["no-embeddings-key", "too-few-vectors", "wrong-dimension"])
+    def test_exit_code_and_message(self, dataset_dir, http_stub, tmp_path, capsys,
+                                   reply, problem):
+        http_stub.script = [(200, reply)]
+        rc = main(["pipeline", "--index", str(dataset_dir["index"]),
+                   "--corpus", str(dataset_dir["corpus"]),
+                   "--queries", str(dataset_dir["queries"]),
+                   "--cache", str(dataset_dir["cache"]),
+                   "--provider", "remote", "--embed-endpoint", http_stub.url,
+                   "--dimension", "8", "--out-prefix", str(tmp_path / "o")])
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"embedding service {http_stub.url}: " in err
+        assert problem in err
+        assert not list(tmp_path.glob("o*"))
+
+
 class TestEvalCommand:
     def test_ideal_run_scores_one(self, tmp_path, capsys):
         qrels = tmp_path / "qrels.txt"
@@ -284,6 +323,17 @@ class TestSweepCommand:
         assert len(lines) == 2
         assert {json.loads(l)["value"] for l in lines} == {2, 4}
 
+    def test_n_refs_sweep_cache_miss(self, dataset_dir, tmp_path, capsys):
+        empty_cache = tmp_path / "empty.jsonl"
+        empty_cache.write_text("")
+        rc = main(["sweep", "--axis", "n_refs", "--values", "0", "1",
+                   "--index", str(dataset_dir["index"]),
+                   "--corpus", str(dataset_dir["corpus"]),
+                   "--queries", str(dataset_dir["queries"]),
+                   "--cache", str(empty_cache), "--qrels", str(dataset_dir["qrels"])])
+        assert rc == EXIT_CACHE_MISS
+        assert "no cached references for query 'q" in capsys.readouterr().err
+
     def test_n_refs_sweep_includes_zero(self, dataset_dir, tmp_path):
         rc = main(["sweep", "--axis", "n_refs", "--values", "0", "1",
                    "--index", str(dataset_dir["index"]),
@@ -306,6 +356,31 @@ class TestConfigFile:
                    "--qrels", str(qrels)])
         assert rc == EXIT_OK
         assert "ndcg@5" in capsys.readouterr().out
+
+    def test_unknown_key_rejected(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k1": 1.2, "k_1": 5.0}))
+        rc = main(["--config", str(cfg), "search", "--index", str(dataset_dir["index"]),
+                   "--queries", str(dataset_dir["queries"]),
+                   "--cache", str(dataset_dir["cache"]), "--out", str(tmp_path / "x.run")])
+        assert rc == EXIT_USAGE
+        assert "unknown key(s) 'k_1'" in capsys.readouterr().err
+        assert not (tmp_path / "x.run").exists()
+
+    def test_keys_of_other_commands_allowed(self, dataset_dir, tmp_path):
+        # one config serves every command: eval's k and pipeline's alpha do not stop search
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 5, "alpha": 0.3, "k1": 1.2}))
+        rc = main(["--config", str(cfg), "search", "--index", str(dataset_dir["index"]),
+                   "--queries", str(dataset_dir["queries"]),
+                   "--cache", str(dataset_dir["cache"]), "--out", str(tmp_path / "x.run")])
+        assert rc == EXIT_OK
+        assert json.loads((tmp_path / "x.run.manifest.json").read_text())["config"]["k1"] == 1.2
+
+    def test_config_not_an_object(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["--config", str(cfg), "eval", "--run", "x", "--qrels", "y"]) == EXIT_FORMAT
 
     def test_missing_config(self, tmp_path):
         rc = main(["--config", str(tmp_path / "nope.json"), "eval",

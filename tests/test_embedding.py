@@ -2,10 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from queryboost.embedding import (EmbeddingMemo, HashingEmbedder, RemoteEmbedder, cosine_sim,
-                                  truncate_text)
+from queryboost.embedding import (EmbeddingMemo, HashingEmbedder, RemoteEmbedder, cosine_scores,
+                                  cosine_sim, truncate_text)
 from queryboost.tokenizer import _TOKEN_RE, tokenize
 
 
@@ -70,6 +70,55 @@ class TestCosine:
             return
         assert cosine_sim(u, v) == pytest.approx(cosine_sim(v, u), abs=1e-12)
         assert cosine_sim(a * u, b * v) == pytest.approx(cosine_sim(u, v), abs=1e-9)
+
+
+def _outcome(score):
+    """float.hex of every score, or the error raised instead."""
+    try:
+        return [s.hex() for s in score()]
+    except ValueError as exc:
+        return repr(exc)
+
+
+# Components of mixed magnitude and either sign, zeros and subnormals included.
+_COMPONENTS = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-40, 40))
+
+
+@st.composite
+def _query_and_rows(draw):
+    d = draw(st.integers(1, 8))
+    vec = st.lists(_COMPONENTS, min_size=d, max_size=d).map(np.array)
+    u = draw(vec) * draw(st.sampled_from([1.0, 1e-170]))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["any", "near_u", "tiny", "list"]), max_size=8)):
+        if kind == "near_u":  # cosines at the clip edges, +1 and -1
+            scale = draw(st.sampled_from([1.0, -1.0, 3.0, -0.7, 1e-3]))
+            v = u * scale + draw(vec) * draw(st.sampled_from([0.0, 1e-17, 1e-12]))
+        elif kind == "tiny":  # squares underflow: cosine_sim's rescaling branch
+            v = draw(vec) * 1e-170
+        else:
+            v = draw(vec)
+        rows.append(v.tolist() if kind == "list" else v)
+    return u, rows
+
+
+class TestCosineScores:
+    @settings(max_examples=300, deadline=None)
+    @given(_query_and_rows())
+    @example((np.ones(3), []))
+    def test_equals_cosine_sim_bit_for_bit(self, query_and_rows):
+        u, rows = query_and_rows
+        assert (_outcome(lambda: cosine_scores(u, rows))
+                == _outcome(lambda: [cosine_sim(u, v) for v in rows]))
+
+    @pytest.mark.parametrize("bad", [np.zeros(2), np.ones(3), np.zeros(3)])
+    def test_errors_as_cosine_sim(self, bad):
+        u = np.array([1.0, 2.0])
+        with pytest.raises(ValueError) as want:
+            cosine_sim(u, bad)
+        with pytest.raises(ValueError) as got:
+            cosine_scores(u, [np.ones(2), bad])
+        assert str(got.value) == str(want.value)
 
 
 class TestTruncation:

@@ -1,6 +1,5 @@
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import logging
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +70,54 @@ class TestReferenceCache:
         with pytest.raises(CacheFormatError, match=":2"):
             ReferenceCache(path)
 
+    @settings(max_examples=10, deadline=None)
+    @given(refs=st.lists(st.text(min_size=1).filter(str.strip), min_size=1, max_size=3),
+           query=st.text(min_size=1))
+    def test_torn_tail_at_every_cut(self, tmp_path_factory, refs, query):
+        # a crash during put leaves any prefix of the last record, even half a
+        # UTF-8 character; every complete entry must survive load, put and load
+        base = tmp_path_factory.mktemp("torn")
+        complete = [ReferenceSet("q1", "first", ("r1",), "m"),
+                    ReferenceSet("q2", "second", ("r2", "r3"), "m")]
+        last = ReferenceSet("q3", query, tuple(refs), "m")
+        source = ReferenceCache(base / "source.jsonl")
+        for rs in complete:
+            source.put(rs)
+        head = source.path.read_bytes()
+        source.put(last)
+        record = source.path.read_bytes()[len(head):]
+        new = ReferenceSet("q4", "new", ("r4",), "m")
+        path = base / "cache.jsonl"
+        for cut in range(len(record)):
+            path.write_bytes(head + record[:cut])
+            whole = cut == len(record) - 1  # only the whole record without its newline parses
+            want = [*complete, last] if whole else complete
+            cache = ReferenceCache(path)
+            assert [cache.get(q, "m") for q in ("q1", "q2", "q3")] == [*complete,
+                                                                       last if whole else None]
+            cache.put(new)
+            reloaded = ReferenceCache(path)
+            assert len(reloaded) == len(want) + 1
+            assert all(reloaded.get(rs.query_id, "m") == rs for rs in [*want, new])
+            assert path.read_bytes().endswith(b"\n")
+
+    def test_torn_tail_warns_with_path_and_line(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        ReferenceCache(path).put(ReferenceSet("q1", "q", ("r",), "m"))
+        with open(path, "ab") as fh:
+            fh.write(b'{"query_id": "q2", "que')
+        with caplog.at_level(logging.WARNING, logger="queryboost"):
+            cache = ReferenceCache(path)
+        assert len(cache) == 1
+        assert f"{path}:2: dropping torn final line" in caplog.text
+
+    def test_corrupt_middle_line_still_fails(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        good = json.dumps({"query_id": "q1", "query": "q", "model": "m", "references": ["r"]})
+        path.write_text(good + "\n" + good[:20] + "\n" + good)
+        with pytest.raises(CacheFormatError, match=":2"):
+            ReferenceCache(path)
+
     @settings(max_examples=50, deadline=None)
     @given(refs=st.lists(st.text(min_size=1).filter(str.strip), min_size=1, max_size=5),
            query=st.text(min_size=1))
@@ -82,42 +129,15 @@ class TestReferenceCache:
         assert ReferenceCache(path).get("qx", "m") == rs
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    """Chat-completions stub; behavior comes from the server's script list."""
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        status, reply = self.server.script[min(self.server.call_count,
-                                               len(self.server.script) - 1)]
-        self.server.call_count += 1
-        self.server.requests.append(body)
-        if callable(reply):
-            reply = reply(body)
-        payload = json.dumps(reply).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
 def _choices(body, text="P"):
     return {"choices": [{"message": {"content": text}} for _ in range(body.get("n", 1))]}
 
 
 @pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.script = [(200, _choices)]
-    server.call_count = 0
-    server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
+def stub_server(http_stub):
+    """A chat-completions stub; every request gets ``_choices`` unless a test scripts it."""
+    http_stub.script = [(200, _choices)]
+    return http_stub
 
 
 def _client(server):

@@ -1,9 +1,10 @@
 """Command-line interface: index, generate, search, pipeline, eval, analyze, sweep.
 
-Exit codes: 0 success, 2 usage error, 3 missing input file, 4 reference-cache
-miss, 5 malformed data file (an index included), 6 index built from another
-corpus, 1 anything else (an embedding service that answers without usable
-vectors included). Logs go to stderr; data goes to files or stdout. Every
+Exit codes: 0 success, 2 usage error (any ``ValueError`` not named here), 3
+missing input file, 4 reference-cache miss, 5 malformed data file (a corpus,
+queries, qrels, run, cache or index file), 6 index built from another corpus, 1
+anything else (an embedding service that answers without usable vectors
+included). Logs go to stderr; data goes to files or stdout. Every
 command that writes outputs drops a JSON run manifest next to its primary
 output.
 """
@@ -17,8 +18,9 @@ from pathlib import Path
 
 from queryboost import __version__
 from queryboost.calibration import CalibrationConfig
-from queryboost.corpus import (IndexFormatError, IndexMismatchError, build_index,
-                               check_corpus, load_corpus_jsonl, load_index, save_index)
+from queryboost.corpus import (DataFormatError, IndexFormatError, IndexMismatchError,
+                               build_index, check_corpus, load_corpus_jsonl, load_index,
+                               save_index)
 from queryboost.embedding import EmbeddingServiceError, HashingEmbedder, RemoteEmbedder
 from queryboost.evaluation import (Ranking, evaluate_run, read_qrels, read_queries_tsv,
                                    read_run, write_run)
@@ -207,10 +209,13 @@ def cmd_analyze(args) -> int:
     reported = 0
     for query_id, query in queries:
         refs = cache.get(query_id, args.model)
+        if refs is None:
+            raise CacheMissError(
+                f"no cached references for query {query_id!r} (model {args.model!r})")
         grades = qrels.get(query_id, {})
         gt_docs = [doc_store[d] for d, g in grades.items()
                    if g >= args.min_grade and d in doc_store]
-        if refs is None or not gt_docs:
+        if not gt_docs:
             continue
         rep = keyword_overlap(query, refs, gt_docs, index, m=args.m)
         print(json.dumps(rep.to_dict(), ensure_ascii=False))
@@ -409,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except CacheMissError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CACHE_MISS
-    except (CacheFormatError, IndexFormatError) as exc:
+    except (DataFormatError, CacheFormatError, IndexFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except IndexMismatchError as exc:
@@ -419,12 +424,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ValueError as exc:
-        msg = str(exc)
-        if ":" in msg and any(w in msg for w in ("malformed", "expected", "corrupt",
-                                                 "missing required key")):
-            print(f"error: {msg}", file=sys.stderr)
-            return EXIT_FORMAT
-        print(f"error: {msg}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - catch-all for unexpected failures
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from queryboost.corpus import DataFormatError
+from queryboost.tokenizer import tokenize
+
 Qrels = dict[str, dict[str, int]]
 
 
@@ -96,14 +99,14 @@ def read_qrels(path) -> Qrels:
                 continue
             parts = line.split()
             if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+                raise DataFormatError(path, lineno, f"expected 4 fields, got {len(parts)}")
             query_id, _, doc_id, grade = parts
             try:
                 grade_val = int(grade)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer grade {grade!r}") from exc
+                raise DataFormatError(path, lineno, f"non-integer grade {grade!r}") from exc
             if grade_val < 0:
-                raise ValueError(f"{path}:{lineno}: negative grade {grade_val}")
+                raise DataFormatError(path, lineno, f"negative grade {grade_val}")
             qrels.setdefault(query_id, {})[doc_id] = grade_val
     return qrels
 
@@ -126,12 +129,12 @@ def read_run(path) -> list[Ranking]:
                 continue
             parts = line.split()
             if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+                raise DataFormatError(path, lineno, f"expected 6 fields, got {len(parts)}")
             query_id, _, doc_id, _, score, _ = parts
             try:
                 score_val = float(score)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric score {score!r}") from exc
+                raise DataFormatError(path, lineno, f"non-numeric score {score!r}") from exc
             if query_id not in by_query:
                 by_query[query_id] = []
                 order.append(query_id)
@@ -140,7 +143,11 @@ def read_run(path) -> list[Ranking]:
 
 
 def read_queries_tsv(path) -> list[tuple[str, str]]:
-    """Read a queries file: one "query_id<TAB>query text" per line."""
+    """Read a queries file: one "query_id<TAB>query text" per line.
+
+    A query whose text has no tokens is rejected here, naming its line, since
+    neither retrieval nor query reweighting is defined for it.
+    """
     queries = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -148,7 +155,10 @@ def read_queries_tsv(path) -> list[tuple[str, str]]:
             if not line.strip():
                 continue
             if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: expected tab-separated id and text")
+                raise DataFormatError(path, lineno, "expected tab-separated id and text")
             query_id, text = line.split("\t", 1)
+            if not tokenize(text):
+                raise DataFormatError(path, lineno,
+                                      f"query {query_id!r} has no tokens: {text!r}")
             queries.append((query_id, text))
     return queries

@@ -40,6 +40,16 @@ class TestIndexCommand:
         rc = main(["index", "--corpus", str(bad), "--out", str(tmp_path / "i.json")])
         assert rc == EXIT_FORMAT
 
+    def test_duplicate_id_exit_code_and_message(self, tmp_path, capsys):
+        corpus = tmp_path / "dup.jsonl"
+        corpus.write_text('{"_id": "rel0x0", "text": "a"}\n{"_id": "d2", "text": "b"}\n'
+                          '{"_id": "rel0x0", "text": "c"}\n')
+        rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "i.npz")])
+        assert rc == EXIT_FORMAT
+        assert (f"error: {corpus}:3: duplicate _id 'rel0x0' (first on line 1)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "i.npz").exists()
+
 
 def _rewrite_npz(src, dst, **changes):
     """Copy an index archive, replacing (or, with None, dropping) some arrays."""
@@ -230,6 +240,18 @@ class TestPipelineCommand:
         assert "error: no cached references for query 'q" in err  # printed without quotes
 
 
+    def test_tokenless_query_exit_code_and_message(self, dataset_dir, tmp_path, capsys):
+        queries = tmp_path / "queries.tsv"
+        queries.write_text(dataset_dir["queries"].read_text() + "q0\t!!! ???\n")
+        lineno = len(queries.read_text().splitlines())
+        rc = main(["pipeline", "--index", str(dataset_dir["index"]),
+                   "--corpus", str(dataset_dir["corpus"]), "--queries", str(queries),
+                   "--cache", str(dataset_dir["cache"]), "--out-prefix", str(tmp_path / "o")])
+        assert rc == EXIT_FORMAT
+        assert (f"error: {queries}:{lineno}: query 'q0' has no tokens"
+                in capsys.readouterr().err)
+
+
 class TestEmbeddingServiceFaults:
     """A service answering without usable vectors is a runtime fault (exit 1), not a
     cache miss or a usage error, and the message names the endpoint and the problem."""
@@ -281,6 +303,22 @@ class TestEvalCommand:
         assert "q3" not in out  # no positive judgment: neither scored nor counted
         assert "mean\t0.500000" in out
 
+    @pytest.mark.parametrize("qrels_line,run_line,problem", [
+        ("q1 0 d1 x", "q1 Q0 d1 1 1.0 t", "qrels.txt:2: non-integer grade 'x'"),
+        ("q1 0 d1 -1", "q1 Q0 d1 1 1.0 t", "qrels.txt:2: negative grade -1"),
+        ("q1 0 d1 1", "q1 Q0 d1 1 high t", "a.run:2: non-numeric score 'high'"),
+        ("q1 0 d1", "q1 Q0 d1 1 1.0 t", "qrels.txt:2: expected 4 fields, got 3"),
+    ])
+    def test_bad_line_exit_code_and_message(self, tmp_path, capsys, qrels_line,
+                                            run_line, problem):
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text(f"q1 0 d2 1\n{qrels_line}\n")
+        run = tmp_path / "a.run"
+        run.write_text(f"q1 Q0 d2 1 2.0 t\n{run_line}\n")
+        rc = main(["eval", "--run", str(run), "--qrels", str(qrels)])
+        assert rc == EXIT_FORMAT
+        assert f"error: {tmp_path}/{problem}" in capsys.readouterr().err
+
     def test_end_to_end_eval_of_pipeline_run(self, dataset_dir, tmp_path, capsys):
         prefix = tmp_path / "e2e"
         assert main(["pipeline", "--index", str(dataset_dir["index"]),
@@ -306,6 +344,18 @@ class TestAnalyzeCommand:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "gt_pse_overlap" in out
+
+    def test_cache_miss_exit_code_and_message(self, dataset_dir, tmp_path, capsys):
+        empty_cache = tmp_path / "empty.jsonl"
+        empty_cache.write_text("")
+        rc = main(["analyze", "--index", str(dataset_dir["index"]),
+                   "--corpus", str(dataset_dir["corpus"]),
+                   "--queries", str(dataset_dir["queries"]),
+                   "--cache", str(empty_cache), "--qrels", str(dataset_dir["qrels"])])
+        assert rc == EXIT_CACHE_MISS
+        captured = capsys.readouterr()
+        assert "error: no cached references for query 'q" in captured.err
+        assert captured.out == ""
 
 
 class TestSweepCommand:

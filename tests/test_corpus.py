@@ -1,13 +1,18 @@
+import hashlib
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from queryboost.corpus import (Document, IndexMismatchError, build_index, check_corpus,
-                               load_corpus_jsonl, load_index, save_index, text_digests)
+from queryboost import corpus
+from queryboost.corpus import (FIELD_POLICIES, DataFormatError, Document, IndexMismatchError,
+                               build_index, check_corpus, load_corpus_jsonl, load_index,
+                               save_index, text_digests)
+from queryboost.tokenizer import tokenize
 
 doc_texts = st.lists(
     st.text(alphabet="ab c", min_size=0, max_size=12), min_size=0, max_size=20)
@@ -68,6 +73,100 @@ def test_determinism_and_token_conservation(texts):
         assert df == len({d for d, _ in idx1.postings[term]})
 
 
+def reference_build(docs, field_policy):
+    """The index build_index must equal, from one Counter per document.
+
+    Term ids by first appearance in ordinal order; postings sorted by (term, ordinal).
+    """
+    by_id = {d.doc_id: d for d in docs}
+    doc_ids = tuple(sorted(by_id))
+    texts = [by_id[d].indexed_text(field_policy) for d in doc_ids]
+    term_ids, lengths, postings = {}, [], []
+    for ordinal, text in enumerate(texts):
+        tokens = tokenize(text)
+        lengths.append(len(tokens))
+        for term, tf in Counter(tokens).items():
+            postings.append((term_ids.setdefault(term, len(term_ids)), ordinal, tf))
+    postings.sort()
+    df = np.bincount([t for t, _, _ in postings], minlength=len(term_ids))
+    return {
+        "doc_ids": doc_ids,
+        "terms": tuple(term_ids),
+        "doc_lengths": np.array(lengths, dtype=np.int32),
+        "doc_digests": np.array([int.from_bytes(hashlib.blake2b(t.encode("utf-8"),
+                                                                digest_size=8).digest(),
+                                                "little") for t in texts], dtype="<u8"),
+        "offsets": np.concatenate([[0], np.cumsum(df)]).astype(np.int64),
+        "doc_ordinals": np.array([o for _, o, _ in postings], dtype=np.int32),
+        "tfs": np.array([tf for _, _, tf in postings], dtype=np.int32),
+    }
+
+
+def assert_index_equals(index, expected):
+    for name, want in expected.items():
+        got = getattr(index, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, name
+            assert got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name
+
+
+# ASCII and non-ASCII letters, digits, '_' and punctuation (token separators).
+index_text = st.text(alphabet="ab AB9_-.é ßÜ٣", max_size=15)
+
+
+@st.composite
+def corpora(draw):
+    """Documents in a drawn order; some corpora span several build blocks.
+
+    A large corpus reuses a few drawn texts, so that it stays cheap to draw.
+    """
+    texts = draw(st.lists(index_text, min_size=1, max_size=8))
+    titles = draw(st.lists(st.sampled_from(["", "", "Title", "Ünï b"]), min_size=1,
+                           max_size=3))
+    n = draw(st.integers(0, 2 * corpus._BLOCK_DOCS + 3))
+    docs = [Document(f"d{i:03d}", titles[i % len(titles)], texts[i * 5 % len(texts)])
+            for i in range(n)]
+    return draw(st.permutations(docs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora(), st.sampled_from(FIELD_POLICIES))
+def test_build_equals_reference_builder(docs, field_policy):
+    index = build_index(docs, field_policy=field_policy)
+    assert_index_equals(index, reference_build(docs, field_policy))
+    assert index.term_ids == {t: i for i, t in enumerate(index.terms)}
+
+
+def test_reference_examples_cover_the_edges():
+    docs = [Document("b", "", "!!! ???"), Document("a", "Ünïcode Straße", ""),
+            Document("c", "", "the the The"), Document("e", "", "")]
+    for field_policy in FIELD_POLICIES:
+        assert_index_equals(build_index(docs, field_policy=field_policy),
+                            reference_build(docs, field_policy))
+    assert_index_equals(build_index([]), reference_build([], "title_plus_text"))
+
+
+def test_multi_block_index_survives_save_and_load(tmp_path):
+    docs = [Document(f"d{i:03d}", "Tïtle" if i % 3 else "",
+                     f"w{i % 7} x{i % 11} é{i % 5} w{i % 7}")
+            for i in range(3 * corpus._BLOCK_DOCS + 1)]
+    expected = reference_build(docs, "title_plus_text")
+    save_index(build_index(docs), tmp_path / "index")
+    assert_index_equals(load_index(tmp_path / "index"), expected)
+
+
+def test_term_ids_is_a_plain_dict(small_index):
+    assert type(small_index.term_ids) is dict
+    assert small_index.term_ids.get("unseen") is None
+    with pytest.raises(KeyError):
+        small_index.term_ids["unseen"]
+    assert "unseen" not in small_index.term_ids
+    assert len(small_index.term_ids) == len(small_index.terms)
+
+
 @given(doc_texts)
 def test_avgdl_exact(texts):
     docs = [Document(f"d{i}", "", t) for i, t in enumerate(texts)]
@@ -97,6 +196,20 @@ class TestJsonlLoading:
         p = tmp_path / "c.jsonl"
         p.write_text('{"_id":"d1"}\n')
         with pytest.raises(ValueError, match="missing required key"):
+            load_corpus_jsonl(p)
+
+    def test_not_an_object(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"_id":"d1","text":"x"}\n["d2", "y"]\n')
+        with pytest.raises(DataFormatError, match=r"c\.jsonl:2: expected a JSON object"):
+            load_corpus_jsonl(p)
+
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"_id":"d1","text":"x"}\n\n{"_id":"d2","text":"y"}\n'
+                     '{"_id":"d1","text":"z"}\n')
+        with pytest.raises(DataFormatError,
+                           match=r"c\.jsonl:4: duplicate _id 'd1' \(first on line 1\)"):
             load_corpus_jsonl(p)
 
     def test_order_preserved(self, tmp_path):

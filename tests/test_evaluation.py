@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from queryboost.corpus import DataFormatError
 from queryboost.evaluation import (Ranking, evaluate_run, ndcg_at_k, read_qrels,
                                    read_queries_tsv, read_run, write_run)
 
@@ -163,4 +164,10 @@ class TestQueriesTsv:
         p = tmp_path / "q.tsv"
         p.write_text("no tab here\n")
         with pytest.raises(ValueError, match=":1"):
+            read_queries_tsv(p)
+
+    def test_tokenless_query_rejected(self, tmp_path):
+        p = tmp_path / "q.tsv"
+        p.write_text("q1\tfine\nq0\t!!! ???\n")
+        with pytest.raises(DataFormatError, match=r"q\.tsv:2: query 'q0' has no tokens"):
             read_queries_tsv(p)

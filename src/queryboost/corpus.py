@@ -3,7 +3,9 @@
 Documents are numbered by ordinal in ascending ``doc_id`` order, so an integer
 tie-break on ordinals equals a tie-break on doc ids. Postings are stored in
 CSR form: term id ``t`` owns entries ``offsets[t]:offsets[t + 1]`` of the
-``doc_ordinals`` and ``tfs`` arrays, sorted by ordinal. Each document also
+``doc_ordinals`` and ``tfs`` arrays, sorted by ordinal. Those two columns,
+like the byte lengths of the stored strings, are kept at the narrowest
+unsigned dtype that holds their largest value. Each document also
 keeps an 8-byte blake2b digest of the text it was indexed from, so a corpus
 whose text changed under the same doc ids is caught. ``save_index`` writes
 these arrays to one ``.npz`` archive and ``load_index`` reads them back.
@@ -216,6 +218,14 @@ def _tokens_of_each(texts, lengths: array):
         yield tokens
 
 
+def _narrowed(values: np.ndarray) -> np.ndarray:
+    """``values`` (none negative) at the narrowest unsigned dtype holding their largest.
+
+    uint8 up to 255, uint16 up to 65535, then uint32; an empty array is uint8.
+    """
+    return values.astype(np.min_scalar_type(values.max(initial=0)), copy=False)
+
+
 def text_digests(texts) -> np.ndarray:
     """One 8-byte blake2b digest of each text's UTF-8 bytes, as little-endian uint64."""
     digests = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest()
@@ -230,6 +240,9 @@ def build_index(docs, field_policy: str = "title_plus_text") -> InvertedIndex:
     tokens are read in ordinal order. No Python statement runs per token or per
     posting: the tokens of each block of ``_BLOCK_DOCS`` documents are mapped to
     term ids by one ``map`` over the vocabulary and counted with numpy.
+    ``doc_ordinals`` and ``tfs`` come out at the narrowest unsigned dtype that
+    holds their largest value (see ``_narrowed``); ``offsets`` is int64 and
+    ``doc_lengths`` int32.
     """
     if field_policy not in FIELD_POLICIES:
         raise ValueError(f"unknown field_policy: {field_policy!r}")
@@ -268,11 +281,12 @@ def build_index(docs, field_policy: str = "title_plus_text") -> InvertedIndex:
     offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(entry_terms, minlength=len(vocab)), out=offsets[1:])
     # Free each column as soon as it is used: kept to the end, they raised the
-    # sparse-zipf benchmark's peak RSS by about 4 MB (4%).
+    # sparse-zipf benchmark's peak RSS by about 4 MB (4%). Narrowing before the
+    # gather keeps the int32 copy of each column from ever being made.
     del entry_terms
-    ordinals = np.frombuffer(entry_ordinals, dtype=np.int32)[by_term]
+    ordinals = _narrowed(np.frombuffer(entry_ordinals, dtype=np.int32))[by_term]
     del entry_ordinals
-    tfs = np.frombuffer(entry_tfs, dtype=np.int32)[by_term]
+    tfs = _narrowed(np.frombuffer(entry_tfs, dtype=np.int32))[by_term]
     del entry_tfs, by_term
     return InvertedIndex(doc_ids, np.frombuffer(doc_lengths, dtype=np.int32).copy(),
                          text_digests(texts), tuple(vocab), offsets, ordinals, tfs,
@@ -333,14 +347,17 @@ def load_corpus_jsonl(path) -> list[Document]:
 
 
 def _pack_strings(strings) -> tuple[np.ndarray, np.ndarray]:
+    """The strings' UTF-8 bytes, concatenated, and each one's byte length (narrowed)."""
     encoded = [s.encode("utf-8") for s in strings]
     return (np.frombuffer(b"".join(encoded), dtype=np.uint8),
-            np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)))
+            _narrowed(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))))
 
 
 def _unpack_strings(blob: np.ndarray, lengths: np.ndarray) -> tuple[str, ...]:
     data = blob.tobytes()
-    ends = np.cumsum(lengths).tolist()
+    if len(lengths) and lengths.min() < 0:
+        raise ValueError("a string length is negative")
+    ends = np.cumsum(lengths, dtype=np.int64).tolist()
     if (ends[-1] if ends else 0) != len(data):
         raise ValueError("string lengths do not add up to the stored bytes")
     return tuple(data[a:b].decode("utf-8") for a, b in zip([0] + ends[:-1], ends))
@@ -376,10 +393,38 @@ def save_index(index: InvertedIndex, path) -> None:
 _INDEX_ARRAYS = ("format_version", "field_policy", "doc_id_bytes", "doc_id_lengths",
                  "doc_lengths", "doc_digests", "term_bytes", "term_lengths", "offsets",
                  "doc_ordinals", "tfs")
+# Count and position columns. Each may have any integer dtype that converts to int64
+# without loss: save_index narrows doc_ordinals, tfs and the string lengths, and
+# indexes saved before that hold int32 postings and int64 lengths.
+_INTEGER_COLUMNS = ("doc_id_lengths", "term_lengths", "doc_lengths", "offsets",
+                    "doc_ordinals", "tfs")
+
+
+def _column_problem(a: dict, num_docs: int) -> str | None:
+    """What is wrong with the values of the posting and length columns, if anything."""
+    offsets, ordinals, tfs = a["offsets"], a["doc_ordinals"], a["tfs"]
+    falls = np.flatnonzero(offsets[1:] < offsets[:-1])
+    if len(falls):
+        return f"column 'offsets' decreases at entry {falls[0] + 1}"
+    if len(tfs) and tfs.min() < 1:
+        return f"column 'tfs' holds {tfs.min()}, below 1"
+    if len(ordinals):
+        lo, hi = ordinals.min(), ordinals.max()
+        if lo < 0 or hi >= num_docs:
+            return (f"column 'doc_ordinals' holds {lo if lo < 0 else hi}, "
+                    f"not an ordinal of the {num_docs} documents")
+    if num_docs and a["doc_lengths"].min() < 0:
+        return f"column 'doc_lengths' holds {a['doc_lengths'].min()}, below 0"
+    return None
 
 
 def load_index(path) -> InvertedIndex:
-    """Read an index written by ``save_index``; IndexFormatError for anything else."""
+    """Read an index written by ``save_index``; IndexFormatError for anything else.
+
+    Columns keep the dtypes they were saved with. A column of the wrong kind, a
+    tf below 1, an ordinal outside the documents or decreasing offsets is an
+    IndexFormatError naming the column, never a wrong score.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if not magic:
@@ -402,6 +447,11 @@ def load_index(path) -> InvertedIndex:
     missing = [k for k in _INDEX_ARRAYS if k not in a]
     if missing:
         raise IndexFormatError(path, f"missing arrays: {', '.join(missing)}")
+    for name in _INTEGER_COLUMNS:
+        dtype = a[name].dtype
+        if dtype.kind not in "iu" or not np.can_cast(dtype, np.int64):
+            raise IndexFormatError(path, f"column {name!r} has dtype {dtype}, "
+                                         f"not an integer type that fits in int64")
 
     try:
         doc_ids = _unpack_strings(a["doc_id_bytes"], a["doc_id_lengths"])
@@ -415,5 +465,10 @@ def load_index(path) -> InvertedIndex:
             and offsets.shape == (len(terms) + 1,) and offsets[0] == 0
             and a["doc_ordinals"].shape == a["tfs"].shape == (offsets[-1],)):
         raise IndexFormatError(path, "inconsistent arrays")
-    return InvertedIndex(doc_ids, a["doc_lengths"], a["doc_digests"], terms, offsets,
-                         a["doc_ordinals"], a["tfs"], field_policy)
+    problem = _column_problem(a, len(doc_ids))
+    if problem:
+        raise IndexFormatError(path, problem)
+    # bm25_search subtracts offsets, which an unsigned dtype would wrap
+    return InvertedIndex(doc_ids, a["doc_lengths"], a["doc_digests"], terms,
+                         offsets.astype(np.int64, copy=False), a["doc_ordinals"], a["tfs"],
+                         field_policy)

@@ -8,6 +8,7 @@ pipeline call, so that each distinct text is embedded once per call.
 
 import hashlib
 import math
+import time
 from itertools import chain
 from typing import Protocol
 
@@ -134,8 +135,14 @@ class HashingEmbedder:
         return list(counts)
 
 
+# RemoteEmbedder's retry policy, the one ChatCompletionClient has by default:
+# transport errors, 5xx and 429 are tried again after 0.5 s, 1 s and 2 s.
+EMBED_ATTEMPTS = 4
+EMBED_BACKOFF_S = 0.5
+
+
 class EmbeddingServiceError(ValueError):
-    """The embedding service answered with a body that holds no usable vectors."""
+    """The embedding service failed, or answered without usable vectors."""
 
     def __init__(self, endpoint: str, problem: str):
         super().__init__(f"embedding service {endpoint}: {problem}")
@@ -145,9 +152,11 @@ class RemoteEmbedder:
     """JSON-over-HTTP embedding service: {"input": [texts]} -> {"embeddings": [[...]]}.
 
     Outputs are order-preserving; inputs are truncated client-side and sent in
-    batches of ``batch_size``. A body that is not JSON, lacks the
+    batches of ``batch_size``. A transport error (including a body cut short),
+    a 5xx or a 429 is retried with backoff up to ``EMBED_ATTEMPTS`` attempts in
+    all; any other 4xx is not. Giving up, or a body that is not JSON, lacks the
     ``embeddings`` list, or holds the wrong number of vectors or a vector of
-    the wrong dimension raises ``EmbeddingServiceError``.
+    the wrong dimension, raises ``EmbeddingServiceError``.
     """
 
     def __init__(self, endpoint: str, dimension: int,
@@ -168,11 +177,28 @@ class RemoteEmbedder:
         for start in range(0, len(texts), self.batch_size):
             batch = [truncate_text(t, self.max_input_tokens)
                      for t in texts[start:start + self.batch_size]]
-            resp = self._session.post(self.endpoint, json={"input": batch},
-                                      timeout=self.timeout)
-            resp.raise_for_status()
-            vectors.extend(self._vectors(resp, len(batch)))
+            vectors.extend(self._vectors(self._post(batch), len(batch)))
         return vectors
+
+    def _post(self, batch: list[str]):
+        """The successful response to one batch, after retries as the class describes."""
+        last_error = None
+        for attempt in range(EMBED_ATTEMPTS):
+            if attempt:
+                time.sleep(EMBED_BACKOFF_S * 2 ** (attempt - 1))
+            try:
+                resp = self._session.post(self.endpoint, json={"input": batch},
+                                          timeout=self.timeout)
+            except requests.RequestException as exc:
+                last_error = exc
+                continue
+            if resp.status_code < 400:
+                return resp
+            last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
+            if resp.status_code < 500 and resp.status_code != 429:
+                raise EmbeddingServiceError(self.endpoint, f"rejected with {last_error}")
+        raise EmbeddingServiceError(
+            self.endpoint, f"failed after {EMBED_ATTEMPTS} attempts: {last_error}")
 
     def _vectors(self, resp, expected: int) -> list[np.ndarray]:
         """The vectors of one response body, checked against the request."""

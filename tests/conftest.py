@@ -64,8 +64,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        status, reply = self.server.script[min(self.server.call_count,
-                                               len(self.server.script) - 1)]
+        status, reply, *declared = self.server.script[min(self.server.call_count,
+                                                          len(self.server.script) - 1)]
         self.server.call_count += 1
         self.server.requests.append(body)
         if callable(reply):
@@ -73,7 +73,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         payload = json.dumps(reply).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Content-Length", str(declared[0] if declared else len(payload)))
         self.end_headers()
         self.wfile.write(payload)
 
@@ -84,7 +84,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def http_stub():
     """A loopback HTTP server answering each POST from ``script``: a list of
-    (status, body or body-making callable); the last entry repeats."""
+    (status, body or body-making callable[, Content-Length to declare instead of
+    the body's]); the last entry repeats. Each response closes the connection."""
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     server.script = [(200, {})]
     server.call_count = 0

@@ -64,6 +64,12 @@ def _rewrite_npz(src, dst, **changes):
         np.savez(fh, **arrays)
 
 
+def _column(index, name, dtype=None):
+    """One array of an index archive, converted to ``dtype`` if given."""
+    with np.load(index) as npz:
+        return npz[name].astype(dtype or npz[name].dtype)
+
+
 class TestBadIndexFile:
     """Anything that is not a current index exits EXIT_FORMAT with a rebuild hint."""
 
@@ -116,6 +122,39 @@ class TestBadIndexFile:
         _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(99))
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
                               "unknown format version 99")
+
+    # a posting column with values no index build makes is rejected by name
+
+    def test_float_tfs(self, dataset_dir, tmp_path, capsys):
+        index = tmp_path / "float-tfs.idx"
+        _rewrite_npz(dataset_dir["index"], index,
+                     tfs=_column(dataset_dir["index"], "tfs") + 0.5)
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              "column 'tfs' has dtype float64, not an integer type")
+
+    def test_negative_tfs(self, dataset_dir, tmp_path, capsys):
+        index = tmp_path / "negative-tfs.idx"
+        _rewrite_npz(dataset_dir["index"], index,
+                     tfs=-_column(dataset_dir["index"], "tfs", np.int32))
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              "column 'tfs' holds -")
+
+    def test_ordinal_past_the_documents(self, dataset_dir, tmp_path, capsys):
+        ordinals = _column(dataset_dir["index"], "doc_ordinals", np.int32)
+        index = tmp_path / "ordinals.idx"
+        _rewrite_npz(dataset_dir["index"], index, doc_ordinals=ordinals + 5)
+        num_docs = len(_column(dataset_dir["index"], "doc_lengths"))
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              f"column 'doc_ordinals' holds {ordinals.max() + 5}, "
+                              f"not an ordinal of the {num_docs} documents")
+
+    def test_decreasing_offsets(self, dataset_dir, tmp_path, capsys):
+        offsets = _column(dataset_dir["index"], "offsets")
+        offsets[2] = offsets[1] - 1
+        index = tmp_path / "offsets.idx"
+        _rewrite_npz(dataset_dir["index"], index, offsets=offsets)
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              "column 'offsets' decreases at entry 2")
 
 
 class TestIndexCorpusMismatch:

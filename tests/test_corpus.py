@@ -73,10 +73,18 @@ def test_determinism_and_token_conservation(texts):
         assert df == len({d for d, _ in idx1.postings[term]})
 
 
+def narrowest(values):
+    """``values`` as the first of uint8, uint16 and uint32 that holds the largest of them."""
+    largest = max(values, default=0)
+    dtype = next(d for d in (np.uint8, np.uint16, np.uint32) if largest <= np.iinfo(d).max)
+    return np.array(values, dtype=dtype)
+
+
 def reference_build(docs, field_policy):
     """The index build_index must equal, from one Counter per document.
 
     Term ids by first appearance in ordinal order; postings sorted by (term, ordinal).
+    Ordinals and tfs at the narrowest unsigned dtype that holds their largest value.
     """
     by_id = {d.doc_id: d for d in docs}
     doc_ids = tuple(sorted(by_id))
@@ -97,8 +105,8 @@ def reference_build(docs, field_policy):
                                                                 digest_size=8).digest(),
                                                 "little") for t in texts], dtype="<u8"),
         "offsets": np.concatenate([[0], np.cumsum(df)]).astype(np.int64),
-        "doc_ordinals": np.array([o for _, o, _ in postings], dtype=np.int32),
-        "tfs": np.array([tf for _, _, tf in postings], dtype=np.int32),
+        "doc_ordinals": narrowest([o for _, o, _ in postings]),
+        "tfs": narrowest([tf for _, _, tf in postings]),
     }
 
 
@@ -156,6 +164,34 @@ def test_multi_block_index_survives_save_and_load(tmp_path):
     expected = reference_build(docs, "title_plus_text")
     save_index(build_index(docs), tmp_path / "index")
     assert_index_equals(load_index(tmp_path / "index"), expected)
+
+
+@pytest.mark.parametrize("max_tf, dtype", [(1, np.uint8), (255, np.uint8),
+                                           (256, np.uint16), (65536, np.uint32)])
+def test_tfs_dtype_edges(max_tf, dtype):
+    index = build_index([Document("d1", "", "a " * max_tf + "b"), Document("d2", "", "b")])
+    assert index.tfs.dtype == dtype
+    assert index.tfs.max() == max_tf
+
+
+@pytest.mark.parametrize("num_docs, dtype", [(256, np.uint8), (257, np.uint16)])
+def test_ordinals_dtype_edges(num_docs, dtype):
+    index = build_index([Document(f"d{i:03d}", "", "w") for i in range(num_docs)])
+    assert index.doc_ordinals.dtype == dtype
+    assert index.doc_ordinals.tolist() == list(range(num_docs))
+
+
+@pytest.mark.parametrize("long_bytes, dtype", [(255, np.uint8), (256, np.uint16)])
+def test_string_length_dtype_edges(tmp_path, long_bytes, dtype):
+    long_term = "é" * (long_bytes // 2) + "x" * (long_bytes % 2)  # 2 UTF-8 bytes per é
+    long_id = "ü" * (long_bytes // 2) + "y" * (long_bytes % 2)
+    index = build_index([Document(long_id, "", long_term), Document("d1", "", "w")])
+    save_index(index, tmp_path / "index")
+    with np.load(tmp_path / "index") as npz:
+        assert npz["term_lengths"].dtype == npz["doc_id_lengths"].dtype == dtype
+        assert npz["term_lengths"].max() == npz["doc_id_lengths"].max() == long_bytes
+    loaded = load_index(tmp_path / "index")
+    assert loaded.terms == index.terms and loaded.doc_ids == index.doc_ids
 
 
 def test_term_ids_is_a_plain_dict(small_index):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from queryboost.embedding import (EmbeddingMemo, HashingEmbedder, RemoteEmbedder, cosine_scores,
-                                  cosine_sim, truncate_text)
+from queryboost import embedding
+from queryboost.embedding import (EmbeddingMemo, EmbeddingServiceError, HashingEmbedder,
+                                  RemoteEmbedder, cosine_scores, cosine_sim, truncate_text)
 from queryboost.tokenizer import _TOKEN_RE, tokenize
 
 
@@ -265,11 +266,10 @@ class _FakeSession:
 
 
 class _FakeResponse:
+    status_code = 200
+
     def __init__(self, payload):
         self._payload = payload
-
-    def raise_for_status(self):
-        pass
 
     def json(self):
         return self._payload
@@ -290,3 +290,51 @@ class TestRemoteEmbedder:
         emb = RemoteEmbedder("http://x/embed", dimension=8, session=session)
         with pytest.raises(ValueError, match="dimension"):
             emb.embed("hello")
+
+
+class TestRemoteEmbedderRetries:
+    """Transport errors, 5xx and 429 are retried; any other 4xx fails at once."""
+
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr(embedding, "EMBED_BACKOFF_S", 0.0)
+
+    @staticmethod
+    def _vectors(body):
+        return {"embeddings": [[1.0] + [0.0] * 7 for _ in body["input"]]}
+
+    def _embed(self, http_stub):
+        return RemoteEmbedder(http_stub.url, dimension=8).embed_batch(["a", "b"])
+
+    @pytest.mark.parametrize("status", [503, 429])
+    def test_retried_then_success(self, http_stub, status):
+        http_stub.script = [(status, {"error": "busy"}), (200, self._vectors)]
+        assert [v[0] for v in self._embed(http_stub)] == [1.0, 1.0]
+        assert http_stub.call_count == 2
+
+    def test_400_is_not_retried(self, http_stub):
+        http_stub.script = [(400, {"error": "bad input"}), (200, self._vectors)]
+        with pytest.raises(EmbeddingServiceError,
+                           match=rf"{http_stub.url}: rejected with HTTP 400: .*bad input"):
+            self._embed(http_stub)
+        assert http_stub.call_count == 1
+
+    def test_gives_up_naming_the_last_error(self, http_stub):
+        http_stub.script = [(500, {"error": "boom"}), (429, {"error": "slow down"})]
+        with pytest.raises(EmbeddingServiceError,
+                           match=rf"{http_stub.url}: failed after 4 attempts: HTTP 429"):
+            self._embed(http_stub)
+        assert http_stub.call_count == embedding.EMBED_ATTEMPTS == 4
+
+    def test_truncated_body_retried_then_named(self, http_stub):
+        # the header promises more bytes than are sent before the connection closes
+        http_stub.script = [(200, self._vectors, 10_000), (200, self._vectors)]
+        assert len(self._embed(http_stub)) == 2
+        assert http_stub.call_count == 2
+
+        http_stub.call_count = 0
+        http_stub.script = [(200, self._vectors, 10_000)]
+        with pytest.raises(EmbeddingServiceError,
+                           match=rf"{http_stub.url}: failed after 4 attempts: .*IncompleteRead"):
+            self._embed(http_stub)
+        assert http_stub.call_count == 4

@@ -1,11 +1,13 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from queryboost import pipeline
 from queryboost.calibration import CalibrationConfig
-from queryboost.corpus import Document, build_index
-from queryboost.evaluation import evaluate_run
+from queryboost.corpus import Document, build_index, load_index, save_index
+from queryboost.embedding import HashingEmbedder
+from queryboost.evaluation import evaluate_run, write_run
 from queryboost.generation import ReferenceCache, ReferenceSet
 from queryboost.pipeline import (PipelineConfig, format_sweep_table, keyword_overlap,
                                  run_pipeline, run_query_pipeline, sweep,
@@ -338,3 +340,36 @@ class TestFieldPolicy:
         refs = ReferenceSet("q1", "q", ("neutron",), "m")
         rep = keyword_overlap("q", refs, [docs[0]], index, m=10)
         assert "zebra" not in rep.gt_top
+
+
+def _save_with_int32_postings(index, path):
+    """Save ``index`` in the layout used before the columns were narrowed: the same
+    format version, with int32 ``doc_ordinals`` and ``tfs`` and int64 string lengths."""
+    save_index(index, path)
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    for key, dtype in [("doc_ordinals", np.int32), ("tfs", np.int32),
+                       ("doc_id_lengths", np.int64), ("term_lengths", np.int64)]:
+        arrays[key] = arrays[key].astype(dtype)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def test_int32_index_loads_and_gives_identical_run_files(synthetic_dataset, tmp_path):
+    ds = synthetic_dataset
+    index, store, refs = _synthetic_run(ds)
+    save_index(index, tmp_path / "narrow.npz")
+    _save_with_int32_postings(index, tmp_path / "int32.npz")
+    run_files = {}
+    for name in ("narrow", "int32"):
+        loaded = load_index(tmp_path / f"{name}.npz")
+        assert loaded.tfs.dtype == (np.int32 if name == "int32" else np.uint8)
+        rankings = run_pipeline(ds.queries, loaded, store, HashingEmbedder(64, seed=1),
+                                _Cache(refs), "m", PipelineConfig())
+        for stage in ("bm25", "pre", "post"):
+            path = tmp_path / f"{name}.{stage}.run"
+            write_run(path, [getattr(r, stage) for r in rankings], tag=stage)
+            run_files[name, stage] = path.read_bytes()
+    assert run_files["narrow", "bm25"]
+    for stage in ("bm25", "pre", "post"):
+        assert run_files["int32", stage] == run_files["narrow", stage], stage

@@ -11,10 +11,8 @@ import time
 
 from queryboost.corpus import build_index
 from queryboost.embedding import HashingEmbedder
-from queryboost.evaluation import Ranking, evaluate_run
+from queryboost.evaluation import evaluate_run
 from queryboost.pipeline import PipelineConfig, run_query_pipeline
-from queryboost.rerank import embed_query, rerank
-from queryboost.sparse import ReweightConfig, bm25_search, build_sparse_query
 from queryboost.synthetic import make_synthetic_dataset
 
 
@@ -38,15 +36,10 @@ def main() -> None:
     runs = {name: [] for name in
             ("plain_bm25", "expanded_bm25", "baseline_rerank", "pre", "post")}
     for query_id, query in ds.queries:
-        plain = bm25_search(index, cfg.bm25,
-                            build_sparse_query(query, [],
-                                               ReweightConfig.constant(t=1)),
-                            cfg.retrieve_k)
-        runs["plain_bm25"].append(Ranking(query_id, tuple(plain)))
-        raw_emb = embed_query(provider, query, None, cfg.strategy)
-        candidates = [store[d] for d, _ in plain]
-        runs["baseline_rerank"].append(
-            Ranking(query_id, tuple(rerank(provider, raw_emb, candidates))))
+        # no references: the plain query, and its candidates reranked by the raw query
+        plain = run_query_pipeline(query_id, query, index, store, provider, None, cfg)
+        runs["plain_bm25"].append(plain.bm25)
+        runs["baseline_rerank"].append(plain.pre)
         out = run_query_pipeline(query_id, query, index, store, provider,
                                  refs[query_id], cfg)
         runs["expanded_bm25"].append(out.bm25)

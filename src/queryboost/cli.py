@@ -18,18 +18,19 @@ from pathlib import Path
 
 from queryboost import __version__
 from queryboost.calibration import CalibrationConfig
-from queryboost.corpus import (DataFormatError, IndexFormatError, IndexMismatchError,
-                               build_index, check_corpus, load_corpus_jsonl, load_index,
-                               save_index)
+from queryboost.corpus import (FIELD_POLICIES, DataFormatError, IndexFormatError,
+                               IndexMismatchError, build_index, check_corpus,
+                               load_corpus_jsonl, load_index, save_index)
 from queryboost.embedding import EmbeddingServiceError, HashingEmbedder, RemoteEmbedder
 from queryboost.evaluation import (Ranking, evaluate_run, read_qrels, read_queries_tsv,
                                    read_run, write_run)
 from queryboost.generation import (PROMPT_VERSION, CacheFormatError, CacheMissError,
                                    ChatCompletionClient, GenerationConfig, ReferenceCache,
-                                   generate_for_queries)
+                                   cached_references, generate_for_queries)
 from queryboost.pipeline import (PipelineConfig, SWEEP_AXES, format_sweep_table,
-                                 keyword_overlap, run_pipeline, sweep)
-from queryboost.sparse import BM25Params, ReweightConfig, bm25_search, build_sparse_query
+                                 keyword_overlap, run_pipeline, sparse_ranking, sweep)
+from queryboost.rerank import STRATEGIES
+from queryboost.sparse import BM25Params, ReweightConfig
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -40,6 +41,8 @@ EXIT_FORMAT = 5
 EXIT_MISMATCH = 6
 
 log = logging.getLogger("queryboost")
+# Flag defaults are the library's, so a bare command line means PipelineConfig().
+_DEFAULTS = PipelineConfig()
 
 
 def _require_files(*paths) -> None:
@@ -136,14 +139,9 @@ def cmd_search(args) -> int:
 
     run = []
     for query_id, query in queries:
-        refs = cache.get(query_id, args.model)
-        if refs is None:
-            raise CacheMissError(
-                f"no cached references for query {query_id!r} (model {args.model!r})")
-        sq = build_sparse_query(query, refs.references, reweight)
-        run.append(Ranking(query_id=query_id,
-                           items=tuple(bm25_search(index, params, sq,
-                                                   args.retrieve_k))))
+        refs = cached_references(cache, query_id, args.model)
+        run.append(Ranking(query_id=query_id, items=tuple(
+            sparse_ranking(query, refs, index, params, reweight, args.retrieve_k))))
     write_run(args.out, run, tag=args.tag)
     write_manifest(args.out, args, [args.index, args.queries, args.cache], [args.out])
     log.info("wrote sparse run for %d queries -> %s", len(run), args.out)
@@ -208,10 +206,7 @@ def cmd_analyze(args) -> int:
     gt_query_total = 0
     reported = 0
     for query_id, query in queries:
-        refs = cache.get(query_id, args.model)
-        if refs is None:
-            raise CacheMissError(
-                f"no cached references for query {query_id!r} (model {args.model!r})")
+        refs = cached_references(cache, query_id, args.model)
         grades = qrels.get(query_id, {})
         gt_docs = [doc_store[d] for d, g in grades.items()
                    if g >= args.min_grade and d in doc_store]
@@ -255,10 +250,10 @@ def cmd_sweep(args) -> int:
 
 
 def _add_bm25_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k1", type=float, default=0.9)
-    p.add_argument("--b", type=float, default=0.4)
+    p.add_argument("--k1", type=float, default=_DEFAULTS.bm25.k1)
+    p.add_argument("--b", type=float, default=_DEFAULTS.bm25.b)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--beta", type=float, default=4.0,
+    group.add_argument("--beta", type=float, default=_DEFAULTS.reweight.beta,
                        help="adaptive reweighting factor")
     group.add_argument("--t", type=int, default=None,
                        help="constant query repetition count (overrides --beta)")
@@ -274,13 +269,12 @@ def _add_provider_flags(p: argparse.ArgumentParser) -> None:
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     _add_bm25_flags(p)
     _add_provider_flags(p)
-    p.add_argument("--strategy", choices=("concat", "mean_pool", "contex_pool"),
-                   default="contex_pool")
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--k-reciprocal", type=int, default=10)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--retrieve-k", type=int, default=100)
-    p.add_argument("--eval-k", type=int, default=10)
+    p.add_argument("--strategy", choices=STRATEGIES, default=_DEFAULTS.strategy)
+    p.add_argument("--alpha", type=float, default=_DEFAULTS.calibration.alpha)
+    p.add_argument("--k-reciprocal", type=int, default=_DEFAULTS.calibration.k_reciprocal)
+    p.add_argument("--negatives", type=int, default=_DEFAULTS.calibration.num_negatives)
+    p.add_argument("--retrieve-k", type=int, default=_DEFAULTS.retrieve_k)
+    p.add_argument("--eval-k", type=int, default=_DEFAULTS.eval_k)
     p.add_argument("--model", default="synthetic-refs")
     p.add_argument("--n-refs", type=int, default=None,
                    help="use only the first N cached references (0 = no expansion)")
@@ -300,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build an inverted index from a JSONL corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--field-policy", choices=("text_only", "title_plus_text"),
-                   default="title_plus_text")
+    p.add_argument("--field-policy", choices=FIELD_POLICIES, default="title_plus_text")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("generate", help="generate and cache pseudo-references")
@@ -321,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--model", default="synthetic-refs")
-    p.add_argument("--retrieve-k", type=int, default=100)
+    p.add_argument("--retrieve-k", type=int, default=_DEFAULTS.retrieve_k)
     p.add_argument("--out", required=True)
     p.add_argument("--tag", default="queryboost")
     _add_bm25_flags(p)

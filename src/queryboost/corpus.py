@@ -398,11 +398,13 @@ _INDEX_ARRAYS = ("format_version", "field_policy", "doc_id_bytes", "doc_id_lengt
 # indexes saved before that hold int32 postings and int64 lengths.
 _INTEGER_COLUMNS = ("doc_id_lengths", "term_lengths", "doc_lengths", "offsets",
                     "doc_ordinals", "tfs")
+_CHECK_POSTINGS = 1 << 16  # postings per slice when summing the tfs of each document
 
 
-def _column_problem(a: dict, num_docs: int) -> str | None:
+def _column_problem(a: dict, doc_ids: tuple[str, ...]) -> str | None:
     """What is wrong with the values of the posting and length columns, if anything."""
     offsets, ordinals, tfs = a["offsets"], a["doc_ordinals"], a["tfs"]
+    num_docs = len(doc_ids)
     falls = np.flatnonzero(offsets[1:] < offsets[:-1])
     if len(falls):
         return f"column 'offsets' decreases at entry {falls[0] + 1}"
@@ -413,8 +415,17 @@ def _column_problem(a: dict, num_docs: int) -> str | None:
         if lo < 0 or hi >= num_docs:
             return (f"column 'doc_ordinals' holds {lo if lo < 0 else hi}, "
                     f"not an ordinal of the {num_docs} documents")
-    if num_docs and a["doc_lengths"].min() < 0:
-        return f"column 'doc_lengths' holds {a['doc_lengths'].min()}, below 0"
+    # A document's length is the sum of its tfs. Summed a slice at a time: one
+    # weighted bincount over every posting makes a float64 copy of all the tfs.
+    sums = np.zeros(num_docs)
+    for start in range(0, len(tfs), _CHECK_POSTINGS):
+        part = slice(start, start + _CHECK_POSTINGS)
+        sums += np.bincount(ordinals[part], weights=tfs[part], minlength=num_docs)
+    wrong = np.flatnonzero(a["doc_lengths"] != sums)
+    if len(wrong):
+        d = wrong[0]
+        return (f"column 'doc_lengths' holds {a['doc_lengths'][d]} for document "
+                f"{doc_ids[d]!r}, whose tfs sum to {int(sums[d])}")
     return None
 
 
@@ -422,8 +433,9 @@ def load_index(path) -> InvertedIndex:
     """Read an index written by ``save_index``; IndexFormatError for anything else.
 
     Columns keep the dtypes they were saved with. A column of the wrong kind, a
-    tf below 1, an ordinal outside the documents or decreasing offsets is an
-    IndexFormatError naming the column, never a wrong score.
+    tf below 1, an ordinal outside the documents, decreasing offsets or a
+    document length other than the sum of its tfs is an IndexFormatError naming
+    the column, never a wrong score.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -465,7 +477,7 @@ def load_index(path) -> InvertedIndex:
             and offsets.shape == (len(terms) + 1,) and offsets[0] == 0
             and a["doc_ordinals"].shape == a["tfs"].shape == (offsets[-1],)):
         raise IndexFormatError(path, "inconsistent arrays")
-    problem = _column_problem(a, len(doc_ids))
+    problem = _column_problem(a, doc_ids)
     if problem:
         raise IndexFormatError(path, problem)
     # bm25_search subtracts offsets, which an unsigned dtype would wrap

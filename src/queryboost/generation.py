@@ -79,6 +79,24 @@ class ReferenceSet:
                             self.model_id, self.created_at, self.prompt_version)
 
 
+def cached_references(cache, query_id: str, model_id: str,
+                      n: int | None = None) -> ReferenceSet:
+    """The cached reference set of a query, cut to its first n references.
+
+    Only ``cache.get`` is called, so any object with that method serves. A miss
+    is a CacheMissError naming the query and model; a set holding fewer than n
+    references is a ValueError. With n None the set comes back uncut.
+    """
+    refs = cache.get(query_id, model_id)
+    if refs is None:
+        raise CacheMissError(
+            f"no cached references for query {query_id!r} (model {model_id!r})")
+    if n is not None and len(refs.references) < n:
+        raise ValueError(f"query {query_id!r}: need {n} cached references, "
+                         f"have {len(refs.references)}")
+    return refs if n is None else refs.first(n)
+
+
 def render_prompt(query: str) -> str:
     """Instantiate the fixed, versioned generation prompt with the query verbatim."""
     if not query:
@@ -260,12 +278,12 @@ def generate_references(client: ChatCompletionClient, cache: ReferenceCache,
 
 def generate_for_queries(client: ChatCompletionClient, cache: ReferenceCache,
                          queries: list[tuple[str, str]], cfg: GenerationConfig,
-                         jobs: int = 4, skip_cached: bool = True) -> list[ReferenceSet]:
+                         jobs: int = 4) -> list[ReferenceSet]:
     """Generate references for many queries with bounded in-flight requests."""
     results: dict[str, ReferenceSet] = {}
     pending = []
     for query_id, query in queries:
-        cached = cache.get(query_id, cfg.model_id) if skip_cached else None
+        cached = cache.get(query_id, cfg.model_id)
         if cached is not None and len(cached.references) >= cfg.n:
             results[query_id] = cached
         else:

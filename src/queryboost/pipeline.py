@@ -19,7 +19,7 @@ from queryboost.calibration import CalibrationConfig, build_feedback_sets, calib
 from queryboost.corpus import Document, InvertedIndex
 from queryboost.embedding import EmbeddingMemo, EmbeddingProvider
 from queryboost.evaluation import EvalReport, Qrels, Ranking, evaluate_run
-from queryboost.generation import CacheMissError, ReferenceCache, ReferenceSet
+from queryboost.generation import ReferenceCache, ReferenceSet, cached_references
 from queryboost.rerank import embed_query, rerank
 from queryboost.sparse import BM25Params, ReweightConfig, SparseQuery, bm25_search, build_sparse_query
 from queryboost.tokenizer import tokenize
@@ -35,7 +35,6 @@ class PipelineConfig:
     calibration: CalibrationConfig | None = field(default_factory=CalibrationConfig)
     retrieve_k: int = 100
     eval_k: int = 10
-    exponential_gain: bool = False
 
     def __post_init__(self):
         if self.retrieve_k < self.eval_k:
@@ -55,6 +54,17 @@ class PipelineRankings:
     post: Ranking
 
 
+def sparse_ranking(query: str, refs: ReferenceSet | None, index: InvertedIndex,
+                   bm25: BM25Params, reweight: ReweightConfig,
+                   k: int) -> list[tuple[str, float]]:
+    """The sparse stage: BM25's top k for the query expanded with refs, or alone if None."""
+    if refs is None:
+        sq = SparseQuery(tuple(tokenize(query)), query_repeats=1, num_references=0)
+    else:
+        sq = build_sparse_query(query, refs.references, reweight)
+    return bm25_search(index, bm25, sq, k)
+
+
 def run_query_pipeline(query_id: str, query: str, index: InvertedIndex,
                        doc_store: dict[str, Document], provider: EmbeddingProvider,
                        refs: ReferenceSet | None,
@@ -68,14 +78,7 @@ def run_query_pipeline(query_id: str, query: str, index: InvertedIndex,
     """
     if not isinstance(provider, EmbeddingMemo):
         provider = EmbeddingMemo(provider)
-    if refs is not None and refs.references:
-        sq = build_sparse_query(query, refs.references, cfg.reweight)
-    else:
-        refs = None
-        sq = SparseQuery(tokens=tuple(tokenize(query)), query_repeats=1,
-                         num_references=0)
-
-    i_bm25 = bm25_search(index, cfg.bm25, sq, cfg.retrieve_k)
+    i_bm25 = sparse_ranking(query, refs, index, cfg.bm25, cfg.reweight, cfg.retrieve_k)
     if not i_bm25:
         empty = Ranking(query_id=query_id, items=())
         return PipelineRankings(bm25=empty, pre=empty, post=empty)
@@ -102,33 +105,17 @@ def run_query_pipeline(query_id: str, query: str, index: InvertedIndex,
 def run_pipeline(queries: list[tuple[str, str]], index: InvertedIndex,
                  doc_store: dict[str, Document], provider: EmbeddingProvider,
                  cache: ReferenceCache, model_id: str, cfg: PipelineConfig,
-                 n_refs: int | None = None,
-                 require_refs: bool = True) -> list[PipelineRankings]:
+                 n_refs: int | None = None) -> list[PipelineRankings]:
     """Run the pipeline over a query set using cached references.
 
     ``n_refs`` restricts each cached set to its first j references; 0 means
-    the no-expansion baseline. A cache miss is an error naming the query
-    unless ``require_refs`` is off. One ``EmbeddingMemo`` serves all queries
-    of this call.
+    the no-expansion baseline. A cache miss is a CacheMissError naming the
+    query. One ``EmbeddingMemo`` serves all queries of this call.
     """
     provider = EmbeddingMemo(provider)
     results = []
     for query_id, query in queries:
-        if n_refs == 0:
-            refs = None
-        else:
-            refs = cache.get(query_id, model_id)
-            if refs is None:
-                if require_refs:
-                    raise CacheMissError(
-                        f"no cached references for query {query_id!r} "
-                        f"(model {model_id!r})")
-            elif n_refs is not None:
-                if len(refs.references) < n_refs:
-                    raise ValueError(
-                        f"query {query_id!r}: need {n_refs} cached references, "
-                        f"have {len(refs.references)}")
-                refs = refs.first(n_refs)
+        refs = None if n_refs == 0 else cached_references(cache, query_id, model_id, n_refs)
         results.append(run_query_pipeline(query_id, query, index, doc_store,
                                           provider, refs, cfg))
     return results
@@ -200,17 +187,9 @@ def sweep(axis: str, values: list, base_cfg: PipelineConfig,
           provider: EmbeddingProvider, cache: ReferenceCache, model_id: str,
           queries: list[tuple[str, str]], qrels: Qrels) -> list[tuple[object, EvalReport]]:
     """Evaluate the final ranking at each value along one ablation axis."""
-    if axis == "n_refs":
-        needed = max(int(v) for v in values)
-        for query_id, _ in queries:
-            refs = cache.get(query_id, model_id)
-            if needed > 0 and refs is None:
-                raise CacheMissError(
-                    f"no cached references for query {query_id!r} (model {model_id!r})")
-            if needed > 0 and len(refs.references) < needed:
-                raise ValueError(
-                    f"query {query_id!r}: sweep needs {needed} cached references, "
-                    f"have {len(refs.references)}")
+    if axis == "n_refs" and (needed := max(int(v) for v in values)) > 0:
+        for query_id, _ in queries:  # fail before the first point, not midway
+            cached_references(cache, query_id, model_id, needed)
 
     results = []
     for value in values:
@@ -218,8 +197,7 @@ def sweep(axis: str, values: list, base_cfg: PipelineConfig,
         rankings = run_pipeline(queries, index, doc_store, provider, cache,
                                 model_id, cfg, n_refs=n_refs)
         report = evaluate_run([r.post for r in rankings], qrels, cfg.eval_k,
-                              config={"axis": axis, "value": value, **cfg.to_dict()},
-                              exponential_gain=cfg.exponential_gain)
+                              config={"axis": axis, "value": value, **cfg.to_dict()})
         results.append((value, report))
     return results
 

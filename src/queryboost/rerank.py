@@ -47,7 +47,7 @@ def embed_contex_pool(provider: EmbeddingProvider, query: str,
 def embed_query(provider: EmbeddingProvider, query: str,
                 refs: ReferenceSet | None, strategy: str) -> np.ndarray:
     """Dispatch on strategy; with no references, falls back to the raw query."""
-    if refs is None or not refs.references:
+    if refs is None:
         return provider.embed(query)
     if strategy == "concat":
         return embed_concat(provider, query, refs)

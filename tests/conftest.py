@@ -91,7 +91,9 @@ def http_stub():
     server.call_count = 0
     server.requests = []
     server.url = f"http://127.0.0.1:{server.server_address[1]}/"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, since shutdown() waits for serve_forever to next look (0.5 s by default)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     yield server
     server.shutdown()

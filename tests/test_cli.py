@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from queryboost.cli import (EXIT_CACHE_MISS, EXIT_ERROR, EXIT_FORMAT, EXIT_MISMATCH,
-                            EXIT_MISSING_FILE, EXIT_OK, EXIT_USAGE, main)
+                            EXIT_MISSING_FILE, EXIT_OK, EXIT_USAGE, _pipeline_config,
+                            build_parser, main)
+from queryboost.corpus import load_index
 from queryboost.evaluation import Ranking, write_run
+from queryboost.pipeline import PipelineConfig
 from queryboost.synthetic import make_synthetic_dataset, write_dataset
 
 
@@ -156,6 +159,17 @@ class TestBadIndexFile:
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
                               "column 'offsets' decreases at entry 2")
 
+    def test_doc_length_other_than_its_tfs_sum(self, dataset_dir, tmp_path, capsys):
+        lengths = _column(dataset_dir["index"], "doc_lengths")
+        edited = lengths.copy()
+        edited[1] += 18
+        index = tmp_path / "lengths.idx"
+        _rewrite_npz(dataset_dir["index"], index, doc_lengths=edited)
+        doc_id = load_index(dataset_dir["index"]).doc_ids[1]
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              f"column 'doc_lengths' holds {edited[1]} for document "
+                              f"{doc_id!r}, whose tfs sum to {lengths[1]}")
+
 
 class TestIndexCorpusMismatch:
     """pipeline, analyze and sweep refuse an index built from another corpus."""
@@ -244,8 +258,35 @@ class TestSearchCommand:
                    "--t", "5", "--out", str(tmp_path / "t.run")])
         assert rc == EXIT_OK
 
+    def test_run_is_the_pipeline_bm25_run(self, dataset_dir, tmp_path):
+        inputs = ["--index", str(dataset_dir["index"]), "--queries", str(dataset_dir["queries"]),
+                  "--cache", str(dataset_dir["cache"])]
+        assert main(["search", *inputs, "--out", str(tmp_path / "s.run")]) == EXIT_OK
+        assert main(["pipeline", *inputs, "--corpus", str(dataset_dir["corpus"]),
+                     "--out-prefix", str(tmp_path / "p")]) == EXIT_OK
+        search = (tmp_path / "s.run").read_text().splitlines()
+        bm25 = (tmp_path / "p.bm25.run").read_text().splitlines()
+        assert search
+        assert [l.split()[:5] for l in search] == [l.split()[:5] for l in bm25]
+
+    def test_retrieve_k_below_eval_k(self, dataset_dir, tmp_path):
+        # search evaluates nothing, so a retrieve-k under the pipeline's eval-k is fine
+        out = tmp_path / "k5.run"
+        rc = main(["search", "--index", str(dataset_dir["index"]),
+                   "--queries", str(dataset_dir["queries"]),
+                   "--cache", str(dataset_dir["cache"]),
+                   "--retrieve-k", "5", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert max(int(l.split()[3]) for l in out.read_text().splitlines()) == 5
+
 
 class TestPipelineCommand:
+    def test_bare_command_line_is_the_default_config(self):
+        args = build_parser().parse_args(["pipeline", "--index", "i", "--corpus", "c",
+                                          "--queries", "q", "--cache", "x",
+                                          "--out-prefix", "o"])
+        assert _pipeline_config(args) == PipelineConfig()
+
     def test_writes_three_runs(self, dataset_dir, tmp_path):
         prefix = tmp_path / "out"
         rc = main(["pipeline", "--index", str(dataset_dir["index"]),

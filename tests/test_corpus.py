@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from queryboost import corpus
-from queryboost.corpus import (FIELD_POLICIES, DataFormatError, Document, IndexMismatchError,
-                               build_index, check_corpus, load_corpus_jsonl, load_index,
-                               save_index, text_digests)
+from queryboost.corpus import (FIELD_POLICIES, DataFormatError, Document, IndexFormatError,
+                               IndexMismatchError, build_index, check_corpus,
+                               load_corpus_jsonl, load_index, save_index, text_digests)
 from queryboost.tokenizer import tokenize
 
 doc_texts = st.lists(
@@ -164,6 +164,22 @@ def test_multi_block_index_survives_save_and_load(tmp_path):
     expected = reference_build(docs, "title_plus_text")
     save_index(build_index(docs), tmp_path / "index")
     assert_index_equals(load_index(tmp_path / "index"), expected)
+
+
+def test_doc_lengths_summed_across_slices(tmp_path, monkeypatch):
+    # postings of one document fall in several slices of the check
+    monkeypatch.setattr(corpus, "_CHECK_POSTINGS", 3)
+    docs = [Document(f"d{i}", "", " ".join(f"w{j}" for j in range(i, 2 * i + 1)) + " w0")
+            for i in range(6)]
+    save_index(build_index(docs), tmp_path / "index")
+    with np.load(tmp_path / "index") as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    assert load_index(tmp_path / "index").doc_lengths.tolist() == [i + 2 for i in range(6)]
+    arrays["doc_lengths"][-1] -= 1
+    with open(tmp_path / "edited", "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(IndexFormatError, match="holds 6 for document 'd5', whose tfs sum to 7"):
+        load_index(tmp_path / "edited")
 
 
 @pytest.mark.parametrize("max_tf, dtype", [(1, np.uint8), (255, np.uint8),

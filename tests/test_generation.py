@@ -4,9 +4,9 @@ import logging
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from queryboost.generation import (CacheFormatError, ChatCompletionClient,
+from queryboost.generation import (CacheFormatError, CacheMissError, ChatCompletionClient,
                                    GenerationConfig, GenerationError, ReferenceCache,
-                                   ReferenceSet, generate_for_queries,
+                                   ReferenceSet, cached_references, generate_for_queries,
                                    generate_references, render_prompt)
 
 
@@ -225,6 +225,40 @@ class TestGeneration:
         assert results[0].references == ("cached",)
         assert results[1].references == ("P",)
         assert stub_server.call_count == 1
+
+
+class TestCachedReferences:
+    def _cache(self, tmp_path):
+        cache = ReferenceCache(tmp_path / "c.jsonl")
+        cache.put(ReferenceSet("q1", "a", ("r1", "r2", "r3"), "m"))
+        return cache
+
+    def test_miss_names_query_and_model(self, tmp_path):
+        with pytest.raises(CacheMissError) as info:
+            cached_references(self._cache(tmp_path), "q2", "m")
+        assert str(info.value) == "no cached references for query 'q2' (model 'm')"
+        with pytest.raises(CacheMissError, match="model 'other'"):
+            cached_references(self._cache(tmp_path), "q1", "other")
+
+    def test_too_few_names_n(self, tmp_path):
+        with pytest.raises(ValueError, match="'q1': need 4 cached references, have 3"):
+            cached_references(self._cache(tmp_path), "q1", "m", 4)
+
+    def test_n_cuts_and_none_keeps_all(self, tmp_path):
+        cache = self._cache(tmp_path)
+        assert cached_references(cache, "q1", "m", 2).references == ("r1", "r2")
+        assert cached_references(cache, "q1", "m") is cache.get("q1", "m")
+
+    def test_any_object_with_get(self):
+        refs = ReferenceSet("q1", "a", ("r1",), "m")
+
+        class DictCache:
+            def get(self, query_id, model_id):
+                return {("q1", "m"): refs}.get((query_id, model_id))
+
+        assert cached_references(DictCache(), "q1", "m", 1) == refs
+        with pytest.raises(CacheMissError):
+            cached_references(DictCache(), "q9", "m")
 
 
 class TestGenerationConfig:

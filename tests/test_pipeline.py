@@ -12,7 +12,8 @@ from queryboost.generation import ReferenceCache, ReferenceSet
 from queryboost.pipeline import (PipelineConfig, format_sweep_table, keyword_overlap,
                                  run_pipeline, run_query_pipeline, sweep,
                                  top_idf_tokens)
-from queryboost.sparse import ReweightConfig
+from queryboost.rerank import embed_query, rerank
+from queryboost.sparse import ReweightConfig, bm25_search, build_sparse_query
 
 
 def _setup_corpus():
@@ -251,6 +252,23 @@ class _Cache:
 
     def get(self, query_id, model_id):
         return self.refs.get(query_id)
+
+
+def test_no_references_is_plain_bm25_and_raw_query_rerank(synthetic_dataset, embedder):
+    # the baseline written out stage by stage: plain query, then its candidates
+    # reranked by the embedding of the query alone
+    ds = synthetic_dataset
+    index, store, _ = _synthetic_run(ds)
+    cfg = PipelineConfig()
+    for query_id, query in ds.queries:
+        plain = bm25_search(index, cfg.bm25,
+                            build_sparse_query(query, [], ReweightConfig.constant(t=1)),
+                            cfg.retrieve_k)
+        raw = rerank(embedder, embed_query(embedder, query, None, cfg.strategy),
+                     [store[d] for d, _ in plain], index.field_policy)
+        out = run_query_pipeline(query_id, query, index, store, embedder, None, cfg)
+        assert out.bm25.items == tuple(plain)
+        assert out.pre.items == tuple(raw)
 
 
 class TestEmbeddingMemoInPipeline:

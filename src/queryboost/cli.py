@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 2 usage error (any ``ValueError`` not named here), 3
 missing input file, 4 reference-cache miss, 5 malformed data file (a corpus,
-queries, qrels, run, cache or index file), 6 index built from another corpus, 1
-anything else (an embedding service that answers without usable vectors
-included). Logs go to stderr; data goes to files or stdout. Every
-command that writes outputs drops a JSON run manifest next to its primary
-output.
+queries, qrels, run, cache or index file), 6 index built from another corpus or
+references cached for another query text or prompt version, 1 anything else
+(an embedding service that answers without usable vectors included). Logs go
+to stderr; data goes to files or stdout. Every command that writes outputs
+drops a JSON run manifest next to its primary output.
 """
 
 import argparse
@@ -26,7 +26,8 @@ from queryboost.evaluation import (Ranking, evaluate_run, read_qrels, read_queri
                                    read_run, write_run)
 from queryboost.generation import (PROMPT_VERSION, CacheFormatError, CacheMissError,
                                    ChatCompletionClient, GenerationConfig, ReferenceCache,
-                                   cached_references, generate_for_queries)
+                                   StaleReferencesError, cached_references,
+                                   generate_for_queries)
 from queryboost.pipeline import (PipelineConfig, SWEEP_AXES, format_sweep_table,
                                  keyword_overlap, run_pipeline, sparse_ranking, sweep)
 from queryboost.rerank import STRATEGIES
@@ -139,7 +140,7 @@ def cmd_search(args) -> int:
 
     run = []
     for query_id, query in queries:
-        refs = cached_references(cache, query_id, args.model)
+        refs = cached_references(cache, query_id, query, args.model)
         run.append(Ranking(query_id=query_id, items=tuple(
             sparse_ranking(query, refs, index, params, reweight, args.retrieve_k))))
     write_run(args.out, run, tag=args.tag)
@@ -206,7 +207,7 @@ def cmd_analyze(args) -> int:
     gt_query_total = 0
     reported = 0
     for query_id, query in queries:
-        refs = cached_references(cache, query_id, args.model)
+        refs = cached_references(cache, query_id, query, args.model)
         grades = qrels.get(query_id, {})
         gt_docs = [doc_store[d] for d, g in grades.items()
                    if g >= args.min_grade and d in doc_store]
@@ -410,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataFormatError, CacheFormatError, IndexFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except IndexMismatchError as exc:
+    except (IndexMismatchError, StaleReferencesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except EmbeddingServiceError as exc:

@@ -158,8 +158,10 @@ class InvertedIndex:
     ``doc_ids[i]``, ``doc_lengths[i]`` and ``doc_digests[i]`` belong to ordinal ``i``;
     ``terms[t]`` is the term with id ``t`` and ``term_ids`` its inverse.
     ``postings``, ``df`` and ``stats.doc_length`` are read-only mapping views
-    over the arrays. Built once by ``build_index``; safe for unlimited
-    concurrent readers afterwards.
+    over the arrays; ``postings`` and ``df`` are made on each access, so that
+    the index never refers to itself and is freed as soon as its last reference
+    goes. Built once by ``build_index``; safe for unlimited concurrent readers
+    afterwards.
     """
 
     def __init__(self, doc_ids: tuple[str, ...], doc_lengths: np.ndarray,
@@ -180,8 +182,14 @@ class InvertedIndex:
         self.stats = CorpusStats(num_docs=n,
                                  avgdl=int(doc_lengths.sum()) / n if n else 0.0,
                                  doc_length=DocLengths(doc_ids, doc_lengths))
-        self.postings = Postings(self)
-        self.df = DocFreqs(self)
+
+    @property
+    def postings(self) -> Postings:
+        return Postings(self)
+
+    @property
+    def df(self) -> DocFreqs:
+        return DocFreqs(self)
 
     @property
     def num_docs(self) -> int:
@@ -218,12 +226,12 @@ def _tokens_of_each(texts, lengths: array):
         yield tokens
 
 
-def _narrowed(values: np.ndarray) -> np.ndarray:
-    """``values`` (none negative) at the narrowest unsigned dtype holding their largest.
+def _narrow_dtype(values: np.ndarray) -> np.dtype:
+    """The narrowest unsigned dtype holding the largest of ``values`` (none negative).
 
-    uint8 up to 255, uint16 up to 65535, then uint32; an empty array is uint8.
+    uint8 up to 255, uint16 up to 65535, then uint32; for no values, uint8.
     """
-    return values.astype(np.min_scalar_type(values.max(initial=0)), copy=False)
+    return np.min_scalar_type(values.max(initial=0))
 
 
 def text_digests(texts) -> np.ndarray:
@@ -241,7 +249,7 @@ def build_index(docs, field_policy: str = "title_plus_text") -> InvertedIndex:
     posting: the tokens of each block of ``_BLOCK_DOCS`` documents are mapped to
     term ids by one ``map`` over the vocabulary and counted with numpy.
     ``doc_ordinals`` and ``tfs`` come out at the narrowest unsigned dtype that
-    holds their largest value (see ``_narrowed``); ``offsets`` is int64 and
+    holds their largest value (see ``_narrow_dtype``); ``offsets`` is int64 and
     ``doc_lengths`` int32.
     """
     if field_policy not in FIELD_POLICIES:
@@ -255,10 +263,10 @@ def build_index(docs, field_policy: str = "title_plus_text") -> InvertedIndex:
     doc_ids = tuple(sorted(by_id))
     texts = [by_id[doc_id].indexed_text(field_policy) for doc_id in doc_ids]
 
-    # One entry per (doc, term). Within a block entries go by term, then ordinal, so
-    # the stable argsort by term below leaves each term's entries in ordinal order.
+    # One entry per (doc, term). Within a block entries go by term, then ordinal.
     vocab = _Vocabulary()
     doc_lengths, entry_terms, entry_ordinals, entry_tfs = (array("i") for _ in range(4))
+    block_ends = [0]  # entry_*[block_ends[i]:block_ends[i + 1]] is block i
     for start in range(0, len(texts), _BLOCK_DOCS):
         block = texts[start:start + _BLOCK_DOCS]
         lengths = array("i")
@@ -275,19 +283,28 @@ def build_index(docs, field_policy: str = "title_plus_text") -> InvertedIndex:
         entry_terms.frombytes(terms.astype(np.int32).tobytes())
         entry_ordinals.frombytes(ordinals.astype(np.int32).tobytes())
         entry_tfs.frombytes(tfs.astype(np.int32).tobytes())
+        block_ends.append(len(entry_terms))
 
+    # Place the entries by counting: each term's run in a block is copied to the
+    # term's next free slots. Blocks go in ordinal order, so each term's postings
+    # come out in ordinal order, with no permutation of all the entries.
     entry_terms = np.frombuffer(entry_terms, dtype=np.int32)
-    by_term = np.argsort(entry_terms, kind="stable")  # keeps ordinal order per term
+    entry_ordinals = np.frombuffer(entry_ordinals, dtype=np.int32)
+    entry_tfs = np.frombuffer(entry_tfs, dtype=np.int32)
     offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(entry_terms, minlength=len(vocab)), out=offsets[1:])
-    # Free each column as soon as it is used: kept to the end, they raised the
-    # sparse-zipf benchmark's peak RSS by about 4 MB (4%). Narrowing before the
-    # gather keeps the int32 copy of each column from ever being made.
-    del entry_terms
-    ordinals = _narrowed(np.frombuffer(entry_ordinals, dtype=np.int32))[by_term]
-    del entry_ordinals
-    tfs = _narrowed(np.frombuffer(entry_tfs, dtype=np.int32))[by_term]
-    del entry_tfs, by_term
+    fill = offsets[:-1].copy()  # each term's next free slot
+    ordinals = np.empty(len(entry_terms), dtype=_narrow_dtype(entry_ordinals))
+    tfs = np.empty(len(entry_terms), dtype=_narrow_dtype(entry_tfs))
+    for lo, hi in zip(block_ends, block_ends[1:]):
+        terms = entry_terms[lo:hi]
+        starts = np.flatnonzero(np.diff(terms, prepend=-1))  # each run's first entry
+        run_terms, run_lengths = terms[starts], np.diff(starts, append=hi - lo)
+        slots = np.repeat(fill[run_terms] - starts, run_lengths)
+        slots += np.arange(hi - lo)
+        ordinals[slots] = entry_ordinals[lo:hi]
+        tfs[slots] = entry_tfs[lo:hi]
+        fill[run_terms] += run_lengths
     return InvertedIndex(doc_ids, np.frombuffer(doc_lengths, dtype=np.int32).copy(),
                          text_digests(texts), tuple(vocab), offsets, ordinals, tfs,
                          field_policy)
@@ -349,8 +366,9 @@ def load_corpus_jsonl(path) -> list[Document]:
 def _pack_strings(strings) -> tuple[np.ndarray, np.ndarray]:
     """The strings' UTF-8 bytes, concatenated, and each one's byte length (narrowed)."""
     encoded = [s.encode("utf-8") for s in strings]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
     return (np.frombuffer(b"".join(encoded), dtype=np.uint8),
-            _narrowed(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))))
+            lengths.astype(_narrow_dtype(lengths)))
 
 
 def _unpack_strings(blob: np.ndarray, lengths: np.ndarray) -> tuple[str, ...]:
@@ -437,19 +455,22 @@ def load_index(path) -> InvertedIndex:
     document length other than the sum of its tfs is an IndexFormatError naming
     the column, never a wrong score.
     """
+    # np.load is given the open file, not the path: on a corrupt archive it raises
+    # without closing a file it opened itself.
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if not magic:
-        raise IndexFormatError(path, "empty file")
-    if magic.startswith(b"{"):
-        raise IndexFormatError(path, "a JSON index, a format no longer read")
-    if magic != b"PK\x03\x04":
-        raise IndexFormatError(path, "not an .npz archive")
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            a = {k: npz[k] for k in _INDEX_ARRAYS if k in npz.files}
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
-        raise IndexFormatError(path, f"truncated or corrupt: {exc}") from exc
+        if not magic:
+            raise IndexFormatError(path, "empty file")
+        if magic.startswith(b"{"):
+            raise IndexFormatError(path, "a JSON index, a format no longer read")
+        if magic != b"PK\x03\x04":
+            raise IndexFormatError(path, "not an .npz archive")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                a = {k: npz[k] for k in _INDEX_ARRAYS if k in npz.files}
+        except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+            raise IndexFormatError(path, f"truncated or corrupt: {exc}") from exc
     if "format_version" not in a:
         raise IndexFormatError(path, "no format_version")
     if a["format_version"].tolist() == 1:

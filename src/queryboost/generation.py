@@ -37,6 +37,10 @@ class CacheMissError(KeyError):
     __str__ = Exception.__str__  # the message as written, not its repr as KeyError gives
 
 
+class StaleReferencesError(ValueError):
+    """Cached references generated for another query text or prompt version."""
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     model_id: str
@@ -71,6 +75,10 @@ class ReferenceSet:
         if any(not r for r in self.references):
             raise ValueError("empty reference text not allowed")
 
+    def is_for(self, query: str) -> bool:
+        """Whether these references were generated for this query text by this prompt."""
+        return self.query == query and self.prompt_version == PROMPT_VERSION
+
     def first(self, j: int) -> "ReferenceSet":
         """Restrict to the first j references (for reference-count ablations)."""
         if not 1 <= j <= len(self.references):
@@ -79,18 +87,25 @@ class ReferenceSet:
                             self.model_id, self.created_at, self.prompt_version)
 
 
-def cached_references(cache, query_id: str, model_id: str,
+def cached_references(cache, query_id: str, query: str, model_id: str,
                       n: int | None = None) -> ReferenceSet:
     """The cached reference set of a query, cut to its first n references.
 
     Only ``cache.get`` is called, so any object with that method serves. A miss
-    is a CacheMissError naming the query and model; a set holding fewer than n
-    references is a ValueError. With n None the set comes back uncut.
+    is a CacheMissError naming the query and model; a set generated for another
+    query text or prompt version is a StaleReferencesError naming the query; a
+    set holding fewer than n references is a ValueError. With n None the set
+    comes back uncut.
     """
     refs = cache.get(query_id, model_id)
     if refs is None:
         raise CacheMissError(
             f"no cached references for query {query_id!r} (model {model_id!r})")
+    if not refs.is_for(query):
+        raise StaleReferencesError(
+            f"cached references for query {query_id!r} were generated for "
+            f"{refs.query!r} with prompt version {refs.prompt_version!r}, not for "
+            f"{query!r} with {PROMPT_VERSION!r}; regenerate them with `queryboost generate`")
     if n is not None and len(refs.references) < n:
         raise ValueError(f"query {query_id!r}: need {n} cached references, "
                          f"have {len(refs.references)}")
@@ -284,7 +299,7 @@ def generate_for_queries(client: ChatCompletionClient, cache: ReferenceCache,
     pending = []
     for query_id, query in queries:
         cached = cache.get(query_id, cfg.model_id)
-        if cached is not None and len(cached.references) >= cfg.n:
+        if cached is not None and cached.is_for(query) and len(cached.references) >= cfg.n:
             results[query_id] = cached
         else:
             pending.append((query_id, query))

@@ -110,12 +110,14 @@ def run_pipeline(queries: list[tuple[str, str]], index: InvertedIndex,
 
     ``n_refs`` restricts each cached set to its first j references; 0 means
     the no-expansion baseline. A cache miss is a CacheMissError naming the
-    query. One ``EmbeddingMemo`` serves all queries of this call.
+    query, and references cached for another query text a StaleReferencesError.
+    One ``EmbeddingMemo`` serves all queries of this call.
     """
     provider = EmbeddingMemo(provider)
     results = []
     for query_id, query in queries:
-        refs = None if n_refs == 0 else cached_references(cache, query_id, model_id, n_refs)
+        refs = (None if n_refs == 0
+                else cached_references(cache, query_id, query, model_id, n_refs))
         results.append(run_query_pipeline(query_id, query, index, doc_store,
                                           provider, refs, cfg))
     return results
@@ -188,8 +190,8 @@ def sweep(axis: str, values: list, base_cfg: PipelineConfig,
           queries: list[tuple[str, str]], qrels: Qrels) -> list[tuple[object, EvalReport]]:
     """Evaluate the final ranking at each value along one ablation axis."""
     if axis == "n_refs" and (needed := max(int(v) for v in values)) > 0:
-        for query_id, _ in queries:  # fail before the first point, not midway
-            cached_references(cache, query_id, model_id, needed)
+        for query_id, query in queries:  # fail before the first point, not midway
+            cached_references(cache, query_id, query, model_id, needed)
 
     results = []
     for value in values:

@@ -72,7 +72,9 @@ class SparseQuery:
 
 def idf(index: InvertedIndex, term: str) -> float:
     """ln(1 + (N - df + 0.5) / (df + 0.5)); non-negative for every df <= N."""
-    return idf_of_df(index.num_docs, index.df.get(term, 0))
+    t = index.term_ids.get(term)
+    df = 0 if t is None else int(index.offsets[t + 1] - index.offsets[t])
+    return idf_of_df(index.num_docs, df)
 
 
 def idf_of_df(n: int, df: int) -> float:

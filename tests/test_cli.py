@@ -231,6 +231,31 @@ class TestIndexCorpusMismatch:
         assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("command", [
+    ["search", "--out", "{tmp}/out.run"],
+    ["pipeline", "--corpus", "{corpus}", "--out-prefix", "{tmp}/out"],
+    ["analyze", "--corpus", "{corpus}", "--qrels", "{qrels}"],
+    ["sweep", "--axis", "n_refs", "--values", "0", "1", "--corpus", "{corpus}",
+     "--qrels", "{qrels}", "--out", "{tmp}/out.jsonl"],
+])
+def test_references_cached_for_another_query(dataset_dir, tmp_path, capsys, command):
+    lines = dataset_dir["queries"].read_text().splitlines()
+    query_id, cached_text = lines[0].split("\t")
+    queries = tmp_path / "queries.tsv"
+    queries.write_text("\n".join([f"{query_id}\trocket launch"] + lines[1:]) + "\n")
+    argv = [a.format(tmp=tmp_path, corpus=dataset_dir["corpus"], qrels=dataset_dir["qrels"])
+            for a in command]
+    rc = main(argv + ["--index", str(dataset_dir["index"]), "--queries", str(queries),
+                      "--cache", str(dataset_dir["cache"])])
+    assert rc == EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert (f"error: cached references for query {query_id!r} were generated for "
+            f"{cached_text!r} with prompt version 'v1', not for 'rocket launch' with 'v1'"
+            in captured.err)
+    assert captured.out == ""
+    assert not list(tmp_path.glob("out*"))
+
+
 class TestSearchCommand:
     def test_writes_run(self, dataset_dir, tmp_path):
         out_run = tmp_path / "sparse.run"

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import tempfile
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -195,6 +197,35 @@ def test_ordinals_dtype_edges(num_docs, dtype):
     index = build_index([Document(f"d{i:03d}", "", "w") for i in range(num_docs)])
     assert index.doc_ordinals.dtype == dtype
     assert index.doc_ordinals.tolist() == list(range(num_docs))
+
+
+def test_ordinals_narrowed_from_the_largest_posting_ordinal():
+    # documents past ordinal 255 have no tokens, so no posting holds their ordinals
+    docs = [Document(f"d{i:03d}", "", f"w{i % 3} x" if i < 256 else "!!!")
+            for i in range(300)]
+    index = build_index(docs)
+    assert index.num_docs == 300
+    assert index.doc_ordinals.dtype == np.uint8
+    assert_index_equals(index, reference_build(docs, "title_plus_text"))
+
+
+@pytest.fixture
+def gc_disabled():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_dropped_index_freed_without_a_collection(tmp_path, small_docs, gc_disabled):
+    built = build_index(small_docs)
+    save_index(built, tmp_path / "index")
+    loaded = load_index(tmp_path / "index")
+    assert loaded.postings == built.postings and loaded.df == built.df
+    refs = weakref.ref(built), weakref.ref(loaded)
+    del built, loaded
+    assert [r() for r in refs] == [None, None]
 
 
 @pytest.mark.parametrize("long_bytes, dtype", [(255, np.uint8), (256, np.uint16)])

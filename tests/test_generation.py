@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from queryboost.generation import (CacheFormatError, CacheMissError, ChatCompletionClient,
                                    GenerationConfig, GenerationError, ReferenceCache,
-                                   ReferenceSet, cached_references, generate_for_queries,
-                                   generate_references, render_prompt)
+                                   ReferenceSet, StaleReferencesError, cached_references,
+                                   generate_for_queries, generate_references, render_prompt)
 
 
 class TestRenderPrompt:
@@ -226,6 +226,17 @@ class TestGeneration:
         assert results[1].references == ("P",)
         assert stub_server.call_count == 1
 
+    @pytest.mark.parametrize("stale", [ReferenceSet("q1", "old text", ("cached",), "m"),
+                                       ReferenceSet("q1", "a", ("cached",), "m",
+                                                    prompt_version="v0")])
+    def test_batch_regenerates_stale(self, stub_server, tmp_path, stale):
+        cache = ReferenceCache(tmp_path / "c.jsonl")
+        cache.put(stale)
+        results = generate_for_queries(_client(stub_server), cache, [("q1", "a")],
+                                       GenerationConfig(model_id="m", n=1))
+        assert results[0].references == ("P",)
+        assert cached_references(cache, "q1", "a", "m").references == ("P",)
+
 
 class TestCachedReferences:
     def _cache(self, tmp_path):
@@ -235,19 +246,19 @@ class TestCachedReferences:
 
     def test_miss_names_query_and_model(self, tmp_path):
         with pytest.raises(CacheMissError) as info:
-            cached_references(self._cache(tmp_path), "q2", "m")
+            cached_references(self._cache(tmp_path), "q2", "a", "m")
         assert str(info.value) == "no cached references for query 'q2' (model 'm')"
         with pytest.raises(CacheMissError, match="model 'other'"):
-            cached_references(self._cache(tmp_path), "q1", "other")
+            cached_references(self._cache(tmp_path), "q1", "a", "other")
 
     def test_too_few_names_n(self, tmp_path):
         with pytest.raises(ValueError, match="'q1': need 4 cached references, have 3"):
-            cached_references(self._cache(tmp_path), "q1", "m", 4)
+            cached_references(self._cache(tmp_path), "q1", "a", "m", 4)
 
     def test_n_cuts_and_none_keeps_all(self, tmp_path):
         cache = self._cache(tmp_path)
-        assert cached_references(cache, "q1", "m", 2).references == ("r1", "r2")
-        assert cached_references(cache, "q1", "m") is cache.get("q1", "m")
+        assert cached_references(cache, "q1", "a", "m", 2).references == ("r1", "r2")
+        assert cached_references(cache, "q1", "a", "m") is cache.get("q1", "m")
 
     def test_any_object_with_get(self):
         refs = ReferenceSet("q1", "a", ("r1",), "m")
@@ -256,9 +267,23 @@ class TestCachedReferences:
             def get(self, query_id, model_id):
                 return {("q1", "m"): refs}.get((query_id, model_id))
 
-        assert cached_references(DictCache(), "q1", "m", 1) == refs
+        assert cached_references(DictCache(), "q1", "a", "m", 1) == refs
         with pytest.raises(CacheMissError):
-            cached_references(DictCache(), "q9", "m")
+            cached_references(DictCache(), "q9", "a", "m")
+
+    def test_other_query_text_is_stale(self, tmp_path):
+        with pytest.raises(StaleReferencesError) as info:
+            cached_references(self._cache(tmp_path), "q1", "b", "m")
+        assert str(info.value) == ("cached references for query 'q1' were generated for "
+                                   "'a' with prompt version 'v1', not for 'b' with 'v1'; "
+                                   "regenerate them with `queryboost generate`")
+
+    def test_other_prompt_version_is_stale(self, tmp_path):
+        cache = ReferenceCache(tmp_path / "c.jsonl")
+        cache.put(ReferenceSet("q1", "a", ("r1",), "m", prompt_version="v0"))
+        with pytest.raises(StaleReferencesError,
+                           match="'q1' .* 'a' with prompt version 'v0', not for 'a' with 'v1'"):
+            cached_references(cache, "q1", "a", "m")
 
 
 class TestGenerationConfig:

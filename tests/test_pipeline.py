@@ -8,7 +8,7 @@ from queryboost.calibration import CalibrationConfig
 from queryboost.corpus import Document, build_index, load_index, save_index
 from queryboost.embedding import HashingEmbedder
 from queryboost.evaluation import evaluate_run, write_run
-from queryboost.generation import ReferenceCache, ReferenceSet
+from queryboost.generation import ReferenceCache, ReferenceSet, StaleReferencesError
 from queryboost.pipeline import (PipelineConfig, format_sweep_table, keyword_overlap,
                                  run_pipeline, run_query_pipeline, sweep,
                                  top_idf_tokens)
@@ -120,6 +120,22 @@ class TestRunPipeline:
         out = run_pipeline([("q1", "star")], index, store, embedder, cache, "m",
                            cfg, n_refs=0)
         assert out[0].post == out[0].pre
+
+    def test_references_of_another_query_rejected(self, tmp_path, embedder):
+        # references cached for "apple fruit" would rank the apple document first
+        docs = [Document("d1", "", "apple fruit orchard"),
+                Document("d2", "", "rocket launch orbit")]
+        index, store = build_index(docs), {d.doc_id: d for d in docs}
+        cache = ReferenceCache(tmp_path / "c.jsonl")
+        cache.put(ReferenceSet("q1", "apple fruit", ("apple orchard fruit",), "m"))
+        cfg = PipelineConfig(retrieve_k=2, eval_k=1)
+        with pytest.raises(StaleReferencesError,
+                           match="query 'q1' were generated for 'apple fruit' .*, "
+                                 "not for 'rocket launch'"):
+            run_pipeline([("q1", "rocket launch")], index, store, embedder, cache, "m",
+                         cfg)
+        assert run_pipeline([("q1", "apple fruit")], index, store, embedder, cache, "m",
+                            cfg)[0].bm25.items[0][0] == "d1"
 
 
 class TestKeywordOverlap:

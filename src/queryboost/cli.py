@@ -4,9 +4,9 @@ Exit codes: 0 success, 2 usage error (any ``ValueError`` not named here), 3
 missing input file, 4 reference-cache miss, 5 malformed data file (a corpus,
 queries, qrels, run, cache or index file), 6 index built from another corpus or
 references cached for another query text or prompt version, 1 anything else
-(an embedding service that answers without usable vectors included). Logs go
-to stderr; data goes to files or stdout. Every command that writes outputs
-drops a JSON run manifest next to its primary output.
+(a chat or embedding service that fails or answers without a usable body
+included). Logs go to stderr; data goes to files or stdout. Every command that
+writes outputs drops a JSON run manifest next to its primary output.
 """
 
 import argparse
@@ -21,7 +21,7 @@ from queryboost.calibration import CalibrationConfig
 from queryboost.corpus import (FIELD_POLICIES, DataFormatError, IndexFormatError,
                                IndexMismatchError, build_index, check_corpus,
                                load_corpus_jsonl, load_index, save_index)
-from queryboost.embedding import EmbeddingServiceError, HashingEmbedder, RemoteEmbedder
+from queryboost.embedding import HashingEmbedder, RemoteEmbedder
 from queryboost.evaluation import (Ranking, evaluate_run, read_qrels, read_queries_tsv,
                                    read_run, write_run)
 from queryboost.generation import (PROMPT_VERSION, CacheFormatError, CacheMissError,
@@ -31,6 +31,7 @@ from queryboost.generation import (PROMPT_VERSION, CacheFormatError, CacheMissEr
 from queryboost.pipeline import (PipelineConfig, SWEEP_AXES, format_sweep_table,
                                  keyword_overlap, run_pipeline, sparse_ranking, sweep)
 from queryboost.rerank import STRATEGIES
+from queryboost.service import ServiceError
 from queryboost.sparse import BM25Params, ReweightConfig
 
 EXIT_OK = 0
@@ -121,9 +122,7 @@ def cmd_generate(args) -> int:
                                   api_key_env=args.api_key_env)
     cfg = GenerationConfig(model_id=args.model, n=args.n,
                            temperature=args.temperature,
-                           max_tokens=args.max_tokens,
-                           max_retries=args.max_retries,
-                           api_key_env=args.api_key_env)
+                           max_tokens=args.max_tokens)
     results = generate_for_queries(client, cache, queries, cfg, jobs=args.jobs)
     write_manifest(args.cache, args, [args.queries], [args.cache])
     log.info("generated/cached references for %d queries", len(results))
@@ -206,8 +205,10 @@ def cmd_analyze(args) -> int:
     gt_pse_total = 0
     gt_query_total = 0
     reported = 0
-    for query_id, query in queries:
-        refs = cached_references(cache, query_id, query, args.model)
+    # every lookup before the first report, so a bad entry leaves stdout empty
+    all_refs = [cached_references(cache, query_id, query, args.model)
+                for query_id, query in queries]
+    for (query_id, query), refs in zip(queries, all_refs):
         grades = qrels.get(query_id, {})
         gt_docs = [doc_store[d] for d, g in grades.items()
                    if g >= args.min_grade and d in doc_store]
@@ -306,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--max-tokens", type=int, default=512)
-    p.add_argument("--max-retries", type=int, default=3)
     p.add_argument("--api-key-env", default="OPENAI_API_KEY")
     p.set_defaults(func=cmd_generate)
 
@@ -414,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except (IndexMismatchError, StaleReferencesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except EmbeddingServiceError as exc:
+    except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ValueError as exc:

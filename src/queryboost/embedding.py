@@ -8,13 +8,13 @@ pipeline call, so that each distinct text is embedded once per call.
 
 import hashlib
 import math
-import time
 from itertools import chain
 from typing import Protocol
 
 import numpy as np
 import requests
 
+from queryboost.service import ServiceError, post_json
 from queryboost.tokenizer import tokenize
 
 
@@ -135,38 +135,26 @@ class HashingEmbedder:
         return list(counts)
 
 
-# RemoteEmbedder's retry policy, the one ChatCompletionClient has by default:
-# transport errors, 5xx and 429 are tried again after 0.5 s, 1 s and 2 s.
-EMBED_ATTEMPTS = 4
-EMBED_BACKOFF_S = 0.5
-
-
-class EmbeddingServiceError(ValueError):
-    """The embedding service failed, or answered without usable vectors."""
-
-    def __init__(self, endpoint: str, problem: str):
-        super().__init__(f"embedding service {endpoint}: {problem}")
+EMBED_TIMEOUT_S = 30.0
 
 
 class RemoteEmbedder:
     """JSON-over-HTTP embedding service: {"input": [texts]} -> {"embeddings": [[...]]}.
 
     Outputs are order-preserving; inputs are truncated client-side and sent in
-    batches of ``batch_size``. A transport error (including a body cut short),
-    a 5xx or a 429 is retried with backoff up to ``EMBED_ATTEMPTS`` attempts in
-    all; any other 4xx is not. Giving up, or a body that is not JSON, lacks the
-    ``embeddings`` list, or holds the wrong number of vectors or a vector of
-    the wrong dimension, raises ``EmbeddingServiceError``.
+    batches of ``batch_size``, each retried as ``service.post_json`` does.
+    Giving up, or a body that is not JSON, lacks the ``embeddings`` list, or
+    holds the wrong number of vectors or a vector of the wrong dimension,
+    raises ``ServiceError``.
     """
 
     def __init__(self, endpoint: str, dimension: int,
                  max_input_tokens: int | None = 512, batch_size: int = 32,
-                 timeout: float = 30.0, session: requests.Session | None = None):
+                 session: requests.Session | None = None):
         self.endpoint = endpoint
         self.dimension = dimension
         self.max_input_tokens = max_input_tokens
         self.batch_size = batch_size
-        self.timeout = timeout
         self._session = session or requests.Session()
 
     def embed(self, text: str) -> np.ndarray:
@@ -177,54 +165,35 @@ class RemoteEmbedder:
         for start in range(0, len(texts), self.batch_size):
             batch = [truncate_text(t, self.max_input_tokens)
                      for t in texts[start:start + self.batch_size]]
-            vectors.extend(self._vectors(self._post(batch), len(batch)))
+            resp = post_json(self._session, "embedding service", self.endpoint,
+                             {"input": batch}, EMBED_TIMEOUT_S)
+            vectors.extend(self._vectors(resp, len(batch)))
         return vectors
 
-    def _post(self, batch: list[str]):
-        """The successful response to one batch, after retries as the class describes."""
-        last_error = None
-        for attempt in range(EMBED_ATTEMPTS):
-            if attempt:
-                time.sleep(EMBED_BACKOFF_S * 2 ** (attempt - 1))
-            try:
-                resp = self._session.post(self.endpoint, json={"input": batch},
-                                          timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if resp.status_code < 400:
-                return resp
-            last_error = f"HTTP {resp.status_code}: {resp.text[:200]}"
-            if resp.status_code < 500 and resp.status_code != 429:
-                raise EmbeddingServiceError(self.endpoint, f"rejected with {last_error}")
-        raise EmbeddingServiceError(
-            self.endpoint, f"failed after {EMBED_ATTEMPTS} attempts: {last_error}")
+    def _error(self, problem: str) -> ServiceError:
+        return ServiceError("embedding service", self.endpoint, problem)
 
     def _vectors(self, resp, expected: int) -> list[np.ndarray]:
         """The vectors of one response body, checked against the request."""
         try:
             embeddings = resp.json()["embeddings"]
         except ValueError as exc:
-            raise EmbeddingServiceError(self.endpoint,
-                                        f"response body is not JSON: {exc}") from exc
+            raise self._error(f"response body is not JSON: {exc}") from exc
         except (KeyError, TypeError) as exc:
-            raise EmbeddingServiceError(self.endpoint,
-                                        "response body has no 'embeddings' key") from exc
+            raise self._error("response body has no 'embeddings' key") from exc
         if not isinstance(embeddings, list):
-            raise EmbeddingServiceError(self.endpoint, "'embeddings' is not a list")
+            raise self._error("'embeddings' is not a list")
         if len(embeddings) != expected:
-            raise EmbeddingServiceError(
-                self.endpoint, f"returned {len(embeddings)} vectors for {expected} inputs")
+            raise self._error(f"returned {len(embeddings)} vectors for {expected} inputs")
         vectors = []
         for emb in embeddings:
             try:
                 vec = np.asarray(emb, dtype=np.float64)
             except (TypeError, ValueError) as exc:
-                raise EmbeddingServiceError(self.endpoint,
-                                            f"a vector is not a list of numbers: {exc}") from exc
+                raise self._error(f"a vector is not a list of numbers: {exc}") from exc
             if vec.shape != (self.dimension,):
-                raise EmbeddingServiceError(
-                    self.endpoint, f"expected dimension {self.dimension}, got shape {vec.shape}")
+                raise self._error(
+                    f"expected dimension {self.dimension}, got shape {vec.shape}")
             vectors.append(vec)
         return vectors
 

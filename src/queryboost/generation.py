@@ -7,7 +7,6 @@ downstream stages can run offline and deterministically from the cache.
 import json
 import logging
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -16,15 +15,14 @@ from threading import Lock
 
 import requests
 
+from queryboost.service import ATTEMPTS, ServiceError, post_json
+
 log = logging.getLogger(__name__)
 
 PROMPT_VERSION = "v1"
 PROMPT_TEMPLATE = ("Write a passage that provides relevant background knowledge "
                    "to answer the following query: {query}")
-
-
-class GenerationError(RuntimeError):
-    pass
+CHAT_TIMEOUT_S = 60.0
 
 
 class CacheFormatError(ValueError):
@@ -47,9 +45,6 @@ class GenerationConfig:
     n: int = 5
     temperature: float = 1.0
     max_tokens: int = 512
-    timeout: float = 60.0
-    max_retries: int = 3
-    api_key_env: str = "OPENAI_API_KEY"
 
     def __post_init__(self):
         if self.n < 1:
@@ -207,13 +202,12 @@ def _end_last_line(fh) -> None:
 
 
 class ChatCompletionClient:
-    """Minimal OpenAI-compatible chat-completions client with retry/backoff."""
+    """Minimal OpenAI-compatible chat-completions client, retrying as ``service.post_json`` does."""
 
     def __init__(self, endpoint: str, api_key_env: str = "OPENAI_API_KEY",
-                 session: requests.Session | None = None, backoff_base: float = 0.5):
+                 session: requests.Session | None = None):
         self.endpoint = endpoint
         self.api_key_env = api_key_env
-        self.backoff_base = backoff_base
         self._session = session or requests.Session()
 
     def _headers(self) -> dict[str, str]:
@@ -226,8 +220,9 @@ class ChatCompletionClient:
     def complete(self, prompt: str, cfg: GenerationConfig, n: int) -> list[str]:
         """Request n completions for one prompt.
 
-        Transport errors, 5xx and 429 responses and malformed bodies are retried
-        with backoff; any other 4xx raises GenerationError at once.
+        The request is retried as ``service.post_json`` does. A body that is not
+        JSON, has no ``choices`` list of messages, or holds a content that is not
+        a string raises ServiceError at once.
         """
         payload = {
             "model": cfg.model_id,
@@ -236,30 +231,20 @@ class ChatCompletionClient:
             "max_tokens": cfg.max_tokens,
             "n": n,
         }
-        last_error: Exception | None = None
-        for attempt in range(cfg.max_retries + 1):
-            if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
-            try:
-                resp = self._session.post(self.endpoint, json=payload,
-                                          headers=self._headers(),
-                                          timeout=cfg.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if 400 <= resp.status_code < 500 and resp.status_code != 429:
-                raise GenerationError(
-                    f"chat completion rejected with HTTP {resp.status_code}: "
-                    f"{resp.text[:200]}")
-            try:
-                resp.raise_for_status()
-                data = resp.json()
-                return [choice["message"]["content"]
-                        for choice in data["choices"]]
-            except (requests.HTTPError, KeyError, ValueError) as exc:
-                last_error = exc
-        raise GenerationError(
-            f"chat completion failed after {cfg.max_retries + 1} attempts: {last_error}")
+        resp = post_json(self._session, "chat service", self.endpoint, payload,
+                         CHAT_TIMEOUT_S, self._headers())
+        try:
+            contents = [choice["message"]["content"] for choice in resp.json()["choices"]]
+        except ValueError as exc:
+            raise self._error(f"response body is not JSON: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise self._error("response body has no 'choices' list of messages") from exc
+        if not all(isinstance(c, str) for c in contents):
+            raise self._error("a message's content is not a string")
+        return contents
+
+    def _error(self, problem: str) -> ServiceError:
+        return ServiceError("chat service", self.endpoint, problem)
 
 
 def generate_references(client: ChatCompletionClient, cache: ReferenceCache,
@@ -267,20 +252,21 @@ def generate_references(client: ChatCompletionClient, cache: ReferenceCache,
                         cfg: GenerationConfig) -> ReferenceSet:
     """Generate n pseudo-references for one query and persist them before returning.
 
-    Empty completions are retried with single-sample calls; a reference still
-    empty after retries is an error naming the query.
+    Empty completions are requested again one at a time, up to ATTEMPTS - 1
+    times; a reference still empty after that is a ServiceError naming the query.
     """
     prompt = render_prompt(query)
     completions = [c.strip() for c in client.complete(prompt, cfg, cfg.n)]
 
-    for _ in range(cfg.max_retries):
+    for _ in range(ATTEMPTS - 1):
         if all(completions):
             break
         for i, text in enumerate(completions):
             if not text:
                 completions[i] = client.complete(prompt, cfg, 1)[0].strip()
     if not all(completions) or len(completions) != cfg.n:
-        raise GenerationError(
+        raise ServiceError(
+            "chat service", client.endpoint,
             f"query {query_id!r}: got {sum(1 for c in completions if c)}/{cfg.n} "
             "non-empty references")
 

@@ -32,7 +32,7 @@ class PipelineConfig:
     bm25: BM25Params = field(default_factory=BM25Params)
     reweight: ReweightConfig = field(default_factory=ReweightConfig.adaptive)
     strategy: str = "contex_pool"
-    calibration: CalibrationConfig | None = field(default_factory=CalibrationConfig)
+    calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
     retrieve_k: int = 100
     eval_k: int = 10
 
@@ -89,7 +89,7 @@ def run_query_pipeline(query_id: str, query: str, index: InvertedIndex,
     q_emb = embed_query(provider, query, refs, cfg.strategy)
     i_pre = rerank(provider, q_emb, candidates, policy)
 
-    if cfg.calibration is not None and refs is not None:
+    if refs is not None:
         fb = build_feedback_sets(i_bm25, i_pre, refs, doc_store, cfg.calibration, policy)
         calibrated = calibrate(provider, query, fb, cfg.calibration)
         i_post = final_rank(provider, calibrated, candidates, policy)
@@ -175,8 +175,7 @@ def _config_for_value(base: PipelineConfig, axis: str, value) -> tuple[PipelineC
     if axis == "t":
         return replace(base, reweight=ReweightConfig.constant(t=int(value))), None
     if axis == "alpha":
-        cal = base.calibration or CalibrationConfig()
-        return replace(base, calibration=replace(cal, alpha=float(value))), None
+        return replace(base, calibration=replace(base.calibration, alpha=float(value))), None
     if axis == "strategy":
         return replace(base, strategy=str(value)), None
     if axis == "n_refs":

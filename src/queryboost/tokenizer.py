@@ -26,8 +26,3 @@ def tokenize(text: str) -> list[str]:
     if text.isascii():
         return text.translate(_ASCII_FOLD).split()
     return _TOKEN_RE.findall(text.lower())
-
-
-def token_count(text: str) -> int:
-    """Token length of a text under the shared tokenizer."""
-    return len(tokenize(text))

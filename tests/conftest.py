@@ -70,7 +70,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.server.requests.append(body)
         if callable(reply):
             reply = reply(body)
-        payload = json.dumps(reply).encode()
+        payload = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(declared[0] if declared else len(payload)))
@@ -85,7 +85,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 def http_stub():
     """A loopback HTTP server answering each POST from ``script``: a list of
     (status, body or body-making callable[, Content-Length to declare instead of
-    the body's]); the last entry repeats. Each response closes the connection."""
+    the body's]); the last entry repeats. A body is sent as JSON, or as is if it
+    is bytes. Each response closes the connection."""
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     server.script = [(200, {})]
     server.call_count = 0

@@ -8,6 +8,7 @@ from queryboost.cli import (EXIT_CACHE_MISS, EXIT_ERROR, EXIT_FORMAT, EXIT_MISMA
                             build_parser, main)
 from queryboost.corpus import load_index
 from queryboost.evaluation import Ranking, write_run
+from queryboost.generation import ReferenceCache
 from queryboost.pipeline import PipelineConfig
 from queryboost.synthetic import make_synthetic_dataset, write_dataset
 
@@ -384,6 +385,31 @@ class TestEmbeddingServiceFaults:
         assert not list(tmp_path.glob("o*"))
 
 
+class TestChatServiceFaults:
+    """A complete chat answer without usable completions fails at once (exit 1),
+    caches nothing, and the message names the endpoint and the problem."""
+
+    @pytest.mark.parametrize("reply, problem", [
+        ({"choices": [{"message": {"content": None}}]}, "a message's content is not a string"),
+        ([{"message": {"content": "x"}}], "response body has no 'choices' list of messages"),
+        ({"choices": [{"message": "x"}]}, "response body has no 'choices' list of messages"),
+        ({"id": "x"}, "response body has no 'choices' list of messages"),
+        (b"<html>busy</html>", "response body is not JSON"),
+    ], ids=["null-content", "json-list", "message-not-object", "no-choices", "not-json"])
+    def test_exit_code_and_message(self, http_stub, tmp_path, capsys, reply, problem):
+        http_stub.script = [(200, reply)]
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("q1\tabout alias1\n")
+        cache = tmp_path / "cache.jsonl"
+        rc = main(["generate", "--queries", str(queries), "--cache", str(cache),
+                   "--endpoint", http_stub.url, "--model", "m", "--n", "1"])
+        assert rc == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"chat service {http_stub.url}: {problem}" in err
+        assert http_stub.call_count == 1
+        assert len(ReferenceCache(cache)) == 0
+
+
 class TestEvalCommand:
     def test_ideal_run_scores_one(self, tmp_path, capsys):
         qrels = tmp_path / "qrels.txt"
@@ -460,6 +486,28 @@ class TestAnalyzeCommand:
         assert rc == EXIT_CACHE_MISS
         captured = capsys.readouterr()
         assert "error: no cached references for query 'q" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("fault, code", [("missing", EXIT_CACHE_MISS),
+                                             ("stale", EXIT_MISMATCH)])
+    def test_bad_last_entry_prints_nothing(self, dataset_dir, tmp_path, capsys, fault, code):
+        lines = dataset_dir["queries"].read_text().splitlines()
+        last_id = lines[-1].split("\t")[0]
+        queries, cache = dataset_dir["queries"], dataset_dir["cache"]
+        if fault == "missing":
+            cache = tmp_path / "cache.jsonl"
+            cache.write_text("".join(
+                line for line in dataset_dir["cache"].read_text().splitlines(keepends=True)
+                if json.loads(line)["query_id"] != last_id))
+        else:
+            queries = tmp_path / "queries.tsv"
+            queries.write_text("\n".join(lines[:-1] + [f"{last_id}\trocket launch"]) + "\n")
+        rc = main(["analyze", "--index", str(dataset_dir["index"]),
+                   "--corpus", str(dataset_dir["corpus"]), "--queries", str(queries),
+                   "--cache", str(cache), "--qrels", str(dataset_dir["qrels"])])
+        assert rc == code
+        captured = capsys.readouterr()
+        assert f"query {last_id!r}" in captured.err
         assert captured.out == ""
 
 

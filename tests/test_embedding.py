@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from queryboost import embedding
-from queryboost.embedding import (EmbeddingMemo, EmbeddingServiceError, HashingEmbedder,
-                                  RemoteEmbedder, cosine_scores, cosine_sim, truncate_text)
+from queryboost import service
+from queryboost.embedding import (EmbeddingMemo, HashingEmbedder, RemoteEmbedder,
+                                  cosine_scores, cosine_sim, truncate_text)
+from queryboost.service import ServiceError
 from queryboost.tokenizer import _TOKEN_RE, tokenize
 
 
@@ -258,7 +259,7 @@ class _FakeSession:
         self.dimension = dimension
         self.calls = []
 
-    def post(self, url, json=None, timeout=None):
+    def post(self, url, json=None, headers=None, timeout=None):
         self.calls.append(json)
         embeddings = [[float(len(text))] + [0.0] * (self.dimension - 1)
                       for text in json["input"]]
@@ -297,7 +298,7 @@ class TestRemoteEmbedderRetries:
 
     @pytest.fixture(autouse=True)
     def no_backoff(self, monkeypatch):
-        monkeypatch.setattr(embedding, "EMBED_BACKOFF_S", 0.0)
+        monkeypatch.setattr(service, "BACKOFF_S", 0.0)
 
     @staticmethod
     def _vectors(body):
@@ -314,17 +315,17 @@ class TestRemoteEmbedderRetries:
 
     def test_400_is_not_retried(self, http_stub):
         http_stub.script = [(400, {"error": "bad input"}), (200, self._vectors)]
-        with pytest.raises(EmbeddingServiceError,
+        with pytest.raises(ServiceError,
                            match=rf"{http_stub.url}: rejected with HTTP 400: .*bad input"):
             self._embed(http_stub)
         assert http_stub.call_count == 1
 
     def test_gives_up_naming_the_last_error(self, http_stub):
         http_stub.script = [(500, {"error": "boom"}), (429, {"error": "slow down"})]
-        with pytest.raises(EmbeddingServiceError,
+        with pytest.raises(ServiceError,
                            match=rf"{http_stub.url}: failed after 4 attempts: HTTP 429"):
             self._embed(http_stub)
-        assert http_stub.call_count == embedding.EMBED_ATTEMPTS == 4
+        assert http_stub.call_count == service.ATTEMPTS == 4
 
     def test_truncated_body_retried_then_named(self, http_stub):
         # the header promises more bytes than are sent before the connection closes
@@ -334,7 +335,7 @@ class TestRemoteEmbedderRetries:
 
         http_stub.call_count = 0
         http_stub.script = [(200, self._vectors, 10_000)]
-        with pytest.raises(EmbeddingServiceError,
+        with pytest.raises(ServiceError,
                            match=rf"{http_stub.url}: failed after 4 attempts: .*IncompleteRead"):
             self._embed(http_stub)
         assert http_stub.call_count == 4

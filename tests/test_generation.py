@@ -4,10 +4,12 @@ import logging
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from queryboost import service
 from queryboost.generation import (CacheFormatError, CacheMissError, ChatCompletionClient,
-                                   GenerationConfig, GenerationError, ReferenceCache,
-                                   ReferenceSet, StaleReferencesError, cached_references,
+                                   GenerationConfig, ReferenceCache, ReferenceSet,
+                                   StaleReferencesError, cached_references,
                                    generate_for_queries, generate_references, render_prompt)
+from queryboost.service import ServiceError
 
 
 class TestRenderPrompt:
@@ -134,15 +136,15 @@ def _choices(body, text="P"):
 
 
 @pytest.fixture
-def stub_server(http_stub):
+def stub_server(http_stub, monkeypatch):
     """A chat-completions stub; every request gets ``_choices`` unless a test scripts it."""
+    monkeypatch.setattr(service, "BACKOFF_S", 0.0)
     http_stub.script = [(200, _choices)]
     return http_stub
 
 
 def _client(server):
-    return ChatCompletionClient(f"http://127.0.0.1:{server.server_address[1]}/chat",
-                                backoff_base=0.0)
+    return ChatCompletionClient(f"http://127.0.0.1:{server.server_address[1]}/chat")
 
 
 class TestGeneration:
@@ -166,18 +168,19 @@ class TestGeneration:
     def test_http_500_exhausts_retries(self, stub_server, tmp_path):
         stub_server.script = [(500, {"error": "boom"})]
         cache = ReferenceCache(tmp_path / "c.jsonl")
-        cfg = GenerationConfig(model_id="m", n=1, max_retries=2)
-        with pytest.raises(GenerationError):
+        cfg = GenerationConfig(model_id="m", n=1)
+        with pytest.raises(ServiceError):
             generate_references(_client(stub_server), cache, "q1", "query", cfg)
-        assert stub_server.call_count == 3
+        assert stub_server.call_count == service.ATTEMPTS
 
     @pytest.mark.parametrize("status, attempts", [(400, 1), (401, 1), (404, 1),
-                                                  (429, 3), (503, 3)])
+                                                  (429, service.ATTEMPTS),
+                                                  (503, service.ATTEMPTS)])
     def test_http_status_attempts(self, stub_server, tmp_path, status, attempts):
         stub_server.script = [(status, {"error": "no"})]
         cache = ReferenceCache(tmp_path / "c.jsonl")
-        cfg = GenerationConfig(model_id="m", n=1, max_retries=2)
-        with pytest.raises(GenerationError, match=str(status)):
+        cfg = GenerationConfig(model_id="m", n=1)
+        with pytest.raises(ServiceError, match=str(status)):
             generate_references(_client(stub_server), cache, "q1", "query", cfg)
         assert stub_server.call_count == attempts
         assert len(cache) == 0
@@ -185,7 +188,7 @@ class TestGeneration:
     def test_http_429_then_success(self, stub_server, tmp_path):
         stub_server.script = [(429, {"error": "slow down"}), (200, _choices)]
         cache = ReferenceCache(tmp_path / "c.jsonl")
-        cfg = GenerationConfig(model_id="m", n=1, max_retries=2)
+        cfg = GenerationConfig(model_id="m", n=1)
         rs = generate_references(_client(stub_server), cache, "q1", "query", cfg)
         assert rs.references == ("P",)
         assert stub_server.call_count == 2
@@ -195,8 +198,8 @@ class TestGeneration:
             "choices": [{"message": {"content": "   "}}
                         for _ in range(body.get("n", 1))]})]
         cache = ReferenceCache(tmp_path / "c.jsonl")
-        cfg = GenerationConfig(model_id="m", n=1, max_retries=1)
-        with pytest.raises(GenerationError, match="q1"):
+        cfg = GenerationConfig(model_id="m", n=1)
+        with pytest.raises(ServiceError, match="q1"):
             generate_references(_client(stub_server), cache, "q1", "query", cfg)
 
     def test_empty_then_recovered(self, stub_server, tmp_path):
@@ -205,7 +208,7 @@ class TestGeneration:
             (200, lambda body: {"choices": [{"message": {"content": "fixed"}}]}),
         ]
         cache = ReferenceCache(tmp_path / "c.jsonl")
-        cfg = GenerationConfig(model_id="m", n=1, max_retries=2)
+        cfg = GenerationConfig(model_id="m", n=1)
         rs = generate_references(_client(stub_server), cache, "q1", "query", cfg)
         assert rs.references == ("fixed",)
 

@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from queryboost.tokenizer import _TOKEN_RE, tokenize, token_count
+from queryboost.tokenizer import _TOKEN_RE, tokenize
 
 # ASCII with the characters the fast path must get right: "_" (a regex word
 # character that is not a token character), digits, and the control characters
@@ -24,10 +24,6 @@ def test_hyphen_split():
 
 def test_underscore_is_separator():
     assert tokenize("a_b") == ["a", "b"]
-
-
-def test_token_count():
-    assert token_count("one two, three!") == 3
 
 
 @given(st.text())

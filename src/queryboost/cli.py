@@ -24,6 +24,7 @@ from queryboost.corpus import (FIELD_POLICIES, DataFormatError, IndexFormatError
 from queryboost.embedding import HashingEmbedder, RemoteEmbedder
 from queryboost.evaluation import (Ranking, evaluate_run, read_qrels, read_queries_tsv,
                                    read_run, write_run)
+from queryboost.files import atomic_write
 from queryboost.generation import (PROMPT_VERSION, CacheFormatError, CacheMissError,
                                    ChatCompletionClient, GenerationConfig, ReferenceCache,
                                    StaleReferencesError, cached_references,
@@ -65,8 +66,8 @@ def write_manifest(output_path, args: argparse.Namespace, inputs: list,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
     }
-    Path(str(output_path) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, default=str), encoding="utf-8")
+    with atomic_write(str(output_path) + ".manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, default=str))
 
 
 def _reweight_from_args(args) -> ReweightConfig:
@@ -226,6 +227,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _json_or_text(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
 def cmd_sweep(args) -> int:
     _require_files(args.index, args.corpus, args.queries, args.cache, args.qrels)
     index, doc_store = _load_index_and_corpus(args)
@@ -235,13 +243,13 @@ def cmd_sweep(args) -> int:
     provider = _provider_from_args(args)
     cfg = _pipeline_config(args)
 
-    values = [json.loads(v) if args.axis != "strategy" else v
-              for v in args.values]
+    # a value that is not JSON stays a string, which sweep rejects on a numeric axis
+    values = args.values if args.axis == "strategy" else list(map(_json_or_text, args.values))
     results = sweep(args.axis, values, cfg, index, doc_store, provider,
                     cache, args.model, queries, qrels)
     print(format_sweep_table(args.axis, results))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_write(args.out) as fh:
             for value, report in results:
                 fh.write(json.dumps({"axis": args.axis, "value": value,
                                      **report.to_dict()}, ensure_ascii=False) + "\n")

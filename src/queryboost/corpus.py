@@ -8,13 +8,13 @@ like the byte lengths of the stored strings, are kept at the narrowest
 unsigned dtype that holds their largest value. Each document also
 keeps an 8-byte blake2b digest of the text it was indexed from, so a corpus
 whose text changed under the same doc ids is caught. ``save_index`` writes
-these arrays to one ``.npz`` archive and ``load_index`` reads them back.
+one ``.npz`` archive holding only what the postings cannot give back: each
+term's document count in place of ``offsets``, and only the tfs above 1 with
+their positions. ``load_index`` rebuilds the same arrays from it.
 """
 
 import hashlib
 import json
-import os
-import uuid
 import zipfile
 from array import array
 from bisect import bisect_left
@@ -25,10 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
+from queryboost.files import atomic_write
 from queryboost.tokenizer import tokenize
 
 FIELD_POLICIES = ("text_only", "title_plus_text")
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 
 
 class DataFormatError(ValueError):
@@ -234,6 +235,11 @@ def _narrow_dtype(values: np.ndarray) -> np.dtype:
     return np.min_scalar_type(values.max(initial=0))
 
 
+def _narrowed(values: np.ndarray) -> np.ndarray:
+    """``values`` at ``_narrow_dtype(values)``."""
+    return values.astype(_narrow_dtype(values), copy=False)
+
+
 def text_digests(texts) -> np.ndarray:
     """One 8-byte blake2b digest of each text's UTF-8 bytes, as little-endian uint64."""
     digests = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest()
@@ -367,8 +373,7 @@ def _pack_strings(strings) -> tuple[np.ndarray, np.ndarray]:
     """The strings' UTF-8 bytes, concatenated, and each one's byte length (narrowed)."""
     encoded = [s.encode("utf-8") for s in strings]
     lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    return (np.frombuffer(b"".join(encoded), dtype=np.uint8),
-            lengths.astype(_narrow_dtype(lengths)))
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), _narrowed(lengths)
 
 
 def _unpack_strings(blob: np.ndarray, lengths: np.ndarray) -> tuple[str, ...]:
@@ -384,76 +389,83 @@ def _unpack_strings(blob: np.ndarray, lengths: np.ndarray) -> tuple[str, ...]:
 def save_index(index: InvertedIndex, path) -> None:
     """Persist an index as one ``.npz`` archive, written to exactly ``path``.
 
-    The archive is written to a temporary file in the target directory and
-    renamed over ``path``, so a failed write leaves any previous index intact.
+    The archive stores ``dfs``, each term's document count, in place of
+    ``offsets``, and the postings whose tf is above 1 (``tf_positions`` and
+    ``tf_values``) in place of every tf. It is written through
+    ``atomic_write``, so a failed write leaves any previous index intact.
     """
-    path = Path(path)
     doc_id_bytes, doc_id_lengths = _pack_strings(index.doc_ids)
     term_bytes, term_lengths = _pack_strings(index.terms)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            np.savez(fh, format_version=np.int64(INDEX_FORMAT_VERSION),
-                     field_policy=np.str_(index.field_policy),
-                     doc_id_bytes=doc_id_bytes, doc_id_lengths=doc_id_lengths,
-                     doc_lengths=index.doc_lengths, doc_digests=index.doc_digests,
-                     term_bytes=term_bytes, term_lengths=term_lengths,
-                     offsets=index.offsets, doc_ordinals=index.doc_ordinals,
-                     tfs=index.tfs)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    tf_positions = np.flatnonzero(index.tfs > 1)
+    with atomic_write(path, binary=True) as fh:
+        np.savez(fh, format_version=np.int64(INDEX_FORMAT_VERSION),
+                 field_policy=np.str_(index.field_policy),
+                 doc_id_bytes=doc_id_bytes, doc_id_lengths=doc_id_lengths,
+                 doc_lengths=_narrowed(index.doc_lengths), doc_digests=index.doc_digests,
+                 term_bytes=term_bytes, term_lengths=term_lengths,
+                 dfs=_narrowed(np.diff(index.offsets)), doc_ordinals=index.doc_ordinals,
+                 tf_positions=_narrowed(tf_positions), tf_values=index.tfs[tf_positions])
 
 
 _INDEX_ARRAYS = ("format_version", "field_policy", "doc_id_bytes", "doc_id_lengths",
-                 "doc_lengths", "doc_digests", "term_bytes", "term_lengths", "offsets",
-                 "doc_ordinals", "tfs")
+                 "doc_lengths", "doc_digests", "term_bytes", "term_lengths", "dfs",
+                 "doc_ordinals", "tf_positions", "tf_values")
 # Count and position columns. Each may have any integer dtype that converts to int64
-# without loss: save_index narrows doc_ordinals, tfs and the string lengths, and
-# indexes saved before that hold int32 postings and int64 lengths.
-_INTEGER_COLUMNS = ("doc_id_lengths", "term_lengths", "doc_lengths", "offsets",
-                    "doc_ordinals", "tfs")
-_CHECK_POSTINGS = 1 << 16  # postings per slice when summing the tfs of each document
+# without loss; save_index writes each at the narrowest unsigned dtype.
+_INTEGER_COLUMNS = ("doc_id_lengths", "term_lengths", "doc_lengths", "dfs",
+                    "doc_ordinals", "tf_positions", "tf_values")
+_OLD_FORMATS = {1: "which stores no document digests",
+                2: "which stores offsets and every tf"}
 
 
 def _column_problem(a: dict, doc_ids: tuple[str, ...]) -> str | None:
     """What is wrong with the values of the posting and length columns, if anything."""
-    offsets, ordinals, tfs = a["offsets"], a["doc_ordinals"], a["tfs"]
-    num_docs = len(doc_ids)
-    falls = np.flatnonzero(offsets[1:] < offsets[:-1])
-    if len(falls):
-        return f"column 'offsets' decreases at entry {falls[0] + 1}"
-    if len(tfs) and tfs.min() < 1:
-        return f"column 'tfs' holds {tfs.min()}, below 1"
-    if len(ordinals):
+    dfs, ordinals = a["dfs"], a["doc_ordinals"]
+    positions, values = a["tf_positions"], a["tf_values"]
+    num_docs, num_postings = len(doc_ids), len(ordinals)
+    if len(dfs) and dfs.min() < 0:
+        return f"column 'dfs' holds {dfs.min()}, below 0"
+    if (total := int(dfs.sum(dtype=np.int64))) != num_postings:
+        return f"column 'dfs' sums to {total}, not to the {num_postings} postings"
+    if num_postings:
         lo, hi = ordinals.min(), ordinals.max()
         if lo < 0 or hi >= num_docs:
             return (f"column 'doc_ordinals' holds {lo if lo < 0 else hi}, "
                     f"not an ordinal of the {num_docs} documents")
-    # A document's length is the sum of its tfs. Summed a slice at a time: one
-    # weighted bincount over every posting makes a float64 copy of all the tfs.
-    sums = np.zeros(num_docs)
-    for start in range(0, len(tfs), _CHECK_POSTINGS):
-        part = slice(start, start + _CHECK_POSTINGS)
-        sums += np.bincount(ordinals[part], weights=tfs[part], minlength=num_docs)
+    repeats = np.flatnonzero(positions[1:] <= positions[:-1])
+    if len(repeats):
+        return f"column 'tf_positions' does not increase at entry {repeats[0] + 1}"
+    if len(positions) and (positions[0] < 0 or positions[-1] >= num_postings):
+        outside = positions[0] if positions[0] < 0 else positions[-1]
+        return (f"column 'tf_positions' holds {outside}, "
+                f"not a position among the {num_postings} postings")
+    if len(values) and values.min() < 2:
+        return f"column 'tf_values' holds {values.min()}, below 2"
+    # A document's length is its number of postings plus tf - 1 for each tf above 1.
+    # np.add.at, not np.bincount, which would make an intp copy of every ordinal.
+    sums = np.zeros(num_docs, dtype=np.int64)
+    np.add.at(sums, ordinals, 1)
+    np.add.at(sums, ordinals[positions], values - 1)
     wrong = np.flatnonzero(a["doc_lengths"] != sums)
     if len(wrong):
         d = wrong[0]
         return (f"column 'doc_lengths' holds {a['doc_lengths'][d]} for document "
-                f"{doc_ids[d]!r}, whose tfs sum to {int(sums[d])}")
+                f"{doc_ids[d]!r}, whose tfs sum to {sums[d]}")
     return None
 
 
 def load_index(path) -> InvertedIndex:
     """Read an index written by ``save_index``; IndexFormatError for anything else.
 
-    Columns keep the dtypes they were saved with. A column of the wrong kind, a
-    tf below 1, an ordinal outside the documents, decreasing offsets or a
-    document length other than the sum of its tfs is an IndexFormatError naming
-    the column, never a wrong score.
+    The index equals the one saved, array for array and dtype for dtype:
+    ``offsets`` is the int64 running sum of ``dfs``, ``tfs`` is 1 but at
+    ``tf_positions`` and at the narrowest unsigned dtype holding its largest
+    value, and ``doc_lengths`` is int32. ``doc_ordinals`` keeps its stored
+    dtype. A column of the wrong kind, a negative ``dfs`` entry or ``dfs`` that
+    do not add up to the postings, an ordinal outside the documents,
+    ``tf_positions`` that do not increase or fall outside the postings, a
+    ``tf_values`` entry below 2 or a document length other than the sum of its
+    tfs is an IndexFormatError naming the column, never a wrong score.
     """
     # np.load is given the open file, not the path: on a corrupt archive it raises
     # without closing a file it opened itself.
@@ -473,9 +485,10 @@ def load_index(path) -> InvertedIndex:
             raise IndexFormatError(path, f"truncated or corrupt: {exc}") from exc
     if "format_version" not in a:
         raise IndexFormatError(path, "no format_version")
-    if a["format_version"].tolist() == 1:
-        raise IndexFormatError(path, "format version 1, which stores no document digests")
-    if a["format_version"].tolist() != INDEX_FORMAT_VERSION:
+    version = a["format_version"].tolist()
+    if version in _OLD_FORMATS:
+        raise IndexFormatError(path, f"format version {version}, {_OLD_FORMATS[version]}")
+    if version != INDEX_FORMAT_VERSION:
         raise IndexFormatError(path, f"unknown format version {a['format_version']}")
     missing = [k for k in _INDEX_ARRAYS if k not in a]
     if missing:
@@ -491,17 +504,20 @@ def load_index(path) -> InvertedIndex:
         terms = _unpack_strings(a["term_bytes"], a["term_lengths"])
     except ValueError as exc:
         raise IndexFormatError(path, f"corrupt strings: {exc}") from exc
-    offsets, field_policy = a["offsets"], str(a["field_policy"])
+    dfs, positions, values = a["dfs"], a["tf_positions"], a["tf_values"]
+    field_policy = str(a["field_policy"])
     if not (field_policy in FIELD_POLICIES
             and a["doc_lengths"].shape == a["doc_digests"].shape == (len(doc_ids),)
             and a["doc_digests"].dtype == np.dtype("<u8")
-            and offsets.shape == (len(terms) + 1,) and offsets[0] == 0
-            and a["doc_ordinals"].shape == a["tfs"].shape == (offsets[-1],)):
+            and dfs.shape == (len(terms),) and a["doc_ordinals"].ndim == 1
+            and positions.ndim == 1 and positions.shape == values.shape):
         raise IndexFormatError(path, "inconsistent arrays")
     problem = _column_problem(a, doc_ids)
     if problem:
         raise IndexFormatError(path, problem)
-    # bm25_search subtracts offsets, which an unsigned dtype would wrap
-    return InvertedIndex(doc_ids, a["doc_lengths"], a["doc_digests"], terms,
-                         offsets.astype(np.int64, copy=False), a["doc_ordinals"], a["tfs"],
-                         field_policy)
+    offsets = np.zeros(len(dfs) + 1, dtype=np.int64)
+    np.cumsum(dfs, dtype=np.int64, out=offsets[1:])
+    tfs = np.ones(len(a["doc_ordinals"]), dtype=_narrow_dtype(values))
+    tfs[positions] = values
+    return InvertedIndex(doc_ids, a["doc_lengths"].astype(np.int32), a["doc_digests"],
+                         terms, offsets, a["doc_ordinals"], tfs, field_policy)

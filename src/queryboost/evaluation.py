@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from queryboost.corpus import DataFormatError
+from queryboost.files import atomic_write
 from queryboost.tokenizer import tokenize
 
 Qrels = dict[str, dict[str, int]]
@@ -112,8 +113,11 @@ def read_qrels(path) -> Qrels:
 
 
 def write_run(path, run: list[Ranking], tag: str = "queryboost") -> None:
-    """Write trec run lines: query_id Q0 doc_id rank score tag (rank 1-based)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write trec run lines: query_id Q0 doc_id rank score tag (rank 1-based).
+
+    Written through ``atomic_write``: a failed write leaves any previous file.
+    """
+    with atomic_write(path) as fh:
         for ranking in run:
             for rank, (doc_id, score) in enumerate(ranking.items, start=1):
                 fh.write(f"{ranking.query_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n")

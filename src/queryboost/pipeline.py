@@ -13,18 +13,23 @@ reach the provider. Dense stages embed documents under the index's
 ``field_policy``, as BM25 indexed them.
 """
 
+import math
 from dataclasses import dataclass, field, asdict
+from numbers import Integral, Real
 
 from queryboost.calibration import CalibrationConfig, build_feedback_sets, calibrate, final_rank
 from queryboost.corpus import Document, InvertedIndex
 from queryboost.embedding import EmbeddingMemo, EmbeddingProvider
 from queryboost.evaluation import EvalReport, Qrels, Ranking, evaluate_run
 from queryboost.generation import ReferenceCache, ReferenceSet, cached_references
-from queryboost.rerank import embed_query, rerank
+from queryboost.rerank import STRATEGIES, embed_query, rerank
 from queryboost.sparse import BM25Params, ReweightConfig, SparseQuery, bm25_search, build_sparse_query
 from queryboost.tokenizer import tokenize
 
 SWEEP_AXES = ("beta", "t", "alpha", "n_refs", "strategy")
+# the values each numeric axis takes as they are, never rounded or converted
+_AXIS_VALUES = {"beta": (Real, "a finite number"), "alpha": (Real, "a finite number"),
+                "t": (Integral, "an integer"), "n_refs": (Integral, "an integer")}
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,8 @@ class PipelineConfig:
     eval_k: int = 10
 
     def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown integration strategy: {self.strategy!r}")
         if self.retrieve_k < self.eval_k:
             raise ValueError(
                 f"retrieve_k ({self.retrieve_k}) must be >= eval_k ({self.eval_k})")
@@ -179,6 +186,8 @@ def _config_for_value(base: PipelineConfig, axis: str, value) -> tuple[PipelineC
     if axis == "strategy":
         return replace(base, strategy=str(value)), None
     if axis == "n_refs":
+        if value < 0:
+            raise ValueError(f"n_refs must be >= 0, got {value}")
         return base, int(value)
     raise ValueError(f"unknown sweep axis: {axis!r} (expected one of {SWEEP_AXES})")
 
@@ -187,14 +196,25 @@ def sweep(axis: str, values: list, base_cfg: PipelineConfig,
           index: InvertedIndex, doc_store: dict[str, Document],
           provider: EmbeddingProvider, cache: ReferenceCache, model_id: str,
           queries: list[tuple[str, str]], qrels: Qrels) -> list[tuple[object, EvalReport]]:
-    """Evaluate the final ranking at each value along one ablation axis."""
-    if axis == "n_refs" and (needed := max(int(v) for v in values)) > 0:
+    """Evaluate the final ranking at each value along one ablation axis.
+
+    A value the axis does not take as it is (1.5 on ``t``, a string or a bool
+    on ``beta``) or that is out of range (-1 on ``t``, an unknown strategy) is
+    a ValueError before the first point runs.
+    """
+    if axis in _AXIS_VALUES:
+        kind, wanted = _AXIS_VALUES[axis]
+        for value in values:
+            if (not isinstance(value, kind) or isinstance(value, bool)
+                    or kind is Real and not math.isfinite(value)):
+                raise ValueError(f"sweep axis {axis!r} takes {wanted}, not {value!r}")
+    points = [(value, *_config_for_value(base_cfg, axis, value)) for value in values]
+    if axis == "n_refs" and (needed := max(values)) > 0:
         for query_id, query in queries:  # fail before the first point, not midway
             cached_references(cache, query_id, query, model_id, needed)
 
     results = []
-    for value in values:
-        cfg, n_refs = _config_for_value(base_cfg, axis, value)
+    for value, cfg, n_refs in points:
         rankings = run_pipeline(queries, index, doc_store, provider, cache,
                                 model_id, cfg, n_refs=n_refs)
         report = evaluate_run([r.post for r in rankings], qrels, cfg.eval_k,

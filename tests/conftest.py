@@ -64,16 +64,18 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        status, reply, *declared = self.server.script[min(self.server.call_count,
-                                                          len(self.server.script) - 1)]
+        status, reply, *extra = self.server.script[min(self.server.call_count,
+                                                       len(self.server.script) - 1)]
         self.server.call_count += 1
         self.server.requests.append(body)
         if callable(reply):
             reply = reply(body)
         payload = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
+        headers = {"Content-Type": "application/json", "Content-Length": str(len(payload)),
+                   **(extra[0] if extra else {})}
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(declared[0] if declared else len(payload)))
+        for name, value in headers.items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -84,9 +86,10 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def http_stub():
     """A loopback HTTP server answering each POST from ``script``: a list of
-    (status, body or body-making callable[, Content-Length to declare instead of
-    the body's]); the last entry repeats. A body is sent as JSON, or as is if it
-    is bytes. Each response closes the connection."""
+    (status, body or body-making callable[, headers]); the last entry repeats.
+    A body is sent as JSON, or as is if it is bytes. The headers are sent too,
+    and may replace the Content-Length of the body. Each response closes the
+    connection."""
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     server.script = [(200, {})]
     server.call_count = 0

@@ -1,11 +1,13 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+from queryboost import files
 from queryboost.cli import (EXIT_CACHE_MISS, EXIT_ERROR, EXIT_FORMAT, EXIT_MISMATCH,
                             EXIT_MISSING_FILE, EXIT_OK, EXIT_USAGE, _pipeline_config,
-                            build_parser, main)
+                            build_parser, main, write_manifest)
 from queryboost.corpus import load_index
 from queryboost.evaluation import Ranking, write_run
 from queryboost.generation import ReferenceCache
@@ -53,6 +55,23 @@ class TestIndexCommand:
         assert (f"error: {corpus}:3: duplicate _id 'rel0x0' (first on line 1)"
                 in capsys.readouterr().err)
         assert not (tmp_path / "i.npz").exists()
+
+    def test_failed_manifest_write_leaves_previous_manifest(self, dataset_dir, tmp_path,
+                                                           monkeypatch):
+        out = tmp_path / "out.run"
+        args = argparse.Namespace(command="search", k1=1.2)
+        write_manifest(out, args, [dataset_dir["queries"]], [out])
+        manifest = tmp_path / "out.run.manifest.json"
+        before = manifest.read_bytes()
+
+        def disk_full(fd):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(files.os, "fsync", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            write_manifest(out, argparse.Namespace(command="search", k1=2.0), [], [out])
+        assert manifest.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [manifest.name]
 
 
 def _rewrite_npz(src, dst, **changes):
@@ -121,6 +140,12 @@ class TestBadIndexFile:
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
                               "format version 1, which stores no document digests")
 
+    def test_format_version_2(self, dataset_dir, tmp_path, capsys):
+        index = tmp_path / "v2.idx"
+        _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(2))
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              "format version 2, which stores offsets and every tf")
+
     def test_unknown_format_version(self, dataset_dir, tmp_path, capsys):
         index = tmp_path / "future.idx"
         _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(99))
@@ -132,16 +157,52 @@ class TestBadIndexFile:
     def test_float_tfs(self, dataset_dir, tmp_path, capsys):
         index = tmp_path / "float-tfs.idx"
         _rewrite_npz(dataset_dir["index"], index,
-                     tfs=_column(dataset_dir["index"], "tfs") + 0.5)
+                     tf_values=_column(dataset_dir["index"], "tf_values") + 0.5)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "column 'tfs' has dtype float64, not an integer type")
+                              "column 'tf_values' has dtype float64, not an integer type")
 
     def test_negative_tfs(self, dataset_dir, tmp_path, capsys):
         index = tmp_path / "negative-tfs.idx"
         _rewrite_npz(dataset_dir["index"], index,
-                     tfs=-_column(dataset_dir["index"], "tfs", np.int32))
+                     tf_values=-_column(dataset_dir["index"], "tf_values", np.int32))
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "column 'tfs' holds -")
+                              "column 'tf_values' holds -")
+
+    def test_tf_value_of_1(self, dataset_dir, tmp_path, capsys):
+        # a tf of 1 is never stored: every posting not named in tf_positions has it
+        values = _column(dataset_dir["index"], "tf_values")
+        values[0] = 1
+        index = tmp_path / "tf-1.idx"
+        _rewrite_npz(dataset_dir["index"], index, tf_values=values)
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              "column 'tf_values' holds 1, below 2")
+
+    def test_repeated_tf_position(self, dataset_dir, tmp_path, capsys):
+        positions = _column(dataset_dir["index"], "tf_positions")
+        positions[2] = positions[1]
+        index = tmp_path / "repeated.idx"
+        _rewrite_npz(dataset_dir["index"], index, tf_positions=positions)
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              "column 'tf_positions' does not increase at entry 2")
+
+    def test_tf_position_past_the_postings(self, dataset_dir, tmp_path, capsys):
+        positions = _column(dataset_dir["index"], "tf_positions", np.int64)
+        postings = len(_column(dataset_dir["index"], "doc_ordinals"))
+        positions[-1] = postings
+        index = tmp_path / "past.idx"
+        _rewrite_npz(dataset_dir["index"], index, tf_positions=positions)
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              f"column 'tf_positions' holds {postings}, "
+                              f"not a position among the {postings} postings")
+
+    def test_dfs_that_do_not_add_up(self, dataset_dir, tmp_path, capsys):
+        dfs = _column(dataset_dir["index"], "dfs", np.int64)
+        dfs[0] += 1
+        index = tmp_path / "dfs.idx"
+        _rewrite_npz(dataset_dir["index"], index, dfs=dfs)
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              f"column 'dfs' sums to {dfs.sum()}, "
+                              f"not to the {dfs.sum() - 1} postings")
 
     def test_ordinal_past_the_documents(self, dataset_dir, tmp_path, capsys):
         ordinals = _column(dataset_dir["index"], "doc_ordinals", np.int32)
@@ -153,12 +214,13 @@ class TestBadIndexFile:
                               f"not an ordinal of the {num_docs} documents")
 
     def test_decreasing_offsets(self, dataset_dir, tmp_path, capsys):
-        offsets = _column(dataset_dir["index"], "offsets")
-        offsets[2] = offsets[1] - 1
+        # offsets are the running sum of dfs, so only a negative count could make them fall
+        dfs = _column(dataset_dir["index"], "dfs", np.int32)
+        dfs[2] = -1
         index = tmp_path / "offsets.idx"
-        _rewrite_npz(dataset_dir["index"], index, offsets=offsets)
+        _rewrite_npz(dataset_dir["index"], index, dfs=dfs)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "column 'offsets' decreases at entry 2")
+                              "column 'dfs' holds -1, below 0")
 
     def test_doc_length_other_than_its_tfs_sum(self, dataset_dir, tmp_path, capsys):
         lengths = _column(dataset_dir["index"], "doc_lengths")
@@ -545,6 +607,31 @@ class TestSweepCommand:
                    "--cache", str(dataset_dir["cache"]),
                    "--qrels", str(dataset_dir["qrels"])])
         assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("t", ["1", "1.5"], "sweep axis 't' takes an integer, not 1.5"),
+        ("n_refs", ["1", "1.7"], "sweep axis 'n_refs' takes an integer, not 1.7"),
+        ("beta", ["2", "true"], "sweep axis 'beta' takes a finite number, not True"),
+        ("alpha", ["0.2", "abc"], "sweep axis 'alpha' takes a finite number, not 'abc'"),
+        ("t", ["1", "-2"], "t must be >= 0, got -2"),
+        ("n_refs", ["0", "-1"], "n_refs must be >= 0, got -1"),
+        ("alpha", ["0.2", "-0.5"], "alpha must be >= 0, got -0.5"),
+        ("strategy", ["mean_pool", "bogus"], "unknown integration strategy: 'bogus'"),
+    ])
+    def test_value_the_axis_does_not_take(self, dataset_dir, tmp_path, capsys, axis,
+                                          values, message):
+        out = tmp_path / "sweep.jsonl"
+        rc = main(["sweep", "--axis", axis, "--values", *values,
+                   "--index", str(dataset_dir["index"]),
+                   "--corpus", str(dataset_dir["corpus"]),
+                   "--queries", str(dataset_dir["queries"]),
+                   "--cache", str(dataset_dir["cache"]),
+                   "--qrels", str(dataset_dir["qrels"]), "--out", str(out)])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""  # no point ran, not even the first, valid one
+        assert not out.exists()
 
 
 class TestConfigFile:

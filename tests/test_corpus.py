@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from queryboost import corpus
 from queryboost.corpus import (FIELD_POLICIES, DataFormatError, Document, IndexFormatError,
@@ -168,19 +168,21 @@ def test_multi_block_index_survives_save_and_load(tmp_path):
     assert_index_equals(load_index(tmp_path / "index"), expected)
 
 
-def test_doc_lengths_summed_across_slices(tmp_path, monkeypatch):
-    # postings of one document fall in several slices of the check
-    monkeypatch.setattr(corpus, "_CHECK_POSTINGS", 3)
+@pytest.mark.parametrize("doc, length, tfs_sum", [(0, 1, 2), (5, 6, 7)])
+def test_doc_length_checked_against_postings_and_tfs_above_1(tmp_path, doc, length,
+                                                             tfs_sum):
+    # d0 is "w0 w0", one posting with tf 2; d5 has seven postings with tf 1
     docs = [Document(f"d{i}", "", " ".join(f"w{j}" for j in range(i, 2 * i + 1)) + " w0")
             for i in range(6)]
     save_index(build_index(docs), tmp_path / "index")
     with np.load(tmp_path / "index") as npz:
         arrays = {k: npz[k] for k in npz.files}
     assert load_index(tmp_path / "index").doc_lengths.tolist() == [i + 2 for i in range(6)]
-    arrays["doc_lengths"][-1] -= 1
+    arrays["doc_lengths"][doc] = length
     with open(tmp_path / "edited", "wb") as fh:
         np.savez(fh, **arrays)
-    with pytest.raises(IndexFormatError, match="holds 6 for document 'd5', whose tfs sum to 7"):
+    with pytest.raises(IndexFormatError, match=f"holds {length} for document 'd{doc}', "
+                                               f"whose tfs sum to {tfs_sum}"):
         load_index(tmp_path / "edited")
 
 
@@ -326,6 +328,37 @@ def test_round_trip_any_doc_ids(texts_by_id):
     assert loaded.stats == idx.stats
     assert loaded.doc_ids == tuple(sorted(texts_by_id))
     np.testing.assert_array_equal(loaded.doc_digests, idx.doc_digests)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora(), st.sampled_from(FIELD_POLICIES))
+@example([], "title_plus_text")
+@example([Document("d1", "", "a b c"), Document("d2", "", "b c d")], "text_only")
+@example([Document("d1", "", "a " * 300 + "b"), Document("d2", "", "a a b")], "text_only")
+@example([Document(f"d{i:03d}", "", f"w x{i % 2} x{i % 2}") for i in range(300)],
+         "text_only")
+def test_load_gives_back_every_saved_array_and_dtype(docs, field_policy):
+    """Covered by the examples: no documents, every tf 1, a tf above 255, a df above 255."""
+    index = build_index(docs, field_policy=field_policy)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_index(index, Path(tmp) / "index")
+        loaded = load_index(Path(tmp) / "index")
+    assert_index_equals(loaded, {name: getattr(index, name) for name in (
+        "doc_ids", "terms", "field_policy", "doc_lengths", "doc_digests", "offsets",
+        "doc_ordinals", "tfs")})
+
+
+def test_saved_columns_hold_counts_and_only_the_tfs_above_1(tmp_path, small_index):
+    save_index(small_index, tmp_path / "index")
+    with np.load(tmp_path / "index") as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    assert "offsets" not in arrays and "tfs" not in arrays
+    # terms cat, sat, mat, dog, log; d3's "cat cat cat" is posting 1, cat's second
+    assert arrays["dfs"].tolist() == np.diff(small_index.offsets).tolist() == [2, 2, 1, 1, 1]
+    assert arrays["tf_positions"].tolist() == [1]
+    assert arrays["tf_values"].tolist() == [3]
+    for name in ("dfs", "doc_lengths", "tf_positions", "tf_values"):
+        assert arrays[name].dtype == np.uint8, name
 
 
 def test_failed_save_leaves_previous_index(tmp_path, small_index, monkeypatch):

@@ -329,12 +329,13 @@ class TestRemoteEmbedderRetries:
 
     def test_truncated_body_retried_then_named(self, http_stub):
         # the header promises more bytes than are sent before the connection closes
-        http_stub.script = [(200, self._vectors, 10_000), (200, self._vectors)]
+        truncated = (200, self._vectors, {"Content-Length": "10000"})
+        http_stub.script = [truncated, (200, self._vectors)]
         assert len(self._embed(http_stub)) == 2
         assert http_stub.call_count == 2
 
         http_stub.call_count = 0
-        http_stub.script = [(200, self._vectors, 10_000)]
+        http_stub.script = [truncated]
         with pytest.raises(ServiceError,
                            match=rf"{http_stub.url}: failed after 4 attempts: .*IncompleteRead"):
             self._embed(http_stub)

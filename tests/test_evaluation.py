@@ -147,6 +147,17 @@ class TestRunIO:
         assert lines[0].split() == ["q1", "Q0", "d1", "1", "2.000000", "t"]
         assert lines[1].split()[3] == "2"
 
+    def test_failed_write_leaves_previous_run_file(self, tmp_path):
+        p = tmp_path / "a.run"
+        write_run(p, [rk("q1", ("d1", 2.0))])
+        before = p.read_bytes()
+        # many lines reach the file before q2's score, which is not a number, stops it
+        many = rk("q1", *((f"d{i:04d}", 1.0) for i in range(2000)))
+        with pytest.raises(ValueError, match="format code 'f'"):
+            write_run(p, [many, rk("q2", ("d1", "high"))])
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["a.run"]
+
     def test_malformed_run_line(self, tmp_path):
         p = tmp_path / "a.run"
         p.write_text("q1 Q0 d1 1 notanumber tag\n")

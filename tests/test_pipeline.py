@@ -376,14 +376,17 @@ class TestFieldPolicy:
         assert "zebra" not in rep.gt_top
 
 
-def _save_with_int32_postings(index, path):
-    """Save ``index`` in the layout used before the columns were narrowed: the same
-    format version, with int32 ``doc_ordinals`` and ``tfs`` and int64 string lengths."""
+def _save_with_wide_columns(index, path):
+    """Save ``index`` with every count and position column wider than it needs:
+    int32 ``doc_ordinals`` and ``tf_values``, int64 ``dfs``, ``tf_positions``,
+    ``doc_lengths`` and string lengths."""
     save_index(index, path)
     with np.load(path) as npz:
         arrays = {k: npz[k] for k in npz.files}
-    for key, dtype in [("doc_ordinals", np.int32), ("tfs", np.int32),
-                       ("doc_id_lengths", np.int64), ("term_lengths", np.int64)]:
+    for key, dtype in [("doc_ordinals", np.int32), ("tf_values", np.int32),
+                       ("dfs", np.int64), ("tf_positions", np.int64),
+                       ("doc_lengths", np.int64), ("doc_id_lengths", np.int64),
+                       ("term_lengths", np.int64)]:
         arrays[key] = arrays[key].astype(dtype)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -393,11 +396,12 @@ def test_int32_index_loads_and_gives_identical_run_files(synthetic_dataset, tmp_
     ds = synthetic_dataset
     index, store, refs = _synthetic_run(ds)
     save_index(index, tmp_path / "narrow.npz")
-    _save_with_int32_postings(index, tmp_path / "int32.npz")
+    _save_with_wide_columns(index, tmp_path / "int32.npz")
     run_files = {}
     for name in ("narrow", "int32"):
         loaded = load_index(tmp_path / f"{name}.npz")
-        assert loaded.tfs.dtype == (np.int32 if name == "int32" else np.uint8)
+        assert loaded.doc_ordinals.dtype == (np.int32 if name == "int32" else np.uint16)
+        assert loaded.tfs.dtype == np.uint8 and loaded.doc_lengths.dtype == np.int32
         rankings = run_pipeline(ds.queries, loaded, store, HashingEmbedder(64, seed=1),
                                 _Cache(refs), "m", PipelineConfig())
         for stage in ("bm25", "pre", "post"):

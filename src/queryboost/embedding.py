@@ -3,17 +3,21 @@
 A provider maps text to a fixed-dimension vector. Two implementations: a
 deterministic hashing embedder (tests and synthetic experiments) and a remote
 JSON-over-HTTP service. ``EmbeddingMemo`` wraps either for the length of one
-pipeline call, so that each distinct text is embedded once per call.
+pipeline call, so that each distinct text is embedded once per call. The
+hashing embedder can also count a document's vector from an index's postings
+instead of its text (``HashingEmbedder.embed_documents``), with the same bits.
 """
 
 import hashlib
 import math
+from bisect import bisect_left
 from itertools import chain
 from typing import Protocol
 
 import numpy as np
 import requests
 
+from queryboost.corpus import Document, InvertedIndex
 from queryboost.service import ServiceError, post_json
 from queryboost.tokenizer import tokenize
 
@@ -87,25 +91,35 @@ class HashingEmbedder:
     """Deterministic bag-of-tokens embedder: hash tokens into d buckets, L2-normalize.
 
     Same (seed, text) always yields the same vector; token-disjoint texts are
-    orthogonal unless buckets collide. Used in tests and synthetic runs.
+    orthogonal unless buckets collide. Used in tests and synthetic runs. A
+    token's bucket is its keyed blake2b digest (the key is ``seed`` as 8
+    little-endian bytes), read as a little-endian integer, modulo ``dimension``.
     """
 
     def __init__(self, dimension: int = 64, seed: int = 0,
                  max_input_tokens: int | None = None):
         if dimension < 8:
             raise ValueError(f"dimension must be >= 8, got {dimension}")
+        if type(seed) is not int or not 0 <= seed < 2**64:
+            raise ValueError(f"embedding seed must be an integer in [0, 2**64), got {seed!r}")
         self.dimension = dimension
         self.seed = seed
         self.max_input_tokens = max_input_tokens
+        # keyed once; each token is hashed by a copy of this hasher
+        self._keyed = hashlib.blake2b(key=seed.to_bytes(8, "little"), digest_size=8)
         self._buckets: dict[str, int] = {}  # token -> bucket; fixed by seed and dimension
+        self._term_table: tuple[tuple[str, ...], np.ndarray] | None = None
+
+    def _digest(self, token: str) -> bytes:
+        hasher = self._keyed.copy()
+        hasher.update(token.encode("utf-8"))
+        return hasher.digest()
 
     def _bucket(self, token: str) -> int:
         bucket = self._buckets.get(token)
         if bucket is None:
-            digest = hashlib.blake2b(token.encode("utf-8"),
-                                     key=self.seed.to_bytes(8, "little"),
-                                     digest_size=8).digest()
-            bucket = self._buckets[token] = int.from_bytes(digest, "little") % self.dimension
+            bucket = int.from_bytes(self._digest(token), "little") % self.dimension
+            self._buckets[token] = bucket
         return bucket
 
     def embed(self, text: str) -> np.ndarray:
@@ -127,12 +141,59 @@ class HashingEmbedder:
         except KeyError:  # a token not seen before: hash the ones missing
             buckets = np.fromiter(map(self._bucket, tokens), dtype=np.int64,
                                   count=len(tokens))
-        d = self.dimension
-        row_starts = np.repeat(np.arange(0, len(texts) * d, d), list(map(len, token_lists)))
-        counts = np.bincount(row_starts + buckets, minlength=len(texts) * d)
-        counts = counts.reshape(len(texts), d).astype(np.float64)
+        return self._unit_rows(list(map(len, token_lists)), buckets)
+
+    def _unit_rows(self, lengths, buckets: np.ndarray, weights=None) -> list[np.ndarray]:
+        """Row i counts the i-th run of ``lengths[i]`` entries of ``buckets`` (each
+        ``weights`` times, if given) and is divided by its L2 norm."""
+        n, d = len(lengths), self.dimension
+        keys = np.repeat(np.arange(0, n * d, d), lengths)
+        keys += buckets
+        counts = np.bincount(keys, weights, minlength=n * d)
+        counts = counts.reshape(n, d).astype(np.float64, copy=False)
         counts /= np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]
         return list(counts)
+
+    def _term_buckets(self, terms: tuple[str, ...]) -> np.ndarray:
+        """The bucket of each of ``terms``, at the narrowest unsigned dtype that holds them.
+
+        Built whole for a terms tuple and kept until another tuple is asked for;
+        it does not fill the token memo that ``embed_batch`` uses.
+        """
+        kept = self._term_table
+        if kept is not None and kept[0] is terms:
+            return kept[1]
+        digests = np.frombuffer(b"".join(map(self._digest, terms)), dtype="<u8")
+        buckets = (digests % self.dimension).astype(np.min_scalar_type(self.dimension - 1))
+        buckets.flags.writeable = False
+        self._term_table = terms, buckets
+        return buckets
+
+    def embed_documents(self, index: InvertedIndex, ordinals) -> list[np.ndarray]:
+        """Rows equal, bit for bit, to ``embed_batch`` of the documents' indexed text.
+
+        ``ordinals`` are document ordinals of ``index`` (in any order, repeats
+        allowed). Each row is counted from the document's postings in
+        ``index.doc_rows``, with no tokenizing: one ``bincount`` of each
+        term's bucket, weighted by its tf. The postings count every token of
+        the text the index was built from, so this needs ``max_input_tokens``
+        to be None. A document with no tokens is the same ValueError as in
+        ``embed_batch``.
+        """
+        if self.max_input_tokens is not None:
+            raise ValueError("embed_documents needs max_input_tokens=None: "
+                             "the postings hold every token of a document")
+        ordinals = np.asarray(ordinals, dtype=np.int64)
+        rows = index.doc_rows
+        starts = rows.offsets[ordinals]
+        lengths = rows.offsets[ordinals + 1] - starts
+        if not lengths.all():
+            raise ValueError("cannot embed text with no tokens")
+        # positions of every row's entries, row after row
+        entries = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        entries += np.arange(len(entries))
+        return self._unit_rows(lengths, self._term_buckets(index.terms)[rows.terms[entries]],
+                               rows.tfs[entries])
 
 
 EMBED_TIMEOUT_S = 30.0
@@ -204,7 +265,8 @@ class EmbeddingMemo:
     ``embed_batch`` answers texts it has seen from memory and sends every unseen
     distinct text to the wrapped provider in one ``embed_batch`` call. A failed
     call stores nothing. Vectors are returned as the provider made them, so a
-    text's vector is the same whether it came from memory or not.
+    text's vector is the same whether it came from memory or not;
+    ``add_documents`` stores vectors equal to those too.
     """
 
     def __init__(self, provider: EmbeddingProvider):
@@ -225,3 +287,25 @@ class EmbeddingMemo:
                                  f"for {len(unseen)} texts")
             self._vectors.update(zip(unseen, vectors))
         return [self._vectors[t] for t in texts]
+
+    def add_documents(self, index: InvertedIndex, docs: list[Document]) -> None:
+        """Store the vectors of the indexed texts of ``docs``, documents of ``index``.
+
+        ``docs`` must hold the text the index was built from, as ``check_corpus``
+        makes sure: each vector is stored under the document's text. Only a
+        provider with an ``embed_documents`` method and ``max_input_tokens``
+        None, such as a ``HashingEmbedder``, can count them from the index's
+        postings, with the bits ``embed_batch`` would give the texts. For any
+        other provider this does nothing, and each text goes to the provider
+        when a stage first asks for it.
+        """
+        embed_documents = getattr(self.provider, "embed_documents", None)
+        if embed_documents is None or self.max_input_tokens is not None:
+            return
+        unseen: dict[str, int] = {}  # text -> ordinal
+        for doc in docs:
+            text = doc.indexed_text(index.field_policy)
+            if text not in self._vectors and text not in unseen:
+                unseen[text] = bisect_left(index.doc_ids, doc.doc_id)
+        if unseen:
+            self._vectors.update(zip(unseen, embed_documents(index, list(unseen.values()))))

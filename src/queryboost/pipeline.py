@@ -11,6 +11,14 @@ the call embeds: document texts, pooled query texts and feedback texts. Each
 stage embeds its texts in one batch, and only texts the memo has not seen
 reach the provider. Dense stages embed documents under the index's
 ``field_policy``, as BM25 indexed them.
+
+Right after BM25 the memo is asked to add the candidates' vectors
+(``EmbeddingMemo.add_documents``). With a ``HashingEmbedder`` whose
+``max_input_tokens`` is None they are counted from the index's postings, bit
+for bit as from the text, so rerank, the final rank and calibration's negatives
+find every document in the memo and no document text reaches the provider.
+Any other provider (one without ``embed_documents``, or with an input limit)
+embeds the document texts as before.
 """
 
 import math
@@ -91,6 +99,7 @@ def run_query_pipeline(query_id: str, query: str, index: InvertedIndex,
         return PipelineRankings(bm25=empty, pre=empty, post=empty)
 
     candidates = [doc_store[doc_id] for doc_id, _ in i_bm25]
+    provider.add_documents(index, candidates)
     policy = index.field_policy
 
     q_emb = embed_query(provider, query, refs, cfg.strategy)

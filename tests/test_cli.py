@@ -396,6 +396,19 @@ class TestPipelineCommand:
         assert rc == EXIT_USAGE
 
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_embed_seed_outside_uint64_exit_code_and_message(self, dataset_dir, tmp_path,
+                                                             capsys, seed):
+        rc = main(["pipeline", "--index", str(dataset_dir["index"]),
+                   "--corpus", str(dataset_dir["corpus"]),
+                   "--queries", str(dataset_dir["queries"]),
+                   "--cache", str(dataset_dir["cache"]), "--embed-seed", seed,
+                   "--out-prefix", str(tmp_path / "o")])
+        assert rc == EXIT_USAGE
+        assert (f"error: embedding seed must be an integer in [0, 2**64), got {seed}"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
     def test_cache_miss_exit_code_and_message(self, dataset_dir, tmp_path, capsys):
         empty_cache = tmp_path / "empty.jsonl"
         empty_cache.write_text("")

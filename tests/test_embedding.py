@@ -1,14 +1,18 @@
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from queryboost import service
+from queryboost.corpus import FIELD_POLICIES, Document, build_index, load_index, save_index
 from queryboost.embedding import (EmbeddingMemo, HashingEmbedder, RemoteEmbedder,
                                   cosine_scores, cosine_sim, truncate_text)
 from queryboost.service import ServiceError
 from queryboost.tokenizer import _TOKEN_RE, tokenize
+from test_corpus import corpora
 
 
 def _definition_vectors(texts, dimension, seed, max_input_tokens=None):
@@ -209,6 +213,97 @@ class TestHashingEmbedder:
         with pytest.raises(ValueError, match="no tokens"):
             embedder.embed_batch(["cat", "_ ...", "dog"])
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, True, 1.0, "3", None])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must be an integer in \[0, 2\*\*64\), "
+                                             rf"got {seed!r}"):
+            HashingEmbedder(64, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_seed_edges_follow_the_definition(self, seed):
+        texts = ["the cat and the dog", "été 42"]
+        got = HashingEmbedder(16, seed=seed).embed_batch(texts)
+        want = _definition_vectors(texts, 16, seed)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def _index_of(docs, field_policy, saved):
+    """``build_index(docs)``, or with ``saved`` the same index after save and load."""
+    index = build_index(docs, field_policy=field_policy)
+    if not saved:
+        return index
+    with tempfile.TemporaryDirectory() as tmp:
+        save_index(index, Path(tmp) / "index")
+        return load_index(Path(tmp) / "index")
+
+
+class TestEmbedDocuments:
+    """Vectors counted from an index's postings equal those of the indexed text."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(docs=corpora(), field_policy=st.sampled_from(FIELD_POLICIES),
+           picks=st.lists(st.integers(0, 10**6), max_size=12), saved=st.booleans(),
+           dimension=st.sampled_from([8, 13, 256]), seed=st.integers(0, 2**64 - 1))
+    @example(docs=[Document("d1", "", "a " * 300 + "b"), Document("d2", "Tï", "b a")],
+             field_policy="title_plus_text", picks=[1, 0, 1, 1], saved=True,
+             dimension=256, seed=0)
+    @example(docs=[Document(f"d{i:03d}", "", f"w{i % 7} é{i % 3} w{i % 7}") for i in range(150)],
+             field_policy="text_only", picks=[149, 3, 64, 3, 0, 128], saved=False,
+             dimension=64, seed=5)
+    def test_equals_embed_batch_of_the_indexed_text(self, docs, field_policy, picks, saved,
+                                                    dimension, seed):
+        index = _index_of(docs, field_policy, saved)
+        by_id = {d.doc_id: d for d in docs}
+        ordinals = [p % index.num_docs for p in picks] if index.num_docs else []
+        texts = [by_id[index.doc_ids[o]].indexed_text(field_policy) for o in ordinals]
+        embedder = HashingEmbedder(dimension, seed=seed)
+        try:
+            want = HashingEmbedder(dimension, seed=seed).embed_batch(texts)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                embedder.embed_documents(index, ordinals)
+            return
+        got = embedder.embed_documents(index, ordinals)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and g.shape == (dimension,)
+            assert g.tobytes() == w.tobytes()
+
+    def test_tf_above_255(self, embedder):
+        docs = [Document("d1", "", "a " * 300 + "b"), Document("d2", "", "b")]
+        index = build_index(docs)
+        assert index.tfs.dtype == index.doc_rows.tfs.dtype == np.uint16
+        got = embedder.embed_documents(index, [0, 1, 0])
+        want = embedder.embed_batch(["a " * 300 + "b", "b", "a " * 300 + "b"])
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_document_without_tokens_is_the_embed_batch_error(self, embedder):
+        index = build_index([Document("d1", "", "cat"), Document("d2", "", "... !!!")])
+        with pytest.raises(ValueError, match="^cannot embed text with no tokens$"):
+            embedder.embed_batch(["cat", "... !!!"])
+        with pytest.raises(ValueError, match="^cannot embed text with no tokens$"):
+            embedder.embed_documents(index, [0, 1])
+        assert embedder.embed_documents(index, []) == []
+
+    def test_needs_untruncated_provider(self, small_index):
+        with pytest.raises(ValueError, match="max_input_tokens=None"):
+            HashingEmbedder(64, max_input_tokens=5).embed_documents(small_index, [0])
+
+    def test_bucket_table_built_once_per_terms_tuple(self, small_docs, embedder):
+        index = build_index(small_docs)
+        table = embedder._term_buckets(index.terms)
+        assert table.dtype == np.uint8 and not table.flags.writeable
+        assert table.tolist() == [embedder._bucket(t) for t in index.terms]
+        embedder.embed_documents(index, [0, 1, 2])
+        assert embedder._term_buckets(index.terms) is table
+        other = build_index(small_docs[:1])
+        assert embedder._term_buckets(other.terms) is not table
+        assert HashingEmbedder(257)._term_buckets(index.terms).dtype == np.uint16
+
+    def test_bucket_table_leaves_the_token_memo_alone(self, small_index, embedder):
+        embedder.embed_documents(small_index, [0, 1, 2])
+        assert embedder._buckets == {}
+
 
 class TestEmbeddingMemo:
     def test_batch_with_tokenless_text_stores_nothing(self, counting):
@@ -240,6 +335,23 @@ class TestEmbeddingMemo:
         memo.embed_batch(["b", "a"])
         memo.embed_batch([])
         assert counting.calls == [["a", "b"]]
+
+    def test_add_documents_fills_from_the_index_for_a_bare_hashing_embedder(
+            self, small_docs, small_index, embedder):
+        memo = EmbeddingMemo(embedder)
+        memo.add_documents(small_index, [small_docs[2], small_docs[0], small_docs[2]])
+        texts = [small_docs[0].text, small_docs[2].text]
+        assert sorted(memo._vectors) == sorted(texts)
+        for got, want in zip(memo.embed_batch(texts), embedder.embed_batch(texts)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_add_documents_does_nothing_on_the_text_path(self, small_docs, small_index,
+                                                          counting):
+        for provider in (counting, HashingEmbedder(64, max_input_tokens=50)):
+            memo = EmbeddingMemo(provider)
+            memo.add_documents(small_index, small_docs)
+            assert memo._vectors == {}
+        assert counting.calls == []
 
     def test_short_answer_rejected_and_nothing_stored(self, counting):
         short = counting.inner.embed_batch

@@ -3,9 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from queryboost import pipeline
+from queryboost import corpus, pipeline
 from queryboost.calibration import CalibrationConfig
-from queryboost.corpus import Document, build_index, load_index, save_index
+from queryboost.corpus import FIELD_POLICIES, Document, build_index, load_index, save_index
 from queryboost.embedding import HashingEmbedder
 from queryboost.evaluation import evaluate_run, write_run
 from queryboost.generation import ReferenceCache, ReferenceSet, StaleReferencesError
@@ -343,6 +343,106 @@ class TestEmbeddingMemoInPipeline:
         counting.calls.clear()
         run_pipeline(queries, index, store, counting, _Cache(refs), "m", PipelineConfig())
         assert Counter(t for call in counting.calls for t in call) == first
+
+
+class _TextPathProvider:
+    """Exposes only the provider protocol of the wrapped provider: the text path."""
+
+    def __init__(self, inner):
+        self.dimension = inner.dimension
+        self.max_input_tokens = inner.max_input_tokens
+        self.embed = inner.embed
+        self.embed_batch = inner.embed_batch
+
+
+class _CountingHashingEmbedder(HashingEmbedder):
+    """A HashingEmbedder recording the texts of every embed_batch call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.texts: list[str] = []
+
+    def embed_batch(self, texts):
+        self.texts.extend(texts)
+        return super().embed_batch(texts)
+
+
+def _multi_block_run(field_policy):
+    """A corpus of several build blocks, with titles, and two referenced queries."""
+    docs = [Document(f"d{i:03d}", "Tïtle" if i % 4 == 0 else "",
+                     f"w{i % 7} x{i % 11} é{i % 5} w{i % 7} y{i % 3} " + "z " * (i % 4))
+            for i in range(3 * corpus._BLOCK_DOCS + 5)]
+    refs = {"q1": ReferenceSet("q1", "w3 x5", ("w3 é2 y1", "x5 x5 z", "Tïtle w3"), "m"),
+            "q2": ReferenceSet("q2", "é4 y2", ("é4 x1", "y2 w6 w6"), "m")}
+    queries = [("q1", "w3 x5"), ("q2", "é4 y2")]
+    return (queries, build_index(docs, field_policy=field_policy),
+            {d.doc_id: d for d in docs}, refs)
+
+
+class TestDocumentVectorsFromTheIndex:
+    """A bare HashingEmbedder counts document vectors from the index's postings;
+    any other provider embeds the documents' texts. The rankings are equal."""
+
+    @pytest.fixture(params=["synthetic", *FIELD_POLICIES])
+    def run(self, request, synthetic_dataset):
+        if request.param == "synthetic":
+            ds = synthetic_dataset
+            index, store, refs = _synthetic_run(ds)
+            return ds.queries, index, store, refs
+        return _multi_block_run(request.param)
+
+    def test_both_paths_rank_alike(self, run):
+        queries, index, store, refs = run
+        cfg = PipelineConfig(retrieve_k=20)
+        rankings = {}
+        for name, provider in (("index", HashingEmbedder(64, seed=9)),
+                               ("text", _TextPathProvider(HashingEmbedder(64, seed=9)))):
+            rankings[name, "batch"] = run_pipeline(queries, index, store, provider,
+                                                   _Cache(refs), "m", cfg)
+            rankings[name, "alone"] = [
+                run_query_pipeline(qid, q, index, store, provider, refs[qid], cfg)
+                for qid, q in queries]
+        assert rankings["index", "batch"][0].post.items
+        assert len(set(map(tuple, rankings.values()))) == 1
+
+    def test_no_document_text_reaches_embed_batch(self, run):
+        queries, index, store, refs = run
+        provider = _CountingHashingEmbedder(64, seed=9)
+        rankings = run_pipeline(queries, index, store, provider, _Cache(refs), "m",
+                                PipelineConfig(retrieve_k=20))
+        doc_texts = {d.indexed_text(index.field_policy) for d in store.values()}
+        assert provider.texts and not doc_texts.intersection(provider.texts)
+        assert rankings == run_pipeline(queries, index, store, HashingEmbedder(64, seed=9),
+                                        _Cache(refs), "m", PipelineConfig(retrieve_k=20))
+
+    def test_with_max_input_tokens_every_document_text_is_embedded(self, run):
+        queries, index, store, refs = run
+        cfg = PipelineConfig(retrieve_k=20)
+        provider = _CountingHashingEmbedder(64, seed=9, max_input_tokens=10**6)
+        rankings = run_pipeline(queries, index, store, provider, _Cache(refs), "m", cfg)
+        candidates = {store[d].indexed_text(index.field_policy)
+                      for r in rankings for d in r.bm25.doc_ids()}
+        assert candidates and candidates <= set(provider.texts)
+        # no text is longer than the limit, so the vectors and rankings are the same
+        assert rankings == run_pipeline(queries, index, store, HashingEmbedder(64, seed=9),
+                                        _Cache(refs), "m", cfg)
+
+    def test_forward_rows_built_once_per_index(self, run, monkeypatch):
+        queries, index, store, refs = run
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return forward_rows(*args, **kwargs)
+
+        forward_rows = corpus.forward_rows
+        monkeypatch.setattr(corpus, "forward_rows", counted)
+        provider = HashingEmbedder(64, seed=9)
+        for _ in range(2):
+            run_pipeline(queries, index, store, provider, _Cache(refs), "m", PipelineConfig())
+            for qid, q in queries:
+                run_query_pipeline(qid, q, index, store, provider, refs[qid], PipelineConfig())
+        assert len(built) == 1
 
 
 class TestFieldPolicy:

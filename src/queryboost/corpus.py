@@ -20,10 +20,8 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -155,15 +153,6 @@ class DocFreqs(_TermView):
         return self._index.terms, self._index.offsets
 
 
-class DocRows(NamedTuple):
-    """Forward rows: document ``i`` holds the term ids ``terms[offsets[i]:offsets[i + 1]]``,
-    in ascending order, each with its tf in ``tfs``."""
-
-    offsets: np.ndarray
-    terms: np.ndarray
-    tfs: np.ndarray
-
-
 class InvertedIndex:
     """Immutable columnar index plus the corpus statistics BM25 needs.
 
@@ -172,10 +161,10 @@ class InvertedIndex:
     ``postings``, ``df`` and ``stats.doc_length`` are read-only mapping views
     over the arrays; ``postings`` and ``df`` are made on each access, so that
     the index never refers to itself and is freed as soon as its last reference
-    goes. ``doc_rows`` holds the same postings by document; it is derived
-    data, built whole on first use and kept, and never saved. Built once by
-    ``build_index``; safe for unlimited concurrent readers afterwards (readers
-    racing to the first ``doc_rows`` may each build it, and get equal arrays).
+    goes. What one consumer derives from the index is kept by that consumer:
+    a ``HashingEmbedder`` holds its bucket counts for each index in a table
+    keyed weakly by the index, and they are freed with it. Built once by
+    ``build_index``; safe for unlimited concurrent readers afterwards.
     """
 
     def __init__(self, doc_ids: tuple[str, ...], doc_lengths: np.ndarray,
@@ -215,14 +204,6 @@ class InvertedIndex:
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self.stats.doc_length
-
-    @cached_property
-    def doc_rows(self) -> DocRows:
-        """Each document's term ids and tfs (see ``forward_rows``), read-only."""
-        rows = forward_rows(self.offsets, self.doc_ordinals, self.tfs, self.num_docs)
-        for arr in rows:
-            arr.flags.writeable = False
-        return rows
 
 
 _BLOCK_DOCS = 64  # documents whose postings build_index counts in one numpy pass
@@ -335,52 +316,6 @@ def build_index(docs, field_policy: str = "title_plus_text") -> InvertedIndex:
     return InvertedIndex(doc_ids, np.frombuffer(doc_lengths, dtype=np.int32).copy(),
                          text_digests(texts), tuple(vocab), offsets, ordinals, tfs,
                          field_policy)
-
-
-_ROW_CHUNK = 1 << 15  # postings that forward_rows places in one numpy pass
-
-
-def forward_rows(offsets: np.ndarray, doc_ordinals: np.ndarray, tfs: np.ndarray,
-                 num_docs: int) -> DocRows:
-    """The CSR postings ``offsets``/``doc_ordinals``/``tfs`` transposed to rows by document.
-
-    Placed by counting, as ``build_index`` places postings: the postings are
-    taken in runs of whole terms of about ``_ROW_CHUNK`` entries, and each
-    run's entries are copied to their documents' next free slots. Terms go in
-    ascending order, so each row comes out in term-id order. The term ids come
-    from ``np.repeat`` over the document counts; the only sort is a stable
-    argsort of one run's ordinals. ``terms`` is at the narrowest unsigned dtype
-    holding the largest term id, ``tfs`` at the dtype of the postings' tfs, and
-    ``offsets`` int64.
-    """
-    num_terms, num_postings = len(offsets) - 1, len(doc_ordinals)
-    dfs = np.diff(offsets)
-    # runs of whole terms: each starts at the term holding every _ROW_CHUNK-th posting
-    run_starts = np.searchsorted(offsets, np.arange(0, num_postings, _ROW_CHUNK),
-                                 side="right") - 1
-    bounds = sorted({0, *run_starts.tolist(), num_terms})
-    counts = np.zeros(num_docs, dtype=np.int64)
-    np.add.at(counts, doc_ordinals, 1)  # not np.bincount: that copies every ordinal to intp
-    row_offsets = np.zeros(num_docs + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_offsets[1:])
-    fill = row_offsets[:-1].copy()  # each document's next free slot
-    terms = np.empty(num_postings, dtype=_narrow_dtype(np.array([max(num_terms - 1, 0)])))
-    row_tfs = np.empty(num_postings, dtype=tfs.dtype)
-    for t0, t1 in zip(bounds, bounds[1:]):
-        lo, hi = int(offsets[t0]), int(offsets[t1])
-        if lo == hi:
-            continue
-        # a stable sort keeps term order within a document (a radix sort on uint16)
-        order = np.argsort(doc_ordinals[lo:hi], kind="stable")
-        ordinals = doc_ordinals[lo:hi][order]
-        starts = np.flatnonzero(np.concatenate([[True], ordinals[1:] != ordinals[:-1]]))
-        run_docs, run_lengths = ordinals[starts], np.diff(starts, append=hi - lo)
-        slots = np.repeat(fill[run_docs] - starts, run_lengths)
-        slots += np.arange(hi - lo)
-        terms[slots] = np.repeat(np.arange(t0, t1, dtype=terms.dtype), dfs[t0:t1])[order]
-        row_tfs[slots] = tfs[lo:hi][order]
-        fill[run_docs] += run_lengths
-    return DocRows(row_offsets, terms, row_tfs)
 
 
 def check_corpus(index: InvertedIndex, doc_store: Mapping[str, Document]) -> None:

@@ -4,12 +4,15 @@ A provider maps text to a fixed-dimension vector. Two implementations: a
 deterministic hashing embedder (tests and synthetic experiments) and a remote
 JSON-over-HTTP service. ``EmbeddingMemo`` wraps either for the length of one
 pipeline call, so that each distinct text is embedded once per call. The
-hashing embedder can also count a document's vector from an index's postings
-instead of its text (``HashingEmbedder.embed_documents``), with the same bits.
+hashing embedder can also give an index's documents their vectors with no
+tokenizing (``HashingEmbedder.embed_documents``), with the same bits: it
+counts each document's tokens per bucket once, from the postings, into one
+table that it keeps for each index until the index is freed.
 """
 
 import hashlib
 import math
+import weakref
 from bisect import bisect_left
 from itertools import chain
 from typing import Protocol
@@ -94,21 +97,23 @@ class HashingEmbedder:
     orthogonal unless buckets collide. Used in tests and synthetic runs. A
     token's bucket is its keyed blake2b digest (the key is ``seed`` as 8
     little-endian bytes), read as a little-endian integer, modulo ``dimension``.
+    Every token of a text counts: a bag of hashed tokens has no input window.
     """
 
-    def __init__(self, dimension: int = 64, seed: int = 0,
-                 max_input_tokens: int | None = None):
+    max_input_tokens = None
+
+    def __init__(self, dimension: int = 64, seed: int = 0):
         if dimension < 8:
             raise ValueError(f"dimension must be >= 8, got {dimension}")
         if type(seed) is not int or not 0 <= seed < 2**64:
             raise ValueError(f"embedding seed must be an integer in [0, 2**64), got {seed!r}")
         self.dimension = dimension
         self.seed = seed
-        self.max_input_tokens = max_input_tokens
         # keyed once; each token is hashed by a copy of this hasher
         self._keyed = hashlib.blake2b(key=seed.to_bytes(8, "little"), digest_size=8)
         self._buckets: dict[str, int] = {}  # token -> bucket; fixed by seed and dimension
-        self._term_table: tuple[tuple[str, ...], np.ndarray] | None = None
+        # index -> (counts, norms); an entry goes as soon as its index is freed
+        self._tables = weakref.WeakKeyDictionary()
 
     def _digest(self, token: str) -> bytes:
         hasher = self._keyed.copy()
@@ -131,7 +136,7 @@ class HashingEmbedder:
         The counts are integers, so each row's sum of squares is exact and the
         rows equal ``counts / np.linalg.norm(counts)`` per text bit for bit.
         """
-        token_lists = [tokenize(truncate_text(t, self.max_input_tokens)) for t in texts]
+        token_lists = [tokenize(t) for t in texts]
         if not all(token_lists):
             raise ValueError("cannot embed text with no tokens")
         tokens = list(chain.from_iterable(token_lists))
@@ -141,59 +146,56 @@ class HashingEmbedder:
         except KeyError:  # a token not seen before: hash the ones missing
             buckets = np.fromiter(map(self._bucket, tokens), dtype=np.int64,
                                   count=len(tokens))
-        return self._unit_rows(list(map(len, token_lists)), buckets)
-
-    def _unit_rows(self, lengths, buckets: np.ndarray, weights=None) -> list[np.ndarray]:
-        """Row i counts the i-th run of ``lengths[i]`` entries of ``buckets`` (each
-        ``weights`` times, if given) and is divided by its L2 norm."""
-        n, d = len(lengths), self.dimension
-        keys = np.repeat(np.arange(0, n * d, d), lengths)
+        n, d = len(texts), self.dimension
+        keys = np.repeat(np.arange(0, n * d, d), list(map(len, token_lists)))
         keys += buckets
-        counts = np.bincount(keys, weights, minlength=n * d)
-        counts = counts.reshape(n, d).astype(np.float64, copy=False)
+        counts = np.bincount(keys, minlength=n * d).reshape(n, d).astype(np.float64)
         counts /= np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]
         return list(counts)
 
-    def _term_buckets(self, terms: tuple[str, ...]) -> np.ndarray:
-        """The bucket of each of ``terms``, at the narrowest unsigned dtype that holds them.
+    def _table(self, index: InvertedIndex) -> tuple[np.ndarray, np.ndarray]:
+        """``index``'s bucket counts and each row's norm, built whole on first use.
 
-        Built whole for a terms tuple and kept until another tuple is asked for;
-        it does not fill the token memo that ``embed_batch`` uses.
+        ``counts[i, b]`` is the number of document ``i``'s tokens in bucket
+        ``b``, at the narrowest unsigned dtype that holds the longest
+        document's length, which bounds every cell. One ``np.add.at`` adds each
+        posting's tf at its document and its term's bucket, with each term
+        hashed once; ``np.bincount`` would make an N x d float64 temporary, 8 MB
+        on 4,000 documents. The counts are integers, so the float64 norms are
+        exact. The table is kept until ``index`` is freed; threads racing to
+        the first build may each build it, and get equal tables.
         """
-        kept = self._term_table
-        if kept is not None and kept[0] is terms:
-            return kept[1]
-        digests = np.frombuffer(b"".join(map(self._digest, terms)), dtype="<u8")
-        buckets = (digests % self.dimension).astype(np.min_scalar_type(self.dimension - 1))
-        buckets.flags.writeable = False
-        self._term_table = terms, buckets
-        return buckets
+        table = self._tables.get(index)
+        if table is not None:
+            return table
+        digests = np.frombuffer(b"".join(map(self._digest, index.terms)), dtype="<u8")
+        term_buckets = (digests % self.dimension).astype(np.min_scalar_type(self.dimension - 1))
+        dtype = np.min_scalar_type(int(index.doc_lengths.max(initial=0)))
+        counts = np.zeros((index.num_docs, self.dimension), dtype=dtype)
+        # tfs at the table's dtype: np.add.at is several times slower on mixed dtypes
+        np.add.at(counts, (index.doc_ordinals, np.repeat(term_buckets, np.diff(index.offsets))),
+                  index.tfs.astype(dtype, copy=False))
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts, dtype=np.int64))
+        counts.flags.writeable = norms.flags.writeable = False
+        self._tables[index] = table = counts, norms
+        return table
 
     def embed_documents(self, index: InvertedIndex, ordinals) -> list[np.ndarray]:
         """Rows equal, bit for bit, to ``embed_batch`` of the documents' indexed text.
 
         ``ordinals`` are document ordinals of ``index`` (in any order, repeats
-        allowed). Each row is counted from the document's postings in
-        ``index.doc_rows``, with no tokenizing: one ``bincount`` of each
-        term's bucket, weighted by its tf. The postings count every token of
-        the text the index was built from, so this needs ``max_input_tokens``
-        to be None. A document with no tokens is the same ValueError as in
-        ``embed_batch``.
+        allowed). Each row is the document's row of the index's bucket counts
+        (see ``_table``) over its norm, with no tokenizing. A document with no
+        tokens is the same ValueError as in ``embed_batch``.
         """
-        if self.max_input_tokens is not None:
-            raise ValueError("embed_documents needs max_input_tokens=None: "
-                             "the postings hold every token of a document")
-        ordinals = np.asarray(ordinals, dtype=np.int64)
-        rows = index.doc_rows
-        starts = rows.offsets[ordinals]
-        lengths = rows.offsets[ordinals + 1] - starts
-        if not lengths.all():
+        counts, norms = self._table(index)
+        ordinals = np.asarray(ordinals, dtype=np.intp)
+        norms = norms[ordinals]
+        if not norms.all():
             raise ValueError("cannot embed text with no tokens")
-        # positions of every row's entries, row after row
-        entries = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        entries += np.arange(len(entries))
-        return self._unit_rows(lengths, self._term_buckets(index.terms)[rows.terms[entries]],
-                               rows.tfs[entries])
+        rows = counts[ordinals].astype(np.float64)
+        rows /= norms[:, None]
+        return list(rows)
 
 
 EMBED_TIMEOUT_S = 30.0
@@ -293,14 +295,14 @@ class EmbeddingMemo:
 
         ``docs`` must hold the text the index was built from, as ``check_corpus``
         makes sure: each vector is stored under the document's text. Only a
-        provider with an ``embed_documents`` method and ``max_input_tokens``
-        None, such as a ``HashingEmbedder``, can count them from the index's
-        postings, with the bits ``embed_batch`` would give the texts. For any
-        other provider this does nothing, and each text goes to the provider
-        when a stage first asks for it.
+        provider with an ``embed_documents`` method, such as a
+        ``HashingEmbedder``, can count them from the index, with the bits
+        ``embed_batch`` would give the texts. For any other provider this does
+        nothing, and each text goes to the provider when a stage first asks
+        for it.
         """
         embed_documents = getattr(self.provider, "embed_documents", None)
-        if embed_documents is None or self.max_input_tokens is not None:
+        if embed_documents is None:
             return
         unseen: dict[str, int] = {}  # text -> ordinal
         for doc in docs:

@@ -150,9 +150,11 @@ def read_queries_tsv(path) -> list[tuple[str, str]]:
     """Read a queries file: one "query_id<TAB>query text" per line.
 
     A query whose text has no tokens is rejected here, naming its line, since
-    neither retrieval nor query reweighting is defined for it.
+    neither retrieval nor query reweighting is defined for it; so is a query
+    id already read, naming both lines, since every run file would list it twice.
     """
     queries = []
+    first_line: dict[str, int] = {}  # query_id -> line it was read from
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -164,5 +166,9 @@ def read_queries_tsv(path) -> list[tuple[str, str]]:
             if not tokenize(text):
                 raise DataFormatError(path, lineno,
                                       f"query {query_id!r} has no tokens: {text!r}")
+            first = first_line.setdefault(query_id, lineno)
+            if first != lineno:
+                raise DataFormatError(path, lineno,
+                                      f"duplicate query id {query_id!r} (first on line {first})")
             queries.append((query_id, text))
     return queries

@@ -13,12 +13,12 @@ reach the provider. Dense stages embed documents under the index's
 ``field_policy``, as BM25 indexed them.
 
 Right after BM25 the memo is asked to add the candidates' vectors
-(``EmbeddingMemo.add_documents``). With a ``HashingEmbedder`` whose
-``max_input_tokens`` is None they are counted from the index's postings, bit
-for bit as from the text, so rerank, the final rank and calibration's negatives
-find every document in the memo and no document text reaches the provider.
-Any other provider (one without ``embed_documents``, or with an input limit)
-embeds the document texts as before.
+(``EmbeddingMemo.add_documents``). A ``HashingEmbedder`` reads them from the
+bucket counts it keeps for the index, counted from the postings on first use,
+bit for bit as from the text, so rerank, the final rank and calibration's
+negatives find every document in the memo and no document text reaches the
+provider. Any other provider (one without ``embed_documents``) embeds the
+document texts as before.
 """
 
 import math

@@ -12,10 +12,10 @@ Three ways to fold pseudo-references into the query embedding:
 the pipeline the provider is an ``EmbeddingMemo`` that lives for one
 ``run_pipeline`` or ``run_query_pipeline`` call and holds every distinct text
 that call embeds, so a document shared by several queries or stages is sent
-to the underlying provider once per call. With a ``HashingEmbedder`` whose
-``max_input_tokens`` is None, the pipeline has the memo add the candidates'
-vectors from the index's postings before ``rerank`` runs, so ``rerank`` finds
-them all in the memo and sends no document text to the provider.
+to the underlying provider once per call. With a ``HashingEmbedder``, the
+pipeline has the memo add the candidates' vectors from the embedder's bucket
+counts for the index before ``rerank`` runs, so ``rerank`` finds them all in
+the memo and sends no document text to the provider.
 """
 
 import numpy as np

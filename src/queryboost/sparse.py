@@ -74,12 +74,7 @@ def idf(index: InvertedIndex, term: str) -> float:
     """ln(1 + (N - df + 0.5) / (df + 0.5)); non-negative for every df <= N."""
     t = index.term_ids.get(term)
     df = 0 if t is None else int(index.offsets[t + 1] - index.offsets[t])
-    return idf_of_df(index.num_docs, df)
-
-
-def idf_of_df(n: int, df: int) -> float:
-    """The idf of a term found in df of n documents (see ``idf``)."""
-    return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+    return math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
 
 
 def bm25_search(index: InvertedIndex, params: BM25Params,
@@ -105,7 +100,7 @@ def bm25_search(index: InvertedIndex, params: BM25Params,
 
     starts = index.offsets[term_ids]
     lengths = index.offsets[np.add(term_ids, 1)] - starts  # the terms' df
-    # idf_of_df per term: the same IEEE operations on the same values, with the
+    # idf per term: the same IEEE operations on the same values as ``idf``, with the
     # log from libm (math.log), not numpy's, whose SIMD log may differ in the last bit
     x = 1.0 + (index.num_docs - lengths + 0.5) / (lengths + 0.5)
     weights = np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=len(x))

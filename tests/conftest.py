@@ -1,3 +1,4 @@
+import gc
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -21,6 +22,16 @@ def small_docs():
 @pytest.fixture
 def small_index(small_docs):
     return build_index(small_docs)
+
+
+@pytest.fixture
+def gc_disabled():
+    """No cyclic garbage collection during the test: only reference counting frees."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @pytest.fixture

@@ -433,6 +433,24 @@ class TestPipelineCommand:
                 in capsys.readouterr().err)
 
 
+    @pytest.mark.parametrize("command", ["pipeline", "search"])
+    @pytest.mark.parametrize("same_text", [True, False])
+    def test_repeated_query_id_exit_code_and_message(self, dataset_dir, tmp_path, capsys,
+                                                     command, same_text):
+        lines = dataset_dir["queries"].read_text().splitlines()
+        query_id, text = lines[0].split("\t")
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("\n".join([*lines, f"{query_id}\t{text if same_text else 'x y'}"]))
+        out = (["--corpus", str(dataset_dir["corpus"]), "--out-prefix", str(tmp_path / "o")]
+               if command == "pipeline" else ["--out", str(tmp_path / "o.run")])
+        rc = main([command, "--index", str(dataset_dir["index"]), "--queries", str(queries),
+                   "--cache", str(dataset_dir["cache"]), *out])
+        assert rc == EXIT_FORMAT
+        assert (f"error: {queries}:{len(lines) + 1}: duplicate query id {query_id!r} "
+                f"(first on line 1)" in capsys.readouterr().err)
+        assert not list(tmp_path.glob("o*"))
+
+
 class TestEmbeddingServiceFaults:
     """A service answering without usable vectors is a runtime fault (exit 1), not a
     cache miss or a usage error, and the message names the endpoint and the problem."""

@@ -1,11 +1,9 @@
-import gc
 import hashlib
 import json
 import tempfile
 import weakref
 from collections import Counter
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,15 +210,6 @@ def test_ordinals_narrowed_from_the_largest_posting_ordinal():
     assert_index_equals(index, reference_build(docs, "title_plus_text"))
 
 
-@pytest.fixture
-def gc_disabled():
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 def test_dropped_index_freed_without_a_collection(tmp_path, small_docs, gc_disabled):
     built = build_index(small_docs)
     save_index(built, tmp_path / "index")
@@ -347,53 +336,6 @@ def test_load_gives_back_every_saved_array_and_dtype(docs, field_policy):
     assert_index_equals(loaded, {name: getattr(index, name) for name in (
         "doc_ids", "terms", "field_policy", "doc_lengths", "doc_digests", "offsets",
         "doc_ordinals", "tfs")})
-
-
-@settings(max_examples=100, deadline=None)
-@given(corpora(), st.sampled_from(FIELD_POLICIES), st.integers(1, 40))
-@example([], "title_plus_text", 1)
-@example([Document("d1", "", "a " * 300 + "b"), Document("d2", "", "b !! a")], "text_only", 1)
-@example([Document("d1", "", "x"), Document("d2", "", "..."), Document("d3", "", "y x")],
-         "text_only", 2)
-def test_doc_rows_hold_each_documents_terms_in_id_order(docs, field_policy, chunk):
-    index = build_index(docs, field_policy=field_policy)
-    rows = index.doc_rows
-    by_id = {d.doc_id: d for d in docs}
-    for ordinal, doc_id in enumerate(index.doc_ids):
-        counts = Counter(tokenize(by_id[doc_id].indexed_text(field_policy)))
-        lo, hi = rows.offsets[ordinal], rows.offsets[ordinal + 1]
-        assert (list(zip(rows.terms[lo:hi].tolist(), rows.tfs[lo:hi].tolist()))
-                == sorted((index.term_ids[t], tf) for t, tf in counts.items()))
-    assert rows.offsets[0] == 0 and rows.offsets[-1] == len(index.tfs)
-    assert rows.offsets.dtype == np.int64 and rows.tfs.dtype == index.tfs.dtype
-    assert rows.terms.dtype == narrowest([max(len(index.terms) - 1, 0)]).dtype
-    assert all(not a.flags.writeable for a in rows)
-    assert index.doc_rows is rows
-    # any run length places the same rows
-    with mock.patch.object(corpus, "_ROW_CHUNK", chunk):
-        small = corpus.forward_rows(index.offsets, index.doc_ordinals, index.tfs,
-                                    index.num_docs)
-    assert_index_equals(small, rows._asdict())
-
-
-def test_doc_rows_of_a_loaded_index_with_wide_columns(tmp_path, small_docs, small_index):
-    save_index(small_index, tmp_path / "index")
-    with np.load(tmp_path / "index") as npz:
-        arrays = {k: npz[k] for k in npz.files}
-    arrays["doc_ordinals"] = arrays["doc_ordinals"].astype(np.int32)
-    with open(tmp_path / "wide", "wb") as fh:
-        np.savez(fh, **arrays)
-    loaded = load_index(tmp_path / "wide")
-    assert loaded.doc_ordinals.dtype == np.int32
-    assert_index_equals(loaded.doc_rows, small_index.doc_rows._asdict())
-
-
-def test_index_with_doc_rows_freed_without_a_collection(small_docs, gc_disabled):
-    index = build_index(small_docs)
-    assert index.doc_rows.terms.tolist() == [0, 1, 2, 1, 3, 4, 0]
-    ref = weakref.ref(index)
-    del index
-    assert ref() is None
 
 
 def test_saved_columns_hold_counts_and_only_the_tfs_above_1(tmp_path, small_index):

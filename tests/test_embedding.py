@@ -1,5 +1,6 @@
 import hashlib
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from queryboost.tokenizer import _TOKEN_RE, tokenize
 from test_corpus import corpora
 
 
-def _definition_vectors(texts, dimension, seed, max_input_tokens=None):
+def _definition_vectors(texts, dimension, seed):
     """The hashing embedding text by text and token by token.
 
     Keyed blake2b bucket per regex token, integer counts, L2 norm.
@@ -23,7 +24,7 @@ def _definition_vectors(texts, dimension, seed, max_input_tokens=None):
     vectors = []
     for text in texts:
         counts = np.zeros(dimension)
-        for token in _TOKEN_RE.findall(truncate_text(text, max_input_tokens).lower()):
+        for token in _TOKEN_RE.findall(text.lower()):
             digest = hashlib.blake2b(token.encode("utf-8"), key=seed.to_bytes(8, "little"),
                                      digest_size=8).digest()
             counts[int.from_bytes(digest, "little") % dimension] += 1.0
@@ -170,10 +171,6 @@ class TestHashingEmbedder:
         with pytest.raises(ValueError):
             HashingEmbedder(dimension=4)
 
-    def test_truncation_applied(self):
-        emb = HashingEmbedder(64, seed=0, max_input_tokens=2)
-        np.testing.assert_array_equal(emb.embed("a b c d"), emb.embed("a b"))
-
     def test_memoised_buckets_give_fresh_vectors(self):
         text = "the cat and the dog and the cat again"
         warm = HashingEmbedder(64, seed=7)
@@ -192,15 +189,14 @@ class TestHashingEmbedder:
     @settings(max_examples=200, deadline=None)
     @given(batches=st.lists(st.lists(_TEXTS, max_size=6), min_size=1, max_size=3),
            dimension=st.sampled_from([8, 13, 64, 256]),
-           seed=st.integers(0, 2**64 - 1),
-           max_input_tokens=st.one_of(st.none(), st.integers(1, 5)))
-    def test_embed_batch_equals_definition(self, batches, dimension, seed, max_input_tokens):
-        emb = HashingEmbedder(dimension, seed=seed, max_input_tokens=max_input_tokens)
+           seed=st.integers(0, 2**64 - 1))
+    def test_embed_batch_equals_definition(self, batches, dimension, seed):
+        emb = HashingEmbedder(dimension, seed=seed)
         # later batches mix tokens memoised by earlier ones with new ones
         for texts in batches:
             texts = texts + texts[:2]  # repeated texts
             got = emb.embed_batch(texts)
-            want = _definition_vectors(texts, dimension, seed, max_input_tokens)
+            want = _definition_vectors(texts, dimension, seed)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert g.dtype == np.float64 and g.shape == (dimension,)
@@ -243,7 +239,7 @@ class TestEmbedDocuments:
     @settings(max_examples=150, deadline=None)
     @given(docs=corpora(), field_policy=st.sampled_from(FIELD_POLICIES),
            picks=st.lists(st.integers(0, 10**6), max_size=12), saved=st.booleans(),
-           dimension=st.sampled_from([8, 13, 256]), seed=st.integers(0, 2**64 - 1))
+           dimension=st.sampled_from([8, 13, 256, 257]), seed=st.integers(0, 2**64 - 1))
     @example(docs=[Document("d1", "", "a " * 300 + "b"), Document("d2", "Tï", "b a")],
              field_policy="title_plus_text", picks=[1, 0, 1, 1], saved=True,
              dimension=256, seed=0)
@@ -272,7 +268,7 @@ class TestEmbedDocuments:
     def test_tf_above_255(self, embedder):
         docs = [Document("d1", "", "a " * 300 + "b"), Document("d2", "", "b")]
         index = build_index(docs)
-        assert index.tfs.dtype == index.doc_rows.tfs.dtype == np.uint16
+        assert index.tfs.dtype == embedder._table(index)[0].dtype == np.uint16
         got = embedder.embed_documents(index, [0, 1, 0])
         want = embedder.embed_batch(["a " * 300 + "b", "b", "a " * 300 + "b"])
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
@@ -285,20 +281,70 @@ class TestEmbedDocuments:
             embedder.embed_documents(index, [0, 1])
         assert embedder.embed_documents(index, []) == []
 
-    def test_needs_untruncated_provider(self, small_index):
-        with pytest.raises(ValueError, match="max_input_tokens=None"):
-            HashingEmbedder(64, max_input_tokens=5).embed_documents(small_index, [0])
+    @pytest.mark.parametrize("dimension", [256, 257])
+    def test_document_of_more_than_255_tokens(self, dimension):
+        # 300 distinct terms: every tf is 1 (uint8), the document's length needs uint16
+        long_text = " ".join(f"w{i}" for i in range(300))
+        index = build_index([Document("d1", "", long_text), Document("d2", "", "w7 w7 x")])
+        embedder = HashingEmbedder(dimension, seed=11)
+        counts, norms = embedder._table(index)
+        assert index.tfs.dtype == np.uint8 and counts.dtype == np.uint16
+        # a term falls in the last bucket: at 257 dimensions bucket 256, beyond uint8
+        assert max(map(embedder._bucket, index.terms)) == dimension - 1
+        got = embedder.embed_documents(index, [1, 0])
+        want = _definition_vectors(["w7 w7 x", long_text], dimension, 11)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
-    def test_bucket_table_built_once_per_terms_tuple(self, small_docs, embedder):
+    def test_table_holds_each_documents_bucket_counts(self, small_docs, small_index):
+        for dimension in (8, 257):
+            embedder = HashingEmbedder(dimension, seed=4)
+            counts, norms = embedder._table(small_index)
+            assert counts.dtype == np.uint8 and counts.shape == (3, dimension)
+            assert not counts.flags.writeable and not norms.flags.writeable
+            for doc, row, norm in zip(small_docs, counts, norms):
+                want = np.zeros(dimension, dtype=np.int64)
+                for token in tokenize(doc.text):
+                    want[embedder._bucket(token)] += 1
+                assert row.tolist() == want.tolist()
+                assert norm == np.linalg.norm(want.astype(np.float64))
+
+    def test_table_of_a_loaded_index_with_wide_columns(self, tmp_path, small_index, embedder):
+        save_index(small_index, tmp_path / "index")
+        with np.load(tmp_path / "index") as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        arrays["doc_ordinals"] = arrays["doc_ordinals"].astype(np.int32)
+        with open(tmp_path / "wide", "wb") as fh:
+            np.savez(fh, **arrays)
+        loaded = load_index(tmp_path / "wide")
+        assert loaded.doc_ordinals.dtype == np.int32
+        for got, want in zip(embedder._table(loaded), embedder._table(small_index)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_table_built_once_per_index(self, small_index, embedder):
+        table = embedder._table(small_index)
+        embedder.embed_documents(small_index, [0, 1, 2])
+        embedder.embed_documents(small_index, [2])
+        assert embedder._table(small_index) is table
+        assert len(embedder._tables) == 1
+
+    def test_two_live_indexes_keep_separate_tables(self, small_docs, small_index, embedder):
+        other = build_index(small_docs[:1], field_policy="text_only")
+        first = embedder.embed_documents(small_index, [0, 1, 2])
+        embedder.embed_documents(other, [0])
+        assert len(embedder._tables) == 2
+        assert embedder._table(other)[0].shape == (1, 64)
+        assert embedder._table(small_index)[0].shape == (3, 64)
+        again = embedder.embed_documents(small_index, [0, 1, 2])
+        assert [g.tobytes() for g in again] == [f.tobytes() for f in first]
+
+    def test_index_and_its_table_freed_without_a_collection(self, small_docs, embedder,
+                                                           gc_disabled):
         index = build_index(small_docs)
-        table = embedder._term_buckets(index.terms)
-        assert table.dtype == np.uint8 and not table.flags.writeable
-        assert table.tolist() == [embedder._bucket(t) for t in index.terms]
-        embedder.embed_documents(index, [0, 1, 2])
-        assert embedder._term_buckets(index.terms) is table
-        other = build_index(small_docs[:1])
-        assert embedder._term_buckets(other.terms) is not table
-        assert HashingEmbedder(257)._term_buckets(index.terms).dtype == np.uint16
+        embedder.embed_documents(index, [0])
+        refs = weakref.ref(index), weakref.ref(embedder._table(index)[0])
+        del index
+        assert [r() for r in refs] == [None, None]
+        assert len(embedder._tables) == 0
 
     def test_bucket_table_leaves_the_token_memo_alone(self, small_index, embedder):
         embedder.embed_documents(small_index, [0, 1, 2])
@@ -346,12 +392,12 @@ class TestEmbeddingMemo:
             assert got.tobytes() == want.tobytes()
 
     def test_add_documents_does_nothing_on_the_text_path(self, small_docs, small_index,
-                                                          counting):
-        for provider in (counting, HashingEmbedder(64, max_input_tokens=50)):
+                                                          counting, http_stub):
+        for provider in (counting, RemoteEmbedder(http_stub.url, dimension=64)):
             memo = EmbeddingMemo(provider)
             memo.add_documents(small_index, small_docs)
             assert memo._vectors == {}
-        assert counting.calls == []
+        assert counting.calls == [] and http_stub.call_count == 0
 
     def test_short_answer_rejected_and_nothing_stored(self, counting):
         short = counting.inner.embed_batch
@@ -397,6 +443,12 @@ class TestRemoteEmbedder:
         vecs = emb.embed_batch(texts)
         assert [v[0] for v in vecs] == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert len(session.calls) == 3
+
+    def test_truncation_applied(self, http_stub):
+        http_stub.script = [(200, lambda body: {"embeddings": [[1.0] * 8] * len(body["input"])})]
+        emb = RemoteEmbedder(http_stub.url, dimension=8, max_input_tokens=2)
+        emb.embed_batch(["a b c d", "e f"])
+        assert http_stub.requests == [{"input": ["a b", "e f"]}]
 
     def test_dimension_check(self):
         session = _FakeSession(4)

@@ -182,3 +182,11 @@ class TestQueriesTsv:
         p.write_text("q1\tfine\nq0\t!!! ???\n")
         with pytest.raises(DataFormatError, match=r"q\.tsv:2: query 'q0' has no tokens"):
             read_queries_tsv(p)
+
+    @pytest.mark.parametrize("repeat", ["q0\tabout alias0", "q0\tother text"])
+    def test_repeated_id_rejected_naming_both_lines(self, tmp_path, repeat):
+        p = tmp_path / "q.tsv"
+        p.write_text(f"q0\tabout alias0\nq1\tabout alias1\n\n{repeat}\n")
+        with pytest.raises(DataFormatError,
+                           match=r"q\.tsv:4: duplicate query id 'q0' \(first on line 1\)"):
+            read_queries_tsv(p)

@@ -415,34 +415,29 @@ class TestDocumentVectorsFromTheIndex:
         assert rankings == run_pipeline(queries, index, store, HashingEmbedder(64, seed=9),
                                         _Cache(refs), "m", PipelineConfig(retrieve_k=20))
 
-    def test_with_max_input_tokens_every_document_text_is_embedded(self, run):
+    def test_on_the_text_path_every_document_text_is_embedded(self, run):
         queries, index, store, refs = run
         cfg = PipelineConfig(retrieve_k=20)
-        provider = _CountingHashingEmbedder(64, seed=9, max_input_tokens=10**6)
-        rankings = run_pipeline(queries, index, store, provider, _Cache(refs), "m", cfg)
+        provider = _CountingHashingEmbedder(64, seed=9)
+        rankings = run_pipeline(queries, index, store, _TextPathProvider(provider),
+                                _Cache(refs), "m", cfg)
         candidates = {store[d].indexed_text(index.field_policy)
                       for r in rankings for d in r.bm25.doc_ids()}
         assert candidates and candidates <= set(provider.texts)
-        # no text is longer than the limit, so the vectors and rankings are the same
+        assert provider._tables.get(index) is None
         assert rankings == run_pipeline(queries, index, store, HashingEmbedder(64, seed=9),
                                         _Cache(refs), "m", cfg)
 
-    def test_forward_rows_built_once_per_index(self, run, monkeypatch):
+    def test_bucket_table_built_once_per_index(self, run):
         queries, index, store, refs = run
-        built = []
-
-        def counted(*args, **kwargs):
-            built.append(args)
-            return forward_rows(*args, **kwargs)
-
-        forward_rows = corpus.forward_rows
-        monkeypatch.setattr(corpus, "forward_rows", counted)
         provider = HashingEmbedder(64, seed=9)
+        run_pipeline(queries, index, store, provider, _Cache(refs), "m", PipelineConfig())
+        table = provider._tables[index]
         for _ in range(2):
             run_pipeline(queries, index, store, provider, _Cache(refs), "m", PipelineConfig())
             for qid, q in queries:
                 run_query_pipeline(qid, q, index, store, provider, refs[qid], PipelineConfig())
-        assert len(built) == 1
+        assert provider._tables[index] is table and len(provider._tables) == 1
 
 
 class TestFieldPolicy:

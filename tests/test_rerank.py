@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from queryboost.corpus import Document
-from queryboost.embedding import EmbeddingMemo, HashingEmbedder, cosine_sim
+from queryboost.embedding import EmbeddingMemo, RemoteEmbedder, cosine_sim
 from queryboost.generation import ReferenceSet
 from queryboost.rerank import (embed_concat, embed_contex_pool, embed_mean_pool,
                                embed_query, rerank)
@@ -20,11 +20,11 @@ class TestConcat:
         got = embed_concat(embedder, "q text", refs)
         np.testing.assert_allclose(got, embedder.embed("q text r1 words"))
 
-    def test_truncation_keeps_query(self):
-        emb = HashingEmbedder(64, seed=0, max_input_tokens=3)
-        refs = make_refs("verylong reference body here")
-        got = embed_concat(emb, "query words", refs)
-        np.testing.assert_allclose(got, emb.embed("query words verylong"))
+    def test_truncation_keeps_query(self, http_stub):
+        http_stub.script = [(200, lambda body: {"embeddings": [[1.0] * 8] * len(body["input"])})]
+        emb = RemoteEmbedder(http_stub.url, dimension=8, max_input_tokens=3)
+        embed_concat(emb, "query words", make_refs("verylong reference body here"))
+        assert http_stub.requests == [{"input": ["query words verylong"]}]
 
     def test_order_sensitive(self, embedder):
         a = embed_concat(embedder, "q", make_refs("aa bb", "cc"))

@@ -14,7 +14,6 @@ import numpy as np
 from queryboost.corpus import Document
 from queryboost.embedding import EmbeddingProvider
 from queryboost.generation import ReferenceSet
-from queryboost.rerank import rerank
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,3 @@ def calibrate(provider: EmbeddingProvider, query: str, fb: FeedbackSets,
         neg_vecs = provider.embed_batch(list(fb.negatives))
         out = out - cfg.alpha * np.sum(neg_vecs, axis=0)
     return out / fb.w
-
-
-def final_rank(provider: EmbeddingProvider, calibrated: np.ndarray,
-               candidates: list[Document],
-               field_policy: str = "title_plus_text") -> list[tuple[str, float]]:
-    """Rank candidates against the calibrated query embedding."""
-    return rerank(provider, calibrated, candidates, field_policy)

@@ -19,7 +19,7 @@ from pathlib import Path
 from queryboost import __version__
 from queryboost.calibration import CalibrationConfig
 from queryboost.corpus import (FIELD_POLICIES, DataFormatError, IndexFormatError,
-                               IndexMismatchError, build_index, check_corpus,
+                               IndexMismatchError, build_index, check_corpus, is_run_field,
                                load_corpus_jsonl, load_index, save_index)
 from queryboost.embedding import HashingEmbedder, RemoteEmbedder
 from queryboost.evaluation import (Ranking, evaluate_run, read_qrels, read_queries_tsv,
@@ -68,6 +68,11 @@ def write_manifest(output_path, args: argparse.Namespace, inputs: list,
     }
     with atomic_write(str(output_path) + ".manifest.json") as fh:
         fh.write(json.dumps(manifest, indent=2, default=str))
+
+
+def _check_tag(tag: str) -> None:
+    if not is_run_field(tag):
+        raise ValueError(f"--tag {tag!r} is empty or holds whitespace")
 
 
 def _reweight_from_args(args) -> ReweightConfig:
@@ -131,6 +136,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_search(args) -> int:
+    _check_tag(args.tag)
     _require_files(args.index, args.queries, args.cache)
     index = load_index(args.index)
     queries = read_queries_tsv(args.queries)
@@ -150,6 +156,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    _check_tag(args.tag)
     _require_files(args.index, args.corpus, args.queries, args.cache)
     index, doc_store = _load_index_and_corpus(args)
     queries = read_queries_tsv(args.queries)

@@ -17,7 +17,6 @@ import hashlib
 import json
 import zipfile
 from array import array
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -37,6 +36,11 @@ class DataFormatError(ValueError):
 
     def __init__(self, path, lineno: int, problem: str):
         super().__init__(f"{path}:{lineno}: {problem}")
+
+
+def is_run_field(value: str) -> bool:
+    """Whether ``value`` is one field of a run file line: not empty, no whitespace."""
+    return value.split() == [value]
 
 
 class IndexFormatError(ValueError):
@@ -65,92 +69,19 @@ class Document:
         return self.text
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    num_docs: int
-    avgdl: float
-    doc_length: Mapping[str, int]
+class _ColumnsKey:
+    """A name and index columns, not copied; ``==`` is a plain bool (np.array_equal on arrays)."""
 
-
-class _ArrayView(Mapping):
-    """Read-only mapping over index arrays; two views of one kind compare their arrays.
-
-    Subclasses define ``_parts()``: the arrays and sequences that determine them.
-    """
+    def __init__(self, *columns):
+        self.columns = columns
 
     def __eq__(self, other):
-        if type(other) is type(self):
-            return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-                       for a, b in zip(self._parts(), other._parts()))
-        return Mapping.__eq__(self, other)
+        if not isinstance(other, _ColumnsKey):
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(self.columns, other.columns))
 
     __hash__ = None
-
-
-class DocLengths(_ArrayView):
-    """doc_id -> token length."""
-
-    def __init__(self, doc_ids: tuple[str, ...], lengths: np.ndarray):
-        self._ids = doc_ids
-        self._lengths = lengths
-
-    def __getitem__(self, doc_id: str) -> int:
-        i = bisect_left(self._ids, doc_id)
-        if i == len(self._ids) or self._ids[i] != doc_id:
-            raise KeyError(doc_id)
-        return int(self._lengths[i])
-
-    def __iter__(self):
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def _parts(self) -> tuple:
-        return self._ids, self._lengths
-
-
-class _TermView(_ArrayView):
-    """A mapping keyed by the index's terms, in term-id order."""
-
-    def __init__(self, index: "InvertedIndex"):
-        self._index = index
-
-    def __iter__(self):
-        return iter(self._index.terms)
-
-    def __len__(self) -> int:
-        return len(self._index.terms)
-
-    def __contains__(self, term) -> bool:
-        return term in self._index.term_ids
-
-
-class Postings(_TermView):
-    """term -> list of (doc_id, tf) in ascending doc_id order."""
-
-    def __getitem__(self, term: str) -> list[tuple[str, int]]:
-        ix = self._index
-        t = ix.term_ids[term]
-        lo, hi = ix.offsets[t], ix.offsets[t + 1]
-        return [(ix.doc_ids[o], tf) for o, tf in zip(ix.doc_ordinals[lo:hi].tolist(),
-                                                     ix.tfs[lo:hi].tolist())]
-
-    def _parts(self) -> tuple:
-        ix = self._index
-        return ix.terms, ix.doc_ids, ix.offsets, ix.doc_ordinals, ix.tfs
-
-
-class DocFreqs(_TermView):
-    """term -> number of documents containing it."""
-
-    def __getitem__(self, term: str) -> int:
-        ix = self._index
-        t = ix.term_ids[term]
-        return int(ix.offsets[t + 1] - ix.offsets[t])
-
-    def _parts(self) -> tuple:
-        return self._index.terms, self._index.offsets
 
 
 class InvertedIndex:
@@ -158,13 +89,13 @@ class InvertedIndex:
 
     ``doc_ids[i]``, ``doc_lengths[i]`` and ``doc_digests[i]`` belong to ordinal ``i``;
     ``terms[t]`` is the term with id ``t`` and ``term_ids`` its inverse.
-    ``postings``, ``df`` and ``stats.doc_length`` are read-only mapping views
-    over the arrays; ``postings`` and ``df`` are made on each access, so that
-    the index never refers to itself and is freed as soon as its last reference
-    goes. What one consumer derives from the index is kept by that consumer:
-    a ``HashingEmbedder`` holds its bucket counts for each index in a table
-    keyed weakly by the index, and they are freed with it. Built once by
-    ``build_index``; safe for unlimited concurrent readers afterwards.
+    ``postings``, ``df`` and ``stats`` are only keys for comparing two indexes'
+    columns (``_ColumnsKey``), as the benchmark harness does; each is made on
+    access, so the index never refers to itself and is freed as soon as its
+    last reference goes. What one consumer derives from the index is kept by
+    that consumer: a ``HashingEmbedder`` holds its bucket counts for each index
+    in a table keyed weakly by the index. Built once by ``build_index``; safe
+    for unlimited concurrent readers afterwards.
     """
 
     def __init__(self, doc_ids: tuple[str, ...], doc_lengths: np.ndarray,
@@ -181,29 +112,21 @@ class InvertedIndex:
         self.doc_ordinals = doc_ordinals
         self.tfs = tfs
         self.field_policy = field_policy
-        n = len(doc_ids)
-        self.stats = CorpusStats(num_docs=n,
-                                 avgdl=int(doc_lengths.sum()) / n if n else 0.0,
-                                 doc_length=DocLengths(doc_ids, doc_lengths))
+        self.num_docs = n = len(doc_ids)
+        self.avgdl = int(doc_lengths.sum()) / n if n else 0.0
 
     @property
-    def postings(self) -> Postings:
-        return Postings(self)
+    def postings(self) -> _ColumnsKey:
+        return _ColumnsKey("postings", self.terms, self.doc_ids, self.offsets,
+                           self.doc_ordinals, self.tfs)
 
     @property
-    def df(self) -> DocFreqs:
-        return DocFreqs(self)
+    def df(self) -> _ColumnsKey:
+        return _ColumnsKey("df", self.terms, self.offsets)
 
     @property
-    def num_docs(self) -> int:
-        return self.stats.num_docs
-
-    @property
-    def avgdl(self) -> float:
-        return self.stats.avgdl
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.stats.doc_length
+    def stats(self) -> _ColumnsKey:
+        return _ColumnsKey("stats", self.doc_ids, self.doc_lengths)
 
 
 _BLOCK_DOCS = 64  # documents whose postings build_index counts in one numpy pass
@@ -344,8 +267,9 @@ def check_corpus(index: InvertedIndex, doc_store: Mapping[str, Document]) -> Non
 def load_corpus_jsonl(path) -> list[Document]:
     """Load a JSONL corpus with keys ``_id``, ``title`` (optional), ``text``.
 
-    A line that is not a JSON object with ``_id`` and ``text``, or that repeats an
-    earlier line's ``_id``, raises DataFormatError naming the file and the line.
+    A line that is not a JSON object with ``_id`` and ``text``, whose ``_id`` a run
+    file cannot hold (``is_run_field``), or that repeats an earlier line's ``_id``,
+    raises DataFormatError naming the file and the line.
     """
     docs = []
     first_line: dict[str, int] = {}  # doc_id -> line it was read from
@@ -362,6 +286,8 @@ def load_corpus_jsonl(path) -> list[Document]:
             if "_id" not in obj or "text" not in obj:
                 raise DataFormatError(path, lineno, "missing required key '_id' or 'text'")
             doc_id = str(obj["_id"])
+            if not is_run_field(doc_id):
+                raise DataFormatError(path, lineno, f"_id {doc_id!r} is empty or holds whitespace")
             first = first_line.setdefault(doc_id, lineno)
             if first != lineno:
                 raise DataFormatError(path, lineno,

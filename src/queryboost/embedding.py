@@ -82,9 +82,6 @@ def truncate_text(text: str, max_tokens: int | None) -> str:
 
 
 class EmbeddingProvider(Protocol):
-    dimension: int
-    max_input_tokens: int | None
-
     def embed(self, text: str) -> np.ndarray: ...
 
     def embed_batch(self, texts: list[str]) -> list[np.ndarray]: ...
@@ -100,7 +97,7 @@ class HashingEmbedder:
     Every token of a text counts: a bag of hashed tokens has no input window.
     """
 
-    max_input_tokens = None
+    max_input_tokens = None  # no input window; the benchmark's traced provider reads it
 
     def __init__(self, dimension: int = 64, seed: int = 0):
         if dimension < 8:
@@ -268,13 +265,13 @@ class EmbeddingMemo:
     distinct text to the wrapped provider in one ``embed_batch`` call. A failed
     call stores nothing. Vectors are returned as the provider made them, so a
     text's vector is the same whether it came from memory or not;
-    ``add_documents`` stores vectors equal to those too.
+    ``add_documents`` stores vectors equal to those too. The memo offers only
+    ``embed`` and ``embed_batch``; the wrapped provider's own settings, such as
+    its dimension, are read from ``provider``.
     """
 
     def __init__(self, provider: EmbeddingProvider):
         self.provider = provider
-        self.dimension = provider.dimension
-        self.max_input_tokens = provider.max_input_tokens
         self._vectors: dict[str, np.ndarray] = {}
 
     def embed(self, text: str) -> np.ndarray:

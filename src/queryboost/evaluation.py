@@ -5,7 +5,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from queryboost.corpus import DataFormatError
+from queryboost.corpus import DataFormatError, is_run_field
 from queryboost.files import atomic_write
 from queryboost.tokenizer import tokenize
 
@@ -151,7 +151,8 @@ def read_queries_tsv(path) -> list[tuple[str, str]]:
 
     A query whose text has no tokens is rejected here, naming its line, since
     neither retrieval nor query reweighting is defined for it; so is a query
-    id already read, naming both lines, since every run file would list it twice.
+    id that a run file cannot hold (``is_run_field``), and a query id already
+    read, naming both lines, since every run file would list it twice.
     """
     queries = []
     first_line: dict[str, int] = {}  # query_id -> line it was read from
@@ -163,6 +164,9 @@ def read_queries_tsv(path) -> list[tuple[str, str]]:
             if "\t" not in line:
                 raise DataFormatError(path, lineno, "expected tab-separated id and text")
             query_id, text = line.split("\t", 1)
+            if not is_run_field(query_id):
+                raise DataFormatError(path, lineno,
+                                      f"query id {query_id!r} is empty or holds whitespace")
             if not tokenize(text):
                 raise DataFormatError(path, lineno,
                                       f"query {query_id!r} has no tokens: {text!r}")

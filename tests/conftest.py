@@ -44,8 +44,6 @@ class CountingProvider:
 
     def __init__(self, inner):
         self.inner = inner
-        self.dimension = inner.dimension
-        self.max_input_tokens = inner.max_input_tokens
         self.calls: list[list[str]] = []
         self.fail = False
 

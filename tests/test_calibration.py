@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from queryboost.calibration import (CalibrationConfig, FeedbackSets, RocchioWeights,
-                                    build_feedback_sets, calibrate, final_rank,
-                                    rocchio_classic)
+                                    build_feedback_sets, calibrate, rocchio_classic)
 from queryboost.corpus import Document
 from queryboost.generation import ReferenceSet
 from queryboost.rerank import embed_contex_pool, rerank
@@ -136,6 +135,8 @@ class TestCalibrate:
 
 
 class TestFinalRank:
+    """The final rank: rerank by the calibrated embedding."""
+
     def test_reduces_to_pre_rank_with_single_ref(self, embedder):
         docs = [Document("d1", "", "alpha beta"), Document("d2", "", "gamma delta"),
                 Document("d3", "", "epsilon zeta")]
@@ -145,14 +146,14 @@ class TestFinalRank:
 
         fb = FeedbackSets(positives=refs.references, negatives=())
         calibrated = calibrate(embedder, "q", fb, CalibrationConfig(alpha=0.0))
-        i_post = final_rank(embedder, calibrated, docs)
+        i_post = rerank(embedder, calibrated, docs)
         assert i_post == i_pre
 
     def test_permutation_of_candidates(self, embedder):
         docs = [Document(f"d{i}", "", f"tok{i} cat") for i in range(8)]
         fb = FeedbackSets(positives=("cat here",), negatives=("tok5 cat",))
         calibrated = calibrate(embedder, "q", fb, CalibrationConfig())
-        out = final_rank(embedder, calibrated, docs)
+        out = rerank(embedder, calibrated, docs)
         assert sorted(d for d, _ in out) == sorted(d.doc_id for d in docs)
 
     def test_planted_relevant_doc_rises(self, embedder):
@@ -171,7 +172,7 @@ class TestFinalRank:
                           negatives=("filler stuff misc extra", "stuff misc filler"))
         calibrated = calibrate(embedder, "query words", fb,
                                CalibrationConfig(alpha=0.5))
-        i_post = final_rank(embedder, calibrated, candidates)
+        i_post = rerank(embedder, calibrated, candidates)
         post_pos = [d for d, _ in i_post].index("rel")
         assert post_pos <= pre_pos
         assert post_pos == 0

@@ -56,6 +56,15 @@ class TestIndexCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "i.npz").exists()
 
+    def test_id_a_run_file_cannot_hold_exit_code_and_message(self, tmp_path, capsys):
+        corpus = tmp_path / "spaced.jsonl"
+        corpus.write_text('{"_id": "d1", "text": "a"}\n{"_id": "a b", "text": "b"}\n')
+        rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "i.npz")])
+        assert rc == EXIT_FORMAT
+        assert (f"error: {corpus}:2: _id 'a b' is empty or holds whitespace"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "i.npz").exists()
+
     def test_failed_manifest_write_leaves_previous_manifest(self, dataset_dir, tmp_path,
                                                            monkeypatch):
         out = tmp_path / "out.run"
@@ -449,6 +458,20 @@ class TestPipelineCommand:
         assert (f"error: {queries}:{len(lines) + 1}: duplicate query id {query_id!r} "
                 f"(first on line 1)" in capsys.readouterr().err)
         assert not list(tmp_path.glob("o*"))
+
+
+@pytest.mark.parametrize("command", ["pipeline", "search"])
+@pytest.mark.parametrize("tag", ["my run", ""])
+def test_tag_a_run_file_cannot_hold_exit_code_and_message(dataset_dir, tmp_path, capsys,
+                                                          command, tag):
+    out = (["--corpus", str(dataset_dir["corpus"]), "--out-prefix", str(tmp_path / "o")]
+           if command == "pipeline" else ["--out", str(tmp_path / "o.run")])
+    rc = main([command, "--index", str(dataset_dir["index"]),
+               "--queries", str(dataset_dir["queries"]), "--cache", str(dataset_dir["cache"]),
+               "--tag", tag, *out])
+    assert rc == EXIT_USAGE
+    assert f"error: --tag {tag!r} is empty or holds whitespace" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 class TestEmbeddingServiceFaults:

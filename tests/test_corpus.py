@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tempfile
 import weakref
 from collections import Counter
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from queryboost import corpus
 from queryboost.corpus import (FIELD_POLICIES, DataFormatError, Document, IndexFormatError,
-                               IndexMismatchError, build_index, check_corpus,
+                               IndexMismatchError, InvertedIndex, build_index, check_corpus,
                                load_corpus_jsonl, load_index, save_index, text_digests)
 from queryboost.tokenizer import tokenize
 
@@ -21,23 +22,31 @@ doc_texts = st.lists(
 
 def test_build_small():
     idx = build_index([Document("d1", "", "cat sat"), Document("d2", "", "dog")])
-    assert idx.stats.avgdl == 1.5
-    assert idx.df["cat"] == 1
-    assert idx.stats.doc_length == {"d1": 2, "d2": 1}
+    assert idx.num_docs == 2
+    assert idx.avgdl == 1.5
+    assert_index_equals(idx, {"doc_ids": ("d1", "d2"), "terms": ("cat", "sat", "dog"),
+                              "doc_lengths": np.array([2, 1], dtype=np.int32),
+                              "offsets": np.array([0, 1, 2, 3], dtype=np.int64)})
 
 
 def test_build_empty():
     idx = build_index([])
     assert idx.num_docs == 0
-    assert idx.postings == {}
+    assert idx.avgdl == 0.0
+    assert idx.terms == ()
+    assert idx.offsets.tolist() == [0]
+    assert len(idx.doc_ordinals) == len(idx.tfs) == 0
 
 
 def test_hand_counts():
     docs = [Document("d1", "", "a a"), Document("d2", "", "a b"),
             Document("d3", "", "b")]
     idx = build_index(docs)
-    assert idx.df["a"] == 2
-    assert dict(idx.postings["a"])["d1"] == 2
+    # a: d1 twice, d2 once; b: d2 and d3 once each
+    assert_index_equals(idx, {"terms": ("a", "b"),
+                              "offsets": np.array([0, 2, 4], dtype=np.int64),
+                              "doc_ordinals": np.array([0, 1, 1, 2], dtype=np.uint8),
+                              "tfs": np.array([2, 1, 1, 1], dtype=np.uint8)})
     assert idx.avgdl == pytest.approx(5 / 3)
 
 
@@ -49,8 +58,8 @@ def test_duplicate_doc_id_rejected():
 
 def test_title_plus_text_policy():
     doc = Document("d1", "Title Words", "body")
-    assert build_index([doc]).stats.doc_length["d1"] == 3
-    assert build_index([doc], field_policy="text_only").stats.doc_length["d1"] == 1
+    assert build_index([doc]).doc_lengths.tolist() == [3]
+    assert build_index([doc], field_policy="text_only").doc_lengths.tolist() == [1]
 
 
 def test_unknown_policy():
@@ -63,15 +72,13 @@ def test_determinism_and_token_conservation(texts):
     docs = [Document(f"d{i}", "", t) for i, t in enumerate(texts)]
     idx1 = build_index(docs)
     idx2 = build_index(docs)
-    assert idx1.postings == idx2.postings
-    assert idx1.df == idx2.df
-    assert idx1.stats == idx2.stats
+    assert_index_equals(idx1, columns(idx2))
 
-    total_tf = sum(tf for plist in idx1.postings.values() for _, tf in plist)
-    assert total_tf == sum(idx1.stats.doc_length.values())
-    for term, df in idx1.df.items():
-        assert df <= idx1.num_docs
-        assert df == len({d for d, _ in idx1.postings[term]})
+    assert int(idx1.tfs.sum()) == int(idx1.doc_lengths.sum())
+    for t, (lo, hi) in enumerate(zip(idx1.offsets[:-1], idx1.offsets[1:])):
+        ordinals = idx1.doc_ordinals[lo:hi].tolist()
+        assert hi - lo <= idx1.num_docs, idx1.terms[t]
+        assert hi - lo == len(set(ordinals)), idx1.terms[t]
 
 
 def narrowest(values):
@@ -109,6 +116,15 @@ def reference_build(docs, field_policy):
         "doc_ordinals": narrowest([o for _, o, _ in postings]),
         "tfs": narrowest([tf for _, _, tf in postings]),
     }
+
+
+INDEX_COLUMNS = ("doc_ids", "terms", "field_policy", "doc_lengths", "doc_digests", "offsets",
+                 "doc_ordinals", "tfs")
+
+
+def columns(index):
+    """Every column of ``index`` by name, as ``assert_index_equals`` takes them."""
+    return {name: getattr(index, name) for name in INDEX_COLUMNS}
 
 
 def assert_index_equals(index, expected):
@@ -214,7 +230,7 @@ def test_dropped_index_freed_without_a_collection(tmp_path, small_docs, gc_disab
     built = build_index(small_docs)
     save_index(built, tmp_path / "index")
     loaded = load_index(tmp_path / "index")
-    assert loaded.postings == built.postings and loaded.df == built.df
+    assert_index_equals(loaded, columns(built))
     refs = weakref.ref(built), weakref.ref(loaded)
     del built, loaded
     assert [r() for r in refs] == [None, None]
@@ -246,8 +262,10 @@ def test_term_ids_is_a_plain_dict(small_index):
 def test_avgdl_exact(texts):
     docs = [Document(f"d{i}", "", t) for i, t in enumerate(texts)]
     idx = build_index(docs)
-    if idx.num_docs:
-        assert idx.avgdl == sum(idx.stats.doc_length.values()) / idx.num_docs
+    if texts:
+        assert idx.avgdl == sum(len(tokenize(t)) for t in texts) / len(texts)
+    else:
+        assert idx.avgdl == 0.0
 
 
 class TestJsonlLoading:
@@ -287,6 +305,15 @@ class TestJsonlLoading:
                            match=r"c\.jsonl:4: duplicate _id 'd1' \(first on line 1\)"):
             load_corpus_jsonl(p)
 
+    @pytest.mark.parametrize("doc_id", ["a b", "a\tb", " a", "a\n", ""])
+    def test_id_a_run_file_cannot_hold_names_the_line(self, tmp_path, doc_id):
+        p = tmp_path / "c.jsonl"
+        p.write_text(json.dumps({"_id": "d1", "text": "x"}) + "\n"
+                     + json.dumps({"_id": doc_id, "text": "y"}) + "\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"c.jsonl:2: _id {doc_id!r} is empty or holds whitespace")):
+            load_corpus_jsonl(p)
+
     def test_order_preserved(self, tmp_path):
         p = tmp_path / "c.jsonl"
         lines = [json.dumps({"_id": f"d{i}", "text": f"t{i}"}) for i in range(10)]
@@ -298,12 +325,7 @@ def test_index_round_trip(tmp_path, small_index):
     path = tmp_path / "index.json"
     save_index(small_index, path)
     assert [p.name for p in tmp_path.iterdir()] == ["index.json"]  # no ".npz" appended
-    loaded = load_index(path)
-    assert loaded.postings == small_index.postings
-    assert loaded.df == small_index.df
-    assert loaded.stats == small_index.stats
-    assert loaded.field_policy == small_index.field_policy
-    np.testing.assert_array_equal(loaded.doc_digests, small_index.doc_digests)
+    assert_index_equals(load_index(path), columns(small_index))
 
 
 @given(st.dictionaries(st.text(min_size=1, max_size=6),
@@ -313,11 +335,8 @@ def test_round_trip_any_doc_ids(texts_by_id):
     with tempfile.TemporaryDirectory() as tmp:
         save_index(idx, Path(tmp) / "index")
         loaded = load_index(Path(tmp) / "index")
-    assert loaded.postings == idx.postings
-    assert dict(loaded.postings) == dict(idx.postings)
-    assert loaded.stats == idx.stats
+    assert_index_equals(loaded, columns(idx))
     assert loaded.doc_ids == tuple(sorted(texts_by_id))
-    np.testing.assert_array_equal(loaded.doc_digests, idx.doc_digests)
 
 
 @settings(max_examples=100, deadline=None)
@@ -333,9 +352,7 @@ def test_load_gives_back_every_saved_array_and_dtype(docs, field_policy):
     with tempfile.TemporaryDirectory() as tmp:
         save_index(index, Path(tmp) / "index")
         loaded = load_index(Path(tmp) / "index")
-    assert_index_equals(loaded, {name: getattr(index, name) for name in (
-        "doc_ids", "terms", "field_policy", "doc_lengths", "doc_digests", "offsets",
-        "doc_ordinals", "tfs")})
+    assert_index_equals(loaded, columns(index))
 
 
 def test_saved_columns_hold_counts_and_only_the_tfs_above_1(tmp_path, small_index):
@@ -365,16 +382,31 @@ def test_failed_save_leaves_previous_index(tmp_path, small_index, monkeypatch):
         save_index(build_index([Document("other", "", "dog")]), path)
     assert [p.name for p in tmp_path.iterdir()] == ["index.idx"]
     assert path.read_bytes() == before
-    assert load_index(path).postings == small_index.postings
+    assert_index_equals(load_index(path), columns(small_index))
 
 
-def test_views_compare_without_numpy_truth_values(small_docs, small_index):
-    other = build_index(small_docs[:2])
-    assert (small_index.postings == other.postings) is False
-    assert (small_index.df == other.df) is False
-    assert (small_index.stats == other.stats) is False
-    assert small_index.postings["cat"] == [("d1", 1), ("d3", 3)]
-    assert dict(small_index.df) == {"cat": 2, "sat": 2, "mat": 1, "dog": 1, "log": 1}
+def test_comparison_keys_give_plain_bools(tmp_path, small_index, gc_disabled):
+    """``postings``, ``df`` and ``stats`` are equal exactly when their columns are."""
+    save_index(small_index, tmp_path / "index")
+    loaded = load_index(tmp_path / "index")
+
+    def changed(**column):
+        return InvertedIndex(**{**columns(small_index), **column})
+
+    keys = ("postings", "df", "stats")
+    cases = [(loaded, keys),
+             (changed(tfs=np.array([2, 3, 1, 1, 1, 1, 1], dtype=np.uint8)),
+              ("df", "stats")),
+             (changed(doc_lengths=np.array([3, 3, 4], dtype=np.int32)), ("postings", "df")),
+             (changed(terms=("cat", "sat", "mat", "dog", "bog")), ("stats",))]
+    for index, equal in cases:
+        for key in keys:
+            assert (getattr(index, key) == getattr(small_index, key)) is (key in equal), key
+            assert (getattr(index, key) != getattr(small_index, key)) is (key not in equal), key
+    assert (small_index.df == small_index.stats) is False
+    ref = weakref.ref(loaded)
+    del loaded, cases, index
+    assert ref() is None
 
 
 class TestCheckCorpus:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -181,6 +182,14 @@ class TestQueriesTsv:
         p = tmp_path / "q.tsv"
         p.write_text("q1\tfine\nq0\t!!! ???\n")
         with pytest.raises(DataFormatError, match=r"q\.tsv:2: query 'q0' has no tokens"):
+            read_queries_tsv(p)
+
+    @pytest.mark.parametrize("query_id", ["q 0", " q0", "q0 ", ""])
+    def test_id_a_run_file_cannot_hold_names_the_line(self, tmp_path, query_id):
+        p = tmp_path / "q.tsv"
+        p.write_text(f"q1\tfine\n{query_id}\tabout alias0\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"q.tsv:2: query id {query_id!r} is empty or holds whitespace")):
             read_queries_tsv(p)
 
     @pytest.mark.parametrize("repeat", ["q0\tabout alias0", "q0\tother text"])

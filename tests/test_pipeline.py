@@ -349,8 +349,6 @@ class _TextPathProvider:
     """Exposes only the provider protocol of the wrapped provider: the text path."""
 
     def __init__(self, inner):
-        self.dimension = inner.dimension
-        self.max_input_tokens = inner.max_input_tokens
         self.embed = inner.embed
         self.embed_batch = inner.embed_batch
 

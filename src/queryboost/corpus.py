@@ -9,8 +9,11 @@ unsigned dtype that holds their largest value. Each document also
 keeps an 8-byte blake2b digest of the text it was indexed from, so a corpus
 whose text changed under the same doc ids is caught. ``save_index`` writes
 one ``.npz`` archive holding only what the postings cannot give back: each
-term's document count in place of ``offsets``, and only the tfs above 1 with
-their positions. ``load_index`` rebuilds the same arrays from it.
+term's document count in place of ``offsets``, only the tfs above 1 with
+their positions, and each posting's ordinal as its difference from the
+previous posting's. Counts, positions and ordinals are stored as one byte
+each, with the values of 255 and above in an escape column (``_escaped``).
+``load_index`` rebuilds the same arrays from it.
 """
 
 import hashlib
@@ -28,7 +31,7 @@ from queryboost.files import atomic_write
 from queryboost.tokenizer import tokenize
 
 FIELD_POLICIES = ("text_only", "title_plus_text")
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
 
 
 class DataFormatError(ValueError):
@@ -129,7 +132,9 @@ class InvertedIndex:
         return _ColumnsKey("stats", self.doc_ids, self.doc_lengths)
 
 
-_BLOCK_DOCS = 64  # documents whose postings build_index counts in one numpy pass
+# build_index counts the postings of one block of documents in one numpy pass; a
+# block ends with the document that brings its tokens to _BLOCK_TOKENS or more.
+_BLOCK_TOKENS = 16384
 
 
 class _Vocabulary(dict):
@@ -140,16 +145,21 @@ class _Vocabulary(dict):
         return t
 
 
-def _tokens_of_each(texts, lengths: array):
-    """Yield the tokens of each text in turn, appending their count to ``lengths``.
+def _block_tokens(texts, lengths: array):
+    """Yield the tokens of the next texts of the iterator ``texts``, one text's at a
+    time, until they number ``_BLOCK_TOKENS`` or more; append each count to ``lengths``.
 
     Only one text's token strings are alive at a time: holding a whole block's
     raised dense-remote's set-up RSS by about 1 MB.
     """
+    total = 0
     for text in texts:
         tokens = tokenize(text)
         lengths.append(len(tokens))
         yield tokens
+        total += len(tokens)
+        if total >= _BLOCK_TOKENS:
+            return
 
 
 def _narrow_dtype(values: np.ndarray) -> np.dtype:
@@ -177,8 +187,9 @@ def build_index(docs, field_policy: str = "title_plus_text") -> InvertedIndex:
 
     Term ids follow the order in which terms first appear when the documents'
     tokens are read in ordinal order. No Python statement runs per token or per
-    posting: the tokens of each block of ``_BLOCK_DOCS`` documents are mapped to
-    term ids by one ``map`` over the vocabulary and counted with numpy.
+    posting: the tokens of each block of documents, about ``_BLOCK_TOKENS`` of
+    them, are mapped to term ids by one ``map`` over the vocabulary and counted
+    with numpy.
     ``doc_ordinals`` and ``tfs`` come out at the narrowest unsigned dtype that
     holds their largest value (see ``_narrow_dtype``); ``offsets`` is int64 and
     ``doc_lengths`` int32.
@@ -198,18 +209,19 @@ def build_index(docs, field_policy: str = "title_plus_text") -> InvertedIndex:
     vocab = _Vocabulary()
     doc_lengths, entry_terms, entry_ordinals, entry_tfs = (array("i") for _ in range(4))
     block_ends = [0]  # entry_*[block_ends[i]:block_ends[i + 1]] is block i
-    for start in range(0, len(texts), _BLOCK_DOCS):
-        block = texts[start:start + _BLOCK_DOCS]
+    remaining, start = iter(texts), 0
+    while start < len(texts):
         lengths = array("i")
         keys = np.fromiter(map(vocab.__getitem__,
-                               chain.from_iterable(_tokens_of_each(block, lengths))),
+                               chain.from_iterable(_block_tokens(remaining, lengths))),
                            dtype=np.int64)
         # key = term id * block size + position in the block: equal keys are one posting
-        keys *= len(block)
-        keys += np.repeat(np.arange(len(block), dtype=np.int64), lengths)
+        keys *= len(lengths)
+        keys += np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
         keys, tfs = np.unique(keys, return_counts=True)
-        terms, ordinals = np.divmod(keys, len(block))
+        terms, ordinals = np.divmod(keys, len(lengths))
         ordinals += start
+        start += len(lengths)
         doc_lengths.extend(lengths)
         entry_terms.frombytes(terms.astype(np.int32).tobytes())
         entry_ordinals.frombytes(ordinals.astype(np.int32).tobytes())
@@ -314,61 +326,123 @@ def _unpack_strings(blob: np.ndarray, lengths: np.ndarray) -> tuple[str, ...]:
     return tuple(data[a:b].decode("utf-8") for a, b in zip([0] + ends[:-1], ends))
 
 
+_ESCAPE = 255  # a stored byte whose value is the next entry of its escape column
+
+
+def _escaped(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` (none negative) as one uint8 each, and their escape column.
+
+    A value below 255 is its own byte. Any other is stored as the byte 255 and,
+    in order, in the escape column, which keeps the dtype of ``values``.
+    ``_unescape`` reverses it.
+    """
+    stored = np.minimum(values, _ESCAPE).astype(np.uint8)
+    return stored, values[stored == _ESCAPE]
+
+
+def _unescape(a: dict, column: str, out: np.ndarray) -> np.ndarray:
+    """Decode ``a[column]`` and its escape column into ``out``; drop both from ``a``.
+
+    ValueError naming the column if the escapes do not match its bytes 255.
+    """
+    stored, escapes = a.pop(column), a.pop(f"{column}_escapes")
+    escaped = stored == _ESCAPE
+    if (count := np.count_nonzero(escaped)) != len(escapes):
+        raise ValueError(f"column {column!r} has {count} bytes 255, "
+                         f"but {len(escapes)} escapes")
+    np.copyto(out, stored)
+    out[escaped] = escapes
+    return out
+
+
 def save_index(index: InvertedIndex, path) -> None:
     """Persist an index as one ``.npz`` archive, written to exactly ``path``.
 
     The archive stores ``dfs``, each term's document count, in place of
-    ``offsets``, and the postings whose tf is above 1 (``tf_positions`` and
-    ``tf_values``) in place of every tf. It is written through
-    ``atomic_write``, so a failed write leaves any previous index intact.
+    ``offsets``, and the postings whose tf is above 1 (``tf_positions``, each
+    as its difference from the one before, and ``tf_values``) in place of every
+    tf. Each posting's ordinal is stored as its difference from the previous
+    posting's, modulo 2**bits of the ordinals' dtype. Those three columns hold
+    one byte per entry, with an escape column each (``_escaped``): the
+    ordinals' at the ordinals' dtype, the others' at the narrowest unsigned
+    dtype. It is written through ``atomic_write``, so a failed write leaves any
+    previous index intact.
     """
     doc_id_bytes, doc_id_lengths = _pack_strings(index.doc_ids)
     term_bytes, term_lengths = _pack_strings(index.terms)
+    ordinals = _narrowed(index.doc_ordinals)
+    ordinal_gaps = ordinals.copy()
+    np.subtract(ordinals[1:], ordinals[:-1], out=ordinal_gaps[1:])  # unsigned: wraps
     tf_positions = np.flatnonzero(index.tfs > 1)
+    coded = {}
+    for column, values in (("dfs", np.diff(index.offsets)),
+                           ("tf_positions", np.diff(tf_positions, prepend=0))):
+        coded[column], escapes = _escaped(values)
+        coded[f"{column}_escapes"] = _narrowed(escapes)
+    # the ordinals' escapes keep the ordinals' dtype, which load_index gives back
+    coded["doc_ordinals"], coded["doc_ordinals_escapes"] = _escaped(ordinal_gaps)
     with atomic_write(path, binary=True) as fh:
         np.savez(fh, format_version=np.int64(INDEX_FORMAT_VERSION),
                  field_policy=np.str_(index.field_policy),
                  doc_id_bytes=doc_id_bytes, doc_id_lengths=doc_id_lengths,
                  doc_lengths=_narrowed(index.doc_lengths), doc_digests=index.doc_digests,
                  term_bytes=term_bytes, term_lengths=term_lengths,
-                 dfs=_narrowed(np.diff(index.offsets)), doc_ordinals=index.doc_ordinals,
-                 tf_positions=_narrowed(tf_positions), tf_values=index.tfs[tf_positions])
+                 tf_values=index.tfs[tf_positions], **coded)
 
 
-_INDEX_ARRAYS = ("format_version", "field_policy", "doc_id_bytes", "doc_id_lengths",
-                 "doc_lengths", "doc_digests", "term_bytes", "term_lengths", "dfs",
-                 "doc_ordinals", "tf_positions", "tf_values")
-# Count and position columns. Each may have any integer dtype that converts to int64
+# Columns stored one byte per entry, each with its escape column (see _escaped).
+_ESCAPED_COLUMNS = ("dfs", "doc_ordinals", "tf_positions")
+# Count columns stored whole. Each may have any integer dtype that converts to int64
 # without loss; save_index writes each at the narrowest unsigned dtype.
-_INTEGER_COLUMNS = ("doc_id_lengths", "term_lengths", "doc_lengths", "dfs",
-                    "doc_ordinals", "tf_positions", "tf_values")
+_INTEGER_COLUMNS = ("doc_id_lengths", "term_lengths", "doc_lengths", "tf_values")
+_INDEX_ARRAYS = ("format_version", "field_policy", "doc_id_bytes", "doc_id_lengths",
+                 "doc_lengths", "doc_digests", "term_bytes", "term_lengths", "tf_values",
+                 *_ESCAPED_COLUMNS, *(f"{c}_escapes" for c in _ESCAPED_COLUMNS))
 _OLD_FORMATS = {1: "which stores no document digests",
-                2: "which stores offsets and every tf"}
+                2: "which stores offsets and every tf",
+                3: "which stores whole ordinals and tf positions"}
 
 
-def _column_problem(a: dict, doc_ids: tuple[str, ...]) -> str | None:
-    """What is wrong with the values of the posting and length columns, if anything."""
-    dfs, ordinals = a["dfs"], a["doc_ordinals"]
-    positions, values = a["tf_positions"], a["tf_values"]
-    num_docs, num_postings = len(doc_ids), len(ordinals)
-    if len(dfs) and dfs.min() < 0:
-        return f"column 'dfs' holds {dfs.min()}, below 0"
-    if (total := int(dfs.sum(dtype=np.int64))) != num_postings:
-        return f"column 'dfs' sums to {total}, not to the {num_postings} postings"
-    if num_postings:
-        lo, hi = ordinals.min(), ordinals.max()
-        if lo < 0 or hi >= num_docs:
-            return (f"column 'doc_ordinals' holds {lo if lo < 0 else hi}, "
-                    f"not an ordinal of the {num_docs} documents")
-    repeats = np.flatnonzero(positions[1:] <= positions[:-1])
-    if len(repeats):
-        return f"column 'tf_positions' does not increase at entry {repeats[0] + 1}"
-    if len(positions) and (positions[0] < 0 or positions[-1] >= num_postings):
-        outside = positions[0] if positions[0] < 0 else positions[-1]
-        return (f"column 'tf_positions' holds {outside}, "
-                f"not a position among the {num_postings} postings")
+def _decoded_postings(a: dict, doc_ids: tuple[str, ...], terms: tuple[str, ...]):
+    """``offsets``, ``doc_ordinals`` and ``tfs`` decoded from ``a`` and checked.
+
+    Each stored column is dropped from ``a`` once decoded. Values that no
+    index build makes are a ValueError naming the column.
+    """
+    num_docs, num_postings = len(doc_ids), len(a["doc_ordinals"])
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    _unescape(a, "dfs", offsets[1:])
+    np.cumsum(offsets, out=offsets)
+    if offsets[-1] != num_postings:
+        raise ValueError(f"column 'dfs' sums to {offsets[-1]}, "
+                         f"not to the {num_postings} postings")
+    # At the ordinals' own dtype the running sum wraps as save_index's differences
+    # did, so it is exact: every ordinal is below 2**bits.
+    dtype = a["doc_ordinals_escapes"].dtype
+    ordinals = _unescape(a, "doc_ordinals", np.empty(num_postings, dtype=dtype))
+    np.cumsum(ordinals, dtype=dtype, out=ordinals)
+    if num_postings and (hi := ordinals.max()) >= num_docs:
+        raise ValueError(f"column 'doc_ordinals' holds {hi}, "
+                         f"not an ordinal of the {num_docs} documents")
+    falls = ordinals[1:] <= ordinals[:-1]
+    starts = offsets[1:-1]  # each term's first posting may fall below the term before
+    falls[starts[(starts > 0) & (starts < num_postings)] - 1] = False
+    if len(falls := np.flatnonzero(falls)):  # drops the mask
+        posting = falls[0] + 1
+        term = terms[np.searchsorted(offsets, posting, side="right") - 1]
+        raise ValueError(f"column 'doc_ordinals' does not increase within the postings "
+                         f"of term {term!r}, at posting {posting}")
+    positions = _unescape(a, "tf_positions",
+                          np.empty(len(a["tf_positions"]), dtype=np.int64))
+    if len(repeats := np.flatnonzero(positions[1:] == 0)):
+        raise ValueError(f"column 'tf_positions' does not increase at entry {repeats[0] + 1}")
+    np.cumsum(positions, out=positions)
+    if len(positions) and positions[-1] >= num_postings:
+        raise ValueError(f"column 'tf_positions' holds {positions[-1]}, "
+                         f"not a position among the {num_postings} postings")
+    values = a["tf_values"]
     if len(values) and values.min() < 2:
-        return f"column 'tf_values' holds {values.min()}, below 2"
+        raise ValueError(f"column 'tf_values' holds {values.min()}, below 2")
     # A document's length is its number of postings plus tf - 1 for each tf above 1.
     # np.add.at, not np.bincount, which would make an intp copy of every ordinal.
     sums = np.zeros(num_docs, dtype=np.int64)
@@ -377,23 +451,28 @@ def _column_problem(a: dict, doc_ids: tuple[str, ...]) -> str | None:
     wrong = np.flatnonzero(a["doc_lengths"] != sums)
     if len(wrong):
         d = wrong[0]
-        return (f"column 'doc_lengths' holds {a['doc_lengths'][d]} for document "
-                f"{doc_ids[d]!r}, whose tfs sum to {sums[d]}")
-    return None
+        raise ValueError(f"column 'doc_lengths' holds {a['doc_lengths'][d]} for document "
+                         f"{doc_ids[d]!r}, whose tfs sum to {sums[d]}")
+    tfs = np.ones(num_postings, dtype=_narrow_dtype(values))
+    tfs[positions] = values
+    return offsets, ordinals, tfs
 
 
 def load_index(path) -> InvertedIndex:
     """Read an index written by ``save_index``; IndexFormatError for anything else.
 
     The index equals the one saved, array for array and dtype for dtype:
-    ``offsets`` is the int64 running sum of ``dfs``, ``tfs`` is 1 but at
-    ``tf_positions`` and at the narrowest unsigned dtype holding its largest
-    value, and ``doc_lengths`` is int32. ``doc_ordinals`` keeps its stored
-    dtype. A column of the wrong kind, a negative ``dfs`` entry or ``dfs`` that
-    do not add up to the postings, an ordinal outside the documents,
-    ``tf_positions`` that do not increase or fall outside the postings, a
-    ``tf_values`` entry below 2 or a document length other than the sum of its
-    tfs is an IndexFormatError naming the column, never a wrong score.
+    ``offsets`` is the int64 running sum of ``dfs``, ``doc_ordinals`` the
+    running sum of the stored differences at the dtype of their escape column,
+    ``tfs`` is 1 but at ``tf_positions`` and at the narrowest unsigned dtype
+    holding its largest value, and ``doc_lengths`` is int32. A column of the
+    wrong kind, escapes other than the column's bytes 255, ``dfs`` that do not
+    add up to the postings, an ordinal outside the documents, ordinals that do
+    not increase within a term, ``tf_positions`` that do not increase or fall
+    outside the postings, a ``tf_values`` entry below 2, a document length
+    other than the sum of its tfs or a doc id that a run file cannot hold
+    (``is_run_field``) is an IndexFormatError naming the column or the id,
+    never a wrong score.
     """
     # np.load is given the open file, not the path: on a corrupt archive it raises
     # without closing a file it opened itself.
@@ -426,26 +505,34 @@ def load_index(path) -> InvertedIndex:
         if dtype.kind not in "iu" or not np.can_cast(dtype, np.int64):
             raise IndexFormatError(path, f"column {name!r} has dtype {dtype}, "
                                          f"not an integer type that fits in int64")
+    for name in _ESCAPED_COLUMNS:
+        if a[name].dtype != np.uint8:
+            raise IndexFormatError(path, f"column {name!r} has dtype {a[name].dtype}, "
+                                         f"not uint8")
+        dtype = a[f"{name}_escapes"].dtype
+        if dtype.kind != "u" or not np.can_cast(dtype, np.int64):
+            raise IndexFormatError(path, f"column '{name}_escapes' has dtype {dtype}, "
+                                         f"not an unsigned type that fits in int64")
 
     try:
         doc_ids = _unpack_strings(a["doc_id_bytes"], a["doc_id_lengths"])
         terms = _unpack_strings(a["term_bytes"], a["term_lengths"])
     except ValueError as exc:
         raise IndexFormatError(path, f"corrupt strings: {exc}") from exc
-    dfs, positions, values = a["dfs"], a["tf_positions"], a["tf_values"]
+    bad_id = next((d for d in doc_ids if not is_run_field(d)), None)
+    if bad_id is not None:
+        raise IndexFormatError(path, f"doc id {bad_id!r} is empty or holds whitespace")
     field_policy = str(a["field_policy"])
     if not (field_policy in FIELD_POLICIES
             and a["doc_lengths"].shape == a["doc_digests"].shape == (len(doc_ids),)
             and a["doc_digests"].dtype == np.dtype("<u8")
-            and dfs.shape == (len(terms),) and a["doc_ordinals"].ndim == 1
-            and positions.ndim == 1 and positions.shape == values.shape):
+            and a["dfs"].shape == (len(terms),)
+            and all(a[c].ndim == a[f"{c}_escapes"].ndim == 1 for c in _ESCAPED_COLUMNS)
+            and a["tf_positions"].shape == a["tf_values"].shape):
         raise IndexFormatError(path, "inconsistent arrays")
-    problem = _column_problem(a, doc_ids)
-    if problem:
-        raise IndexFormatError(path, problem)
-    offsets = np.zeros(len(dfs) + 1, dtype=np.int64)
-    np.cumsum(dfs, dtype=np.int64, out=offsets[1:])
-    tfs = np.ones(len(a["doc_ordinals"]), dtype=_narrow_dtype(values))
-    tfs[positions] = values
+    try:
+        offsets, ordinals, tfs = _decoded_postings(a, doc_ids, terms)
+    except ValueError as exc:
+        raise IndexFormatError(path, str(exc)) from exc
     return InvertedIndex(doc_ids, a["doc_lengths"].astype(np.int32), a["doc_digests"],
-                         terms, offsets, a["doc_ordinals"], tfs, field_policy)
+                         terms, offsets, ordinals, tfs, field_policy)

@@ -13,6 +13,7 @@ from queryboost.evaluation import Ranking, write_run
 from queryboost.generation import ReferenceCache
 from queryboost.pipeline import PipelineConfig
 from queryboost.synthetic import make_synthetic_dataset, write_dataset
+from test_corpus import coded
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,11 @@ def _rewrite_npz(src, dst, **changes):
         np.savez(fh, **arrays)
 
 
+def _rewrite_coded(src, dst, column, values):
+    """Copy an index archive with ``values`` stored in ``column`` as save_index stores them."""
+    _rewrite_npz(src, dst, **coded(column, values))
+
+
 def _column(index, name, dtype=None):
     """One array of an index archive, converted to ``dtype`` if given."""
     with np.load(index) as npz:
@@ -155,6 +161,12 @@ class TestBadIndexFile:
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
                               "format version 2, which stores offsets and every tf")
 
+    def test_format_version_3(self, dataset_dir, tmp_path, capsys):
+        index = tmp_path / "v3.idx"
+        _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(3))
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              "format version 3, which stores whole ordinals and tf positions")
+
     def test_unknown_format_version(self, dataset_dir, tmp_path, capsys):
         index = tmp_path / "future.idx"
         _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(99))
@@ -187,49 +199,108 @@ class TestBadIndexFile:
                               "column 'tf_values' holds 1, below 2")
 
     def test_repeated_tf_position(self, dataset_dir, tmp_path, capsys):
-        positions = _column(dataset_dir["index"], "tf_positions")
+        positions = np.flatnonzero(load_index(dataset_dir["index"]).tfs > 1)
         positions[2] = positions[1]
         index = tmp_path / "repeated.idx"
-        _rewrite_npz(dataset_dir["index"], index, tf_positions=positions)
+        _rewrite_coded(dataset_dir["index"], index, "tf_positions", positions)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
                               "column 'tf_positions' does not increase at entry 2")
 
     def test_tf_position_past_the_postings(self, dataset_dir, tmp_path, capsys):
-        positions = _column(dataset_dir["index"], "tf_positions", np.int64)
-        postings = len(_column(dataset_dir["index"], "doc_ordinals"))
+        loaded = load_index(dataset_dir["index"])
+        positions = np.flatnonzero(loaded.tfs > 1)
+        postings = len(loaded.tfs)
         positions[-1] = postings
         index = tmp_path / "past.idx"
-        _rewrite_npz(dataset_dir["index"], index, tf_positions=positions)
+        _rewrite_coded(dataset_dir["index"], index, "tf_positions", positions)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
                               f"column 'tf_positions' holds {postings}, "
                               f"not a position among the {postings} postings")
 
     def test_dfs_that_do_not_add_up(self, dataset_dir, tmp_path, capsys):
-        dfs = _column(dataset_dir["index"], "dfs", np.int64)
+        dfs = np.diff(load_index(dataset_dir["index"]).offsets)
         dfs[0] += 1
         index = tmp_path / "dfs.idx"
-        _rewrite_npz(dataset_dir["index"], index, dfs=dfs)
+        _rewrite_coded(dataset_dir["index"], index, "dfs", dfs)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
                               f"column 'dfs' sums to {dfs.sum()}, "
                               f"not to the {dfs.sum() - 1} postings")
 
     def test_ordinal_past_the_documents(self, dataset_dir, tmp_path, capsys):
-        ordinals = _column(dataset_dir["index"], "doc_ordinals", np.int32)
+        loaded = load_index(dataset_dir["index"])
+        ordinals = loaded.doc_ordinals + 5  # the first gap raised by 5
         index = tmp_path / "ordinals.idx"
-        _rewrite_npz(dataset_dir["index"], index, doc_ordinals=ordinals + 5)
-        num_docs = len(_column(dataset_dir["index"], "doc_lengths"))
+        _rewrite_coded(dataset_dir["index"], index, "doc_ordinals", ordinals)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              f"column 'doc_ordinals' holds {ordinals.max() + 5}, "
-                              f"not an ordinal of the {num_docs} documents")
+                              f"column 'doc_ordinals' holds {ordinals.max()}, "
+                              f"not an ordinal of the {loaded.num_docs} documents")
 
     def test_decreasing_offsets(self, dataset_dir, tmp_path, capsys):
-        # offsets are the running sum of dfs, so only a negative count could make them fall
-        dfs = _column(dataset_dir["index"], "dfs", np.int32)
-        dfs[2] = -1
+        # offsets are the running sum of dfs, which only a signed escape could make fall
         index = tmp_path / "offsets.idx"
-        _rewrite_npz(dataset_dir["index"], index, dfs=dfs)
+        _rewrite_npz(dataset_dir["index"], index, dfs_escapes=np.array([-1], dtype=np.int32))
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "column 'dfs' holds -1, below 0")
+                              "column 'dfs_escapes' has dtype int32, not an unsigned type")
+
+    def test_byte_column_of_another_dtype(self, dataset_dir, tmp_path, capsys):
+        index = tmp_path / "wide.idx"
+        _rewrite_npz(dataset_dir["index"], index,
+                     doc_ordinals=_column(dataset_dir["index"], "doc_ordinals", np.uint16))
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              "column 'doc_ordinals' has dtype uint16, not uint8")
+
+    # every byte 255 of an escaped column takes the next entry of its escape column
+
+    def test_one_escape_missing(self, dataset_dir, tmp_path, capsys):
+        stored = _column(dataset_dir["index"], "doc_ordinals")
+        escapes = len(_column(dataset_dir["index"], "doc_ordinals_escapes"))
+        stored[np.flatnonzero(stored != 255)[0]] = 255
+        index = tmp_path / "missing.idx"
+        _rewrite_npz(dataset_dir["index"], index, doc_ordinals=stored)
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              f"column 'doc_ordinals' has {escapes + 1} bytes 255, "
+                              f"but {escapes} escapes")
+
+    def test_one_escape_extra(self, dataset_dir, tmp_path, capsys):
+        escapes = _column(dataset_dir["index"], "doc_ordinals_escapes")
+        index = tmp_path / "extra.idx"
+        _rewrite_npz(dataset_dir["index"], index,
+                     doc_ordinals_escapes=np.append(escapes, escapes.dtype.type(255)))
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              f"column 'doc_ordinals' has {len(escapes)} bytes 255, "
+                              f"but {len(escapes) + 1} escapes")
+
+    def test_repeated_document_within_a_term(self, dataset_dir, tmp_path, capsys):
+        loaded = load_index(dataset_dir["index"])
+        ordinals = loaded.doc_ordinals.copy()
+        assert loaded.offsets[1] > 2
+        ordinals[2] = ordinals[1]  # a gap of 0
+        index = tmp_path / "repeated-doc.idx"
+        _rewrite_coded(dataset_dir["index"], index, "doc_ordinals", ordinals)
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              f"column 'doc_ordinals' does not increase within the "
+                              f"postings of term {loaded.terms[0]!r}, at posting 2")
+
+    def test_gap_wrapping_within_a_term(self, dataset_dir, tmp_path, capsys):
+        loaded = load_index(dataset_dir["index"])
+        ordinals = loaded.doc_ordinals.copy()
+        ordinals[2] = ordinals[1] - 1  # a gap of 255, which is -1 modulo 256
+        index = tmp_path / "wrapping.idx"
+        _rewrite_coded(dataset_dir["index"], index, "doc_ordinals", ordinals)
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              f"column 'doc_ordinals' does not increase within the "
+                              f"postings of term {loaded.terms[0]!r}, at posting 2")
+
+    def test_gap_wrapping_past_the_documents(self, dataset_dir, tmp_path, capsys):
+        loaded = load_index(dataset_dir["index"])
+        ordinals = loaded.doc_ordinals.copy()
+        assert ordinals.dtype == np.uint8 and ordinals[0] == 0
+        ordinals[1] = 255  # a gap of 255 from ordinal 0, -1 modulo 256: past the documents
+        index = tmp_path / "wrapping-past.idx"
+        _rewrite_coded(dataset_dir["index"], index, "doc_ordinals", ordinals)
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              f"column 'doc_ordinals' holds 255, "
+                              f"not an ordinal of the {loaded.num_docs} documents")
 
     def test_doc_length_other_than_its_tfs_sum(self, dataset_dir, tmp_path, capsys):
         lengths = _column(dataset_dir["index"], "doc_lengths")

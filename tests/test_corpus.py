@@ -5,6 +5,7 @@ import tempfile
 import weakref
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from queryboost import corpus
 from queryboost.corpus import (FIELD_POLICIES, DataFormatError, Document, IndexFormatError,
                                IndexMismatchError, InvertedIndex, build_index, check_corpus,
-                               load_corpus_jsonl, load_index, save_index, text_digests)
+                               is_run_field, load_corpus_jsonl, load_index, save_index,
+                               text_digests)
 from queryboost.tokenizer import tokenize
 
 doc_texts = st.lists(
@@ -144,23 +146,26 @@ index_text = st.text(alphabet="ab AB9_-.é ßÜ٣", max_size=15)
 
 @st.composite
 def corpora(draw):
-    """Documents in a drawn order; some corpora span several build blocks.
+    """Documents in a drawn order, up to 131 of them.
 
     A large corpus reuses a few drawn texts, so that it stays cheap to draw.
     """
     texts = draw(st.lists(index_text, min_size=1, max_size=8))
     titles = draw(st.lists(st.sampled_from(["", "", "Title", "Ünï b"]), min_size=1,
                            max_size=3))
-    n = draw(st.integers(0, 2 * corpus._BLOCK_DOCS + 3))
+    n = draw(st.integers(0, 131))
     docs = [Document(f"d{i:03d}", titles[i % len(titles)], texts[i * 5 % len(texts)])
             for i in range(n)]
     return draw(st.permutations(docs))
 
 
 @settings(max_examples=150, deadline=None)
-@given(corpora(), st.sampled_from(FIELD_POLICIES))
-def test_build_equals_reference_builder(docs, field_policy):
-    index = build_index(docs, field_policy=field_policy)
+@given(corpora(), st.sampled_from(FIELD_POLICIES),
+       st.one_of(st.integers(1, 40), st.just(corpus._BLOCK_TOKENS)))
+def test_build_equals_reference_builder(docs, field_policy, block_tokens):
+    """With small token bounds a corpus spans many build blocks, down to one document each."""
+    with mock.patch.object(corpus, "_BLOCK_TOKENS", block_tokens):
+        index = build_index(docs, field_policy=field_policy)
     assert_index_equals(index, reference_build(docs, field_policy))
     assert index.term_ids == {t: i for i, t in enumerate(index.terms)}
 
@@ -174,10 +179,11 @@ def test_reference_examples_cover_the_edges():
     assert_index_equals(build_index([]), reference_build([], "title_plus_text"))
 
 
-def test_multi_block_index_survives_save_and_load(tmp_path):
+def test_multi_block_index_survives_save_and_load(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus, "_BLOCK_TOKENS", 50)
     docs = [Document(f"d{i:03d}", "Tïtle" if i % 3 else "",
                      f"w{i % 7} x{i % 11} é{i % 5} w{i % 7}")
-            for i in range(3 * corpus._BLOCK_DOCS + 1)]
+            for i in range(193)]
     expected = reference_build(docs, "title_plus_text")
     save_index(build_index(docs), tmp_path / "index")
     assert_index_equals(load_index(tmp_path / "index"), expected)
@@ -328,7 +334,7 @@ def test_index_round_trip(tmp_path, small_index):
     assert_index_equals(load_index(path), columns(small_index))
 
 
-@given(st.dictionaries(st.text(min_size=1, max_size=6),
+@given(st.dictionaries(st.text(min_size=1, max_size=6).filter(is_run_field),
                        st.text(alphabet="ab cé", max_size=12), max_size=10))
 def test_round_trip_any_doc_ids(texts_by_id):
     idx = build_index([Document(d, "", t) for d, t in texts_by_id.items()])
@@ -346,13 +352,31 @@ def test_round_trip_any_doc_ids(texts_by_id):
 @example([Document("d1", "", "a " * 300 + "b"), Document("d2", "", "a a b")], "text_only")
 @example([Document(f"d{i:03d}", "", f"w x{i % 2} x{i % 2}") for i in range(300)],
          "text_only")
+@example([Document(f"d{i:03d}", "", ("a a" if i % 300 == 0 else "a")
+                   + (" c" if i % 400 == 0 else "") + f" b{i % 3}") for i in range(700)],
+         "text_only")
 def test_load_gives_back_every_saved_array_and_dtype(docs, field_policy):
-    """Covered by the examples: no documents, every tf 1, a tf above 255, a df above 255."""
+    """Covered by the examples: no documents, every tf 1, a tf above 255, a df above
+    255, and at uint16 ordinals gaps of 255 and more that escape: within a term
+    ("c"), between terms and between tfs above 1 ("a")."""
     index = build_index(docs, field_policy=field_policy)
     with tempfile.TemporaryDirectory() as tmp:
         save_index(index, Path(tmp) / "index")
         loaded = load_index(Path(tmp) / "index")
     assert_index_equals(loaded, columns(index))
+
+
+def coded(column, values):
+    """``values`` stored as save_index stores ``column``, by name: one byte each and an
+    escape column. ``dfs`` go as they are; ``tf_positions`` and ``doc_ordinals`` as
+    differences from the entry before. The ordinals' escapes keep the ordinals' dtype,
+    which they load at; the others' are uint32."""
+    if column != "dfs":
+        values = np.diff(values, prepend=np.zeros(1, dtype=values.dtype))
+    stored, escapes = corpus._escaped(values)
+    if column != "doc_ordinals":
+        escapes = escapes.astype(np.uint32)
+    return {column: stored, f"{column}_escapes": escapes}
 
 
 def test_saved_columns_hold_counts_and_only_the_tfs_above_1(tmp_path, small_index):
@@ -364,8 +388,66 @@ def test_saved_columns_hold_counts_and_only_the_tfs_above_1(tmp_path, small_inde
     assert arrays["dfs"].tolist() == np.diff(small_index.offsets).tolist() == [2, 2, 1, 1, 1]
     assert arrays["tf_positions"].tolist() == [1]
     assert arrays["tf_values"].tolist() == [3]
-    for name in ("dfs", "doc_lengths", "tf_positions", "tf_values"):
+    # ordinals 0 2 | 0 1 | 0 | 1 | 1, each less the one before modulo 256: sat's first
+    # is 254, mat's 255, which escapes, and log's 0
+    assert small_index.doc_ordinals.tolist() == [0, 2, 0, 1, 0, 1, 1]
+    assert arrays["doc_ordinals"].tolist() == [0, 2, 254, 1, 255, 1, 0]
+    assert arrays["doc_ordinals_escapes"].tolist() == [255]
+    assert arrays["dfs_escapes"].tolist() == arrays["tf_positions_escapes"].tolist() == []
+    for name in ("dfs", "doc_lengths", "tf_positions", "tf_values", "doc_ordinals",
+                 *(f"{c}_escapes" for c in ("dfs", "doc_ordinals", "tf_positions"))):
         assert arrays[name].dtype == np.uint8, name
+
+
+@pytest.mark.parametrize("dtype, top", [(np.uint8, 255), (np.uint16, 65535),
+                                        (np.uint32, 65536)])
+def test_codec_round_trip_over_postings(tmp_path, dtype, top):
+    """Ordinals up to ``top``, the largest of their dtype or the first to need it.
+
+    The first term's first ordinal is ``top`` and the next term wraps back to 0;
+    gaps of exactly 255 escape as 255, and above uint8 a gap above 255 within a
+    term escapes. The last term's 256 postings put the first and the last posting
+    more than 255 apart.
+    """
+    postings = [[top], sorted({0, 255, top}), [1, 2, top - 1], list(range(256))]
+    ordinals = np.array([o for p in postings for o in p], dtype=dtype)
+    gaps = np.diff(ordinals, prepend=np.zeros(1, dtype=dtype))  # modulo 2**bits
+    stored, escapes = corpus._escaped(gaps)
+    assert stored.dtype == np.uint8 and escapes.dtype == dtype
+    assert escapes.tolist() == [g for g in gaps.tolist() if g >= 255]
+    assert 255 in escapes.tolist() and (dtype is np.uint8 or escapes.max() > 255)
+    assert np.count_nonzero(stored == 255) == len(escapes)
+    arrays = {"doc_ordinals": stored, "doc_ordinals_escapes": escapes}
+    decoded = corpus._unescape(arrays, "doc_ordinals", np.empty(len(stored), dtype=dtype))
+    assert arrays == {}
+    np.cumsum(decoded, dtype=dtype, out=decoded)
+    assert decoded.dtype == dtype and decoded.tolist() == ordinals.tolist()
+
+    # the same postings through save_index and load_index, with tfs above 1 at the
+    # first and the last posting, so the gap between their positions escapes too
+    tfs = np.ones(len(ordinals), dtype=np.uint8)
+    tfs[[0, -1]] = 2
+    lengths = np.zeros(top + 1, dtype=np.int32)
+    np.add.at(lengths, ordinals, tfs)
+    offsets = np.cumsum([0, *map(len, postings)], dtype=np.int64)
+    index = InvertedIndex(tuple(f"d{i:06d}" for i in range(top + 1)), lengths,
+                          np.zeros(top + 1, dtype="<u8"), ("a", "b", "c", "d"), offsets,
+                          ordinals, tfs, "text_only")
+    save_index(index, tmp_path / "index")
+    with np.load(tmp_path / "index") as npz:
+        assert npz["tf_positions_escapes"].tolist() == [len(ordinals) - 1]
+    assert_index_equals(load_index(tmp_path / "index"), columns(index))
+
+
+def test_doc_id_a_run_file_cannot_hold_is_rejected(tmp_path, small_index):
+    save_index(small_index, tmp_path / "index")
+    with np.load(tmp_path / "index") as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    arrays["doc_id_bytes"][2] = ord(" ")  # "d1d2d3" -> "d1 2d3"
+    with open(tmp_path / "edited", "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(IndexFormatError, match="doc id ' 2' is empty or holds whitespace"):
+        load_index(tmp_path / "edited")
 
 
 def test_failed_save_leaves_previous_index(tmp_path, small_index, monkeypatch):

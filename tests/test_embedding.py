@@ -13,7 +13,7 @@ from queryboost.embedding import (EmbeddingMemo, HashingEmbedder, RemoteEmbedder
                                   cosine_scores, cosine_sim, truncate_text)
 from queryboost.service import ServiceError
 from queryboost.tokenizer import _TOKEN_RE, tokenize
-from test_corpus import corpora
+from test_corpus import coded, corpora
 
 
 def _definition_vectors(texts, dimension, seed):
@@ -312,11 +312,11 @@ class TestEmbedDocuments:
         save_index(small_index, tmp_path / "index")
         with np.load(tmp_path / "index") as npz:
             arrays = {k: npz[k] for k in npz.files}
-        arrays["doc_ordinals"] = arrays["doc_ordinals"].astype(np.int32)
+        arrays.update(coded("doc_ordinals", small_index.doc_ordinals.astype(np.uint32)))
         with open(tmp_path / "wide", "wb") as fh:
             np.savez(fh, **arrays)
         loaded = load_index(tmp_path / "wide")
-        assert loaded.doc_ordinals.dtype == np.int32
+        assert loaded.doc_ordinals.dtype == np.uint32
         for got, want in zip(embedder._table(loaded), embedder._table(small_index)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 

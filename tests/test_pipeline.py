@@ -1,4 +1,5 @@
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from queryboost.pipeline import (PipelineConfig, format_sweep_table, keyword_ove
                                  top_idf_tokens)
 from queryboost.rerank import embed_query, rerank
 from queryboost.sparse import ReweightConfig, bm25_search, build_sparse_query
+from test_corpus import coded
 
 
 def _setup_corpus():
@@ -369,12 +371,13 @@ def _multi_block_run(field_policy):
     """A corpus of several build blocks, with titles, and two referenced queries."""
     docs = [Document(f"d{i:03d}", "Tïtle" if i % 4 == 0 else "",
                      f"w{i % 7} x{i % 11} é{i % 5} w{i % 7} y{i % 3} " + "z " * (i % 4))
-            for i in range(3 * corpus._BLOCK_DOCS + 5)]
+            for i in range(197)]
     refs = {"q1": ReferenceSet("q1", "w3 x5", ("w3 é2 y1", "x5 x5 z", "Tïtle w3"), "m"),
             "q2": ReferenceSet("q2", "é4 y2", ("é4 x1", "y2 w6 w6"), "m")}
     queries = [("q1", "w3 x5"), ("q2", "é4 y2")]
-    return (queries, build_index(docs, field_policy=field_policy),
-            {d.doc_id: d for d in docs}, refs)
+    with mock.patch.object(corpus, "_BLOCK_TOKENS", 64):
+        index = build_index(docs, field_policy=field_policy)
+    return queries, index, {d.doc_id: d for d in docs}, refs
 
 
 class TestDocumentVectorsFromTheIndex:
@@ -470,17 +473,17 @@ class TestFieldPolicy:
 
 
 def _save_with_wide_columns(index, path):
-    """Save ``index`` with every count and position column wider than it needs:
-    int32 ``doc_ordinals`` and ``tf_values``, int64 ``dfs``, ``tf_positions``,
-    ``doc_lengths`` and string lengths."""
+    """Save ``index`` with every count column and escape column wider than it needs:
+    int32 ``tf_values``, uint32 ``doc_ordinals`` (so the ordinals load as uint32) and
+    ``dfs`` and ``tf_positions`` escapes, int64 ``doc_lengths`` and string lengths."""
     save_index(index, path)
     with np.load(path) as npz:
         arrays = {k: npz[k] for k in npz.files}
-    for key, dtype in [("doc_ordinals", np.int32), ("tf_values", np.int32),
-                       ("dfs", np.int64), ("tf_positions", np.int64),
-                       ("doc_lengths", np.int64), ("doc_id_lengths", np.int64),
-                       ("term_lengths", np.int64)]:
+    for key, dtype in [("tf_values", np.int32), ("doc_lengths", np.int64),
+                       ("doc_id_lengths", np.int64), ("term_lengths", np.int64),
+                       ("dfs_escapes", np.uint32), ("tf_positions_escapes", np.uint32)]:
         arrays[key] = arrays[key].astype(dtype)
+    arrays.update(coded("doc_ordinals", index.doc_ordinals.astype(np.uint32)))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -493,7 +496,7 @@ def test_int32_index_loads_and_gives_identical_run_files(synthetic_dataset, tmp_
     run_files = {}
     for name in ("narrow", "int32"):
         loaded = load_index(tmp_path / f"{name}.npz")
-        assert loaded.doc_ordinals.dtype == (np.int32 if name == "int32" else np.uint16)
+        assert loaded.doc_ordinals.dtype == (np.uint32 if name == "int32" else np.uint16)
         assert loaded.tfs.dtype == np.uint8 and loaded.doc_lengths.dtype == np.int32
         rankings = run_pipeline(ds.queries, loaded, store, HashingEmbedder(64, seed=1),
                                 _Cache(refs), "m", PipelineConfig())

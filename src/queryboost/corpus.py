@@ -3,17 +3,18 @@
 Documents are numbered by ordinal in ascending ``doc_id`` order, so an integer
 tie-break on ordinals equals a tie-break on doc ids. Postings are stored in
 CSR form: term id ``t`` owns entries ``offsets[t]:offsets[t + 1]`` of the
-``doc_ordinals`` and ``tfs`` arrays, sorted by ordinal. Those two columns,
-like the byte lengths of the stored strings, are kept at the narrowest
-unsigned dtype that holds their largest value. Each document also
-keeps an 8-byte blake2b digest of the text it was indexed from, so a corpus
-whose text changed under the same doc ids is caught. ``save_index`` writes
-one ``.npz`` archive holding only what the postings cannot give back: each
-term's document count in place of ``offsets``, only the tfs above 1 with
-their positions, and each posting's ordinal as its difference from the
-previous posting's. Counts, positions and ordinals are stored as one byte
-each, with the values of 255 and above in an escape column (``_escaped``).
-``load_index`` rebuilds the same arrays from it.
+``doc_ordinals`` and ``tfs`` arrays, sorted by ordinal. Those two columns
+are kept at the narrowest unsigned dtype that holds their largest value.
+Each document also keeps an 8-byte blake2b digest of the text it was indexed
+from, so a corpus whose text changed under the same doc ids is caught.
+``save_index`` writes one ``.npz`` archive holding only what the postings
+cannot give back: each term's document count in place of ``offsets``, only
+the tfs above 1 with their positions, and each posting's ordinal as its
+difference from the previous posting's. Counts, positions and ordinals are
+stored as one byte each, with the values of 255 and above in an escape column
+(``_escaped``). Doc ids and terms are stored as lines of UTF-8 text: no token
+and no doc id that a run file can hold contains a newline. ``load_index``
+rebuilds the same arrays from it.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ import zipfile
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from queryboost.files import atomic_write
 from queryboost.tokenizer import tokenize
 
 FIELD_POLICIES = ("text_only", "title_plus_text")
-INDEX_FORMAT_VERSION = 4
+INDEX_FORMAT_VERSION = 5
 
 
 class DataFormatError(ValueError):
@@ -99,6 +100,12 @@ class InvertedIndex:
     that consumer: a ``HashingEmbedder`` holds its bucket counts for each index
     in a table keyed weakly by the index. Built once by ``build_index``; safe
     for unlimited concurrent readers afterwards.
+
+    The invariants every index holds are checked here, for ``build_index`` and
+    ``load_index`` alike: each doc id is one run file field (``is_run_field``),
+    the doc ids ascend strictly, so ordinal order is doc id order (BM25's
+    tie-break relies on it), and no term is repeated. A ValueError names the
+    first offender.
     """
 
     def __init__(self, doc_ids: tuple[str, ...], doc_lengths: np.ndarray,
@@ -111,6 +118,15 @@ class InvertedIndex:
         self.doc_digests = doc_digests
         self.terms = terms
         self.term_ids = {term: t for t, term in enumerate(terms)}
+        bad_id = next((d for d in doc_ids if not is_run_field(d)), None)
+        if bad_id is not None:
+            raise ValueError(f"doc id {bad_id!r} is empty or holds whitespace")
+        unordered = next((b for a, b in pairwise(doc_ids) if a >= b), None)
+        if unordered is not None:
+            raise ValueError(f"doc ids do not ascend at {unordered!r}")
+        if len(self.term_ids) != len(terms):
+            repeated = next(term for t, term in enumerate(terms) if self.term_ids[term] != t)
+            raise ValueError(f"term {repeated!r} is repeated")
         self.offsets = offsets
         self.doc_ordinals = doc_ordinals
         self.tfs = tfs
@@ -309,23 +325,6 @@ def load_corpus_jsonl(path) -> list[Document]:
     return docs
 
 
-def _pack_strings(strings) -> tuple[np.ndarray, np.ndarray]:
-    """The strings' UTF-8 bytes, concatenated, and each one's byte length (narrowed)."""
-    encoded = [s.encode("utf-8") for s in strings]
-    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), _narrowed(lengths)
-
-
-def _unpack_strings(blob: np.ndarray, lengths: np.ndarray) -> tuple[str, ...]:
-    data = blob.tobytes()
-    if len(lengths) and lengths.min() < 0:
-        raise ValueError("a string length is negative")
-    ends = np.cumsum(lengths, dtype=np.int64).tolist()
-    if (ends[-1] if ends else 0) != len(data):
-        raise ValueError("string lengths do not add up to the stored bytes")
-    return tuple(data[a:b].decode("utf-8") for a, b in zip([0] + ends[:-1], ends))
-
-
 _ESCAPE = 255  # a stored byte whose value is the next entry of its escape column
 
 
@@ -365,11 +364,12 @@ def save_index(index: InvertedIndex, path) -> None:
     posting's, modulo 2**bits of the ordinals' dtype. Those three columns hold
     one byte per entry, with an escape column each (``_escaped``): the
     ordinals' at the ordinals' dtype, the others' at the narrowest unsigned
-    dtype. It is written through ``atomic_write``, so a failed write leaves any
-    previous index intact.
+    dtype. Doc ids and terms are stored as their ``"\n".join`` in UTF-8
+    (``doc_id_bytes``, ``term_bytes``). It is written through ``atomic_write``,
+    so a failed write leaves any previous index intact.
     """
-    doc_id_bytes, doc_id_lengths = _pack_strings(index.doc_ids)
-    term_bytes, term_lengths = _pack_strings(index.terms)
+    doc_id_bytes, term_bytes = (np.frombuffer("\n".join(s).encode("utf-8"), dtype=np.uint8)
+                                for s in (index.doc_ids, index.terms))
     ordinals = _narrowed(index.doc_ordinals)
     ordinal_gaps = ordinals.copy()
     np.subtract(ordinals[1:], ordinals[:-1], out=ordinal_gaps[1:])  # unsigned: wraps
@@ -384,9 +384,8 @@ def save_index(index: InvertedIndex, path) -> None:
     with atomic_write(path, binary=True) as fh:
         np.savez(fh, format_version=np.int64(INDEX_FORMAT_VERSION),
                  field_policy=np.str_(index.field_policy),
-                 doc_id_bytes=doc_id_bytes, doc_id_lengths=doc_id_lengths,
-                 doc_lengths=_narrowed(index.doc_lengths), doc_digests=index.doc_digests,
-                 term_bytes=term_bytes, term_lengths=term_lengths,
+                 doc_id_bytes=doc_id_bytes, doc_lengths=_narrowed(index.doc_lengths),
+                 doc_digests=index.doc_digests, term_bytes=term_bytes,
                  tf_values=index.tfs[tf_positions], **coded)
 
 
@@ -394,13 +393,14 @@ def save_index(index: InvertedIndex, path) -> None:
 _ESCAPED_COLUMNS = ("dfs", "doc_ordinals", "tf_positions")
 # Count columns stored whole. Each may have any integer dtype that converts to int64
 # without loss; save_index writes each at the narrowest unsigned dtype.
-_INTEGER_COLUMNS = ("doc_id_lengths", "term_lengths", "doc_lengths", "tf_values")
-_INDEX_ARRAYS = ("format_version", "field_policy", "doc_id_bytes", "doc_id_lengths",
-                 "doc_lengths", "doc_digests", "term_bytes", "term_lengths", "tf_values",
+_INTEGER_COLUMNS = ("doc_lengths", "tf_values")
+_INDEX_ARRAYS = ("format_version", "field_policy", "doc_id_bytes", "doc_lengths",
+                 "doc_digests", "term_bytes", "tf_values",
                  *_ESCAPED_COLUMNS, *(f"{c}_escapes" for c in _ESCAPED_COLUMNS))
 _OLD_FORMATS = {1: "which stores no document digests",
                 2: "which stores offsets and every tf",
-                3: "which stores whole ordinals and tf positions"}
+                3: "which stores whole ordinals and tf positions",
+                4: "which stores each string's byte length"}
 
 
 def _decoded_postings(a: dict, doc_ids: tuple[str, ...], terms: tuple[str, ...]):
@@ -470,9 +470,10 @@ def load_index(path) -> InvertedIndex:
     add up to the postings, an ordinal outside the documents, ordinals that do
     not increase within a term, ``tf_positions`` that do not increase or fall
     outside the postings, a ``tf_values`` entry below 2, a document length
-    other than the sum of its tfs or a doc id that a run file cannot hold
-    (``is_run_field``) is an IndexFormatError naming the column or the id,
-    never a wrong score.
+    other than the sum of its tfs, strings that are not UTF-8 or whose count
+    is not the documents' or the terms', or an index that breaks an invariant
+    of ``InvertedIndex`` is an IndexFormatError naming the column, the id or
+    the term, never a wrong score.
     """
     # np.load is given the open file, not the path: on a corrupt archive it raises
     # without closing a file it opened itself.
@@ -505,23 +506,21 @@ def load_index(path) -> InvertedIndex:
         if dtype.kind not in "iu" or not np.can_cast(dtype, np.int64):
             raise IndexFormatError(path, f"column {name!r} has dtype {dtype}, "
                                          f"not an integer type that fits in int64")
-    for name in _ESCAPED_COLUMNS:
+    for name in ("doc_id_bytes", "term_bytes", *_ESCAPED_COLUMNS):
         if a[name].dtype != np.uint8:
             raise IndexFormatError(path, f"column {name!r} has dtype {a[name].dtype}, "
                                          f"not uint8")
+    for name in _ESCAPED_COLUMNS:
         dtype = a[f"{name}_escapes"].dtype
         if dtype.kind != "u" or not np.can_cast(dtype, np.int64):
             raise IndexFormatError(path, f"column '{name}_escapes' has dtype {dtype}, "
                                          f"not an unsigned type that fits in int64")
 
-    try:
-        doc_ids = _unpack_strings(a["doc_id_bytes"], a["doc_id_lengths"])
-        terms = _unpack_strings(a["term_bytes"], a["term_lengths"])
-    except ValueError as exc:
+    try:  # no bytes are no strings, not one empty string
+        doc_ids, terms = (tuple(a[c].tobytes().decode("utf-8").split("\n")) if a[c].size
+                          else () for c in ("doc_id_bytes", "term_bytes"))
+    except UnicodeDecodeError as exc:
         raise IndexFormatError(path, f"corrupt strings: {exc}") from exc
-    bad_id = next((d for d in doc_ids if not is_run_field(d)), None)
-    if bad_id is not None:
-        raise IndexFormatError(path, f"doc id {bad_id!r} is empty or holds whitespace")
     field_policy = str(a["field_policy"])
     if not (field_policy in FIELD_POLICIES
             and a["doc_lengths"].shape == a["doc_digests"].shape == (len(doc_ids),)
@@ -532,7 +531,7 @@ def load_index(path) -> InvertedIndex:
         raise IndexFormatError(path, "inconsistent arrays")
     try:
         offsets, ordinals, tfs = _decoded_postings(a, doc_ids, terms)
+        return InvertedIndex(doc_ids, a["doc_lengths"].astype(np.int32), a["doc_digests"],
+                             terms, offsets, ordinals, tfs, field_policy)
     except ValueError as exc:
         raise IndexFormatError(path, str(exc)) from exc
-    return InvertedIndex(doc_ids, a["doc_lengths"].astype(np.int32), a["doc_digests"],
-                         terms, offsets, ordinals, tfs, field_policy)

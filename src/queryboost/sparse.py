@@ -33,13 +33,12 @@ class BM25Params:
 class ReweightConfig:
     """Query repetition strategy: adaptive(beta) or constant(t).
 
-    Exactly one of ``beta`` / ``t`` is set. ``lambda_min`` floors the adaptive
-    repetition count so the query is never absent from its own expansion.
+    Exactly one of ``beta`` / ``t`` is set. The adaptive repetition count is at
+    least 1, so the query is never absent from its own expansion.
     """
 
     beta: float | None = 4.0
     t: int | None = None
-    lambda_min: int = 1
 
     def __post_init__(self):
         if (self.beta is None) == (self.t is None):
@@ -50,8 +49,8 @@ class ReweightConfig:
             raise ValueError(f"t must be >= 0, got {self.t}")
 
     @classmethod
-    def adaptive(cls, beta: float = 4.0, lambda_min: int = 1) -> "ReweightConfig":
-        return cls(beta=beta, t=None, lambda_min=lambda_min)
+    def adaptive(cls, beta: float = 4.0) -> "ReweightConfig":
+        return cls(beta=beta, t=None)
 
     @classmethod
     def constant(cls, t: int) -> "ReweightConfig":
@@ -133,19 +132,18 @@ def bm25_search(index: InvertedIndex, params: BM25Params,
     return [(ids[d], s) for d, s in zip(hits[order].tolist(), hit_scores[order].tolist())]
 
 
-def compute_lambda(references, query: str, beta: float, lambda_min: int = 1) -> int:
-    """Adaptive query repetition count: floor(sum(len(r)) / (len(q) * beta))."""
-    return _repeat_count(len(tokenize(query)), sum(len(tokenize(r)) for r in references),
-                         beta, lambda_min)
+def compute_lambda(references, query: str, beta: float) -> int:
+    """Adaptive query repetition count: max(1, floor(sum(len(r)) / (len(q) * beta)))."""
+    return _repeat_count(len(tokenize(query)), sum(len(tokenize(r)) for r in references), beta)
 
 
-def _repeat_count(q_len: int, total_ref_len: int, beta: float, lambda_min: int) -> int:
+def _repeat_count(q_len: int, total_ref_len: int, beta: float) -> int:
     """``compute_lambda`` from token counts."""
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     if q_len == 0:
         raise ValueError("query tokenizes to zero tokens; repetition count undefined")
-    return max(lambda_min, math.floor(total_ref_len / (q_len * beta)))
+    return max(1, math.floor(total_ref_len / (q_len * beta)))
 
 
 def build_sparse_query(query: str, references, config: ReweightConfig) -> SparseQuery:
@@ -155,8 +153,7 @@ def build_sparse_query(query: str, references, config: ReweightConfig) -> Sparse
     if config.beta is not None:
         if not ref_tokens:
             raise ValueError("adaptive reweighting requires at least one reference")
-        repeats = _repeat_count(len(q_tokens), sum(map(len, ref_tokens)),
-                                config.beta, config.lambda_min)
+        repeats = _repeat_count(len(q_tokens), sum(map(len, ref_tokens)), config.beta)
     else:
         repeats = config.t
     tokens = q_tokens * repeats

@@ -167,6 +167,12 @@ class TestBadIndexFile:
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
                               "format version 3, which stores whole ordinals and tf positions")
 
+    def test_format_version_4(self, dataset_dir, tmp_path, capsys):
+        index = tmp_path / "v4.idx"
+        _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(4))
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              "format version 4, which stores each string's byte length")
+
     def test_unknown_format_version(self, dataset_dir, tmp_path, capsys):
         index = tmp_path / "future.idx"
         _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(99))
@@ -248,6 +254,14 @@ class TestBadIndexFile:
                      doc_ordinals=_column(dataset_dir["index"], "doc_ordinals", np.uint16))
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
                               "column 'doc_ordinals' has dtype uint16, not uint8")
+
+    def test_string_column_of_another_dtype(self, dataset_dir, tmp_path, capsys):
+        # read as bytes, uint16 ids would load holding NUL characters
+        index = tmp_path / "wide-ids.idx"
+        _rewrite_npz(dataset_dir["index"], index,
+                     doc_id_bytes=_column(dataset_dir["index"], "doc_id_bytes", np.uint16))
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              "column 'doc_id_bytes' has dtype uint16, not uint8")
 
     # every byte 255 of an escaped column takes the next entry of its escape column
 

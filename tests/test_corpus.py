@@ -242,15 +242,19 @@ def test_dropped_index_freed_without_a_collection(tmp_path, small_docs, gc_disab
     assert [r() for r in refs] == [None, None]
 
 
-@pytest.mark.parametrize("long_bytes, dtype", [(255, np.uint8), (256, np.uint16)])
-def test_string_length_dtype_edges(tmp_path, long_bytes, dtype):
+@pytest.mark.parametrize("long_bytes", [255, 256])
+def test_long_non_ascii_strings_round_trip(tmp_path, long_bytes):
+    """A doc id and a term of 255 and of 256 UTF-8 bytes are stored as lines, with no
+    length column to overflow."""
     long_term = "é" * (long_bytes // 2) + "x" * (long_bytes % 2)  # 2 UTF-8 bytes per é
     long_id = "ü" * (long_bytes // 2) + "y" * (long_bytes % 2)
     index = build_index([Document(long_id, "", long_term), Document("d1", "", "w")])
     save_index(index, tmp_path / "index")
     with np.load(tmp_path / "index") as npz:
-        assert npz["term_lengths"].dtype == npz["doc_id_lengths"].dtype == dtype
-        assert npz["term_lengths"].max() == npz["doc_id_lengths"].max() == long_bytes
+        assert "term_lengths" not in npz.files and "doc_id_lengths" not in npz.files
+        assert npz["doc_id_bytes"].tobytes() == f"d1\n{long_id}".encode("utf-8")
+        assert npz["term_bytes"].tobytes() == f"w\n{long_term}".encode("utf-8")
+        assert len(npz["term_bytes"]) == long_bytes + 2
     loaded = load_index(tmp_path / "index")
     assert loaded.terms == index.terms and loaded.doc_ids == index.doc_ids
 
@@ -443,10 +447,40 @@ def test_doc_id_a_run_file_cannot_hold_is_rejected(tmp_path, small_index):
     save_index(small_index, tmp_path / "index")
     with np.load(tmp_path / "index") as npz:
         arrays = {k: npz[k] for k in npz.files}
-    arrays["doc_id_bytes"][2] = ord(" ")  # "d1d2d3" -> "d1 2d3"
+    arrays["doc_id_bytes"][4] = ord(" ")  # "d1\nd2\nd3" -> "d1\nd \nd3"
     with open(tmp_path / "edited", "wb") as fh:
         np.savez(fh, **arrays)
-    with pytest.raises(IndexFormatError, match="doc id ' 2' is empty or holds whitespace"):
+    with pytest.raises(IndexFormatError, match="doc id 'd ' is empty or holds whitespace"):
+        load_index(tmp_path / "edited")
+
+
+@pytest.mark.parametrize("doc_id", ["a b", "a\nb", " a", "a\t", ""])
+def test_build_rejects_a_doc_id_a_run_file_cannot_hold(doc_id):
+    # load_index would reject the file, so no such file is written
+    with pytest.raises(ValueError, match=re.escape(f"doc id {doc_id!r} is empty or holds")):
+        build_index([Document("d1", "", "x"), Document(doc_id, "", "y")])
+
+
+@pytest.mark.parametrize("column, old, new, problem", [
+    # "cherry" read as "banana": BM25 for "banana" would rank d3, not d2
+    ("term_bytes", b"cherry", b"banana", "term 'banana' is repeated"),
+    ("doc_id_bytes", b"d1\nd2", b"d2\nd1", "doc ids do not ascend at 'd1'"),
+    ("term_bytes", b"pie", b"p\ne", "inconsistent arrays"),  # one term too many
+    ("doc_id_bytes", b"d2\nd3", b"d2d3", "inconsistent arrays"),  # one id too few
+    ("term_bytes", b"apple", b"app\xffe", "corrupt strings"),
+])
+def test_crafted_strings_are_rejected(tmp_path, column, old, new, problem):
+    docs = [Document("d1", "", "apple pie"), Document("d2", "", "banana apple"),
+            Document("d3", "", "cherry")]
+    save_index(build_index(docs), tmp_path / "index")
+    with np.load(tmp_path / "index") as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    stored = arrays[column].tobytes()
+    assert stored.count(old) == 1
+    arrays[column] = np.frombuffer(stored.replace(old, new), dtype=np.uint8)
+    with open(tmp_path / "edited", "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(IndexFormatError, match=re.escape(problem)):
         load_index(tmp_path / "edited")
 
 

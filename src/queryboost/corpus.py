@@ -9,12 +9,13 @@ Each document also keeps an 8-byte blake2b digest of the text it was indexed
 from, so a corpus whose text changed under the same doc ids is caught.
 ``save_index`` writes one ``.npz`` archive holding only what the postings
 cannot give back: each term's document count in place of ``offsets``, only
-the tfs above 1 with their positions, and each posting's ordinal as its
-difference from the previous posting's. Counts, positions and ordinals are
-stored as one byte each, with the values of 255 and above in an escape column
-(``_escaped``). Doc ids and terms are stored as lines of UTF-8 text: no token
-and no doc id that a run file can hold contains a newline. ``load_index``
-rebuilds the same arrays from it.
+the tfs above 1 with their positions, each posting's ordinal as its
+difference from the previous posting's, and no document lengths, which are
+the sums of the documents' tfs. Every count column is stored as one byte per
+entry, with the values of 255 and above in an escape column (``_escaped``).
+Doc ids and terms are stored as lines of UTF-8 text: no token and no doc id
+that a run file can hold contains a newline. ``load_index`` rebuilds the same
+arrays from it.
 """
 
 import hashlib
@@ -32,7 +33,7 @@ from queryboost.files import atomic_write
 from queryboost.tokenizer import tokenize
 
 FIELD_POLICIES = ("text_only", "title_plus_text")
-INDEX_FORMAT_VERSION = 5
+INDEX_FORMAT_VERSION = 6
 
 
 class DataFormatError(ValueError):
@@ -361,10 +362,11 @@ def save_index(index: InvertedIndex, path) -> None:
     ``offsets``, and the postings whose tf is above 1 (``tf_positions``, each
     as its difference from the one before, and ``tf_values``) in place of every
     tf. Each posting's ordinal is stored as its difference from the previous
-    posting's, modulo 2**bits of the ordinals' dtype. Those three columns hold
-    one byte per entry, with an escape column each (``_escaped``): the
+    posting's, modulo 2**bits of the ordinals' dtype. Those four count columns
+    hold one byte per entry, with an escape column each (``_escaped``): the
     ordinals' at the ordinals' dtype, the others' at the narrowest unsigned
-    dtype. Doc ids and terms are stored as their ``"\n".join`` in UTF-8
+    dtype. ``doc_lengths`` is not stored: each is the sum of a document's tfs.
+    Doc ids and terms are stored as their ``"\n".join`` in UTF-8
     (``doc_id_bytes``, ``term_bytes``). It is written through ``atomic_write``,
     so a failed write leaves any previous index intact.
     """
@@ -376,7 +378,8 @@ def save_index(index: InvertedIndex, path) -> None:
     tf_positions = np.flatnonzero(index.tfs > 1)
     coded = {}
     for column, values in (("dfs", np.diff(index.offsets)),
-                           ("tf_positions", np.diff(tf_positions, prepend=0))):
+                           ("tf_positions", np.diff(tf_positions, prepend=0)),
+                           ("tf_values", index.tfs[tf_positions])):
         coded[column], escapes = _escaped(values)
         coded[f"{column}_escapes"] = _narrowed(escapes)
     # the ordinals' escapes keep the ordinals' dtype, which load_index gives back
@@ -384,32 +387,29 @@ def save_index(index: InvertedIndex, path) -> None:
     with atomic_write(path, binary=True) as fh:
         np.savez(fh, format_version=np.int64(INDEX_FORMAT_VERSION),
                  field_policy=np.str_(index.field_policy),
-                 doc_id_bytes=doc_id_bytes, doc_lengths=_narrowed(index.doc_lengths),
-                 doc_digests=index.doc_digests, term_bytes=term_bytes,
-                 tf_values=index.tfs[tf_positions], **coded)
+                 doc_id_bytes=doc_id_bytes, doc_digests=index.doc_digests,
+                 term_bytes=term_bytes, **coded)
 
 
 # Columns stored one byte per entry, each with its escape column (see _escaped).
-_ESCAPED_COLUMNS = ("dfs", "doc_ordinals", "tf_positions")
-# Count columns stored whole. Each may have any integer dtype that converts to int64
-# without loss; save_index writes each at the narrowest unsigned dtype.
-_INTEGER_COLUMNS = ("doc_lengths", "tf_values")
-_INDEX_ARRAYS = ("format_version", "field_policy", "doc_id_bytes", "doc_lengths",
-                 "doc_digests", "term_bytes", "tf_values",
-                 *_ESCAPED_COLUMNS, *(f"{c}_escapes" for c in _ESCAPED_COLUMNS))
+_ESCAPED_COLUMNS = ("dfs", "doc_ordinals", "tf_positions", "tf_values")
+_COLUMNS = ("doc_id_bytes", "doc_digests", "term_bytes",
+            *_ESCAPED_COLUMNS, *(f"{c}_escapes" for c in _ESCAPED_COLUMNS))
+_INDEX_ARRAYS = ("format_version", "field_policy", *_COLUMNS)
 _OLD_FORMATS = {1: "which stores no document digests",
                 2: "which stores offsets and every tf",
                 3: "which stores whole ordinals and tf positions",
-                4: "which stores each string's byte length"}
+                4: "which stores each string's byte length",
+                5: "which stores document lengths"}
 
 
-def _decoded_postings(a: dict, doc_ids: tuple[str, ...], terms: tuple[str, ...]):
-    """``offsets``, ``doc_ordinals`` and ``tfs`` decoded from ``a`` and checked.
+def _decoded_postings(a: dict, num_docs: int, terms: tuple[str, ...]):
+    """``offsets``, ``doc_lengths``, ``doc_ordinals`` and ``tfs`` from ``a``, checked.
 
     Each stored column is dropped from ``a`` once decoded. Values that no
     index build makes are a ValueError naming the column.
     """
-    num_docs, num_postings = len(doc_ids), len(a["doc_ordinals"])
+    num_postings = len(a["doc_ordinals"])
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
     _unescape(a, "dfs", offsets[1:])
     np.cumsum(offsets, out=offsets)
@@ -440,22 +440,20 @@ def _decoded_postings(a: dict, doc_ids: tuple[str, ...], terms: tuple[str, ...])
     if len(positions) and positions[-1] >= num_postings:
         raise ValueError(f"column 'tf_positions' holds {positions[-1]}, "
                          f"not a position among the {num_postings} postings")
-    values = a["tf_values"]
+    values = _unescape(a, "tf_values", np.empty(len(positions), dtype=np.int64))
     if len(values) and values.min() < 2:
         raise ValueError(f"column 'tf_values' holds {values.min()}, below 2")
     # A document's length is its number of postings plus tf - 1 for each tf above 1.
     # np.add.at, not np.bincount, which would make an intp copy of every ordinal.
-    sums = np.zeros(num_docs, dtype=np.int64)
-    np.add.at(sums, ordinals, 1)
-    np.add.at(sums, ordinals[positions], values - 1)
-    wrong = np.flatnonzero(a["doc_lengths"] != sums)
-    if len(wrong):
-        d = wrong[0]
-        raise ValueError(f"column 'doc_lengths' holds {a['doc_lengths'][d]} for document "
-                         f"{doc_ids[d]!r}, whose tfs sum to {sums[d]}")
+    lengths = np.zeros(num_docs, dtype=np.int64)
+    np.add.at(lengths, ordinals, 1)
+    np.add.at(lengths, ordinals[positions], values - 1)
+    if num_docs and (longest := lengths.max()) > np.iinfo(np.int32).max:
+        raise ValueError(f"column 'tf_values' makes a document {longest} tokens long, "
+                         f"more than int32 holds")
     tfs = np.ones(num_postings, dtype=_narrow_dtype(values))
     tfs[positions] = values
-    return offsets, ordinals, tfs
+    return offsets, lengths.astype(np.int32), ordinals, tfs
 
 
 def load_index(path) -> InvertedIndex:
@@ -465,15 +463,17 @@ def load_index(path) -> InvertedIndex:
     ``offsets`` is the int64 running sum of ``dfs``, ``doc_ordinals`` the
     running sum of the stored differences at the dtype of their escape column,
     ``tfs`` is 1 but at ``tf_positions`` and at the narrowest unsigned dtype
-    holding its largest value, and ``doc_lengths`` is int32. A column of the
-    wrong kind, escapes other than the column's bytes 255, ``dfs`` that do not
-    add up to the postings, an ordinal outside the documents, ordinals that do
-    not increase within a term, ``tf_positions`` that do not increase or fall
-    outside the postings, a ``tf_values`` entry below 2, a document length
-    other than the sum of its tfs, strings that are not UTF-8 or whose count
-    is not the documents' or the terms', or an index that breaks an invariant
-    of ``InvertedIndex`` is an IndexFormatError naming the column, the id or
-    the term, never a wrong score.
+    holding its largest value, and ``doc_lengths`` is the int32 sum of each
+    document's tfs. A column of the wrong dtype or not one-dimensional, escapes
+    other than the column's bytes 255, a column whose length is not the count
+    it must match (``doc_digests`` and the doc ids, ``dfs`` and the terms,
+    ``tf_values`` and ``tf_positions``; both counts are named), ``dfs`` that do
+    not add up to the postings, an ordinal outside the documents, ordinals that
+    do not increase within a term, ``tf_positions`` that do not increase or
+    fall outside the postings, a ``tf_values`` entry below 2, a document
+    longer than int32 holds, strings that are not UTF-8, or an index that
+    breaks an invariant of ``InvertedIndex`` is an IndexFormatError naming the
+    column, the id or the term, never a wrong score.
     """
     # np.load is given the open file, not the path: on a corrupt archive it raises
     # without closing a file it opened itself.
@@ -501,15 +501,15 @@ def load_index(path) -> InvertedIndex:
     missing = [k for k in _INDEX_ARRAYS if k not in a]
     if missing:
         raise IndexFormatError(path, f"missing arrays: {', '.join(missing)}")
-    for name in _INTEGER_COLUMNS:
-        dtype = a[name].dtype
-        if dtype.kind not in "iu" or not np.can_cast(dtype, np.int64):
-            raise IndexFormatError(path, f"column {name!r} has dtype {dtype}, "
-                                         f"not an integer type that fits in int64")
-    for name in ("doc_id_bytes", "term_bytes", *_ESCAPED_COLUMNS):
-        if a[name].dtype != np.uint8:
+    for name in _COLUMNS:
+        if a[name].ndim != 1:
+            raise IndexFormatError(path, f"column {name!r} has {a[name].ndim} dimensions, "
+                                         f"not 1")
+    for name in ("doc_id_bytes", "doc_digests", "term_bytes", *_ESCAPED_COLUMNS):
+        dtype = np.dtype("<u8" if name == "doc_digests" else np.uint8)
+        if a[name].dtype != dtype:
             raise IndexFormatError(path, f"column {name!r} has dtype {a[name].dtype}, "
-                                         f"not uint8")
+                                         f"not {dtype}")
     for name in _ESCAPED_COLUMNS:
         dtype = a[f"{name}_escapes"].dtype
         if dtype.kind != "u" or not np.can_cast(dtype, np.int64):
@@ -521,17 +521,18 @@ def load_index(path) -> InvertedIndex:
                           else () for c in ("doc_id_bytes", "term_bytes"))
     except UnicodeDecodeError as exc:
         raise IndexFormatError(path, f"corrupt strings: {exc}") from exc
+    for column, count, of in (("doc_digests", len(doc_ids), "doc ids of 'doc_id_bytes'"),
+                              ("dfs", len(terms), "terms of 'term_bytes'"),
+                              ("tf_values", len(a["tf_positions"]), "of 'tf_positions'")):
+        if len(a[column]) != count:
+            raise IndexFormatError(path, f"column {column!r} has {len(a[column])} entries, "
+                                         f"not the {count} {of}")
     field_policy = str(a["field_policy"])
-    if not (field_policy in FIELD_POLICIES
-            and a["doc_lengths"].shape == a["doc_digests"].shape == (len(doc_ids),)
-            and a["doc_digests"].dtype == np.dtype("<u8")
-            and a["dfs"].shape == (len(terms),)
-            and all(a[c].ndim == a[f"{c}_escapes"].ndim == 1 for c in _ESCAPED_COLUMNS)
-            and a["tf_positions"].shape == a["tf_values"].shape):
-        raise IndexFormatError(path, "inconsistent arrays")
+    if field_policy not in FIELD_POLICIES:
+        raise IndexFormatError(path, f"unknown field policy {field_policy!r}")
     try:
-        offsets, ordinals, tfs = _decoded_postings(a, doc_ids, terms)
-        return InvertedIndex(doc_ids, a["doc_lengths"].astype(np.int32), a["doc_digests"],
-                             terms, offsets, ordinals, tfs, field_policy)
+        offsets, doc_lengths, ordinals, tfs = _decoded_postings(a, len(doc_ids), terms)
+        return InvertedIndex(doc_ids, doc_lengths, a["doc_digests"], terms, offsets,
+                             ordinals, tfs, field_policy)
     except ValueError as exc:
         raise IndexFormatError(path, str(exc)) from exc

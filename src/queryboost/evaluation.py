@@ -126,7 +126,6 @@ def write_run(path, run: list[Ranking], tag: str = "queryboost") -> None:
 def read_run(path) -> list[Ranking]:
     """Read a trec run file back into per-query rankings, order preserved."""
     by_query: dict[str, list[tuple[str, float]]] = {}
-    order: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -139,11 +138,8 @@ def read_run(path) -> list[Ranking]:
                 score_val = float(score)
             except ValueError as exc:
                 raise DataFormatError(path, lineno, f"non-numeric score {score!r}") from exc
-            if query_id not in by_query:
-                by_query[query_id] = []
-                order.append(query_id)
-            by_query[query_id].append((doc_id, score_val))
-    return [Ranking(query_id=qid, items=tuple(by_query[qid])) for qid in order]
+            by_query.setdefault(query_id, []).append((doc_id, score_val))
+    return [Ranking(query_id=qid, items=tuple(items)) for qid, items in by_query.items()]
 
 
 def read_queries_tsv(path) -> list[tuple[str, str]]:

@@ -9,7 +9,7 @@ gap, which is the effect the end-to-end tests measure.
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from queryboost.corpus import Document
@@ -29,7 +29,6 @@ class SyntheticDataset:
     queries: list[tuple[str, str]]
     qrels: Qrels
     reference_sets: list[ReferenceSet]
-    gt_doc_ids: dict[str, list[str]] = field(default_factory=dict)
     model_id: str = SYNTHETIC_MODEL_ID
 
 
@@ -42,7 +41,6 @@ def make_synthetic_dataset(num_topics: int = 20, num_docs: int = 500,
     queries: list[tuple[str, str]] = []
     qrels: Qrels = {}
     reference_sets: list[ReferenceSet] = []
-    gt_doc_ids: dict[str, list[str]] = {}
 
     for i in range(num_topics):
         alias = f"alias{i}"
@@ -51,7 +49,6 @@ def make_synthetic_dataset(num_topics: int = 20, num_docs: int = 500,
         query = f"about {alias}"
         queries.append((query_id, query))
         qrels[query_id] = {}
-        gt_doc_ids[query_id] = []
 
         # Two relevant docs per topic: keyword-heavy, never mention the alias.
         for j in range(2):
@@ -60,7 +57,6 @@ def make_synthetic_dataset(num_topics: int = 20, num_docs: int = 500,
             rng.shuffle(words)
             documents.append(Document(doc_id=doc_id, title="", text=" ".join(words)))
             qrels[query_id][doc_id] = 3
-            gt_doc_ids[query_id].append(doc_id)
 
         # One distractor sharing the query's alias but none of its substance.
         d_id = f"dis{i}"
@@ -86,7 +82,7 @@ def make_synthetic_dataset(num_topics: int = 20, num_docs: int = 500,
         documents.append(Document(doc_id=f"bg{j}", title="", text=" ".join(words)))
 
     return SyntheticDataset(documents=documents, queries=queries, qrels=qrels,
-                            reference_sets=reference_sets, gt_doc_ids=gt_doc_ids)
+                            reference_sets=reference_sets)
 
 
 def write_dataset(ds: SyntheticDataset, out_dir) -> dict[str, Path]:

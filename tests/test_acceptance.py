@@ -229,7 +229,7 @@ def test_criterion_7_keyword_overlap_mechanism(capsys, synthetic_dataset):
         refs = {rs.query_id: rs for rs in ds.reference_sets}
         gt_pse, gt_query = [], []
         for query_id, query in ds.queries:
-            gt_docs = [store[d] for d in ds.gt_doc_ids[query_id]]
+            gt_docs = [store[d] for d, g in ds.qrels[query_id].items() if g > 0]
             rep = keyword_overlap(query, refs[query_id], gt_docs, index, m=10)
             gt_pse.append(rep.gt_pse_overlap)
             gt_query.append(rep.gt_query_overlap)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -173,6 +174,12 @@ class TestBadIndexFile:
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
                               "format version 4, which stores each string's byte length")
 
+    def test_format_version_5(self, dataset_dir, tmp_path, capsys):
+        index = tmp_path / "v5.idx"
+        _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(5))
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
+                              "format version 5, which stores document lengths")
+
     def test_unknown_format_version(self, dataset_dir, tmp_path, capsys):
         index = tmp_path / "future.idx"
         _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(99))
@@ -186,14 +193,14 @@ class TestBadIndexFile:
         _rewrite_npz(dataset_dir["index"], index,
                      tf_values=_column(dataset_dir["index"], "tf_values") + 0.5)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "column 'tf_values' has dtype float64, not an integer type")
+                              "column 'tf_values' has dtype float64, not uint8")
 
     def test_negative_tfs(self, dataset_dir, tmp_path, capsys):
         index = tmp_path / "negative-tfs.idx"
         _rewrite_npz(dataset_dir["index"], index,
                      tf_values=-_column(dataset_dir["index"], "tf_values", np.int32))
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "column 'tf_values' holds -")
+                              "column 'tf_values' has dtype int32, not uint8")
 
     def test_tf_value_of_1(self, dataset_dir, tmp_path, capsys):
         # a tf of 1 is never stored: every posting not named in tf_positions has it
@@ -316,16 +323,20 @@ class TestBadIndexFile:
                               f"column 'doc_ordinals' holds 255, "
                               f"not an ordinal of the {loaded.num_docs} documents")
 
-    def test_doc_length_other_than_its_tfs_sum(self, dataset_dir, tmp_path, capsys):
-        lengths = _column(dataset_dir["index"], "doc_lengths")
-        edited = lengths.copy()
-        edited[1] += 18
-        index = tmp_path / "lengths.idx"
-        _rewrite_npz(dataset_dir["index"], index, doc_lengths=edited)
-        doc_id = load_index(dataset_dir["index"]).doc_ids[1]
+    def test_flipped_bit_in_a_stored_tf(self, dataset_dir, tmp_path, capsys):
+        # the archive's CRC-32 catches a flipped bit in any member, here the last
+        # stored tf above 1, which would otherwise load as another valid tf
+        data = bytearray(dataset_dir["index"].read_bytes())
+        with zipfile.ZipFile(dataset_dir["index"]) as zf:
+            info = zf.getinfo("tf_values.npy")
+            member = zf.read(info)
+        end = data.index(member, info.header_offset) + len(member)
+        data[end - 1] ^= 1
+        assert 2 <= data[end - 1] < 255  # a tf that would load without the CRC
+        index = tmp_path / "flipped.idx"
+        index.write_bytes(data)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              f"column 'doc_lengths' holds {edited[1]} for document "
-                              f"{doc_id!r}, whose tfs sum to {lengths[1]}")
+                              "truncated or corrupt: Bad CRC-32 for file 'tf_values.npy'")
 
 
 class TestIndexCorpusMismatch:

@@ -198,21 +198,44 @@ def test_doc_length_checked_against_postings_and_tfs_above_1(tmp_path, doc, leng
     save_index(build_index(docs), tmp_path / "index")
     with np.load(tmp_path / "index") as npz:
         arrays = {k: npz[k] for k in npz.files}
-    assert load_index(tmp_path / "index").doc_lengths.tolist() == [i + 2 for i in range(6)]
-    arrays["doc_lengths"][doc] = length
+    assert "doc_lengths" not in arrays
+    loaded = load_index(tmp_path / "index")
+    assert loaded.doc_lengths.tolist() == [i + 2 for i in range(6)]
+    assert loaded.doc_lengths.dtype == np.int32
+    # a doc_lengths column, as older formats stored, is not read: the length stays
+    # the sum of the document's tfs
+    lengths = loaded.doc_lengths.copy()
+    lengths[doc] = length
+    arrays["doc_lengths"] = lengths
     with open(tmp_path / "edited", "wb") as fh:
         np.savez(fh, **arrays)
-    with pytest.raises(IndexFormatError, match=f"holds {length} for document 'd{doc}', "
-                                               f"whose tfs sum to {tfs_sum}"):
+    assert load_index(tmp_path / "edited").doc_lengths[doc] == tfs_sum
+
+
+def test_document_longer_than_int32_is_rejected(tmp_path, small_index):
+    # d3's "cat cat cat" given a tf of 2**31: its length would wrap to a negative int32
+    save_index(small_index, tmp_path / "index")
+    with np.load(tmp_path / "index") as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    arrays.update(coded("tf_values", np.array([2**31], dtype=np.int64)))
+    with open(tmp_path / "edited", "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(IndexFormatError, match=f"column 'tf_values' makes a document "
+                                               f"{2**31} tokens long"):
         load_index(tmp_path / "edited")
 
 
 @pytest.mark.parametrize("max_tf, dtype", [(1, np.uint8), (255, np.uint8),
                                            (256, np.uint16), (65536, np.uint32)])
-def test_tfs_dtype_edges(max_tf, dtype):
+def test_tfs_dtype_edges(tmp_path, max_tf, dtype):
     index = build_index([Document("d1", "", "a " * max_tf + "b"), Document("d2", "", "b")])
     assert index.tfs.dtype == dtype
     assert index.tfs.max() == max_tf
+    # a stored tf of 255 or more escapes, and loads back at the same dtype
+    save_index(index, tmp_path / "index")
+    with np.load(tmp_path / "index") as npz:
+        assert npz["tf_values_escapes"].tolist() == ([max_tf] if max_tf >= 255 else [])
+    assert_index_equals(load_index(tmp_path / "index"), columns(index))
 
 
 @pytest.mark.parametrize("num_docs, dtype", [(256, np.uint8), (257, np.uint16)])
@@ -372,10 +395,10 @@ def test_load_gives_back_every_saved_array_and_dtype(docs, field_policy):
 
 def coded(column, values):
     """``values`` stored as save_index stores ``column``, by name: one byte each and an
-    escape column. ``dfs`` go as they are; ``tf_positions`` and ``doc_ordinals`` as
-    differences from the entry before. The ordinals' escapes keep the ordinals' dtype,
-    which they load at; the others' are uint32."""
-    if column != "dfs":
+    escape column. ``dfs`` and ``tf_values`` go as they are; ``tf_positions`` and
+    ``doc_ordinals`` as differences from the entry before. The ordinals' escapes keep
+    the ordinals' dtype, which they load at; the others' are uint32."""
+    if column not in ("dfs", "tf_values"):
         values = np.diff(values, prepend=np.zeros(1, dtype=values.dtype))
     stored, escapes = corpus._escaped(values)
     if column != "doc_ordinals":
@@ -392,15 +415,16 @@ def test_saved_columns_hold_counts_and_only_the_tfs_above_1(tmp_path, small_inde
     assert arrays["dfs"].tolist() == np.diff(small_index.offsets).tolist() == [2, 2, 1, 1, 1]
     assert arrays["tf_positions"].tolist() == [1]
     assert arrays["tf_values"].tolist() == [3]
+    assert "doc_lengths" not in arrays  # each is the sum of a document's tfs
     # ordinals 0 2 | 0 1 | 0 | 1 | 1, each less the one before modulo 256: sat's first
     # is 254, mat's 255, which escapes, and log's 0
     assert small_index.doc_ordinals.tolist() == [0, 2, 0, 1, 0, 1, 1]
     assert arrays["doc_ordinals"].tolist() == [0, 2, 254, 1, 255, 1, 0]
     assert arrays["doc_ordinals_escapes"].tolist() == [255]
-    assert arrays["dfs_escapes"].tolist() == arrays["tf_positions_escapes"].tolist() == []
-    for name in ("dfs", "doc_lengths", "tf_positions", "tf_values", "doc_ordinals",
-                 *(f"{c}_escapes" for c in ("dfs", "doc_ordinals", "tf_positions"))):
-        assert arrays[name].dtype == np.uint8, name
+    for name in ("dfs", "tf_positions", "tf_values"):
+        assert arrays[f"{name}_escapes"].tolist() == [], name
+    for name in ("dfs", "doc_ordinals", "tf_positions", "tf_values"):
+        assert arrays[name].dtype == arrays[f"{name}_escapes"].dtype == np.uint8, name
 
 
 @pytest.mark.parametrize("dtype, top", [(np.uint8, 255), (np.uint16, 65535),
@@ -465,8 +489,10 @@ def test_build_rejects_a_doc_id_a_run_file_cannot_hold(doc_id):
     # "cherry" read as "banana": BM25 for "banana" would rank d3, not d2
     ("term_bytes", b"cherry", b"banana", "term 'banana' is repeated"),
     ("doc_id_bytes", b"d1\nd2", b"d2\nd1", "doc ids do not ascend at 'd1'"),
-    ("term_bytes", b"pie", b"p\ne", "inconsistent arrays"),  # one term too many
-    ("doc_id_bytes", b"d2\nd3", b"d2d3", "inconsistent arrays"),  # one id too few
+    ("term_bytes", b"pie", b"p\ne", "column 'dfs' has 4 entries, not the 5 terms of "
+                                    "'term_bytes'"),  # one term too many
+    ("doc_id_bytes", b"d2\nd3", b"d2d3", "column 'doc_digests' has 3 entries, not the 2 "
+                                        "doc ids of 'doc_id_bytes'"),  # one id too few
     ("term_bytes", b"apple", b"app\xffe", "corrupt strings"),
 ])
 def test_crafted_strings_are_rejected(tmp_path, column, old, new, problem):
@@ -478,6 +504,26 @@ def test_crafted_strings_are_rejected(tmp_path, column, old, new, problem):
     stored = arrays[column].tobytes()
     assert stored.count(old) == 1
     arrays[column] = np.frombuffer(stored.replace(old, new), dtype=np.uint8)
+    with open(tmp_path / "edited", "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(IndexFormatError, match=re.escape(problem)):
+        load_index(tmp_path / "edited")
+
+
+@pytest.mark.parametrize("column, change, problem", [
+    ("dfs", -1, "column 'dfs' has 4 entries, not the 5 terms of 'term_bytes'"),
+    ("doc_digests", 1, "column 'doc_digests' has 4 entries, not the 3 doc ids of "
+                       "'doc_id_bytes'"),
+    ("tf_values", 1, "column 'tf_values' has 2 entries, not the 1 of 'tf_positions'"),
+])
+def test_column_of_the_wrong_length_is_named_with_both_counts(tmp_path, small_index,
+                                                              column, change, problem):
+    save_index(small_index, tmp_path / "index")
+    with np.load(tmp_path / "index") as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    stored = arrays[column]
+    # one entry dropped, or the last one repeated
+    arrays[column] = stored[:-1] if change < 0 else np.concatenate([stored, stored[-1:]])
     with open(tmp_path / "edited", "wb") as fh:
         np.savez(fh, **arrays)
     with pytest.raises(IndexFormatError, match=re.escape(problem)):

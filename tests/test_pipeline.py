@@ -473,15 +473,14 @@ class TestFieldPolicy:
 
 
 def _save_with_wide_columns(index, path):
-    """Save ``index`` with every count column and escape column wider than it needs:
-    int32 ``tf_values``, uint32 ``doc_ordinals`` (so the ordinals load as uint32) and
-    ``dfs`` and ``tf_positions`` escapes and int64 ``doc_lengths``."""
+    """Save ``index`` with every escape column wider than it needs: uint32
+    ``doc_ordinals`` escapes (so the ordinals load as uint32) and uint32 ``dfs``,
+    ``tf_positions`` and ``tf_values`` escapes."""
     save_index(index, path)
     with np.load(path) as npz:
         arrays = {k: npz[k] for k in npz.files}
-    for key, dtype in [("tf_values", np.int32), ("doc_lengths", np.int64),
-                       ("dfs_escapes", np.uint32), ("tf_positions_escapes", np.uint32)]:
-        arrays[key] = arrays[key].astype(dtype)
+    for key in ("dfs_escapes", "tf_positions_escapes", "tf_values_escapes"):
+        arrays[key] = arrays[key].astype(np.uint32)
     arrays.update(coded("doc_ordinals", index.doc_ordinals.astype(np.uint32)))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)

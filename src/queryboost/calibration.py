@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from queryboost.corpus import Document
 from queryboost.embedding import EmbeddingProvider
 from queryboost.generation import ReferenceSet
 
@@ -72,16 +71,15 @@ def rocchio_classic(e_q: np.ndarray, pos: list[np.ndarray], neg: list[np.ndarray
 def build_feedback_sets(i_bm25: list[tuple[str, float]],
                         i_pre: list[tuple[str, float]],
                         refs: ReferenceSet,
-                        doc_store: dict[str, Document],
-                        cfg: CalibrationConfig,
-                        field_policy: str = "title_plus_text") -> FeedbackSets:
+                        texts: dict[str, str],
+                        cfg: CalibrationConfig) -> FeedbackSets:
     """Assemble positive and negative feedback texts from the two rankings.
 
     Positives: all reference texts, then the texts of documents in the top-K of
     both rankings (ordered by dense rank, deduplicated). Negatives: the last
     ``num_negatives`` entries of the sparse ranking, order preserved; a document
-    that would land in both sets stays positive only. Document texts follow the
-    index's ``field_policy``.
+    that would land in both sets stays positive only. ``texts`` maps each
+    candidate's doc id to its text; every id read here is in ``i_bm25``.
     """
     if not i_bm25:
         raise ValueError("sparse ranking is empty")
@@ -96,11 +94,10 @@ def build_feedback_sets(i_bm25: list[tuple[str, float]],
     for doc_id in reciprocal:
         if doc_id not in seen:
             seen.add(doc_id)
-            positives.append(doc_store[doc_id].indexed_text(field_policy))
+            positives.append(texts[doc_id])
 
     tail = i_bm25[-cfg.num_negatives:] if cfg.num_negatives else []
-    negatives = [doc_store[doc_id].indexed_text(field_policy)
-                 for doc_id, _ in tail if doc_id not in seen]
+    negatives = [texts[doc_id] for doc_id, _ in tail if doc_id not in seen]
 
     return FeedbackSets(positives=tuple(positives), negatives=tuple(negatives))
 
@@ -109,11 +106,12 @@ def calibrate(provider: EmbeddingProvider, query: str, fb: FeedbackSets,
               cfg: CalibrationConfig) -> np.ndarray:
     """(1/W) * (sum_r f(query + r) - alpha * sum_n f(n)).
 
-    Positives are embedded with the query prefixed; negatives are embedded raw.
+    Positives are embedded with the query prefixed; negatives are embedded raw,
+    all in one ``embed_batch`` call.
     """
-    pos_vecs = provider.embed_batch([f"{query} {p}" for p in fb.positives])
-    out = np.sum(pos_vecs, axis=0)
+    n = len(fb.positives)
+    vecs = provider.embed_batch([*(f"{query} {p}" for p in fb.positives), *fb.negatives])
+    out = np.sum(vecs[:n], axis=0)
     if fb.negatives:
-        neg_vecs = provider.embed_batch(list(fb.negatives))
-        out = out - cfg.alpha * np.sum(neg_vecs, axis=0)
+        out = out - cfg.alpha * np.sum(vecs[n:], axis=0)
     return out / fb.w

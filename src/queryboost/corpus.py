@@ -293,12 +293,19 @@ def check_corpus(index: InvertedIndex, doc_store: Mapping[str, Document]) -> Non
             f"(first: {index.doc_ids[changed[0]]!r}); {rebuild}")
 
 
+# The types each corpus field may have: exact types, so a bool is no integer _id.
+_FIELD_TYPES = {"_id": ((str, int), "a string or an integer"),
+                "title": ((str, type(None)), "a string or null"), "text": ((str,), "a string")}
+
+
 def load_corpus_jsonl(path) -> list[Document]:
     """Load a JSONL corpus with keys ``_id``, ``title`` (optional), ``text``.
 
-    A line that is not a JSON object with ``_id`` and ``text``, whose ``_id`` a run
-    file cannot hold (``is_run_field``), or that repeats an earlier line's ``_id``,
-    raises DataFormatError naming the file and the line.
+    A line that is not a JSON object with ``_id`` and ``text``, with a field of a
+    type ``_FIELD_TYPES`` does not allow, whose ``_id`` a run file cannot hold
+    (``is_run_field``), or that repeats an earlier line's ``_id``, raises
+    DataFormatError naming the file and the line. An integer ``_id`` is read as
+    its decimal string.
     """
     docs = []
     first_line: dict[str, int] = {}  # doc_id -> line it was read from
@@ -314,6 +321,10 @@ def load_corpus_jsonl(path) -> list[Document]:
                 raise DataFormatError(path, lineno, "expected a JSON object")
             if "_id" not in obj or "text" not in obj:
                 raise DataFormatError(path, lineno, "missing required key '_id' or 'text'")
+            for key, (types, wanted) in _FIELD_TYPES.items():
+                if type(obj.get(key)) not in types:
+                    raise DataFormatError(path, lineno, f"{key} must be {wanted}, "
+                                                        f"not {type(obj.get(key)).__name__}")
             doc_id = str(obj["_id"])
             if not is_run_field(doc_id):
                 raise DataFormatError(path, lineno, f"_id {doc_id!r} is empty or holds whitespace")
@@ -321,8 +332,7 @@ def load_corpus_jsonl(path) -> list[Document]:
             if first != lineno:
                 raise DataFormatError(path, lineno,
                                       f"duplicate _id {doc_id!r} (first on line {first})")
-            docs.append(Document(doc_id=doc_id, title=str(obj.get("title", "") or ""),
-                                 text=str(obj["text"])))
+            docs.append(Document(doc_id=doc_id, title=obj.get("title") or "", text=obj["text"]))
     return docs
 
 

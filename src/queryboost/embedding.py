@@ -20,7 +20,7 @@ from typing import Protocol
 import numpy as np
 import requests
 
-from queryboost.corpus import Document, InvertedIndex
+from queryboost.corpus import InvertedIndex
 from queryboost.service import ServiceError, post_json
 from queryboost.tokenizer import tokenize
 
@@ -287,24 +287,22 @@ class EmbeddingMemo:
             self._vectors.update(zip(unseen, vectors))
         return [self._vectors[t] for t in texts]
 
-    def add_documents(self, index: InvertedIndex, docs: list[Document]) -> None:
-        """Store the vectors of the indexed texts of ``docs``, documents of ``index``.
+    def add_documents(self, index: InvertedIndex, texts: dict[str, str]) -> None:
+        """Store the vectors of ``texts``, a map from doc ids of ``index`` to their indexed text.
 
-        ``docs`` must hold the text the index was built from, as ``check_corpus``
-        makes sure: each vector is stored under the document's text. Only a
-        provider with an ``embed_documents`` method, such as a
-        ``HashingEmbedder``, can count them from the index, with the bits
-        ``embed_batch`` would give the texts. For any other provider this does
-        nothing, and each text goes to the provider when a stage first asks
-        for it.
+        Each text must be the one the index was built from, as ``check_corpus``
+        makes sure: its vector is stored under that text. Only a provider with
+        an ``embed_documents`` method, such as a ``HashingEmbedder``, can count
+        them from the index, with the bits ``embed_batch`` would give the
+        texts. For any other provider this does nothing, and each text goes to
+        the provider when a stage first asks for it.
         """
         embed_documents = getattr(self.provider, "embed_documents", None)
         if embed_documents is None:
             return
         unseen: dict[str, int] = {}  # text -> ordinal
-        for doc in docs:
-            text = doc.indexed_text(index.field_policy)
+        for doc_id, text in texts.items():
             if text not in self._vectors and text not in unseen:
-                unseen[text] = bisect_left(index.doc_ids, doc.doc_id)
+                unseen[text] = bisect_left(index.doc_ids, doc_id)
         if unseen:
             self._vectors.update(zip(unseen, embed_documents(index, list(unseen.values()))))

@@ -170,6 +170,11 @@ def _parse_line(line: bytes) -> ReferenceSet | None:
     if not text.strip():
         return None
     obj = json.loads(text)
+    for key in ("query_id", "query", "model"):
+        if type(obj[key]) is not str:
+            raise TypeError(f"{key} must be a string, not {type(obj[key]).__name__}")
+    if type(obj["references"]) is not list or not all(type(r) is str for r in obj["references"]):
+        raise TypeError("references must be a list of strings")
     return ReferenceSet(
         query_id=obj["query_id"], query=obj["query"],
         references=tuple(obj["references"]), model_id=obj["model"],

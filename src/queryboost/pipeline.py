@@ -9,20 +9,19 @@ Each ``run_pipeline`` or ``run_query_pipeline`` call wraps its provider in one
 ``EmbeddingMemo`` that lives for that call only and holds every distinct text
 the call embeds: document texts, pooled query texts and feedback texts. Each
 stage embeds its texts in one batch, and only texts the memo has not seen
-reach the provider. Dense stages embed documents under the index's
-``field_policy``, as BM25 indexed them.
-
-Right after BM25 the memo is asked to add the candidates' vectors
-(``EmbeddingMemo.add_documents``). A ``HashingEmbedder`` reads them from the
-bucket counts it keeps for the index, counted from the postings on first use,
-bit for bit as from the text, so rerank, the final rank and calibration's
-negatives find every document in the memo and no document text reaches the
-provider. Any other provider (one without ``embed_documents``) embeds the
-document texts as before.
+reach the provider. Right after BM25 each candidate's text is built once, as
+BM25 indexed it (under the index's ``field_policy``), into one map from doc id
+to text that every dense stage reads, and the memo is asked to add their
+vectors (``EmbeddingMemo.add_documents``). A ``HashingEmbedder`` reads them
+from the bucket counts it keeps for the index, counted from the postings on
+first use, bit for bit as from the text, so rerank, the final rank and
+calibration's negatives find every document in the memo and no document text
+reaches the provider. Any other provider (one without ``embed_documents``)
+embeds the document texts as before.
 """
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from numbers import Integral, Real
 
 from queryboost.calibration import CalibrationConfig, build_feedback_sets, calibrate
@@ -31,7 +30,7 @@ from queryboost.embedding import EmbeddingMemo, EmbeddingProvider
 from queryboost.evaluation import EvalReport, Qrels, Ranking, evaluate_run
 from queryboost.generation import ReferenceCache, ReferenceSet, cached_references
 from queryboost.rerank import STRATEGIES, embed_query, rerank
-from queryboost.sparse import BM25Params, ReweightConfig, SparseQuery, bm25_search, build_sparse_query
+from queryboost.sparse import BM25Params, ReweightConfig, bm25_search, build_sparse_query, idf
 from queryboost.tokenizer import tokenize
 
 SWEEP_AXES = ("beta", "t", "alpha", "n_refs", "strategy")
@@ -75,10 +74,8 @@ def sparse_ranking(query: str, refs: ReferenceSet | None, index: InvertedIndex,
                    bm25: BM25Params, reweight: ReweightConfig,
                    k: int) -> list[tuple[str, float]]:
     """The sparse stage: BM25's top k for the query expanded with refs, or alone if None."""
-    if refs is None:
-        sq = SparseQuery(tuple(tokenize(query)), query_repeats=1, num_references=0)
-    else:
-        sq = build_sparse_query(query, refs.references, reweight)
+    sq = (build_sparse_query(query, (), ReweightConfig.constant(t=1)) if refs is None
+          else build_sparse_query(query, refs.references, reweight))
     return bm25_search(index, bm25, sq, k)
 
 
@@ -100,17 +97,16 @@ def run_query_pipeline(query_id: str, query: str, index: InvertedIndex,
         empty = Ranking(query_id=query_id, items=())
         return PipelineRankings(bm25=empty, pre=empty, post=empty)
 
-    candidates = [doc_store[doc_id] for doc_id, _ in i_bm25]
-    provider.add_documents(index, candidates)
-    policy = index.field_policy
+    texts = {doc_id: doc_store[doc_id].indexed_text(index.field_policy) for doc_id, _ in i_bm25}
+    provider.add_documents(index, texts)
 
     q_emb = embed_query(provider, query, refs, cfg.strategy)
-    i_pre = rerank(provider, q_emb, candidates, policy)
+    i_pre = rerank(provider, q_emb, texts)
 
     if refs is not None:
-        fb = build_feedback_sets(i_bm25, i_pre, refs, doc_store, cfg.calibration, policy)
+        fb = build_feedback_sets(i_bm25, i_pre, refs, texts, cfg.calibration)
         calibrated = calibrate(provider, query, fb, cfg.calibration)
-        i_post = final_rank(provider, calibrated, candidates, policy)
+        i_post = final_rank(provider, calibrated, texts)
     else:
         i_post = i_pre
 
@@ -158,8 +154,6 @@ class KeywordOverlapReport:
 
 def top_idf_tokens(text: str, index: InvertedIndex, m: int) -> list[str]:
     """The m distinct tokens of text with highest idf (ties by token)."""
-    from queryboost.sparse import idf
-
     tokens = sorted(set(tokenize(text)))
     tokens.sort(key=lambda t: (-idf(index, t), t))
     return tokens[:m]
@@ -186,8 +180,6 @@ def keyword_overlap(query: str, refs: ReferenceSet, gt_docs: list[Document],
 
 def _config_for_value(base: PipelineConfig, axis: str, value) -> tuple[PipelineConfig, int | None]:
     """Derive the pipeline config (and reference count) for one sweep point."""
-    from dataclasses import replace
-
     if axis == "beta":
         return replace(base, reweight=ReweightConfig.adaptive(beta=float(value))), None
     if axis == "t":

@@ -8,19 +8,18 @@ Three ways to fold pseudo-references into the query embedding:
 - mean_pool: average the query embedding with each reference embedding.
 - contex_pool: average the embeddings of each (query + reference) pair.
 
-``rerank`` embeds the whole candidate list in one ``embed_batch`` call. Inside
-the pipeline the provider is an ``EmbeddingMemo`` that lives for one
-``run_pipeline`` or ``run_query_pipeline`` call and holds every distinct text
-that call embeds, so a document shared by several queries or stages is sent
-to the underlying provider once per call. With a ``HashingEmbedder``, the
-pipeline has the memo add the candidates' vectors from the embedder's bucket
-counts for the index before ``rerank`` runs, so ``rerank`` finds them all in
-the memo and sends no document text to the provider.
+``rerank`` takes the candidates as doc id -> text, the text BM25 indexed, and
+embeds them in one ``embed_batch`` call. Inside the pipeline the provider is
+an ``EmbeddingMemo`` that lives for one ``run_pipeline`` or
+``run_query_pipeline`` call and holds every distinct text that call embeds, so
+a document shared by several queries or stages reaches the underlying provider
+once per call. With a ``HashingEmbedder`` the memo already holds every
+candidate's vector when ``rerank`` runs (``EmbeddingMemo.add_documents``), so
+no document text reaches the provider.
 """
 
 import numpy as np
 
-from queryboost.corpus import Document
 from queryboost.embedding import EmbeddingProvider, cosine_scores
 from queryboost.generation import ReferenceSet
 
@@ -62,21 +61,18 @@ def embed_query(provider: EmbeddingProvider, query: str,
 
 
 def rerank(provider: EmbeddingProvider, query_embedding: np.ndarray,
-           candidates: list[Document],
-           field_policy: str = "title_plus_text") -> list[tuple[str, float]]:
-    """Sort candidates by cosine similarity to the query embedding.
+           candidates: dict[str, str]) -> list[tuple[str, float]]:
+    """Sort candidates (doc id -> text to embed) by cosine similarity to the query embedding.
 
-    Documents are embedded as the index saw them (``field_policy``). Ties
-    broken by ascending doc_id; the output is a permutation of the input.
+    Ties broken by ascending doc_id; the output is a permutation of the keys.
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
     try:
-        vectors = provider.embed_batch([d.indexed_text(field_policy) for d in candidates])
+        vectors = provider.embed_batch(list(candidates.values()))
     except Exception as exc:
-        ids = ", ".join(repr(d.doc_id) for d in candidates)
+        ids = ", ".join(map(repr, candidates))
         raise RuntimeError(f"embedding failed for candidate docs {ids}: {exc}") from exc
-    scored = list(zip([d.doc_id for d in candidates],
-                      cosine_scores(query_embedding, vectors), strict=True))
+    scored = list(zip(candidates, cosine_scores(query_embedding, vectors), strict=True))
     scored.sort(key=lambda ds: (-ds[1], ds[0]))
     return scored

@@ -197,7 +197,7 @@ def _synthetic_runs(ds, embedder):
                                   cfg.retrieve_k)
         plain_bm25.append(Ranking(query_id, tuple(plain_items)))
         raw_emb = embed_query(embedder, query, None, cfg.strategy)
-        candidates = [store[d] for d, _ in plain_items]
+        candidates = {d: store[d].indexed_text() for d, _ in plain_items}
         baseline_rerank.append(Ranking(query_id,
                                        tuple(rerank(embedder, raw_emb, candidates))))
         out = run_query_pipeline(query_id, query, index, store, embedder,

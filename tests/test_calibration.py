@@ -3,7 +3,6 @@ import pytest
 
 from queryboost.calibration import (CalibrationConfig, FeedbackSets, RocchioWeights,
                                     build_feedback_sets, calibrate, rocchio_classic)
-from queryboost.corpus import Document
 from queryboost.generation import ReferenceSet
 from queryboost.rerank import embed_contex_pool, rerank
 
@@ -36,53 +35,48 @@ class TestRocchioClassic:
             rocchio_classic(np.zeros(2), [np.ones(2)], [], RocchioWeights(1, 0, 0.5))
 
 
-def _store(*docs):
-    return {d.doc_id: d for d in docs}
-
-
 class TestBuildFeedbackSets:
     def test_reciprocal_intersection(self):
-        docs = _store(*[Document(f"d{i}", "", f"text {i}") for i in range(1, 6)])
+        texts = {f"d{i}": f"text {i}" for i in range(1, 6)}
         i_bm25 = [("d1", 5.0), ("d2", 4.0), ("d3", 3.0)]
         i_pre = [("d3", 0.9), ("d5", 0.8), ("d1", 0.7)]
         cfg = CalibrationConfig(k_reciprocal=3, num_negatives=0)
-        fb = build_feedback_sets(i_bm25, i_pre, make_refs("r"), docs, cfg)
+        fb = build_feedback_sets(i_bm25, i_pre, make_refs("r"), texts, cfg)
         # reciprocal docs ordered by dense rank: d3 then d1
         assert fb.positives == ("r", "text 3", "text 1")
 
     def test_k1_disjoint_top_gives_refs_only(self):
-        docs = _store(Document("d1", "", "a"), Document("d2", "", "b"))
+        texts = {"d1": "a", "d2": "b"}
         i_bm25 = [("d1", 2.0), ("d2", 1.0)]
         i_pre = [("d2", 0.9), ("d1", 0.1)]
         cfg = CalibrationConfig(k_reciprocal=1, num_negatives=0)
-        fb = build_feedback_sets(i_bm25, i_pre, make_refs("r1", "r2"), docs, cfg)
+        fb = build_feedback_sets(i_bm25, i_pre, make_refs("r1", "r2"), texts, cfg)
         assert fb.positives == ("r1", "r2")
         assert fb.negatives == ()
 
     def test_w_counts_both_sides(self):
-        docs = _store(*[Document(f"d{i}", "", f"t{i}") for i in range(10)])
+        texts = {f"d{i}": f"t{i}" for i in range(10)}
         i_bm25 = [(f"d{i}", 10.0 - i) for i in range(10)]
         i_pre = list(i_bm25)
         cfg = CalibrationConfig(k_reciprocal=2, num_negatives=5)
         fb = build_feedback_sets(i_bm25, i_pre,
-                                 make_refs("r1", "r2", "r3", "r4", "r5"), docs, cfg)
+                                 make_refs("r1", "r2", "r3", "r4", "r5"), texts, cfg)
         assert len(fb.positives) == 5 + 2
         assert len(fb.negatives) == 5
         assert fb.w == 12
 
     def test_short_ranking_uses_available_tail(self):
-        docs = _store(Document("d1", "", "a"), Document("d2", "", "b"))
+        texts = {"d1": "a", "d2": "b"}
         i_bm25 = [("d1", 2.0), ("d2", 1.0)]
         cfg = CalibrationConfig(k_reciprocal=1, num_negatives=5)
-        fb = build_feedback_sets(i_bm25, i_bm25, make_refs("r"), docs, cfg)
+        fb = build_feedback_sets(i_bm25, i_bm25, make_refs("r"), texts, cfg)
         # d1 is reciprocal (positive), so only d2 remains a negative
         assert fb.negatives == ("b",)
 
     def test_positive_wins_over_negative_tail(self):
-        docs = _store(Document("d1", "", "a"))
         i_bm25 = [("d1", 1.0)]
         cfg = CalibrationConfig(k_reciprocal=1, num_negatives=1)
-        fb = build_feedback_sets(i_bm25, i_bm25, make_refs("r"), docs, cfg)
+        fb = build_feedback_sets(i_bm25, i_bm25, make_refs("r"), {"d1": "a"}, cfg)
         assert "a" in fb.positives
         assert fb.negatives == ()
 
@@ -129,6 +123,13 @@ class TestCalibrate:
         b = calibrate(embedder, "q", FeedbackSets(("p2", "p1"), ("n",)), cfg)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_one_provider_call_for_positives_and_negatives(self, embedder, counting):
+        fb = FeedbackSets(positives=("pos one", "pos two"), negatives=("neg a", "neg b"))
+        cfg = CalibrationConfig(alpha=0.2)
+        out = calibrate(counting, "q", fb, cfg)
+        assert counting.calls == [["q pos one", "q pos two", "neg a", "neg b"]]
+        np.testing.assert_array_equal(out, calibrate(embedder, "q", fb, cfg))
+
     def test_empty_positives_rejected(self):
         with pytest.raises(ValueError):
             FeedbackSets(positives=(), negatives=("n",))
@@ -138,8 +139,7 @@ class TestFinalRank:
     """The final rank: rerank by the calibrated embedding."""
 
     def test_reduces_to_pre_rank_with_single_ref(self, embedder):
-        docs = [Document("d1", "", "alpha beta"), Document("d2", "", "gamma delta"),
-                Document("d3", "", "epsilon zeta")]
+        docs = {"d1": "alpha beta", "d2": "gamma delta", "d3": "epsilon zeta"}
         refs = make_refs("alpha context")
         q_emb = embed_contex_pool(embedder, "q", refs)
         i_pre = rerank(embedder, q_emb, docs)
@@ -150,18 +150,16 @@ class TestFinalRank:
         assert i_post == i_pre
 
     def test_permutation_of_candidates(self, embedder):
-        docs = [Document(f"d{i}", "", f"tok{i} cat") for i in range(8)]
+        docs = {f"d{i}": f"tok{i} cat" for i in range(8)}
         fb = FeedbackSets(positives=("cat here",), negatives=("tok5 cat",))
         calibrated = calibrate(embedder, "q", fb, CalibrationConfig())
         out = rerank(embedder, calibrated, docs)
-        assert sorted(d for d, _ in out) == sorted(d.doc_id for d in docs)
+        assert sorted(d for d, _ in out) == sorted(docs)
 
     def test_planted_relevant_doc_rises(self, embedder):
         # Distractor shares the query's surface tokens; tail negatives share
         # the distractor's filler, so subtracting them demotes the distractor.
-        relevant = Document("rel", "", "kwa kwb kwc kwd")
-        distractor = Document("dis", "", "query words filler stuff misc")
-        candidates = [relevant, distractor]
+        candidates = {"rel": "kwa kwb kwc kwd", "dis": "query words filler stuff misc"}
         refs = make_refs("kwa kwb kwc", "kwb kwc kwd", query="query words")
 
         q_emb = embed_contex_pool(embedder, "query words", refs)

@@ -67,6 +67,15 @@ class TestIndexCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "i.npz").exists()
 
+    def test_text_that_is_not_a_string_exit_code_and_message(self, tmp_path, capsys):
+        corpus = tmp_path / "null-text.jsonl"
+        corpus.write_text('{"_id": "d1", "text": "a"}\n{"_id": "d2", "text": null}\n')
+        rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "i.npz")])
+        assert rc == EXIT_FORMAT
+        assert (f"error: {corpus}:2: text must be a string, not NoneType"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "i.npz").exists()
+
     def test_failed_manifest_write_leaves_previous_manifest(self, dataset_dir, tmp_path,
                                                            monkeypatch):
         out = tmp_path / "out.run"
@@ -443,6 +452,22 @@ class TestSearchCommand:
                    "--cache", str(empty_cache),
                    "--out", str(tmp_path / "x.run")])
         assert rc == EXIT_CACHE_MISS
+
+    @pytest.mark.parametrize("references", ["one string", [1, 2]])
+    def test_cached_references_not_a_list_of_strings_exit_code(self, dataset_dir, tmp_path,
+                                                               capsys, references):
+        lines = dataset_dir["cache"].read_text().splitlines()
+        entry = json.loads(lines[0])
+        entry["references"] = references
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("\n".join([json.dumps(entry), *lines[1:]]) + "\n")
+        rc = main(["search", "--index", str(dataset_dir["index"]),
+                   "--queries", str(dataset_dir["queries"]), "--cache", str(cache),
+                   "--out", str(tmp_path / "x.run")])
+        assert rc == EXIT_FORMAT
+        assert (f"error: {cache}:1: corrupt cache line: references must be a list of strings"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.run").exists()
 
     def test_constant_repetition_flag(self, dataset_dir, tmp_path):
         rc = main(["search", "--index", str(dataset_dir["index"]),

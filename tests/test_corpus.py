@@ -347,6 +347,27 @@ class TestJsonlLoading:
                 f"c.jsonl:2: _id {doc_id!r} is empty or holds whitespace")):
             load_corpus_jsonl(p)
 
+    @pytest.mark.parametrize("fields, problem", [
+        ({"_id": "d2", "text": None}, "text must be a string, not NoneType"),
+        ({"_id": "d2", "text": ["a", "b"]}, "text must be a string, not list"),
+        ({"_id": "d2", "text": 7}, "text must be a string, not int"),
+        ({"_id": "d2", "title": ["t"], "text": "y"}, "title must be a string or null, not list"),
+        ({"_id": "d2", "title": 0, "text": "y"}, "title must be a string or null, not int"),
+        ({"_id": True, "text": "y"}, "_id must be a string or an integer, not bool"),
+        ({"_id": 2.0, "text": "y"}, "_id must be a string or an integer, not float"),
+        ({"_id": None, "text": "y"}, "_id must be a string or an integer, not NoneType"),
+    ])
+    def test_field_of_the_wrong_type_names_the_line(self, tmp_path, fields, problem):
+        p = tmp_path / "c.jsonl"
+        p.write_text(json.dumps({"_id": "d1", "text": "x"}) + "\n" + json.dumps(fields) + "\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"c.jsonl:2: {problem}")):
+            load_corpus_jsonl(p)
+
+    def test_integer_id_and_null_title(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"_id": 42, "title": null, "text": "x"}\n')
+        assert load_corpus_jsonl(p) == [Document("42", "", "x")]
+
     def test_order_preserved(self, tmp_path):
         p = tmp_path / "c.jsonl"
         lines = [json.dumps({"_id": f"d{i}", "text": f"t{i}"}) for i in range(10)]

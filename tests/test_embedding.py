@@ -385,7 +385,8 @@ class TestEmbeddingMemo:
     def test_add_documents_fills_from_the_index_for_a_bare_hashing_embedder(
             self, small_docs, small_index, embedder):
         memo = EmbeddingMemo(embedder)
-        memo.add_documents(small_index, [small_docs[2], small_docs[0], small_docs[2]])
+        memo.add_documents(small_index, {"d3": small_docs[2].text, "d1": small_docs[0].text})
+        memo.add_documents(small_index, {"d3": small_docs[2].text})  # already stored
         texts = [small_docs[0].text, small_docs[2].text]
         assert sorted(memo._vectors) == sorted(texts)
         for got, want in zip(memo.embed_batch(texts), embedder.embed_batch(texts)):
@@ -395,7 +396,7 @@ class TestEmbeddingMemo:
                                                           counting, http_stub):
         for provider in (counting, RemoteEmbedder(http_stub.url, dimension=64)):
             memo = EmbeddingMemo(provider)
-            memo.add_documents(small_index, small_docs)
+            memo.add_documents(small_index, {d.doc_id: d.text for d in small_docs})
             assert memo._vectors == {}
         assert counting.calls == [] and http_stub.call_count == 0
 

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +119,22 @@ class TestReferenceCache:
         good = json.dumps({"query_id": "q1", "query": "q", "model": "m", "references": ["r"]})
         path.write_text(good + "\n" + good[:20] + "\n" + good)
         with pytest.raises(CacheFormatError, match=":2"):
+            ReferenceCache(path)
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("references", "rx", "references must be a list of strings"),
+        ("references", [1, 2], "references must be a list of strings"),
+        ("references", ["r", None], "references must be a list of strings"),
+        ("query_id", 7, "query_id must be a string, not int"),
+        ("query", ["q"], "query must be a string, not list"),
+        ("model", None, "model must be a string, not NoneType"),
+    ])
+    def test_field_of_the_wrong_type_names_the_line(self, tmp_path, field, value, problem):
+        path = tmp_path / "cache.jsonl"
+        good = {"query_id": "q1", "query": "q", "model": "m", "references": ["r"]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        with pytest.raises(CacheFormatError, match=re.escape(f"{path}:2: corrupt cache line: "
+                                                             f"{problem}")):
             ReferenceCache(path)
 
     @settings(max_examples=50, deadline=None)

@@ -283,7 +283,7 @@ def test_no_references_is_plain_bm25_and_raw_query_rerank(synthetic_dataset, emb
                             build_sparse_query(query, [], ReweightConfig.constant(t=1)),
                             cfg.retrieve_k)
         raw = rerank(embedder, embed_query(embedder, query, None, cfg.strategy),
-                     [store[d] for d, _ in plain], index.field_policy)
+                     {d: store[d].indexed_text(index.field_policy) for d, _ in plain})
         out = run_query_pipeline(query_id, query, index, store, embedder, None, cfg)
         assert out.bm25.items == tuple(plain)
         assert out.pre.items == tuple(raw)

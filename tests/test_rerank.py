@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 
-from queryboost.corpus import Document
 from queryboost.embedding import EmbeddingMemo, RemoteEmbedder, cosine_sim
 from queryboost.generation import ReferenceSet
 from queryboost.rerank import (embed_concat, embed_contex_pool, embed_mean_pool,
@@ -87,74 +86,68 @@ class TestEmbedQuery:
 
 class TestRerank:
     def test_single_candidate(self, embedder):
-        docs = [Document("d1", "", "some text")]
         q = embedder.embed("some text")
-        out = rerank(embedder, q, docs)
+        out = rerank(embedder, q, {"d1": "some text"})
         assert len(out) == 1
         assert out[0][1] == pytest.approx(
             cosine_sim(q, embedder.embed("some text")))
 
     def test_identical_text_ranks_first(self, embedder):
-        docs = [Document("d1", "", "zebra quagga okapi"),
-                Document("d2", "", "query text exact"),
-                Document("d3", "", "other unrelated words")]
-        out = rerank(embedder, embedder.embed("query text exact"), docs)
+        texts = {"d1": "zebra quagga okapi", "d2": "query text exact",
+                 "d3": "other unrelated words"}
+        out = rerank(embedder, embedder.embed("query text exact"), texts)
         assert out[0][0] == "d2"
 
     def test_matches_brute_force(self, embedder):
         rng = random.Random(5)
         vocab = ["cat", "dog", "fish", "bird", "tree", "rock"]
-        docs = [Document(f"d{i}", "", " ".join(rng.choices(vocab, k=4)))
-                for i in range(20)]
+        texts = {f"d{i}": " ".join(rng.choices(vocab, k=4)) for i in range(20)}
         q_emb = embedder.embed("cat tree")
-        out = rerank(embedder, q_emb, docs)
+        out = rerank(embedder, q_emb, texts)
 
         expected = sorted(
-            ((d.doc_id, cosine_sim(q_emb, embedder.embed(d.text))) for d in docs),
+            ((doc_id, cosine_sim(q_emb, embedder.embed(text))) for doc_id, text in texts.items()),
             key=lambda ds: (-ds[1], ds[0]))
         assert [d for d, _ in out] == [d for d, _ in expected]
 
     def test_is_permutation(self, embedder):
-        docs = [Document(f"d{i}", "", f"word{i} cat") for i in range(10)]
-        out = rerank(embedder, embedder.embed("cat"), docs)
-        assert sorted(d for d, _ in out) == sorted(d.doc_id for d in docs)
+        texts = {f"d{i}": f"word{i} cat" for i in range(10)}
+        out = rerank(embedder, embedder.embed("cat"), texts)
+        assert sorted(d for d, _ in out) == sorted(texts)
 
     def test_empty_candidates_rejected(self, embedder):
-        with pytest.raises(ValueError):
-            rerank(embedder, embedder.embed("q"), [])
+        with pytest.raises(ValueError, match="candidates must be non-empty"):
+            rerank(embedder, embedder.embed("q"), {})
 
     def test_provider_failure_names_doc(self, embedder):
-        docs = [Document("dbad", "", "...")]  # tokenizes to nothing
         with pytest.raises(RuntimeError, match="dbad"):
-            rerank(embedder, embedder.embed("q"), docs)
+            rerank(embedder, embedder.embed("q"), {"dbad": "..."})  # tokenizes to nothing
 
     def test_one_provider_call_for_all_candidates(self, embedder, counting):
-        docs = [Document(f"d{i}", "", f"word{i} cat") for i in range(7)]
-        rerank(counting, embedder.embed("cat"), docs)
-        assert counting.calls == [[d.text for d in docs]]
+        texts = {f"d{i}": f"word{i} cat" for i in range(7)}
+        rerank(counting, embedder.embed("cat"), texts)
+        assert counting.calls == [list(texts.values())]
 
     def test_memo_reused_across_reranks(self, embedder, counting):
         memo = EmbeddingMemo(counting)
-        docs = [Document("d1", "", "cat"), Document("d2", "", "dog"),
-                Document("d2dup", "", "dog")]
-        first = rerank(memo, embedder.embed("cat"), docs)
+        texts = {"d1": "cat", "d2": "dog", "d2dup": "dog"}
+        first = rerank(memo, embedder.embed("cat"), texts)
         assert counting.calls == [["cat", "dog"]]  # duplicate text sent once
-        second = rerank(memo, embedder.embed("cat"), docs)
+        second = rerank(memo, embedder.embed("cat"), texts)
         assert counting.calls == [["cat", "dog"]]  # second pass is served by the memo
-        assert second == first == rerank(embedder, embedder.embed("cat"), docs)
+        assert second == first == rerank(embedder, embedder.embed("cat"), texts)
 
     def test_batch_failure_names_docs_and_stores_nothing(self, embedder, counting):
         memo = EmbeddingMemo(counting)
-        docs = [Document("d1", "", "cat"), Document("d2", "", "dog")]
+        texts = {"d1": "cat", "d2": "dog"}
         counting.fail = True
         with pytest.raises(RuntimeError, match="'d1', 'd2'.*service unavailable"):
-            rerank(memo, embedder.embed("cat"), docs)
+            rerank(memo, embedder.embed("cat"), texts)
         counting.fail = False
-        rerank(memo, embedder.embed("cat"), docs)
+        rerank(memo, embedder.embed("cat"), texts)
         assert counting.calls == [["cat", "dog"], ["cat", "dog"]]
 
-    def test_field_policy_selects_embedded_text(self, embedder, counting):
-        docs = [Document("d1", "zebra", "cat")]
-        rerank(counting, embedder.embed("cat"), docs, "text_only")
-        rerank(counting, embedder.embed("cat"), docs, "title_plus_text")
-        assert counting.calls == [["cat"], [docs[0].indexed_text("title_plus_text")]]
+    def test_ties_broken_by_doc_id(self, embedder):
+        texts = {"d3": "cat dog", "d1": "cat dog", "d2": "dog cat"}
+        out = rerank(embedder, embedder.embed("cat"), texts)
+        assert [d for d, _ in out] == ["d1", "d2", "d3"]

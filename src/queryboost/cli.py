@@ -1,12 +1,13 @@
 """Command-line interface: index, generate, search, pipeline, eval, analyze, sweep.
 
 Exit codes: 0 success, 2 usage error (any ``ValueError`` not named here), 3
-missing input file, 4 reference-cache miss, 5 malformed data file (a corpus,
-queries, qrels, run, cache or index file), 6 index built from another corpus or
-references cached for another query text or prompt version, 1 anything else
-(a chat or embedding service that fails or answers without a usable body
-included). Logs go to stderr; data goes to files or stdout. Every command that
-writes outputs drops a JSON run manifest next to its primary output.
+missing input file (checked before the command runs), 4 reference-cache miss, 5
+malformed data file (a corpus, queries, qrels, run, cache or index file), 6
+index built from another corpus or references cached for another query text or
+prompt version, 1 anything else (a chat or embedding service that fails or
+answers without a usable body included). Logs go to stderr; data goes to files
+or stdout. Every command that writes outputs drops a JSON run manifest next to
+its primary output.
 """
 
 import argparse
@@ -48,14 +49,7 @@ log = logging.getLogger("queryboost")
 _DEFAULTS = PipelineConfig()
 
 
-def _require_files(*paths) -> None:
-    for p in paths:
-        if not Path(p).exists():
-            raise FileNotFoundError(p)
-
-
-def write_manifest(output_path, args: argparse.Namespace, inputs: list,
-                   outputs: list) -> None:
+def write_manifest(output_path, args: argparse.Namespace, outputs: list) -> None:
     manifest = {
         "tool": "queryboost",
         "version": __version__,
@@ -63,7 +57,7 @@ def write_manifest(output_path, args: argparse.Namespace, inputs: list,
         "created_at": datetime.now(timezone.utc).isoformat(),
         "config": {k: v for k, v in vars(args).items()
                    if k != "func" and not k.startswith("_")},
-        "inputs": [str(p) for p in inputs],
+        "inputs": [str(getattr(args, name)) for name in args._inputs],
         "outputs": [str(p) for p in outputs],
     }
     with atomic_write(str(output_path) + ".manifest.json") as fh:
@@ -110,18 +104,16 @@ def _load_index_and_corpus(args):
 
 
 def cmd_index(args) -> int:
-    _require_files(args.corpus)
     docs = load_corpus_jsonl(args.corpus)
     index = build_index(docs, field_policy=args.field_policy)
     save_index(index, args.out)
-    write_manifest(args.out, args, [args.corpus], [args.out])
+    write_manifest(args.out, args, [args.out])
     log.info("indexed %d docs (avgdl %.2f) -> %s",
              index.num_docs, index.avgdl, args.out)
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
-    _require_files(args.queries)
     queries = read_queries_tsv(args.queries)
     cache = ReferenceCache(args.cache)
     client = ChatCompletionClient(endpoint=args.endpoint,
@@ -130,14 +122,13 @@ def cmd_generate(args) -> int:
                            temperature=args.temperature,
                            max_tokens=args.max_tokens)
     results = generate_for_queries(client, cache, queries, cfg, jobs=args.jobs)
-    write_manifest(args.cache, args, [args.queries], [args.cache])
+    write_manifest(args.cache, args, [args.cache])
     log.info("generated/cached references for %d queries", len(results))
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
     _check_tag(args.tag)
-    _require_files(args.index, args.queries, args.cache)
     index = load_index(args.index)
     queries = read_queries_tsv(args.queries)
     cache = ReferenceCache(args.cache)
@@ -150,14 +141,13 @@ def cmd_search(args) -> int:
         run.append(Ranking(query_id=query_id, items=tuple(
             sparse_ranking(query, refs, index, params, reweight, args.retrieve_k))))
     write_run(args.out, run, tag=args.tag)
-    write_manifest(args.out, args, [args.index, args.queries, args.cache], [args.out])
+    write_manifest(args.out, args, [args.out])
     log.info("wrote sparse run for %d queries -> %s", len(run), args.out)
     return EXIT_OK
 
 
 def cmd_pipeline(args) -> int:
     _check_tag(args.tag)
-    _require_files(args.index, args.corpus, args.queries, args.cache)
     index, doc_store = _load_index_and_corpus(args)
     queries = read_queries_tsv(args.queries)
     cache = ReferenceCache(args.cache)
@@ -169,22 +159,18 @@ def cmd_pipeline(args) -> int:
 
     out_prefix = Path(args.out_prefix)
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    stage_paths = {}
+    stage_paths = []
     for stage in ("bm25", "pre", "post"):
-        path = Path(f"{out_prefix}.{stage}.run")
-        write_run(path, [getattr(r, stage) for r in rankings],
+        stage_paths.append(Path(f"{out_prefix}.{stage}.run"))
+        write_run(stage_paths[-1], [getattr(r, stage) for r in rankings],
                   tag=f"{args.tag}-{stage}")
-        stage_paths[stage] = path
-    write_manifest(f"{out_prefix}.post.run", args,
-                   [args.index, args.corpus, args.queries, args.cache],
-                   list(stage_paths.values()))
+    write_manifest(f"{out_prefix}.post.run", args, stage_paths)
     log.info("wrote pipeline runs for %d queries -> %s.{bm25,pre,post}.run",
              len(rankings), out_prefix)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    _require_files(args.run, args.qrels)
     run = read_run(args.run)
     qrels = read_qrels(args.qrels)
     # As `trec_eval -c`: a judged query with no line in the run (it retrieved
@@ -204,7 +190,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _require_files(args.index, args.corpus, args.queries, args.cache, args.qrels)
     index, doc_store = _load_index_and_corpus(args)
     queries = read_queries_tsv(args.queries)
     cache = ReferenceCache(args.cache)
@@ -242,7 +227,6 @@ def _json_or_text(text: str):
 
 
 def cmd_sweep(args) -> int:
-    _require_files(args.index, args.corpus, args.queries, args.cache, args.qrels)
     index, doc_store = _load_index_and_corpus(args)
     queries = read_queries_tsv(args.queries)
     cache = ReferenceCache(args.cache)
@@ -260,10 +244,16 @@ def cmd_sweep(args) -> int:
             for value, report in results:
                 fh.write(json.dumps({"axis": args.axis, "value": value,
                                      **report.to_dict()}, ensure_ascii=False) + "\n")
-        write_manifest(args.out, args,
-                       [args.index, args.corpus, args.queries, args.cache,
-                        args.qrels], [args.out])
+        write_manifest(args.out, args, [args.out])
     return EXIT_OK
+
+
+def _inputs(p: argparse.ArgumentParser, *names: str) -> None:
+    """Declare a command's input files: one required ``--<name>`` flag each, which
+    ``main`` checks exist (exit 3) and ``write_manifest`` records, in this order."""
+    for name in names:
+        p.add_argument(f"--{name}", required=True)
+    p.set_defaults(_inputs=names)
 
 
 def _add_bm25_flags(p: argparse.ArgumentParser) -> None:
@@ -309,13 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="build an inverted index from a JSONL corpus")
-    p.add_argument("--corpus", required=True)
+    _inputs(p, "corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--field-policy", choices=FIELD_POLICIES, default="title_plus_text")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("generate", help="generate and cache pseudo-references")
-    p.add_argument("--queries", required=True)
+    _inputs(p, "queries")
     p.add_argument("--cache", required=True)
     p.add_argument("--endpoint", required=True)
     p.add_argument("--model", required=True)
@@ -326,9 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("search", help="expanded sparse retrieval to a run file")
-    p.add_argument("--index", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--cache", required=True)
+    _inputs(p, "index", "queries", "cache")
     p.add_argument("--model", default="synthetic-refs")
     p.add_argument("--retrieve-k", type=int, default=_DEFAULTS.retrieve_k)
     p.add_argument("--out", required=True)
@@ -337,28 +325,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("pipeline", help="full retrieve + rerank + calibrate pipeline")
-    p.add_argument("--index", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--cache", required=True)
+    _inputs(p, "index", "corpus", "queries", "cache")
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--tag", default="queryboost")
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("eval", help="nDCG@k of a run file against qrels")
-    p.add_argument("--run", required=True)
-    p.add_argument("--qrels", required=True)
+    _inputs(p, "run", "qrels")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--exponential-gain", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="high-idf keyword overlap report")
-    p.add_argument("--index", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--cache", required=True)
-    p.add_argument("--qrels", required=True)
+    _inputs(p, "index", "corpus", "queries", "cache", "qrels")
     p.add_argument("--model", default="synthetic-refs")
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--min-grade", type=int, default=3)
@@ -367,11 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="ablation sweep along one axis")
     p.add_argument("--axis", choices=SWEEP_AXES, required=True)
     p.add_argument("--values", nargs="+", required=True)
-    p.add_argument("--index", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--queries", required=True)
-    p.add_argument("--cache", required=True)
-    p.add_argument("--qrels", required=True)
+    _inputs(p, "index", "corpus", "queries", "cache", "qrels")
     p.add_argument("--out", default=None)
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_sweep)
@@ -416,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
                         level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(message)s")
     try:
+        for path in (getattr(args, name) for name in args._inputs):
+            if not Path(path).exists():
+                raise FileNotFoundError(path)
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc}", file=sys.stderr)

@@ -68,7 +68,7 @@ class Document:
     title: str
     text: str
 
-    def indexed_text(self, field_policy: str = "title_plus_text") -> str:
+    def indexed_text(self, field_policy: str) -> str:
         if field_policy == "title_plus_text" and self.title:
             return f"{self.title} {self.text}"
         return self.text

@@ -259,7 +259,7 @@ class RemoteEmbedder:
 
 
 class EmbeddingMemo:
-    """Text-keyed memo over a provider, made for one pipeline call and dropped after.
+    """Text-keyed memo over a provider, made for one pipeline call or sweep and dropped after.
 
     ``embed_batch`` answers texts it has seen from memory and sends every unseen
     distinct text to the wrapped provider in one ``embed_batch`` call. A failed

@@ -16,6 +16,7 @@ from threading import Lock
 import requests
 
 from queryboost.service import ATTEMPTS, ServiceError, post_json
+from queryboost.tokenizer import has_tokens
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +56,10 @@ class GenerationConfig:
 
 @dataclass(frozen=True)
 class ReferenceSet:
-    """The pseudo-references generated for one query, plus generation metadata."""
+    """The pseudo-references generated for one query, plus generation metadata.
+
+    A reference with no tokens (``"  "``, ``"..."``) is a ValueError naming its position.
+    """
 
     query_id: str
     query: str
@@ -67,8 +71,9 @@ class ReferenceSet:
     def __post_init__(self):
         if not self.references:
             raise ValueError("references must be non-empty")
-        if any(not r for r in self.references):
-            raise ValueError("empty reference text not allowed")
+        for i, reference in enumerate(self.references, start=1):
+            if not has_tokens(reference):
+                raise ValueError(f"reference {i} has no tokens: {reference!r}")
 
     def is_for(self, query: str) -> bool:
         """Whether these references were generated for this query text by this prompt."""
@@ -257,23 +262,22 @@ def generate_references(client: ChatCompletionClient, cache: ReferenceCache,
                         cfg: GenerationConfig) -> ReferenceSet:
     """Generate n pseudo-references for one query and persist them before returning.
 
-    Empty completions are requested again one at a time, up to ATTEMPTS - 1
-    times; a reference still empty after that is a ServiceError naming the query.
+    Completions with no tokens (empty, blank or punctuation only) are requested
+    again one at a time, up to ATTEMPTS - 1 times; a reference still without a
+    token after that is a ServiceError naming the query.
     """
     prompt = render_prompt(query)
     completions = [c.strip() for c in client.complete(prompt, cfg, cfg.n)]
 
     for _ in range(ATTEMPTS - 1):
-        if all(completions):
-            break
         for i, text in enumerate(completions):
-            if not text:
+            if not has_tokens(text):
                 completions[i] = client.complete(prompt, cfg, 1)[0].strip()
-    if not all(completions) or len(completions) != cfg.n:
+    if not all(map(has_tokens, completions)) or len(completions) != cfg.n:
         raise ServiceError(
             "chat service", client.endpoint,
-            f"query {query_id!r}: got {sum(1 for c in completions if c)}/{cfg.n} "
-            "non-empty references")
+            f"query {query_id!r}: got {sum(map(has_tokens, completions))}/{cfg.n} "
+            "references with tokens")
 
     rs = ReferenceSet(query_id=query_id, query=query,
                       references=tuple(completions), model_id=cfg.model_id,

@@ -5,13 +5,14 @@ top-k candidates with BM25, rerank those candidates with the pooled query
 embedding, then calibrate the embedding with relevance feedback and rank once
 more. All three rankings are kept for analysis.
 
-Each ``run_pipeline`` or ``run_query_pipeline`` call wraps its provider in one
-``EmbeddingMemo`` that lives for that call only and holds every distinct text
-the call embeds: document texts, pooled query texts and feedback texts. Each
-stage embeds its texts in one batch, and only texts the memo has not seen
-reach the provider. Right after BM25 each candidate's text is built once, as
-BM25 indexed it (under the index's ``field_policy``), into one map from doc id
-to text that every dense stage reads, and the memo is asked to add their
+Each ``run_pipeline`` or ``run_query_pipeline`` call wraps its provider in an
+``EmbeddingMemo`` for that call, unless it is handed one (``sweep`` hands all
+its points one memo). The memo holds every distinct text the call embeds:
+document texts, pooled query texts and feedback texts. Each stage embeds its
+texts in one batch, and only texts the memo has not seen reach the provider.
+Right after BM25 each candidate's text is built once, as BM25 indexed it
+(under the index's ``field_policy``), into one map from doc id to text that
+every dense stage reads, and the memo is asked to add their
 vectors (``EmbeddingMemo.add_documents``). A ``HashingEmbedder`` reads them
 from the bucket counts it keeps for the index, counted from the postings on
 first use, bit for bit as from the text, so rerank, the final rank and
@@ -125,9 +126,10 @@ def run_pipeline(queries: list[tuple[str, str]], index: InvertedIndex,
     ``n_refs`` restricts each cached set to its first j references; 0 means
     the no-expansion baseline. A cache miss is a CacheMissError naming the
     query, and references cached for another query text a StaleReferencesError.
-    One ``EmbeddingMemo`` serves all queries of this call.
+    One ``EmbeddingMemo`` serves all queries: the provider if it is one, else a new one.
     """
-    provider = EmbeddingMemo(provider)
+    if not isinstance(provider, EmbeddingMemo):
+        provider = EmbeddingMemo(provider)
     results = []
     for query_id, query in queries:
         refs = (None if n_refs == 0
@@ -203,7 +205,8 @@ def sweep(axis: str, values: list, base_cfg: PipelineConfig,
 
     A value the axis does not take as it is (1.5 on ``t``, a string or a bool
     on ``beta``) or that is out of range (-1 on ``t``, an unknown strategy) is
-    a ValueError before the first point runs.
+    a ValueError before the first point runs. One ``EmbeddingMemo`` serves every
+    point, so a text that several points embed reaches the provider once.
     """
     if axis in _AXIS_VALUES:
         kind, wanted = _AXIS_VALUES[axis]
@@ -216,6 +219,8 @@ def sweep(axis: str, values: list, base_cfg: PipelineConfig,
         for query_id, query in queries:  # fail before the first point, not midway
             cached_references(cache, query_id, query, model_id, needed)
 
+    if not isinstance(provider, EmbeddingMemo):
+        provider = EmbeddingMemo(provider)
     results = []
     for value, cfg, n_refs in points:
         rankings = run_pipeline(queries, index, doc_store, provider, cache,

@@ -26,3 +26,8 @@ def tokenize(text: str) -> list[str]:
     if text.isascii():
         return text.translate(_ASCII_FOLD).split()
     return _TOKEN_RE.findall(text.lower())
+
+
+def has_tokens(text: str) -> bool:
+    """Whether ``tokenize(text)`` is non-empty, found without building the tokens."""
+    return _TOKEN_RE.search(text.lower()) is not None

@@ -41,16 +41,16 @@ def criterion(number, capsys, note="pass"):
 
 def oracle_bm25(docs, params, query_tokens):
     """Exhaustive direct evaluation of the scoring formula from raw documents."""
-    lengths = {d.doc_id: len(tokenize(d.indexed_text())) for d in docs}
+    lengths = {d.doc_id: len(tokenize(d.indexed_text("title_plus_text"))) for d in docs}
     n = len(docs)
     avgdl = sum(lengths.values()) / n if n else 0.0
     df = {}
     for d in docs:
-        for term in set(tokenize(d.indexed_text())):
+        for term in set(tokenize(d.indexed_text("title_plus_text"))):
             df[term] = df.get(term, 0) + 1
     scored = []
     for d in docs:
-        toks = tokenize(d.indexed_text())
+        toks = tokenize(d.indexed_text("title_plus_text"))
         score = 0.0
         for q in query_tokens:  # one summand per occurrence
             tf = toks.count(q)
@@ -197,7 +197,7 @@ def _synthetic_runs(ds, embedder):
                                   cfg.retrieve_k)
         plain_bm25.append(Ranking(query_id, tuple(plain_items)))
         raw_emb = embed_query(embedder, query, None, cfg.strategy)
-        candidates = {d: store[d].indexed_text() for d, _ in plain_items}
+        candidates = {d: store[d].indexed_text(index.field_policy) for d, _ in plain_items}
         baseline_rerank.append(Ranking(query_id,
                                        tuple(rerank(embedder, raw_emb, candidates))))
         out = run_query_pipeline(query_id, query, index, store, embedder,

@@ -37,11 +37,6 @@ class TestIndexCommand:
             (dataset_dir["dir"] / "index.npz.manifest.json").read_text())
         assert manifest["outputs"] == [str(dataset_dir["index"])]
 
-    def test_missing_corpus_exit_code(self, tmp_path):
-        rc = main(["index", "--corpus", str(tmp_path / "nope.jsonl"),
-                   "--out", str(tmp_path / "i.json")])
-        assert rc == EXIT_MISSING_FILE
-
     def test_malformed_corpus_exit_code(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
@@ -79,8 +74,9 @@ class TestIndexCommand:
     def test_failed_manifest_write_leaves_previous_manifest(self, dataset_dir, tmp_path,
                                                            monkeypatch):
         out = tmp_path / "out.run"
-        args = argparse.Namespace(command="search", k1=1.2)
-        write_manifest(out, args, [dataset_dir["queries"]], [out])
+        args = argparse.Namespace(command="search", k1=1.2, queries=dataset_dir["queries"],
+                                  _inputs=("queries",))
+        write_manifest(out, args, [out])
         manifest = tmp_path / "out.run.manifest.json"
         before = manifest.read_bytes()
 
@@ -89,9 +85,90 @@ class TestIndexCommand:
 
         monkeypatch.setattr(files.os, "fsync", disk_full)
         with pytest.raises(OSError, match="No space left"):
-            write_manifest(out, argparse.Namespace(command="search", k1=2.0), [], [out])
+            write_manifest(out, argparse.Namespace(command="search", k1=2.0, _inputs=()), [out])
         assert manifest.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [manifest.name]
+
+
+# each command's declared input files, in the order its manifest lists them
+INPUTS = {"index": ("corpus",), "generate": ("queries",),
+          "search": ("index", "queries", "cache"),
+          "pipeline": ("index", "corpus", "queries", "cache"), "eval": ("run", "qrels"),
+          "analyze": ("index", "corpus", "queries", "cache", "qrels"),
+          "sweep": ("index", "corpus", "queries", "cache", "qrels")}
+# each command's other flags, over an output directory, and the manifest it writes
+OTHER_FLAGS = {
+    "index": (lambda out: ["--out", out / "i.npz"], "i.npz"),
+    # every query's references are cached, so generate sends no request
+    "generate": (lambda out: ["--cache", out / "cache.jsonl", "--model", "synthetic-refs",
+                              "--n", "1", "--endpoint", "http://127.0.0.1:9/chat"],
+                 "cache.jsonl"),
+    "search": (lambda out: ["--out", out / "s.run"], "s.run"),
+    "pipeline": (lambda out: ["--out-prefix", out / "p"], "p.post.run"),
+    "eval": (lambda out: [], None),
+    "analyze": (lambda out: [], None),
+    "sweep": (lambda out: ["--axis", "alpha", "--values", "0", "0.2",
+                           "--out", out / "sweep.jsonl"], "sweep.jsonl"),
+}
+
+
+class TestDeclaredInputs:
+    """Each command's input files are declared once: one list gives the required
+    flags, the missing-file check (exit 3) and the manifest's inputs."""
+
+    @pytest.fixture
+    def paths(self, dataset_dir, tmp_path):
+        run = tmp_path / "r.run"
+        run.write_text("q0 Q0 rel0x0 1 1.000000 t\n")
+        (tmp_path / "cache.jsonl").write_bytes(dataset_dir["cache"].read_bytes())
+        return {**dataset_dir, "run": run, "cache": tmp_path / "cache.jsonl"}
+
+    @staticmethod
+    def argv(command, paths, out):
+        """The command line of ``command`` over ``paths``, writing into directory ``out``."""
+        inputs = [a for name in INPUTS[command] for a in (f"--{name}", paths[name])]
+        return [command, *map(str, inputs), *map(str, OTHER_FLAGS[command][0](out))]
+
+    @pytest.mark.parametrize("command", INPUTS)
+    def test_declared_inputs(self, paths, tmp_path, command):
+        args = build_parser().parse_args(self.argv(command, paths, tmp_path))
+        assert args._inputs == INPUTS[command]
+
+    @pytest.mark.parametrize("command, name", [(c, n) for c, names in INPUTS.items()
+                                               for n in names])
+    def test_missing_input_exit_code_and_message(self, paths, tmp_path, capsys, command,
+                                                 name):
+        missing = tmp_path / f"missing-{name}"
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(self.argv(command, {**paths, name: missing}, out))
+        assert rc == EXIT_MISSING_FILE
+        captured = capsys.readouterr()
+        assert f"error: missing input file: {missing}" in captured.err
+        assert captured.out == "" and not list(out.iterdir())
+
+    @pytest.mark.parametrize("command", [c for c, (_, m) in OTHER_FLAGS.items() if m])
+    def test_manifest_inputs_are_the_declared_flags_in_order(self, paths, tmp_path,
+                                                             command):
+        assert main(self.argv(command, paths, tmp_path)) == EXIT_OK
+        manifest = json.loads(
+            (tmp_path / f"{OTHER_FLAGS[command][1]}.manifest.json").read_text())
+        assert manifest["inputs"] == [str(paths[name]) for name in INPUTS[command]]
+        assert not any(key.startswith("_") for key in manifest["config"])
+
+    def test_missing_input_is_checked_before_the_tag(self, paths, tmp_path, capsys):
+        rc = main(self.argv("search", {**paths, "cache": tmp_path / "nope.jsonl"},
+                            tmp_path) + ["--tag", "my run"])
+        assert rc == EXIT_MISSING_FILE
+        assert "missing input file" in capsys.readouterr().err
+
+    def test_config_key_inputs_is_unknown(self, paths, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"_inputs": []}))
+        rc = main(["--config", str(cfg), *self.argv("search", paths, tmp_path)])
+        assert rc == EXIT_USAGE
+        assert "unknown key(s) '_inputs'" in capsys.readouterr().err
+        assert not (tmp_path / "s.run").exists()
 
 
 def _rewrite_npz(src, dst, **changes):
@@ -562,6 +639,24 @@ class TestPipelineCommand:
         assert (f"error: {queries}:{lineno}: query 'q0' has no tokens"
                 in capsys.readouterr().err)
 
+
+    @pytest.mark.parametrize("strategy", ["mean_pool", "contex_pool"])
+    @pytest.mark.parametrize("reference", ["  ", "..."])
+    def test_cached_reference_without_tokens_exit_code_and_message(
+            self, dataset_dir, tmp_path, capsys, strategy, reference):
+        lines = dataset_dir["cache"].read_text().splitlines()
+        entry = json.loads(lines[0])
+        entry["references"][0] = reference
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("\n".join([json.dumps(entry), *lines[1:]]) + "\n")
+        rc = main(["pipeline", "--index", str(dataset_dir["index"]),
+                   "--corpus", str(dataset_dir["corpus"]),
+                   "--queries", str(dataset_dir["queries"]), "--cache", str(cache),
+                   "--out-prefix", str(tmp_path / "o"), "--strategy", strategy])
+        assert rc == EXIT_FORMAT
+        assert (f"error: {cache}:1: corrupt cache line: reference 1 has no tokens: "
+                f"{reference!r}" in capsys.readouterr().err)
+        assert not list(tmp_path.glob("o*"))
 
     @pytest.mark.parametrize("command", ["pipeline", "search"])
     @pytest.mark.parametrize("same_text", [True, False])

@@ -11,6 +11,10 @@ from queryboost.generation import (CacheFormatError, CacheMissError, ChatComplet
                                    StaleReferencesError, cached_references,
                                    generate_for_queries, generate_references, render_prompt)
 from queryboost.service import ServiceError
+from queryboost.tokenizer import has_tokens
+
+# reference texts a cache can hold: each has at least one token
+references = st.text(min_size=1).filter(has_tokens)
 
 
 class TestRenderPrompt:
@@ -35,6 +39,11 @@ class TestReferenceSet:
             ReferenceSet("q1", "q", (), "m")
         with pytest.raises(ValueError):
             ReferenceSet("q1", "q", ("ok", ""), "m")
+
+    @pytest.mark.parametrize("text", ["", "  ", "...", ":", "\x1b", "_"])
+    def test_reference_without_tokens_rejected(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"reference 2 has no tokens: {text!r}")):
+            ReferenceSet("q1", "q", ("ok", text), "m")
 
     def test_first(self):
         rs = ReferenceSet("q1", "q", ("a", "b", "c"), "m")
@@ -74,7 +83,7 @@ class TestReferenceCache:
             ReferenceCache(path)
 
     @settings(max_examples=10, deadline=None)
-    @given(refs=st.lists(st.text(min_size=1).filter(str.strip), min_size=1, max_size=3),
+    @given(refs=st.lists(references, min_size=1, max_size=3),
            query=st.text(min_size=1))
     def test_torn_tail_at_every_cut(self, tmp_path_factory, refs, query):
         # a crash during put leaves any prefix of the last record, even half a
@@ -137,8 +146,16 @@ class TestReferenceCache:
                                                              f"{problem}")):
             ReferenceCache(path)
 
+    def test_reference_without_tokens_names_the_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        line = {"query_id": "q1", "query": "q", "model": "m", "references": ["  ", "r"]}
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(CacheFormatError, match=re.escape(
+                f"{path}:1: corrupt cache line: reference 1 has no tokens: '  '")):
+            ReferenceCache(path)
+
     @settings(max_examples=50, deadline=None)
-    @given(refs=st.lists(st.text(min_size=1).filter(str.strip), min_size=1, max_size=5),
+    @given(refs=st.lists(references, min_size=1, max_size=5),
            query=st.text(min_size=1))
     def test_unicode_round_trip(self, tmp_path_factory, refs, query):
         path = tmp_path_factory.mktemp("cache") / "c.jsonl"
@@ -228,6 +245,18 @@ class TestGeneration:
         cfg = GenerationConfig(model_id="m", n=1)
         rs = generate_references(_client(stub_server), cache, "q1", "query", cfg)
         assert rs.references == ("fixed",)
+
+    def test_completion_without_tokens_asked_again(self, stub_server, tmp_path):
+        stub_server.script = [
+            (200, lambda body: {"choices": [{"message": {"content": "..."}},
+                                            {"message": {"content": "kept"}}]}),
+            (200, lambda body: {"choices": [{"message": {"content": "fixed"}}]}),
+        ]
+        cache = ReferenceCache(tmp_path / "c.jsonl")
+        cfg = GenerationConfig(model_id="m", n=2)
+        rs = generate_references(_client(stub_server), cache, "q1", "query", cfg)
+        assert rs.references == ("fixed", "kept")
+        assert stub_server.requests[1]["n"] == 1
 
     def test_prompt_sent_to_service(self, stub_server, tmp_path):
         cache = ReferenceCache(tmp_path / "c.jsonl")

@@ -7,7 +7,7 @@ import pytest
 from queryboost import corpus, pipeline
 from queryboost.calibration import CalibrationConfig
 from queryboost.corpus import FIELD_POLICIES, Document, build_index, load_index, save_index
-from queryboost.embedding import HashingEmbedder
+from queryboost.embedding import EmbeddingMemo, HashingEmbedder
 from queryboost.evaluation import evaluate_run, write_run
 from queryboost.generation import ReferenceCache, ReferenceSet, StaleReferencesError
 from queryboost.pipeline import (PipelineConfig, format_sweep_table, keyword_overlap,
@@ -345,6 +345,30 @@ class TestEmbeddingMemoInPipeline:
         counting.calls.clear()
         run_pipeline(queries, index, store, counting, _Cache(refs), "m", PipelineConfig())
         assert Counter(t for call in counting.calls for t in call) == first
+
+    def test_a_sweep_sends_each_text_once(self, synthetic_dataset, counting):
+        # one memo serves every point: two alpha points send the texts of one call
+        ds = synthetic_dataset
+        index, store, refs = _synthetic_run(ds)
+        run_pipeline(ds.queries, index, store, counting, _Cache(refs), "m", PipelineConfig())
+        one_call = Counter(t for call in counting.calls for t in call)
+        counting.calls.clear()
+        sweep("alpha", [0.0, 0.2], PipelineConfig(), index, store, counting, _Cache(refs),
+              "m", ds.queries, ds.qrels)
+        assert Counter(t for call in counting.calls for t in call) == one_call
+
+    def test_run_pipeline_keeps_a_memo_it_is_handed(self, synthetic_dataset):
+        ds = synthetic_dataset
+        index, store, refs = _synthetic_run(ds)
+        provider = _CountingHashingEmbedder(64, seed=9)
+        memo = EmbeddingMemo(provider)
+        run_pipeline(ds.queries, index, store, memo, _Cache(refs), "m", PipelineConfig())
+        # not wrapped again: the handed memo counts document vectors from the index
+        doc_texts = {d.indexed_text(index.field_policy) for d in store.values()}
+        assert provider.texts and not doc_texts.intersection(provider.texts)
+        sent = len(provider.texts)
+        run_pipeline(ds.queries, index, store, memo, _Cache(refs), "m", PipelineConfig())
+        assert len(provider.texts) == sent  # every text of the second call was in the memo
 
 
 class _TextPathProvider:

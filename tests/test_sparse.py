@@ -109,7 +109,7 @@ def exhaustive_bm25(docs, params, query_tokens, top_k):
     first appearance, each computed as ((q * idf) * tf) * (k1 + 1) / (tf + k1 *
     norm); that is the order the vectorized search must reproduce bit for bit.
     """
-    token_lists = {d.doc_id: tokenize(d.indexed_text()) for d in docs}
+    token_lists = {d.doc_id: tokenize(d.indexed_text("title_plus_text")) for d in docs}
     n = len(docs)
     avgdl = sum(map(len, token_lists.values())) / n if n else 0.0
     df = Counter(t for toks in token_lists.values() for t in set(toks))

@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from queryboost.tokenizer import _TOKEN_RE, tokenize
+from queryboost.tokenizer import _TOKEN_RE, has_tokens, tokenize
 
 # ASCII with the characters the fast path must get right: "_" (a regex word
 # character that is not a token character), digits, and the control characters
@@ -47,6 +47,11 @@ def test_equals_regex_definition(text):
 def test_ascii_path_equals_regex_definition(text):
     assert text.isascii()
     assert tokenize(text) == _TOKEN_RE.findall(text.lower())
+
+
+@given(st.one_of(st.text(), ASCII_EDGES))
+def test_has_tokens_is_tokenize_non_empty(text):
+    assert has_tokens(text) == bool(tokenize(text))
 
 
 def test_non_ascii_letters_are_token_characters():

@@ -43,6 +43,11 @@ EXIT_MISSING_FILE = 3
 EXIT_CACHE_MISS = 4
 EXIT_FORMAT = 5
 EXIT_MISMATCH = 6
+# each error's exit code, from the first match: any ValueError not named first is a usage error
+_EXIT_CODES = ((CacheMissError, EXIT_CACHE_MISS),
+               ((DataFormatError, CacheFormatError, IndexFormatError), EXIT_FORMAT),
+               ((IndexMismatchError, StaleReferencesError), EXIT_MISMATCH),
+               (ServiceError, EXIT_ERROR), (ValueError, EXIT_USAGE), (Exception, EXIT_ERROR))
 
 log = logging.getLogger("queryboost")
 # Flag defaults are the library's, so a bare command line means PipelineConfig().
@@ -248,6 +253,23 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _config_value_ok(action: argparse.Action, value) -> bool:
+    """Whether a config file's ``value`` is one that ``action``'s flag takes on the
+    command line, as a JSON value of its own type or as a string the flag parses."""
+    if action.nargs == 0:  # an on/off flag
+        return type(value) is bool
+    if value is None:
+        return action.default is None
+    if isinstance(value, str):
+        try:
+            value = (action.type or str)(value)
+        except ValueError:
+            return False
+    elif type(value) not in {int: (int,), float: (int, float)}.get(action.type, ()):
+        return False  # a bool, a list, an object, or a number of another kind
+    return action.choices is None or value in action.choices
+
+
 def _inputs(p: argparse.ArgumentParser, *names: str) -> None:
     """Declare a command's input files: one required ``--<name>`` flag each, which
     ``main`` checks exist (exit 3) and ``write_manifest`` records, in this order."""
@@ -375,13 +397,18 @@ def main(argv: list[str] | None = None) -> int:
                            if isinstance(a, argparse._SubParsersAction))
         parsers = [parser, *subcommands.choices.values()]
         # a key any subcommand defines is allowed, since one config serves every command
-        known = {a.dest for p in parsers for a in p._actions}
-        unknown = sorted(set(defaults) - known)
+        actions = [a for p in parsers for a in p._actions]
+        unknown = sorted(set(defaults) - {a.dest for a in actions})
         if unknown:
             print(f"error: config file {args.config}: unknown key(s) "
                   f"{', '.join(map(repr, unknown))} (keys are flag names with '_' for '-', "
                   "as in 'k_reciprocal')", file=sys.stderr)
             return EXIT_USAGE
+        for a in actions:
+            if a.dest in defaults and not _config_value_ok(a, defaults[a.dest]):
+                print(f"error: config file {args.config}: key {a.dest!r} cannot be "
+                      f"{json.dumps(defaults[a.dest])}", file=sys.stderr)
+                return EXIT_USAGE
         for p in parsers:
             p.set_defaults(**defaults)
         args = parser.parse_args(argv)
@@ -399,24 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except CacheMissError as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CACHE_MISS
-    except (DataFormatError, CacheFormatError, IndexFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (IndexMismatchError, StaleReferencesError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - catch-all for unexpected failures
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

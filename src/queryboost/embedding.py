@@ -1,9 +1,10 @@
 """Embedding providers and cosine similarity.
 
-A provider maps text to a fixed-dimension vector. Two implementations: a
-deterministic hashing embedder (tests and synthetic experiments) and a remote
-JSON-over-HTTP service. ``EmbeddingMemo`` wraps either for the length of one
-pipeline call, so that each distinct text is embedded once per call. The
+A provider maps texts to fixed-dimension vectors in ``embed_batch``, the one
+call the program makes. Two implementations: a deterministic hashing embedder
+(tests and synthetic experiments) and a remote JSON-over-HTTP service.
+``EmbeddingMemo`` wraps either for the length of one pipeline call, so that
+each distinct text is embedded once per call. The
 hashing embedder can also give an index's documents their vectors with no
 tokenizing (``HashingEmbedder.embed_documents``), with the same bits: it
 counts each document's tokens per bucket once, from the postings, into one
@@ -71,19 +72,13 @@ def cosine_scores(u: np.ndarray, vectors) -> list[float]:
     return scores
 
 
-def truncate_text(text: str, max_tokens: int | None) -> str:
+def truncate_text(text: str, max_tokens: int) -> str:
     """Keep the first max_tokens whitespace-separated words (tail-first cut)."""
-    if max_tokens is None:
-        return text
     words = text.split()
-    if len(words) <= max_tokens:
-        return text
-    return " ".join(words[:max_tokens])
+    return text if len(words) <= max_tokens else " ".join(words[:max_tokens])
 
 
 class EmbeddingProvider(Protocol):
-    def embed(self, text: str) -> np.ndarray: ...
-
     def embed_batch(self, texts: list[str]) -> list[np.ndarray]: ...
 
 
@@ -201,20 +196,21 @@ EMBED_TIMEOUT_S = 30.0
 class RemoteEmbedder:
     """JSON-over-HTTP embedding service: {"input": [texts]} -> {"embeddings": [[...]]}.
 
-    Outputs are order-preserving; inputs are truncated client-side and sent in
-    batches of ``batch_size``, each retried as ``service.post_json`` does.
-    Giving up, or a body that is not JSON, lacks the ``embeddings`` list, or
-    holds the wrong number of vectors or a vector of the wrong dimension,
-    raises ``ServiceError``.
+    Outputs are order-preserving; inputs are truncated client-side to their
+    first ``max_input_tokens`` words and sent in batches of ``batch_size``,
+    each retried as ``service.post_json`` does. Giving up, or a body that is
+    not JSON, lacks the ``embeddings`` list, or holds the wrong number of
+    vectors, a vector of the wrong dimension, or one with a NaN, an infinite
+    or no nonzero component, raises ``ServiceError``.
     """
 
+    max_input_tokens = 512
+    batch_size = 32
+
     def __init__(self, endpoint: str, dimension: int,
-                 max_input_tokens: int | None = 512, batch_size: int = 32,
                  session: requests.Session | None = None):
         self.endpoint = endpoint
         self.dimension = dimension
-        self.max_input_tokens = max_input_tokens
-        self.batch_size = batch_size
         self._session = session or requests.Session()
 
     def embed(self, text: str) -> np.ndarray:
@@ -246,14 +242,18 @@ class RemoteEmbedder:
         if len(embeddings) != expected:
             raise self._error(f"returned {len(embeddings)} vectors for {expected} inputs")
         vectors = []
-        for emb in embeddings:
+        for i, emb in enumerate(embeddings):
             try:
                 vec = np.asarray(emb, dtype=np.float64)
             except (TypeError, ValueError) as exc:
-                raise self._error(f"a vector is not a list of numbers: {exc}") from exc
+                raise self._error(f"vector {i} is not a list of numbers: {exc}") from exc
             if vec.shape != (self.dimension,):
                 raise self._error(
                     f"expected dimension {self.dimension}, got shape {vec.shape}")
+            if not np.isfinite(vec).all():
+                raise self._error(f"vector {i} holds a NaN or infinite component")
+            if not vec.any():
+                raise self._error(f"vector {i} is all zeros")
             vectors.append(vec)
         return vectors
 
@@ -266,16 +266,13 @@ class EmbeddingMemo:
     call stores nothing. Vectors are returned as the provider made them, so a
     text's vector is the same whether it came from memory or not;
     ``add_documents`` stores vectors equal to those too. The memo offers only
-    ``embed`` and ``embed_batch``; the wrapped provider's own settings, such as
-    its dimension, are read from ``provider``.
+    ``embed_batch``; the wrapped provider's own settings, such as its
+    dimension, are read from ``provider``.
     """
 
     def __init__(self, provider: EmbeddingProvider):
         self.provider = provider
         self._vectors: dict[str, np.ndarray] = {}
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
         unseen = list(dict.fromkeys(t for t in texts if t not in self._vectors))

@@ -1,12 +1,13 @@
 """Query-reference integration strategies and dense reranking of BM25 candidates.
 
-Three ways to fold pseudo-references into the query embedding:
+Three ways to fold pseudo-references into the query embedding, which differ
+only in the texts whose vectors ``embed_query`` averages:
 
-- concat: embed the query concatenated with all references (order-sensitive,
-  bounded by the provider's input window; the query goes first so it always
-  survives truncation).
-- mean_pool: average the query embedding with each reference embedding.
-- contex_pool: average the embeddings of each (query + reference) pair.
+- concat: the query and all references joined by spaces, as one text
+  (order-sensitive, bounded by the provider's input window; the query goes
+  first so it always survives truncation).
+- mean_pool: the query and each reference.
+- contex_pool: each (query + reference) pair.
 
 ``rerank`` takes the candidates as doc id -> text, the text BM25 indexed, and
 embeds them in one ``embed_batch`` call. Inside the pipeline the provider is
@@ -26,38 +27,24 @@ from queryboost.generation import ReferenceSet
 STRATEGIES = ("concat", "mean_pool", "contex_pool")
 
 
-def embed_concat(provider: EmbeddingProvider, query: str,
-                 refs: ReferenceSet) -> np.ndarray:
-    """Embed the space-joined concatenation of query and all references."""
-    return provider.embed(" ".join([query, *refs.references]))
-
-
-def embed_mean_pool(provider: EmbeddingProvider, query: str,
-                    refs: ReferenceSet) -> np.ndarray:
-    """(f(q) + sum_i f(r_i)) / (n + 1), componentwise."""
-    vectors = provider.embed_batch([query, *refs.references])
-    return np.mean(vectors, axis=0)
-
-
-def embed_contex_pool(provider: EmbeddingProvider, query: str,
-                      refs: ReferenceSet) -> np.ndarray:
-    """Mean over references of f(query + reference); permutation-invariant."""
-    vectors = provider.embed_batch([f"{query} {r}" for r in refs.references])
-    return np.mean(vectors, axis=0)
-
-
 def embed_query(provider: EmbeddingProvider, query: str,
                 refs: ReferenceSet | None, strategy: str) -> np.ndarray:
-    """Dispatch on strategy; with no references, falls back to the raw query."""
+    """The mean of the vectors of the strategy's texts, from one ``embed_batch`` call.
+
+    With no references the one text is the raw query; the mean of one row is
+    that row, bit for bit.
+    """
     if refs is None:
-        return provider.embed(query)
-    if strategy == "concat":
-        return embed_concat(provider, query, refs)
-    if strategy == "mean_pool":
-        return embed_mean_pool(provider, query, refs)
-    if strategy == "contex_pool":
-        return embed_contex_pool(provider, query, refs)
-    raise ValueError(f"unknown integration strategy: {strategy!r}")
+        texts = [query]
+    elif strategy == "concat":
+        texts = [" ".join([query, *refs.references])]
+    elif strategy == "mean_pool":
+        texts = [query, *refs.references]
+    elif strategy == "contex_pool":
+        texts = [f"{query} {r}" for r in refs.references]
+    else:
+        raise ValueError(f"unknown integration strategy: {strategy!r}")
+    return np.mean(provider.embed_batch(texts), axis=0)
 
 
 def rerank(provider: EmbeddingProvider, query_embedding: np.ndarray,

@@ -47,9 +47,6 @@ class CountingProvider:
         self.calls: list[list[str]] = []
         self.fail = False
 
-    def embed(self, text):
-        return self.embed_batch([text])[0]
-
     def embed_batch(self, texts):
         self.calls.append(list(texts))
         if self.fail:

@@ -20,8 +20,7 @@ from queryboost.evaluation import (Ranking, evaluate_run, ndcg_at_k, read_qrels,
                                    read_run, write_run)
 from queryboost.generation import ReferenceCache, ReferenceSet
 from queryboost.pipeline import PipelineConfig, keyword_overlap, run_query_pipeline
-from queryboost.rerank import (embed_contex_pool, embed_mean_pool, embed_query,
-                               rerank)
+from queryboost.rerank import embed_query, rerank
 from queryboost.sparse import (BM25Params, ReweightConfig, SparseQuery, bm25_search,
                                build_sparse_query, compute_lambda)
 from queryboost.tokenizer import tokenize
@@ -114,17 +113,18 @@ def test_criterion_3_integration_strategy_algebra(capsys, embedder):
     with criterion(3, capsys):
         refs3 = ReferenceSet("q", "the query", ("ref one", "ref two", "ref three"), "m")
         perm = ReferenceSet("q", "the query", ("ref three", "ref one", "ref two"), "m")
-        for fn in (embed_mean_pool, embed_contex_pool):
-            a, b = fn(embedder, "the query", refs3), fn(embedder, "the query", perm)
+        for strategy in ("mean_pool", "contex_pool"):
+            a = embed_query(embedder, "the query", refs3, strategy)
+            b = embed_query(embedder, "the query", perm, strategy)
             np.testing.assert_allclose(a, b, atol=1e-9)
 
         ref1 = ReferenceSet("q", "the query", ("sole reference",), "m")
         np.testing.assert_array_equal(
-            embed_contex_pool(embedder, "the query", ref1),
+            embed_query(embedder, "the query", ref1, "contex_pool"),
             embedder.embed("the query sole reference"))
 
         same = ReferenceSet("q", "same text", ("same text", "same text"), "m")
-        np.testing.assert_allclose(embed_mean_pool(embedder, "same text", same),
+        np.testing.assert_allclose(embed_query(embedder, "same text", same, "mean_pool"),
                                    embedder.embed("same text"), atol=1e-12)
 
 

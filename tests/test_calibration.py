@@ -4,7 +4,7 @@ import pytest
 from queryboost.calibration import (CalibrationConfig, FeedbackSets, RocchioWeights,
                                     build_feedback_sets, calibrate, rocchio_classic)
 from queryboost.generation import ReferenceSet
-from queryboost.rerank import embed_contex_pool, rerank
+from queryboost.rerank import embed_query, rerank
 
 
 def make_refs(*texts, query="q"):
@@ -141,7 +141,7 @@ class TestFinalRank:
     def test_reduces_to_pre_rank_with_single_ref(self, embedder):
         docs = {"d1": "alpha beta", "d2": "gamma delta", "d3": "epsilon zeta"}
         refs = make_refs("alpha context")
-        q_emb = embed_contex_pool(embedder, "q", refs)
+        q_emb = embed_query(embedder, "q", refs, "contex_pool")
         i_pre = rerank(embedder, q_emb, docs)
 
         fb = FeedbackSets(positives=refs.references, negatives=())
@@ -162,7 +162,7 @@ class TestFinalRank:
         candidates = {"rel": "kwa kwb kwc kwd", "dis": "query words filler stuff misc"}
         refs = make_refs("kwa kwb kwc", "kwb kwc kwd", query="query words")
 
-        q_emb = embed_contex_pool(embedder, "query words", refs)
+        q_emb = embed_query(embedder, "query words", refs, "contex_pool")
         i_pre = rerank(embedder, q_emb, candidates)
         pre_pos = [d for d, _ in i_pre].index("rel")
 

@@ -700,7 +700,12 @@ class TestEmbeddingServiceFaults:
          "vectors for"),
         (lambda body: {"embeddings": [[1.0] * 7] * len(body["input"])},
          "expected dimension 8, got shape (7,)"),
-    ], ids=["no-embeddings-key", "too-few-vectors", "wrong-dimension"])
+        (lambda body: {"embeddings": [[float("nan")] * 8] * len(body["input"])},
+         "vector 0 holds a NaN or infinite component"),
+        (lambda body: {"embeddings": [[0.0] * 8] * len(body["input"])},
+         "vector 0 is all zeros"),
+    ], ids=["no-embeddings-key", "too-few-vectors", "wrong-dimension", "nan-vector",
+            "zero-vector"])
     def test_exit_code_and_message(self, dataset_dir, http_stub, tmp_path, capsys,
                                    reply, problem):
         http_stub.script = [(200, reply)]
@@ -936,6 +941,48 @@ class TestConfigFile:
                    "--cache", str(dataset_dir["cache"]), "--out", str(tmp_path / "x.run")])
         assert rc == EXIT_OK
         assert json.loads((tmp_path / "x.run.manifest.json").read_text())["config"]["k1"] == 1.2
+
+    @pytest.mark.parametrize("config", [
+        {"exponential_gain": "false"},  # a string is truthy: linear gain became exponential
+        {"exponential_gain": 1},
+        {"k1": True},  # ran with k1 = 1
+        {"retrieve_k": 50.5},
+        {"t": 1.5},
+        {"dimension": 64.0},
+        {"k": "ten"},
+        {"provider": "hashin"},  # asked for --embed-endpoint
+        {"strategy": "bogus"},
+        {"dimension": None},
+        {"model": 5},
+    ], ids=lambda config: json.dumps(config))
+    def test_value_its_flag_does_not_take(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        # the value is checked before the command runs, so the missing inputs are not reached
+        rc = main(["--config", str(cfg), "eval", "--run", "x", "--qrels", "y"])
+        assert rc == EXIT_USAGE
+        [(key, value)] = config.items()
+        assert capsys.readouterr().err == (f"error: config file {cfg}: key {key!r} cannot be "
+                                           f"{json.dumps(value)}\n")
+
+    @pytest.mark.parametrize("config, flags", [
+        ({"exponential_gain": True}, ["--exponential-gain"]),
+        ({"exponential_gain": False, "k": "3"}, ["--k", "3"]),
+        ({"k": 3, "t": None, "alpha": 1, "k1": "1.5", "strategy": "concat",
+          "embed_endpoint": None}, ["--k", "3"]),
+    ])
+    def test_values_their_flags_take(self, tmp_path, capsys, config, flags):
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 1\nq1 0 d2 3\n")
+        run = tmp_path / "r.run"
+        run.write_text("q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 1.0 t\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = ["eval", "--run", str(run), "--qrels", str(qrels)]
+        assert main(["--config", str(cfg), *args]) == EXIT_OK
+        from_config = capsys.readouterr().out
+        assert main([*args, *flags]) == EXIT_OK
+        assert from_config == capsys.readouterr().out
 
     def test_config_not_an_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -129,9 +129,6 @@ class TestCosineScores:
 
 
 class TestTruncation:
-    def test_no_limit(self):
-        assert truncate_text("a b c", None) == "a b c"
-
     def test_truncates_tail(self):
         assert truncate_text("a b c d", 2) == "a b"
 
@@ -365,7 +362,7 @@ class TestEmbeddingMemo:
         assert counting.calls == [["a b", "c"]]
         assert memo.embed_batch(["c", "d", "a b", "d"])[0] is got[1]
         assert counting.calls == [["a b", "c"], ["d"]]
-        np.testing.assert_array_equal(memo.embed("d"), counting.inner.embed("d"))
+        np.testing.assert_array_equal(memo.embed_batch(["d"])[0], counting.inner.embed("d"))
         assert len(counting.calls) == 2
 
     def test_order_and_values_preserved(self, counting):
@@ -438,8 +435,8 @@ class _FakeResponse:
 class TestRemoteEmbedder:
     def test_batching_preserves_order(self):
         session = _FakeSession(8)
-        emb = RemoteEmbedder("http://x/embed", dimension=8, batch_size=2,
-                             session=session)
+        emb = RemoteEmbedder("http://x/embed", dimension=8, session=session)
+        emb.batch_size = 2
         texts = ["a", "bb", "ccc", "dddd", "eeeee"]
         vecs = emb.embed_batch(texts)
         assert [v[0] for v in vecs] == [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -447,7 +444,8 @@ class TestRemoteEmbedder:
 
     def test_truncation_applied(self, http_stub):
         http_stub.script = [(200, lambda body: {"embeddings": [[1.0] * 8] * len(body["input"])})]
-        emb = RemoteEmbedder(http_stub.url, dimension=8, max_input_tokens=2)
+        emb = RemoteEmbedder(http_stub.url, dimension=8)
+        emb.max_input_tokens = 2
         emb.embed_batch(["a b c d", "e f"])
         assert http_stub.requests == [{"input": ["a b", "e f"]}]
 
@@ -456,6 +454,23 @@ class TestRemoteEmbedder:
         emb = RemoteEmbedder("http://x/embed", dimension=8, session=session)
         with pytest.raises(ValueError, match="dimension"):
             emb.embed("hello")
+
+    def test_defaults_of_every_caller(self):
+        emb = RemoteEmbedder("http://x/embed", dimension=8)
+        assert (emb.max_input_tokens, emb.batch_size) == (512, 32)
+
+    @pytest.mark.parametrize("bad, problem", [
+        (float("nan"), "vector 1 holds a NaN or infinite component"),
+        (float("inf"), "vector 1 holds a NaN or infinite component"),
+        (float("-inf"), "vector 1 holds a NaN or infinite component"),
+        (0.0, "vector 1 is all zeros"),
+    ], ids=["nan", "infinity", "minus-infinity", "zeros"])
+    def test_vector_without_a_direction_rejected(self, http_stub, bad, problem):
+        # json.dumps writes NaN and Infinity, and the client's json parser reads them
+        http_stub.script = [(200, {"embeddings": [[1.0] * 8, [bad] + [0.0] * 7, [1.0] * 8]})]
+        with pytest.raises(ServiceError) as got:
+            RemoteEmbedder(http_stub.url, dimension=8).embed_batch(["a", "b", "c"])
+        assert str(got.value) == f"embedding service {http_stub.url}: {problem}"
 
 
 class TestRemoteEmbedderRetries:

@@ -375,7 +375,6 @@ class _TextPathProvider:
     """Exposes only the provider protocol of the wrapped provider: the text path."""
 
     def __init__(self, inner):
-        self.embed = inner.embed
         self.embed_batch = inner.embed_batch
 
 

@@ -5,8 +5,7 @@ import pytest
 
 from queryboost.embedding import EmbeddingMemo, RemoteEmbedder, cosine_sim
 from queryboost.generation import ReferenceSet
-from queryboost.rerank import (embed_concat, embed_contex_pool, embed_mean_pool,
-                               embed_query, rerank)
+from queryboost.rerank import STRATEGIES, embed_query, rerank
 
 
 def make_refs(*texts):
@@ -16,72 +15,86 @@ def make_refs(*texts):
 class TestConcat:
     def test_equals_joined_embed(self, embedder):
         refs = make_refs("r1 words")
-        got = embed_concat(embedder, "q text", refs)
-        np.testing.assert_allclose(got, embedder.embed("q text r1 words"))
+        got = embed_query(embedder, "q text", refs, "concat")
+        np.testing.assert_array_equal(got, embedder.embed("q text r1 words"))
 
     def test_truncation_keeps_query(self, http_stub):
         http_stub.script = [(200, lambda body: {"embeddings": [[1.0] * 8] * len(body["input"])})]
-        emb = RemoteEmbedder(http_stub.url, dimension=8, max_input_tokens=3)
-        embed_concat(emb, "query words", make_refs("verylong reference body here"))
+        emb = RemoteEmbedder(http_stub.url, dimension=8)
+        emb.max_input_tokens = 3
+        embed_query(emb, "query words", make_refs("verylong reference body here"), "concat")
         assert http_stub.requests == [{"input": ["query words verylong"]}]
 
-    def test_order_sensitive(self, embedder):
-        a = embed_concat(embedder, "q", make_refs("aa bb", "cc"))
-        b = embed_concat(embedder, "q", make_refs("cc", "aa bb"))
-        # the two concatenations contain the same tokens, so the hashing
-        # embedder cannot distinguish them; assert only via the input strings
-        assert "q aa bb cc" != "q cc aa bb"
-        assert a.shape == b.shape
+    def test_order_sensitive(self, counting):
+        # the two concatenations hold the same tokens, so the hashing embedder
+        # cannot tell them apart; the texts it is given differ
+        embed_query(counting, "q", make_refs("aa bb", "cc"), "concat")
+        embed_query(counting, "q", make_refs("cc", "aa bb"), "concat")
+        assert counting.calls == [["q aa bb cc"], ["q cc aa bb"]]
 
 
 class TestMeanPool:
     def test_identical_vectors(self, embedder):
         refs = make_refs("same text", "same text")
-        got = embed_mean_pool(embedder, "same text", refs)
+        got = embed_query(embedder, "same text", refs, "mean_pool")
         np.testing.assert_allclose(got, embedder.embed("same text"))
 
     def test_two_orthonormal(self, embedder):
         refs = make_refs("dog")
-        got = embed_mean_pool(embedder, "cat", refs)
+        got = embed_query(embedder, "cat", refs, "mean_pool")
         expected = (embedder.embed("cat") + embedder.embed("dog")) / 2
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_permutation_invariant(self, embedder):
-        a = embed_mean_pool(embedder, "q", make_refs("r one", "r two", "r three"))
-        b = embed_mean_pool(embedder, "q", make_refs("r three", "r one", "r two"))
+        a = embed_query(embedder, "q", make_refs("r one", "r two", "r three"), "mean_pool")
+        b = embed_query(embedder, "q", make_refs("r three", "r one", "r two"), "mean_pool")
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_norm_bounded_by_one(self, embedder):
-        got = embed_mean_pool(embedder, "cat", make_refs("dog", "bird"))
+        got = embed_query(embedder, "cat", make_refs("dog", "bird"), "mean_pool")
         assert np.linalg.norm(got) <= 1.0 + 1e-12
 
 
 class TestContexPool:
     def test_single_ref_equals_concat(self, embedder):
         refs = make_refs("only ref")
-        got = embed_contex_pool(embedder, "the query", refs)
+        got = embed_query(embedder, "the query", refs, "contex_pool")
         np.testing.assert_array_equal(got, embedder.embed("the query only ref"))
+        np.testing.assert_array_equal(got, embed_query(embedder, "the query", refs, "concat"))
 
     def test_permutation_invariant(self, embedder):
-        a = embed_contex_pool(embedder, "q", make_refs("r one", "r two"))
-        b = embed_contex_pool(embedder, "q", make_refs("r two", "r one"))
+        a = embed_query(embedder, "q", make_refs("r one", "r two"), "contex_pool")
+        b = embed_query(embedder, "q", make_refs("r two", "r one"), "contex_pool")
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_two_refs_hand_mean(self, embedder):
         refs = make_refs("alpha", "beta")
-        got = embed_contex_pool(embedder, "q", refs)
+        got = embed_query(embedder, "q", refs, "contex_pool")
         expected = (embedder.embed("q alpha") + embedder.embed("q beta")) / 2
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 class TestEmbedQuery:
     def test_no_refs_falls_back_to_raw_query(self, embedder):
-        got = embed_query(embedder, "raw query", None, "contex_pool")
-        np.testing.assert_array_equal(got, embedder.embed("raw query"))
+        for strategy in STRATEGIES:
+            got = embed_query(embedder, "raw query", None, strategy)
+            np.testing.assert_array_equal(got, embedder.embed("raw query"))
 
     def test_unknown_strategy(self, embedder):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown integration strategy: 'bogus'"):
             embed_query(embedder, "q", make_refs("r"), "bogus")
+
+    @pytest.mark.parametrize("strategy, refs, texts", [
+        ("concat", ("r1", "r2"), ["q r1 r2"]),
+        ("mean_pool", ("r1", "r2"), ["q", "r1", "r2"]),
+        ("contex_pool", ("r1", "r2"), ["q r1", "q r2"]),
+        ("contex_pool", None, ["q"]),
+    ])
+    def test_one_provider_call_of_the_strategy_texts(self, embedder, counting,
+                                                     strategy, refs, texts):
+        got = embed_query(counting, "q", refs and make_refs(*refs), strategy)
+        assert counting.calls == [texts]
+        assert got.tobytes() == np.mean(embedder.embed_batch(texts), axis=0).tobytes()
 
 
 class TestRerank:

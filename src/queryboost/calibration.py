@@ -7,6 +7,7 @@ tail of the sparse ranking, and recombines them into a calibrated embedding
 that produces the final ranking.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class CalibrationConfig:
     num_negatives: int = 5
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be in [0, inf), got {self.alpha}")
         if self.k_reciprocal < 1:
             raise ValueError(f"k_reciprocal must be >= 1, got {self.k_reciprocal}")
         if self.num_negatives < 0:

@@ -6,8 +6,9 @@ malformed data file (a corpus, queries, qrels, run, cache or index file), 6
 index built from another corpus or references cached for another query text or
 prompt version, 1 anything else (a chat or embedding service that fails or
 answers without a usable body included). Logs go to stderr; data goes to files
-or stdout. Every command that writes outputs drops a JSON run manifest next to
-its primary output.
+or stdout. ``main`` reads each command's declared input files and passes them to
+the command, which returns the paths it wrote; ``main`` then writes a JSON run
+manifest beside the last of them.
 """
 
 import argparse
@@ -69,11 +70,6 @@ def write_manifest(output_path, args: argparse.Namespace, outputs: list) -> None
         fh.write(json.dumps(manifest, indent=2, default=str))
 
 
-def _check_tag(tag: str) -> None:
-    if not is_run_field(tag):
-        raise ValueError(f"--tag {tag!r} is empty or holds whitespace")
-
-
 def _reweight_from_args(args) -> ReweightConfig:
     if args.t is not None:
         return ReweightConfig.constant(t=args.t)
@@ -100,26 +96,15 @@ def _pipeline_config(args) -> PipelineConfig:
         eval_k=args.eval_k)
 
 
-def _load_index_and_corpus(args):
-    """The index and a doc_id -> Document store of the corpus it was built from."""
-    index = load_index(args.index)
-    doc_store = {d.doc_id: d for d in load_corpus_jsonl(args.corpus)}
-    check_corpus(index, doc_store)
-    return index, doc_store
-
-
-def cmd_index(args) -> int:
-    docs = load_corpus_jsonl(args.corpus)
-    index = build_index(docs, field_policy=args.field_policy)
+def cmd_index(args, corpus) -> list:
+    index = build_index(corpus.values(), field_policy=args.field_policy)
     save_index(index, args.out)
-    write_manifest(args.out, args, [args.out])
     log.info("indexed %d docs (avgdl %.2f) -> %s",
              index.num_docs, index.avgdl, args.out)
-    return EXIT_OK
+    return [args.out]
 
 
-def cmd_generate(args) -> int:
-    queries = read_queries_tsv(args.queries)
+def cmd_generate(args, queries) -> list:
     cache = ReferenceCache(args.cache)
     client = ChatCompletionClient(endpoint=args.endpoint,
                                   api_key_env=args.api_key_env)
@@ -127,16 +112,11 @@ def cmd_generate(args) -> int:
                            temperature=args.temperature,
                            max_tokens=args.max_tokens)
     results = generate_for_queries(client, cache, queries, cfg, jobs=args.jobs)
-    write_manifest(args.cache, args, [args.cache])
     log.info("generated/cached references for %d queries", len(results))
-    return EXIT_OK
+    return [args.cache]
 
 
-def cmd_search(args) -> int:
-    _check_tag(args.tag)
-    index = load_index(args.index)
-    queries = read_queries_tsv(args.queries)
-    cache = ReferenceCache(args.cache)
+def cmd_search(args, index, queries, cache) -> list:
     reweight = _reweight_from_args(args)
     params = BM25Params(k1=args.k1, b=args.b)
 
@@ -146,20 +126,15 @@ def cmd_search(args) -> int:
         run.append(Ranking(query_id=query_id, items=tuple(
             sparse_ranking(query, refs, index, params, reweight, args.retrieve_k))))
     write_run(args.out, run, tag=args.tag)
-    write_manifest(args.out, args, [args.out])
     log.info("wrote sparse run for %d queries -> %s", len(run), args.out)
-    return EXIT_OK
+    return [args.out]
 
 
-def cmd_pipeline(args) -> int:
-    _check_tag(args.tag)
-    index, doc_store = _load_index_and_corpus(args)
-    queries = read_queries_tsv(args.queries)
-    cache = ReferenceCache(args.cache)
+def cmd_pipeline(args, index, corpus, queries, cache) -> list:
     provider = _provider_from_args(args)
     cfg = _pipeline_config(args)
 
-    rankings = run_pipeline(queries, index, doc_store, provider, cache,
+    rankings = run_pipeline(queries, index, corpus, provider, cache,
                             args.model, cfg, n_refs=args.n_refs)
 
     out_prefix = Path(args.out_prefix)
@@ -169,15 +144,12 @@ def cmd_pipeline(args) -> int:
         stage_paths.append(Path(f"{out_prefix}.{stage}.run"))
         write_run(stage_paths[-1], [getattr(r, stage) for r in rankings],
                   tag=f"{args.tag}-{stage}")
-    write_manifest(f"{out_prefix}.post.run", args, stage_paths)
     log.info("wrote pipeline runs for %d queries -> %s.{bm25,pre,post}.run",
              len(rankings), out_prefix)
-    return EXIT_OK
+    return stage_paths
 
 
-def cmd_eval(args) -> int:
-    run = read_run(args.run)
-    qrels = read_qrels(args.qrels)
+def cmd_eval(args, run, qrels) -> None:
     # As `trec_eval -c`: a judged query with no line in the run (it retrieved
     # nothing, so write_run wrote nothing for it) scores 0 instead of vanishing.
     in_run = {r.query_id for r in run}
@@ -191,15 +163,9 @@ def cmd_eval(args) -> int:
     for query_id in report.skipped:
         print(f"ndcg@{args.k}\t{query_id}\tskipped", file=sys.stderr)
     print(f"ndcg@{args.k}\tmean\t{report.mean:.6f}")
-    return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    index, doc_store = _load_index_and_corpus(args)
-    queries = read_queries_tsv(args.queries)
-    cache = ReferenceCache(args.cache)
-    qrels = read_qrels(args.qrels)
-
+def cmd_analyze(args, index, corpus, queries, cache, qrels) -> None:
     gt_pse_total = 0
     gt_query_total = 0
     reported = 0
@@ -208,8 +174,8 @@ def cmd_analyze(args) -> int:
                 for query_id, query in queries]
     for (query_id, query), refs in zip(queries, all_refs):
         grades = qrels.get(query_id, {})
-        gt_docs = [doc_store[d] for d, g in grades.items()
-                   if g >= args.min_grade and d in doc_store]
+        gt_docs = [corpus[d] for d, g in grades.items()
+                   if g >= args.min_grade and d in corpus]
         if not gt_docs:
             continue
         rep = keyword_overlap(query, refs, gt_docs, index, m=args.m)
@@ -221,7 +187,6 @@ def cmd_analyze(args) -> int:
         print(f"# mean gt∩pse {gt_pse_total / reported:.2f}  "
               f"mean gt∩query {gt_query_total / reported:.2f}  "
               f"({reported} queries)")
-    return EXIT_OK
 
 
 def _json_or_text(text: str):
@@ -231,17 +196,13 @@ def _json_or_text(text: str):
         return text
 
 
-def cmd_sweep(args) -> int:
-    index, doc_store = _load_index_and_corpus(args)
-    queries = read_queries_tsv(args.queries)
-    cache = ReferenceCache(args.cache)
-    qrels = read_qrels(args.qrels)
+def cmd_sweep(args, index, corpus, queries, cache, qrels) -> list:
     provider = _provider_from_args(args)
     cfg = _pipeline_config(args)
 
     # a value that is not JSON stays a string, which sweep rejects on a numeric axis
     values = args.values if args.axis == "strategy" else list(map(_json_or_text, args.values))
-    results = sweep(args.axis, values, cfg, index, doc_store, provider,
+    results = sweep(args.axis, values, cfg, index, corpus, provider,
                     cache, args.model, queries, qrels)
     print(format_sweep_table(args.axis, results))
     if args.out:
@@ -249,8 +210,7 @@ def cmd_sweep(args) -> int:
             for value, report in results:
                 fh.write(json.dumps({"axis": args.axis, "value": value,
                                      **report.to_dict()}, ensure_ascii=False) + "\n")
-        write_manifest(args.out, args, [args.out])
-    return EXIT_OK
+    return [args.out] if args.out else []
 
 
 def _config_value_ok(action: argparse.Action, value) -> bool:
@@ -270,9 +230,17 @@ def _config_value_ok(action: argparse.Action, value) -> bool:
     return action.choices is None or value in action.choices
 
 
+# each input flag's reader; a command gets what it reads as the keyword argument <name>
+_READERS = {"index": load_index,
+            "corpus": lambda path: {d.doc_id: d for d in load_corpus_jsonl(path)},
+            "queries": read_queries_tsv, "cache": ReferenceCache,
+            "qrels": read_qrels, "run": read_run}
+
+
 def _inputs(p: argparse.ArgumentParser, *names: str) -> None:
     """Declare a command's input files: one required ``--<name>`` flag each, which
-    ``main`` checks exist (exit 3) and ``write_manifest`` records, in this order."""
+    ``main`` checks exist (exit 3) and reads with ``_READERS`` (exit 5), and which
+    ``write_manifest`` records, in this order."""
     for name in names:
         p.add_argument(f"--{name}", required=True)
     p.set_defaults(_inputs=names)
@@ -409,8 +377,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: config file {args.config}: key {a.dest!r} cannot be "
                       f"{json.dumps(defaults[a.dest])}", file=sys.stderr)
                 return EXIT_USAGE
-        for p in parsers:
-            p.set_defaults(**defaults)
+        for p in parsers:  # each parser takes its own keys, so a command sees only its flags
+            p.set_defaults(**{a.dest: defaults[a.dest] for a in p._actions
+                              if a.dest in defaults})
         args = parser.parse_args(argv)
     elif remaining:
         parser.parse_args(argv)  # reports unknown flags and exits 2
@@ -419,10 +388,19 @@ def main(argv: list[str] | None = None) -> int:
                         level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(message)s")
     try:
-        for path in (getattr(args, name) for name in args._inputs):
+        paths = {name: getattr(args, name) for name in args._inputs}
+        for path in paths.values():
             if not Path(path).exists():
                 raise FileNotFoundError(path)
-        return args.func(args)
+        if hasattr(args, "tag") and not is_run_field(args.tag):
+            raise ValueError(f"--tag {args.tag!r} is empty or holds whitespace")
+        inputs = {name: _READERS[name](path) for name, path in paths.items()}
+        if "index" in inputs and "corpus" in inputs:
+            check_corpus(inputs["index"], inputs["corpus"])
+        outputs = args.func(args, **inputs)
+        if outputs:
+            write_manifest(outputs[-1], args, outputs)
+        return EXIT_OK
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE

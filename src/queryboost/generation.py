@@ -6,6 +6,7 @@ downstream stages can run offline and deterministically from the cache.
 
 import json
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,8 +51,8 @@ class GenerationConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be in [0, inf), got {self.temperature}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ reaches the provider. Any other provider (one without ``embed_documents``)
 embeds the document texts as before.
 """
 
-import math
 from dataclasses import dataclass, field, asdict, replace
 from numbers import Integral, Real
 
@@ -54,6 +53,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown integration strategy: {self.strategy!r}")
+        if self.eval_k < 1:
+            raise ValueError(f"eval_k must be >= 1, got {self.eval_k}")
         if self.retrieve_k < self.eval_k:
             raise ValueError(
                 f"retrieve_k ({self.retrieve_k}) must be >= eval_k ({self.eval_k})")
@@ -164,6 +165,8 @@ def top_idf_tokens(text: str, index: InvertedIndex, m: int) -> list[str]:
 def keyword_overlap(query: str, refs: ReferenceSet, gt_docs: list[Document],
                     index: InvertedIndex, m: int = 10) -> KeywordOverlapReport:
     """Compare the top-m idf vocabularies of ground-truth docs and references."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if not gt_docs:
         raise ValueError("gt_docs must be non-empty")
     gt_text = " ".join(d.indexed_text(index.field_policy) for d in gt_docs)
@@ -204,15 +207,15 @@ def sweep(axis: str, values: list, base_cfg: PipelineConfig,
     """Evaluate the final ranking at each value along one ablation axis.
 
     A value the axis does not take as it is (1.5 on ``t``, a string or a bool
-    on ``beta``) or that is out of range (-1 on ``t``, an unknown strategy) is
-    a ValueError before the first point runs. One ``EmbeddingMemo`` serves every
-    point, so a text that several points embed reaches the provider once.
+    on ``beta``) or that is out of range (-1 on ``t``, NaN on ``alpha``, an
+    unknown strategy) is a ValueError before the first point runs. One
+    ``EmbeddingMemo`` serves every point, so a text that several points embed
+    reaches the provider once.
     """
     if axis in _AXIS_VALUES:
         kind, wanted = _AXIS_VALUES[axis]
         for value in values:
-            if (not isinstance(value, kind) or isinstance(value, bool)
-                    or kind is Real and not math.isfinite(value)):
+            if not isinstance(value, kind) or isinstance(value, bool):
                 raise ValueError(f"sweep axis {axis!r} takes {wanted}, not {value!r}")
     points = [(value, *_config_for_value(base_cfg, axis, value)) for value in values]
     if axis == "n_refs" and (needed := max(values)) > 0:

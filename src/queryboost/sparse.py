@@ -23,8 +23,8 @@ class BM25Params:
     b: float = 0.4
 
     def __post_init__(self):
-        if self.k1 < 0:
-            raise ValueError(f"k1 must be >= 0, got {self.k1}")
+        if not 0 <= self.k1 < math.inf:
+            raise ValueError(f"k1 must be in [0, inf), got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 
@@ -43,8 +43,8 @@ class ReweightConfig:
     def __post_init__(self):
         if (self.beta is None) == (self.t is None):
             raise ValueError("exactly one of beta (adaptive) or t (constant) must be set")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if self.beta is not None and not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be in (0, inf), got {self.beta}")
         if self.t is not None and self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
 

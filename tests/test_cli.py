@@ -1,6 +1,8 @@
 import argparse
 import json
+import math
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,16 +153,41 @@ class TestDeclaredInputs:
     def test_manifest_inputs_are_the_declared_flags_in_order(self, paths, tmp_path,
                                                              command):
         assert main(self.argv(command, paths, tmp_path)) == EXIT_OK
-        manifest = json.loads(
-            (tmp_path / f"{OTHER_FLAGS[command][1]}.manifest.json").read_text())
+        # one manifest, beside the last output: pipeline's beside <prefix>.post.run
+        target = tmp_path / OTHER_FLAGS[command][1]
+        assert list(tmp_path.glob("*.manifest.json")) == [Path(f"{target}.manifest.json")]
+        manifest = json.loads(Path(f"{target}.manifest.json").read_text())
+        assert manifest["outputs"][-1] == str(target)
         assert manifest["inputs"] == [str(paths[name]) for name in INPUTS[command]]
         assert not any(key.startswith("_") for key in manifest["config"])
+
+    @pytest.mark.parametrize("command, dropped", [("eval", []), ("analyze", []),
+                                                  ("sweep", ["--out"])])
+    def test_no_output_no_manifest(self, paths, tmp_path, command, dropped):
+        argv = self.argv(command, paths, tmp_path)
+        for flag in dropped:
+            del argv[argv.index(flag):argv.index(flag) + 2]
+        before = set(paths["dir"].glob("*.manifest.json"))
+        assert main(argv) == EXIT_OK
+        assert set(paths["dir"].glob("*.manifest.json")) == before
+        assert not list(tmp_path.glob("*.manifest.json"))
 
     def test_missing_input_is_checked_before_the_tag(self, paths, tmp_path, capsys):
         rc = main(self.argv("search", {**paths, "cache": tmp_path / "nope.jsonl"},
                             tmp_path) + ["--tag", "my run"])
         assert rc == EXIT_MISSING_FILE
         assert "missing input file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["search", "pipeline"])
+    def test_tag_is_checked_before_any_input_is_read(self, paths, tmp_path, capsys, command):
+        corrupt = tmp_path / "corrupt.npz"
+        corrupt.write_bytes(b"")
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(self.argv(command, {**paths, "index": corrupt}, out) + ["--tag", "my run"])
+        assert rc == EXIT_USAGE
+        assert "error: --tag 'my run' is empty or holds whitespace" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_config_key_inputs_is_unknown(self, paths, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -690,6 +717,42 @@ def test_tag_a_run_file_cannot_hold_exit_code_and_message(dataset_dir, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+# the range each number flag takes: a NaN or an infinity is outside every one
+_RANGES = {"k1": "[0, inf)", "b": "[0, 1]", "beta": "(0, inf)", "alpha": "[0, inf)",
+           "temperature": "[0, inf)"}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, settings, message", [
+    *[pytest.param("generate" if key == "temperature" else "pipeline", {key: value},
+                   f"{key} must be in {span}, got {value}", id=f"{key}={value}")
+      for key, span in _RANGES.items() for value in (math.nan, math.inf)],
+    pytest.param("sweep", {"k1": math.nan}, "k1 must be in [0, inf), got nan", id="sweep-k1=nan"),
+    pytest.param("pipeline", {"eval_k": 0}, "eval_k must be >= 1, got 0", id="eval_k=0"),
+    pytest.param("pipeline", {"eval_k": 0, "retrieve_k": 0}, "eval_k must be >= 1, got 0",
+                 id="eval_k=retrieve_k=0"),
+    pytest.param("sweep", {"eval_k": 0}, "eval_k must be >= 1, got 0", id="sweep-eval_k=0"),
+    pytest.param("analyze", {"m": 0}, "m must be >= 1, got 0", id="m=0"),
+    pytest.param("analyze", {"m": -1}, "m must be >= 1, got -1", id="m=-1"),
+])
+def test_setting_out_of_range_exit_code_and_message(dataset_dir, tmp_path, capsys, source,
+                                                    command, settings, message):
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = TestDeclaredInputs.argv(command, dataset_dir, out)
+    if source == "flag":
+        argv += [a for key, value in settings.items()
+                 for a in (f"--{key.replace('_', '-')}", str(value))]
+    else:  # json writes a NaN or an infinity as NaN or Infinity, and reads them back
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(settings))
+        argv = ["--config", str(cfg), *argv]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"error: {message}\n" in captured.err
+    assert captured.out == "" and not list(out.iterdir())
+
+
 class TestEmbeddingServiceFaults:
     """A service answering without usable vectors is a runtime fault (exit 1), not a
     cache miss or a usage error, and the message names the endpoint and the problem."""
@@ -890,7 +953,7 @@ class TestSweepCommand:
         ("alpha", ["0.2", "abc"], "sweep axis 'alpha' takes a finite number, not 'abc'"),
         ("t", ["1", "-2"], "t must be >= 0, got -2"),
         ("n_refs", ["0", "-1"], "n_refs must be >= 0, got -1"),
-        ("alpha", ["0.2", "-0.5"], "alpha must be >= 0, got -0.5"),
+        ("alpha", ["0.2", "-0.5"], "alpha must be in [0, inf), got -0.5"),
         ("strategy", ["mean_pool", "bogus"], "unknown integration strategy: 'bogus'"),
     ])
     def test_value_the_axis_does_not_take(self, dataset_dir, tmp_path, capsys, axis,
@@ -970,6 +1033,7 @@ class TestConfigFile:
         ({"exponential_gain": False, "k": "3"}, ["--k", "3"]),
         ({"k": 3, "t": None, "alpha": 1, "k1": "1.5", "strategy": "concat",
           "embed_endpoint": None}, ["--k", "3"]),
+        ({"tag": "my run"}, []),  # a tag that search would reject does not reach eval
     ])
     def test_values_their_flags_take(self, tmp_path, capsys, config, flags):
         qrels = tmp_path / "qrels.txt"

@@ -48,7 +48,7 @@ def main() -> None:
 
     print(f"{'variant':>16}  mean_ndcg@10")
     for name, run in runs.items():
-        report = evaluate_run(run, ds.qrels, cfg.eval_k)
+        report = evaluate_run(run, ds.qrels, 10)
         print(f"{name:>16}  {report.mean:.4f}")
     print(f"({len(ds.queries)} queries, {len(ds.documents)} docs, "
           f"{time.monotonic() - start:.2f}s)")

@@ -15,6 +15,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -70,12 +71,6 @@ def write_manifest(output_path, args: argparse.Namespace, outputs: list) -> None
         fh.write(json.dumps(manifest, indent=2, default=str))
 
 
-def _reweight_from_args(args) -> ReweightConfig:
-    if args.t is not None:
-        return ReweightConfig.constant(t=args.t)
-    return ReweightConfig.adaptive(beta=args.beta)
-
-
 def _provider_from_args(args):
     if args.provider == "hashing":
         return HashingEmbedder(dimension=args.dimension, seed=args.embed_seed)
@@ -84,16 +79,20 @@ def _provider_from_args(args):
     return RemoteEmbedder(endpoint=args.embed_endpoint, dimension=args.dimension)
 
 
-def _pipeline_config(args) -> PipelineConfig:
+def _sparse_config(args) -> PipelineConfig:
+    """The config of the sparse stage's flags (``_add_sparse_flags``), the rest default."""
     return PipelineConfig(
         bm25=BM25Params(k1=args.k1, b=args.b),
-        reweight=_reweight_from_args(args),
-        strategy=args.strategy,
-        calibration=CalibrationConfig(alpha=args.alpha,
-                                      k_reciprocal=args.k_reciprocal,
-                                      num_negatives=args.negatives),
-        retrieve_k=args.retrieve_k,
-        eval_k=args.eval_k)
+        reweight=(ReweightConfig.adaptive(beta=args.beta) if args.t is None
+                  else ReweightConfig.constant(t=args.t)),
+        retrieve_k=args.retrieve_k)
+
+
+def _pipeline_config(args) -> PipelineConfig:
+    return replace(_sparse_config(args), strategy=args.strategy,
+                   calibration=CalibrationConfig(alpha=args.alpha,
+                                                 k_reciprocal=args.k_reciprocal,
+                                                 num_negatives=args.negatives))
 
 
 def cmd_index(args, corpus) -> list:
@@ -117,14 +116,13 @@ def cmd_generate(args, queries) -> list:
 
 
 def cmd_search(args, index, queries, cache) -> list:
-    reweight = _reweight_from_args(args)
-    params = BM25Params(k1=args.k1, b=args.b)
+    cfg = _sparse_config(args)
 
     run = []
     for query_id, query in queries:
         refs = cached_references(cache, query_id, query, args.model)
-        run.append(Ranking(query_id=query_id, items=tuple(
-            sparse_ranking(query, refs, index, params, reweight, args.retrieve_k))))
+        run.append(Ranking(query_id=query_id,
+                           items=tuple(sparse_ranking(query, refs, index, cfg))))
     write_run(args.out, run, tag=args.tag)
     log.info("wrote sparse run for %d queries -> %s", len(run), args.out)
     return [args.out]
@@ -203,7 +201,7 @@ def cmd_sweep(args, index, corpus, queries, cache, qrels) -> list:
     # a value that is not JSON stays a string, which sweep rejects on a numeric axis
     values = args.values if args.axis == "strategy" else list(map(_json_or_text, args.values))
     results = sweep(args.axis, values, cfg, index, corpus, provider,
-                    cache, args.model, queries, qrels)
+                    cache, args.model, queries, qrels, args.eval_k)
     print(format_sweep_table(args.axis, results))
     if args.out:
         with atomic_write(args.out) as fh:
@@ -246,7 +244,9 @@ def _inputs(p: argparse.ArgumentParser, *names: str) -> None:
     p.set_defaults(_inputs=names)
 
 
-def _add_bm25_flags(p: argparse.ArgumentParser) -> None:
+def _add_sparse_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", default="synthetic-refs")
+    p.add_argument("--retrieve-k", type=int, default=_DEFAULTS.retrieve_k)
     p.add_argument("--k1", type=float, default=_DEFAULTS.bm25.k1)
     p.add_argument("--b", type=float, default=_DEFAULTS.bm25.b)
     group = p.add_mutually_exclusive_group()
@@ -264,17 +264,12 @@ def _add_provider_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    _add_bm25_flags(p)
+    _add_sparse_flags(p)
     _add_provider_flags(p)
     p.add_argument("--strategy", choices=STRATEGIES, default=_DEFAULTS.strategy)
     p.add_argument("--alpha", type=float, default=_DEFAULTS.calibration.alpha)
     p.add_argument("--k-reciprocal", type=int, default=_DEFAULTS.calibration.k_reciprocal)
     p.add_argument("--negatives", type=int, default=_DEFAULTS.calibration.num_negatives)
-    p.add_argument("--retrieve-k", type=int, default=_DEFAULTS.retrieve_k)
-    p.add_argument("--eval-k", type=int, default=_DEFAULTS.eval_k)
-    p.add_argument("--model", default="synthetic-refs")
-    p.add_argument("--n-refs", type=int, default=None,
-                   help="use only the first N cached references (0 = no expansion)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,11 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="expanded sparse retrieval to a run file")
     _inputs(p, "index", "queries", "cache")
-    p.add_argument("--model", default="synthetic-refs")
-    p.add_argument("--retrieve-k", type=int, default=_DEFAULTS.retrieve_k)
     p.add_argument("--out", required=True)
     p.add_argument("--tag", default="queryboost")
-    _add_bm25_flags(p)
+    _add_sparse_flags(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("pipeline", help="full retrieve + rerank + calibrate pipeline")
@@ -319,6 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--tag", default="queryboost")
     _add_pipeline_flags(p)
+    p.add_argument("--n-refs", type=int, default=None,
+                   help="use only the first N cached references (0 = no expansion)")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("eval", help="nDCG@k of a run file against qrels")
@@ -339,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", nargs="+", required=True)
     _inputs(p, "index", "corpus", "queries", "cache", "qrels")
     p.add_argument("--out", default=None)
+    p.add_argument("--eval-k", type=int, default=10)
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -9,7 +9,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from threading import Lock
@@ -80,24 +80,22 @@ class ReferenceSet:
         """Whether these references were generated for this query text by this prompt."""
         return self.query == query and self.prompt_version == PROMPT_VERSION
 
-    def first(self, j: int) -> "ReferenceSet":
-        """Restrict to the first j references (for reference-count ablations)."""
-        if not 1 <= j <= len(self.references):
-            raise ValueError(f"need 1 <= j <= {len(self.references)}, got {j}")
-        return ReferenceSet(self.query_id, self.query, self.references[:j],
-                            self.model_id, self.created_at, self.prompt_version)
-
 
 def cached_references(cache, query_id: str, query: str, model_id: str,
-                      n: int | None = None) -> ReferenceSet:
-    """The cached reference set of a query, cut to its first n references.
+                      n_refs: int | None = None) -> ReferenceSet | None:
+    """The cached reference set of a query, cut to its first n_refs references.
 
     Only ``cache.get`` is called, so any object with that method serves. A miss
     is a CacheMissError naming the query and model; a set generated for another
     query text or prompt version is a StaleReferencesError naming the query; a
-    set holding fewer than n references is a ValueError. With n None the set
-    comes back uncut.
+    set holding fewer than n_refs references, or a negative n_refs, is a
+    ValueError. With n_refs None the set comes back uncut; with 0 the answer is
+    None, the no-expansion baseline, and the cache is not read.
     """
+    if n_refs is not None and n_refs < 0:
+        raise ValueError(f"n_refs must be >= 0, got {n_refs}")
+    if n_refs == 0:
+        return None
     refs = cache.get(query_id, model_id)
     if refs is None:
         raise CacheMissError(
@@ -107,10 +105,10 @@ def cached_references(cache, query_id: str, query: str, model_id: str,
             f"cached references for query {query_id!r} were generated for "
             f"{refs.query!r} with prompt version {refs.prompt_version!r}, not for "
             f"{query!r} with {PROMPT_VERSION!r}; regenerate them with `queryboost generate`")
-    if n is not None and len(refs.references) < n:
-        raise ValueError(f"query {query_id!r}: need {n} cached references, "
+    if n_refs is not None and len(refs.references) < n_refs:
+        raise ValueError(f"query {query_id!r}: need {n_refs} cached references, "
                          f"have {len(refs.references)}")
-    return refs if n is None else refs.first(n)
+    return refs if n_refs is None else replace(refs, references=refs.references[:n_refs])
 
 
 def render_prompt(query: str) -> str:

@@ -48,16 +48,12 @@ class PipelineConfig:
     strategy: str = "contex_pool"
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
     retrieve_k: int = 100
-    eval_k: int = 10
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown integration strategy: {self.strategy!r}")
-        if self.eval_k < 1:
-            raise ValueError(f"eval_k must be >= 1, got {self.eval_k}")
-        if self.retrieve_k < self.eval_k:
-            raise ValueError(
-                f"retrieve_k ({self.retrieve_k}) must be >= eval_k ({self.eval_k})")
+        if self.retrieve_k < 1:
+            raise ValueError(f"retrieve_k must be >= 1, got {self.retrieve_k}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -73,12 +69,11 @@ class PipelineRankings:
 
 
 def sparse_ranking(query: str, refs: ReferenceSet | None, index: InvertedIndex,
-                   bm25: BM25Params, reweight: ReweightConfig,
-                   k: int) -> list[tuple[str, float]]:
-    """The sparse stage: BM25's top k for the query expanded with refs, or alone if None."""
+                   cfg: PipelineConfig) -> list[tuple[str, float]]:
+    """The sparse stage: BM25's top retrieve_k for the query expanded with refs (alone if None)."""
     sq = (build_sparse_query(query, (), ReweightConfig.constant(t=1)) if refs is None
-          else build_sparse_query(query, refs.references, reweight))
-    return bm25_search(index, bm25, sq, k)
+          else build_sparse_query(query, refs.references, cfg.reweight))
+    return bm25_search(index, cfg.bm25, sq, cfg.retrieve_k)
 
 
 def run_query_pipeline(query_id: str, query: str, index: InvertedIndex,
@@ -94,7 +89,7 @@ def run_query_pipeline(query_id: str, query: str, index: InvertedIndex,
     """
     if not isinstance(provider, EmbeddingMemo):
         provider = EmbeddingMemo(provider)
-    i_bm25 = sparse_ranking(query, refs, index, cfg.bm25, cfg.reweight, cfg.retrieve_k)
+    i_bm25 = sparse_ranking(query, refs, index, cfg)
     if not i_bm25:
         empty = Ranking(query_id=query_id, items=())
         return PipelineRankings(bm25=empty, pre=empty, post=empty)
@@ -124,17 +119,15 @@ def run_pipeline(queries: list[tuple[str, str]], index: InvertedIndex,
                  n_refs: int | None = None) -> list[PipelineRankings]:
     """Run the pipeline over a query set using cached references.
 
-    ``n_refs`` restricts each cached set to its first j references; 0 means
-    the no-expansion baseline. A cache miss is a CacheMissError naming the
-    query, and references cached for another query text a StaleReferencesError.
-    One ``EmbeddingMemo`` serves all queries: the provider if it is one, else a new one.
+    Each query gets ``cached_references(..., n_refs)``: with 0, none (the
+    no-expansion baseline). One ``EmbeddingMemo`` serves all queries: the
+    provider if it is one, else a new one.
     """
     if not isinstance(provider, EmbeddingMemo):
         provider = EmbeddingMemo(provider)
     results = []
     for query_id, query in queries:
-        refs = (None if n_refs == 0
-                else cached_references(cache, query_id, query, model_id, n_refs))
+        refs = cached_references(cache, query_id, query, model_id, n_refs)
         results.append(run_query_pipeline(query_id, query, index, doc_store,
                                           provider, refs, cfg))
     return results
@@ -194,8 +187,6 @@ def _config_for_value(base: PipelineConfig, axis: str, value) -> tuple[PipelineC
     if axis == "strategy":
         return replace(base, strategy=str(value)), None
     if axis == "n_refs":
-        if value < 0:
-            raise ValueError(f"n_refs must be >= 0, got {value}")
         return base, int(value)
     raise ValueError(f"unknown sweep axis: {axis!r} (expected one of {SWEEP_AXES})")
 
@@ -203,24 +194,30 @@ def _config_for_value(base: PipelineConfig, axis: str, value) -> tuple[PipelineC
 def sweep(axis: str, values: list, base_cfg: PipelineConfig,
           index: InvertedIndex, doc_store: dict[str, Document],
           provider: EmbeddingProvider, cache: ReferenceCache, model_id: str,
-          queries: list[tuple[str, str]], qrels: Qrels) -> list[tuple[object, EvalReport]]:
-    """Evaluate the final ranking at each value along one ablation axis.
+          queries: list[tuple[str, str]], qrels: Qrels,
+          eval_k: int = 10) -> list[tuple[object, EvalReport]]:
+    """nDCG@eval_k of the final ranking at each value along one ablation axis.
 
-    A value the axis does not take as it is (1.5 on ``t``, a string or a bool
-    on ``beta``) or that is out of range (-1 on ``t``, NaN on ``alpha``, an
-    unknown strategy) is a ValueError before the first point runs. One
-    ``EmbeddingMemo`` serves every point, so a text that several points embed
-    reaches the provider once.
+    An eval_k outside [1, retrieve_k], a value the axis does not take as it is
+    (1.5 on ``t``, a string or a bool on ``beta``) or one out of range (-1 on
+    ``t`` or ``n_refs``, NaN on ``alpha``, an unknown strategy) is a
+    ValueError before the first point runs. One ``EmbeddingMemo`` serves every
+    point, so a text that several points embed reaches the provider once.
     """
+    if eval_k < 1:
+        raise ValueError(f"eval_k must be >= 1, got {eval_k}")
+    if base_cfg.retrieve_k < eval_k:
+        raise ValueError(f"retrieve_k ({base_cfg.retrieve_k}) must be >= eval_k ({eval_k})")
     if axis in _AXIS_VALUES:
         kind, wanted = _AXIS_VALUES[axis]
         for value in values:
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ValueError(f"sweep axis {axis!r} takes {wanted}, not {value!r}")
     points = [(value, *_config_for_value(base_cfg, axis, value)) for value in values]
-    if axis == "n_refs" and (needed := max(values)) > 0:
-        for query_id, query in queries:  # fail before the first point, not midway
-            cached_references(cache, query_id, query, model_id, needed)
+    if axis == "n_refs":  # fail before the first point, not midway
+        for query_id, query in queries:
+            for n_refs in (min(values), max(values)):
+                cached_references(cache, query_id, query, model_id, n_refs)
 
     if not isinstance(provider, EmbeddingMemo):
         provider = EmbeddingMemo(provider)
@@ -228,7 +225,7 @@ def sweep(axis: str, values: list, base_cfg: PipelineConfig,
     for value, cfg, n_refs in points:
         rankings = run_pipeline(queries, index, doc_store, provider, cache,
                                 model_id, cfg, n_refs=n_refs)
-        report = evaluate_run([r.post for r in rankings], qrels, cfg.eval_k,
+        report = evaluate_run([r.post for r in rankings], qrels, eval_k,
                               config={"axis": axis, "value": value, **cfg.to_dict()})
         results.append((value, report))
     return results

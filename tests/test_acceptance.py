@@ -155,7 +155,7 @@ def test_criterion_4_calibration_reductions(capsys, embedder):
             reweight=ReweightConfig.constant(t=20),
             calibration=CalibrationConfig(alpha=0.0, k_reciprocal=1,
                                           num_negatives=0),
-            retrieve_k=3, eval_k=1)
+            retrieve_k=3)
         out = run_query_pipeline("q1", "apple", index, store, embedder, refs, cfg)
         assert out.bm25.items[0][0] != out.pre.items[0][0]  # tops disjoint
         assert out.post == out.pre
@@ -205,8 +205,7 @@ def _synthetic_runs(ds, embedder):
         expanded_bm25.append(out.bm25)
         pre.append(out.pre)
         post.append(out.post)
-    k = cfg.eval_k
-    return {name: evaluate_run(run, ds.qrels, k).mean
+    return {name: evaluate_run(run, ds.qrels, 10).mean
             for name, run in [("plain_bm25", plain_bm25), ("expanded_bm25", expanded_bm25),
                               ("baseline_rerank", baseline_rerank),
                               ("pre", pre), ("post", post)]}

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import zipfile
@@ -592,7 +593,7 @@ class TestSearchCommand:
         assert [l.split()[:5] for l in search] == [l.split()[:5] for l in bm25]
 
     def test_retrieve_k_below_eval_k(self, dataset_dir, tmp_path):
-        # search evaluates nothing, so a retrieve-k under the pipeline's eval-k is fine
+        # search evaluates nothing, so a retrieve-k under sweep's eval-k is fine
         out = tmp_path / "k5.run"
         rc = main(["search", "--index", str(dataset_dir["index"]),
                    "--queries", str(dataset_dir["queries"]),
@@ -619,6 +620,18 @@ class TestPipelineCommand:
         assert rc == EXIT_OK
         for stage in ("bm25", "pre", "post"):
             assert (tmp_path / f"out.{stage}.run").exists()
+
+    def test_retrieve_k_below_eval_k(self, dataset_dir, tmp_path):
+        # pipeline evaluates nothing either: a retrieve-k under sweep's eval-k is fine
+        rc = main(["pipeline", "--index", str(dataset_dir["index"]),
+                   "--corpus", str(dataset_dir["corpus"]),
+                   "--queries", str(dataset_dir["queries"]),
+                   "--cache", str(dataset_dir["cache"]),
+                   "--retrieve-k", "5", "--out-prefix", str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        for stage in ("bm25", "pre", "post"):
+            lines = (tmp_path / f"out.{stage}.run").read_text().splitlines()
+            assert max(int(l.split()[3]) for l in lines) == 5
 
     def test_k_reciprocal_zero_rejected(self, dataset_dir, tmp_path):
         rc = main(["pipeline", "--index", str(dataset_dir["index"]),
@@ -728,10 +741,17 @@ _RANGES = {"k1": "[0, inf)", "b": "[0, 1]", "beta": "(0, inf)", "alpha": "[0, in
                    f"{key} must be in {span}, got {value}", id=f"{key}={value}")
       for key, span in _RANGES.items() for value in (math.nan, math.inf)],
     pytest.param("sweep", {"k1": math.nan}, "k1 must be in [0, inf), got nan", id="sweep-k1=nan"),
-    pytest.param("pipeline", {"eval_k": 0}, "eval_k must be >= 1, got 0", id="eval_k=0"),
-    pytest.param("pipeline", {"eval_k": 0, "retrieve_k": 0}, "eval_k must be >= 1, got 0",
+    pytest.param("pipeline", {"retrieve_k": 0}, "retrieve_k must be >= 1, got 0",
+                 id="retrieve_k=0"),
+    pytest.param("search", {"retrieve_k": 0}, "retrieve_k must be >= 1, got 0",
+                 id="search-retrieve_k=0"),
+    pytest.param("pipeline", {"n_refs": -1}, "n_refs must be >= 0, got -1", id="n_refs=-1"),
+    # sweep alone evaluates, at eval_k (10 by default) of the retrieve_k retrieved
+    pytest.param("sweep", {"eval_k": 0, "retrieve_k": 0}, "retrieve_k must be >= 1, got 0",
                  id="eval_k=retrieve_k=0"),
     pytest.param("sweep", {"eval_k": 0}, "eval_k must be >= 1, got 0", id="sweep-eval_k=0"),
+    pytest.param("sweep", {"retrieve_k": 5}, "retrieve_k (5) must be >= eval_k (10)",
+                 id="sweep-retrieve_k=5"),
     pytest.param("analyze", {"m": 0}, "m must be >= 1, got 0", id="m=0"),
     pytest.param("analyze", {"m": -1}, "m must be >= 1, got -1", id="m=-1"),
 ])
@@ -911,7 +931,39 @@ class TestAnalyzeCommand:
         assert captured.out == ""
 
 
+# axis -> (values, sha256 of the table `sweep` prints) on the default synthetic
+# set, the one scripts/build_synthetic_dataset.py writes; the table's
+# fingerprints hash each point's PipelineConfig.to_dict() and eval_k
+SWEEP_TABLES = {
+    "alpha": (("0", "0.2"),
+              "5011c4000b6ee9f576f8354efabb4525552868cf20eb90a77ea39bdfa7e081a2"),
+    "n_refs": (("0", "1", "2", "3"),
+               "a511721eb0aecafb3c339f3b3b7de8cce5716b00c7d43131f81ce66a4ac073a5"),
+}
+
+
+@pytest.fixture(scope="module")
+def default_dataset_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("default-data")
+    paths = write_dataset(make_synthetic_dataset(), out)
+    paths["index"] = out / "index.npz"
+    assert main(["index", "--corpus", str(paths["corpus"]),
+                 "--out", str(paths["index"])]) == EXIT_OK
+    return paths
+
+
 class TestSweepCommand:
+    @pytest.mark.parametrize("axis", SWEEP_TABLES)
+    def test_table_hash(self, default_dataset_dir, capsys, axis):
+        values, sha256 = SWEEP_TABLES[axis]
+        capsys.readouterr()
+        rc = main(["sweep", "--axis", axis, "--values", *values,
+                   *(a for name in INPUTS["sweep"]
+                     for a in (f"--{name}", str(default_dataset_dir[name])))])
+        assert rc == EXIT_OK
+        table = capsys.readouterr().out
+        assert hashlib.sha256(table.encode()).hexdigest() == sha256
+
     def test_beta_sweep_writes_jsonl(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "sweep.jsonl"
         rc = main(["sweep", "--axis", "beta", "--values", "2", "4",
@@ -1063,3 +1115,13 @@ def test_unknown_flag_exits_2(dataset_dir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--run", "x", "--qrels", "y", "--bogus"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command, flag", [("pipeline", "--eval-k"), ("sweep", "--n-refs")])
+def test_flag_of_another_command_exits_2(dataset_dir, tmp_path, capsys, command, flag):
+    # only sweep evaluates, and only pipeline runs with a fixed reference count
+    with pytest.raises(SystemExit) as exc:
+        main([*TestDeclaredInputs.argv(command, dataset_dir, tmp_path), flag, "1"])
+    assert exc.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -46,10 +46,25 @@ class TestReferenceSet:
             ReferenceSet("q1", "q", ("ok", text), "m")
 
     def test_first(self):
+        # a set is cut to its first n_refs references by cached_references
         rs = ReferenceSet("q1", "q", ("a", "b", "c"), "m")
-        assert rs.first(2).references == ("a", "b")
-        with pytest.raises(ValueError):
-            rs.first(4)
+
+        class OneSetCache:
+            def get(self, query_id, model_id):
+                return rs
+
+        class UnreadCache:
+            def get(self, query_id, model_id):
+                raise AssertionError("the cache was read")
+
+        assert cached_references(OneSetCache(), "q1", "q", "m") is rs
+        assert cached_references(UnreadCache(), "q1", "q", "m", 0) is None
+        assert cached_references(OneSetCache(), "q1", "q", "m", 2) == ReferenceSet(
+            "q1", "q", ("a", "b"), "m")
+        with pytest.raises(ValueError, match="need 4 cached references, have 3"):
+            cached_references(OneSetCache(), "q1", "q", "m", 4)
+        with pytest.raises(ValueError, match="n_refs must be >= 0, got -1"):
+            cached_references(UnreadCache(), "q1", "q", "m", -1)
 
 
 class TestReferenceCache:

@@ -31,7 +31,7 @@ class TestRunQueryPipeline:
     def test_reference_matching_relevant_doc_wins(self, embedder):
         docs, index, store = _setup_corpus()
         refs = ReferenceSet("q1", "dense remnant", ("neutron star collapse gravity",), "m")
-        cfg = PipelineConfig(retrieve_k=3, eval_k=1)
+        cfg = PipelineConfig(retrieve_k=3)
         out = run_query_pipeline("q1", "dense remnant star", index, store,
                                  embedder, refs, cfg)
         assert out.post.items[0][0] == "rel"
@@ -39,7 +39,7 @@ class TestRunQueryPipeline:
     def test_retrieve_k_larger_than_corpus(self, embedder):
         docs, index, store = _setup_corpus()
         refs = ReferenceSet("q1", "star", ("star gravity",), "m")
-        cfg = PipelineConfig(retrieve_k=100, eval_k=10)
+        cfg = PipelineConfig(retrieve_k=100)
         out = run_query_pipeline("q1", "star", index, store, embedder, refs, cfg)
         # every positive-score doc is a candidate
         assert len(out.bm25.items) == 3
@@ -47,7 +47,7 @@ class TestRunQueryPipeline:
     def test_rankings_are_permutations_of_candidates(self, embedder):
         docs, index, store = _setup_corpus()
         refs = ReferenceSet("q1", "star", ("star gravity telescope",), "m")
-        cfg = PipelineConfig(retrieve_k=3, eval_k=1)
+        cfg = PipelineConfig(retrieve_k=3)
         out = run_query_pipeline("q1", "star", index, store, embedder, refs, cfg)
         ids = sorted(out.bm25.doc_ids())
         assert sorted(out.pre.doc_ids()) == ids
@@ -70,14 +70,14 @@ class TestRunQueryPipeline:
             reweight=ReweightConfig.constant(t=20),
             calibration=CalibrationConfig(alpha=0.0, k_reciprocal=1,
                                           num_negatives=0),
-            retrieve_k=3, eval_k=1)
+            retrieve_k=3)
         out = run_query_pipeline("q1", "apple", index, store, embedder, refs, cfg)
         assert out.bm25.items[0][0] != out.pre.items[0][0]  # construction holds
         assert out.post == out.pre
 
     def test_no_references_baseline(self, embedder):
         docs, index, store = _setup_corpus()
-        cfg = PipelineConfig(retrieve_k=3, eval_k=1)
+        cfg = PipelineConfig(retrieve_k=3)
         out = run_query_pipeline("q1", "star gravity", index, store, embedder,
                                  None, cfg)
         assert out.post == out.pre
@@ -85,7 +85,7 @@ class TestRunQueryPipeline:
     def test_no_bm25_hits_gives_empty_rankings(self, embedder):
         docs, index, store = _setup_corpus()
         refs = ReferenceSet("q1", "zzz", ("yyy xxx",), "m")
-        cfg = PipelineConfig(retrieve_k=3, eval_k=1)
+        cfg = PipelineConfig(retrieve_k=3)
         out = run_query_pipeline("q1", "zzz", index, store, embedder, refs, cfg)
         assert out.bm25.items == ()
         assert out.post.items == ()
@@ -101,14 +101,14 @@ class TestRunPipeline:
     def test_cache_miss_names_query(self, tmp_path, embedder):
         docs, index, store = _setup_corpus()
         cache = ReferenceCache(tmp_path / "c.jsonl")
-        cfg = PipelineConfig(retrieve_k=3, eval_k=1)
+        cfg = PipelineConfig(retrieve_k=3)
         with pytest.raises(KeyError, match="q1"):
             run_pipeline([("q1", "star")], index, store, embedder, cache, "m", cfg)
 
     def test_n_refs_restriction(self, tmp_path, embedder):
         docs, index, store = _setup_corpus()
         cache = self._cache(tmp_path, n=2)
-        cfg = PipelineConfig(retrieve_k=3, eval_k=1)
+        cfg = PipelineConfig(retrieve_k=3)
         run_pipeline([("q1", "star")], index, store, embedder, cache, "m", cfg,
                      n_refs=1)
         with pytest.raises(ValueError, match="3"):
@@ -118,7 +118,7 @@ class TestRunPipeline:
     def test_n_refs_zero_is_baseline(self, tmp_path, embedder):
         docs, index, store = _setup_corpus()
         cache = ReferenceCache(tmp_path / "c.jsonl")  # empty cache is fine
-        cfg = PipelineConfig(retrieve_k=3, eval_k=1)
+        cfg = PipelineConfig(retrieve_k=3)
         out = run_pipeline([("q1", "star")], index, store, embedder, cache, "m",
                            cfg, n_refs=0)
         assert out[0].post == out[0].pre
@@ -130,7 +130,7 @@ class TestRunPipeline:
         index, store = build_index(docs), {d.doc_id: d for d in docs}
         cache = ReferenceCache(tmp_path / "c.jsonl")
         cache.put(ReferenceSet("q1", "apple fruit", ("apple orchard fruit",), "m"))
-        cfg = PipelineConfig(retrieve_k=2, eval_k=1)
+        cfg = PipelineConfig(retrieve_k=2)
         with pytest.raises(StaleReferencesError,
                            match="query 'q1' were generated for 'apple fruit' .*, "
                                  "not for 'rocket launch'"):
@@ -186,61 +186,71 @@ class TestSweep:
 
     def test_single_value(self, tmp_path, embedder):
         index, store, cache, qrels = self._dataset(tmp_path)
-        cfg = PipelineConfig(retrieve_k=3, eval_k=3)
+        cfg = PipelineConfig(retrieve_k=3)
         results = sweep("beta", [4.0], cfg, index, store, embedder, cache, "m",
-                        [("q1", "star")], qrels)
+                        [("q1", "star")], qrels, eval_k=3)
         assert len(results) == 1
 
     def test_beta_sweep_distinct_fingerprints(self, tmp_path, embedder):
         index, store, cache, qrels = self._dataset(tmp_path)
-        cfg = PipelineConfig(retrieve_k=3, eval_k=3)
+        cfg = PipelineConfig(retrieve_k=3)
         results = sweep("beta", [2.0, 4.0, 6.0], cfg, index, store, embedder,
-                        cache, "m", [("q1", "star")], qrels)
+                        cache, "m", [("q1", "star")], qrels, eval_k=3)
         fps = [r.fingerprint for _, r in results]
         assert len(set(fps)) == 3
 
     def test_n_refs_zero_means_plain_baseline(self, tmp_path, embedder):
         index, store, cache, qrels = self._dataset(tmp_path)
-        cfg = PipelineConfig(retrieve_k=3, eval_k=3)
+        cfg = PipelineConfig(retrieve_k=3)
         results = sweep("n_refs", [0, 1, 2], cfg, index, store, embedder,
-                        cache, "m", [("q1", "star")], qrels)
+                        cache, "m", [("q1", "star")], qrels, eval_k=3)
         assert len(results) == 3
 
     def test_insufficient_refs_error(self, tmp_path, embedder):
         index, store, cache, qrels = self._dataset(tmp_path)
-        cfg = PipelineConfig(retrieve_k=3, eval_k=3)
+        cfg = PipelineConfig(retrieve_k=3)
         with pytest.raises(ValueError, match="5"):
             sweep("n_refs", [0, 5], cfg, index, store, embedder, cache, "m",
-                  [("q1", "star")], qrels)
+                  [("q1", "star")], qrels, eval_k=3)
 
     def test_alpha_and_strategy_axes(self, tmp_path, embedder):
         index, store, cache, qrels = self._dataset(tmp_path)
-        cfg = PipelineConfig(retrieve_k=3, eval_k=3)
+        cfg = PipelineConfig(retrieve_k=3)
         for axis, values in (("alpha", [0.0, 0.2]), ("strategy", ["mean_pool"]),
                              ("t", [0, 5])):
             results = sweep(axis, values, cfg, index, store, embedder, cache,
-                            "m", [("q1", "star")], qrels)
+                            "m", [("q1", "star")], qrels, eval_k=3)
             assert len(results) == len(values)
 
     def test_unknown_axis(self, tmp_path, embedder):
         index, store, cache, qrels = self._dataset(tmp_path)
         with pytest.raises(ValueError):
-            sweep("bogus", [1], PipelineConfig(retrieve_k=3, eval_k=3), index,
-                  store, embedder, cache, "m", [("q1", "star")], qrels)
+            sweep("bogus", [1], PipelineConfig(retrieve_k=3), index,
+                  store, embedder, cache, "m", [("q1", "star")], qrels, eval_k=3)
 
     def test_table_formatting(self, tmp_path, embedder):
         index, store, cache, qrels = self._dataset(tmp_path)
-        cfg = PipelineConfig(retrieve_k=3, eval_k=3)
+        cfg = PipelineConfig(retrieve_k=3)
         results = sweep("beta", [4.0], cfg, index, store, embedder, cache, "m",
-                        [("q1", "star")], qrels)
+                        [("q1", "star")], qrels, eval_k=3)
         table = format_sweep_table("beta", results)
         assert "beta" in table and "4.0" in table
 
+    def test_retrieve_k_at_least_eval_k(self, tmp_path, embedder):
+        index, store, cache, qrels = self._dataset(tmp_path)
+        point = (index, store, embedder, cache, "m", [("q1", "star")], qrels)
+        with pytest.raises(ValueError, match=r"retrieve_k \(5\) must be >= eval_k \(10\)"):
+            sweep("beta", [4.0], PipelineConfig(retrieve_k=5), *point)  # eval_k 10
+        with pytest.raises(ValueError, match="eval_k must be >= 1, got 0"):
+            sweep("beta", [4.0], PipelineConfig(retrieve_k=5), *point, eval_k=0)
+        assert len(sweep("beta", [4.0], PipelineConfig(retrieve_k=5), *point, eval_k=5)) == 1
+
 
 class TestPipelineConfig:
-    def test_retrieve_k_at_least_eval_k(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(retrieve_k=5, eval_k=10)
+    def test_retrieve_k_at_least_one(self):
+        assert PipelineConfig(retrieve_k=1).retrieve_k == 1
+        with pytest.raises(ValueError, match="retrieve_k must be >= 1, got 0"):
+            PipelineConfig(retrieve_k=0)
 
 
 def test_synthetic_dataset_end_to_end_smoke(synthetic_dataset, embedder):
@@ -475,7 +485,7 @@ class TestFieldPolicy:
         docs, index = self._titled()
         store = {d.doc_id: d for d in docs}
         refs = ReferenceSet("q1", "star", ("neutron star gravity",), "m")
-        cfg = PipelineConfig(retrieve_k=3, eval_k=1,
+        cfg = PipelineConfig(retrieve_k=3,
                              calibration=CalibrationConfig(k_reciprocal=3,
                                                            num_negatives=3))
         out = run_query_pipeline("q1", "star", index, store, counting, refs, cfg)

@@ -1,14 +1,15 @@
 """Command-line interface: index, generate, search, pipeline, eval, analyze, sweep.
 
 Exit codes: 0 success, 2 usage error (any ``ValueError`` not named here), 3
-missing input file (checked before the command runs), 4 reference-cache miss, 5
-malformed data file (a corpus, queries, qrels, run, cache or index file), 6
-index built from another corpus or references cached for another query text or
-prompt version, 1 anything else (a chat or embedding service that fails or
-answers without a usable body included). Logs go to stderr; data goes to files
-or stdout. ``main`` reads each command's declared input files and passes them to
-the command, which returns the paths it wrote; ``main`` then writes a JSON run
-manifest beside the last of them.
+missing declared input file or ``--config`` (checked before the command runs), 4
+reference-cache miss, 5 malformed data file (a corpus, queries, qrels, run, cache
+or index file), 6 index built from another corpus or references cached for
+another query text or prompt version, 1 anything else (a chat or embedding
+service that fails or answers without a usable body included). Logs go to
+stderr; data goes to files or stdout. ``main`` reads each command's declared
+input files and passes them to the command, which returns the paths it wrote;
+``main`` then writes a JSON run manifest beside the last of them. Every writer
+makes the directory of its output.
 """
 
 import argparse
@@ -28,10 +29,9 @@ from queryboost.embedding import HashingEmbedder, RemoteEmbedder
 from queryboost.evaluation import (Ranking, evaluate_run, read_qrels, read_queries_tsv,
                                    read_run, write_run)
 from queryboost.files import atomic_write
-from queryboost.generation import (PROMPT_VERSION, CacheFormatError, CacheMissError,
-                                   ChatCompletionClient, GenerationConfig, ReferenceCache,
-                                   StaleReferencesError, cached_references,
-                                   generate_for_queries)
+from queryboost.generation import (PROMPT_VERSION, CacheMissError, ChatCompletionClient,
+                                   GenerationConfig, ReferenceCache, StaleReferencesError,
+                                   cached_references, generate_for_queries)
 from queryboost.pipeline import (PipelineConfig, SWEEP_AXES, format_sweep_table,
                                  keyword_overlap, run_pipeline, sparse_ranking, sweep)
 from queryboost.rerank import STRATEGIES
@@ -47,7 +47,7 @@ EXIT_FORMAT = 5
 EXIT_MISMATCH = 6
 # each error's exit code, from the first match: any ValueError not named first is a usage error
 _EXIT_CODES = ((CacheMissError, EXIT_CACHE_MISS),
-               ((DataFormatError, CacheFormatError, IndexFormatError), EXIT_FORMAT),
+               ((DataFormatError, IndexFormatError), EXIT_FORMAT),
                ((IndexMismatchError, StaleReferencesError), EXIT_MISMATCH),
                (ServiceError, EXIT_ERROR), (ValueError, EXIT_USAGE), (Exception, EXIT_ERROR))
 
@@ -135,15 +135,13 @@ def cmd_pipeline(args, index, corpus, queries, cache) -> list:
     rankings = run_pipeline(queries, index, corpus, provider, cache,
                             args.model, cfg, n_refs=args.n_refs)
 
-    out_prefix = Path(args.out_prefix)
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
     stage_paths = []
     for stage in ("bm25", "pre", "post"):
-        stage_paths.append(Path(f"{out_prefix}.{stage}.run"))
+        stage_paths.append(Path(f"{args.out_prefix}.{stage}.run"))
         write_run(stage_paths[-1], [getattr(r, stage) for r in rankings],
                   tag=f"{args.tag}-{stage}")
     log.info("wrote pipeline runs for %d queries -> %s.{bm25,pre,post}.run",
-             len(rankings), out_prefix)
+             len(rankings), args.out_prefix)
     return stage_paths
 
 
@@ -279,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "calibration, evaluation.")
     parser.add_argument("--config", default=None,
                         help="JSON file of flag defaults (flags override it)")
-    parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -298,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--max-tokens", type=int, default=512)
     p.add_argument("--api-key-env", default="OPENAI_API_KEY")
+    p.add_argument("--jobs", type=int, default=4)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("search", help="expanded sparse retrieval to a run file")
@@ -383,11 +381,12 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr,
                         level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(message)s")
+    paths = {name: getattr(args, name) for name in args._inputs}
+    for path in paths.values():
+        if not Path(path).exists():
+            print(f"error: missing input file: {path}", file=sys.stderr)
+            return EXIT_MISSING_FILE
     try:
-        paths = {name: getattr(args, name) for name in args._inputs}
-        for path in paths.values():
-            if not Path(path).exists():
-                raise FileNotFoundError(path)
         if hasattr(args, "tag") and not is_run_field(args.tag):
             raise ValueError(f"--tag {args.tag!r} is empty or holds whitespace")
         inputs = {name: _READERS[name](path) for name, path in paths.items()}
@@ -397,9 +396,6 @@ def main(argv: list[str] | None = None) -> int:
         if outputs:
             write_manifest(outputs[-1], args, outputs)
         return EXIT_OK
-    except FileNotFoundError as exc:
-        print(f"error: missing input file: {exc}", file=sys.stderr)
-        return EXIT_MISSING_FILE
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

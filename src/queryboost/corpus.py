@@ -37,7 +37,7 @@ INDEX_FORMAT_VERSION = 6
 
 
 class DataFormatError(ValueError):
-    """A malformed line in a data file: a corpus, queries, qrels or run file."""
+    """A malformed line in a data file: a corpus, queries, qrels, run or cache file."""
 
     def __init__(self, path, lineno: int, problem: str):
         super().__init__(f"{path}:{lineno}: {problem}")
@@ -406,11 +406,6 @@ _ESCAPED_COLUMNS = ("dfs", "doc_ordinals", "tf_positions", "tf_values")
 _COLUMNS = ("doc_id_bytes", "doc_digests", "term_bytes",
             *_ESCAPED_COLUMNS, *(f"{c}_escapes" for c in _ESCAPED_COLUMNS))
 _INDEX_ARRAYS = ("format_version", "field_policy", *_COLUMNS)
-_OLD_FORMATS = {1: "which stores no document digests",
-                2: "which stores offsets and every tf",
-                3: "which stores whole ordinals and tf positions",
-                4: "which stores each string's byte length",
-                5: "which stores document lengths"}
 
 
 def _decoded_postings(a: dict, num_docs: int, terms: tuple[str, ...]):
@@ -491,8 +486,6 @@ def load_index(path) -> InvertedIndex:
         magic = fh.read(4)
         if not magic:
             raise IndexFormatError(path, "empty file")
-        if magic.startswith(b"{"):
-            raise IndexFormatError(path, "a JSON index, a format no longer read")
         if magic != b"PK\x03\x04":
             raise IndexFormatError(path, "not an .npz archive")
         fh.seek(0)
@@ -504,10 +497,8 @@ def load_index(path) -> InvertedIndex:
     if "format_version" not in a:
         raise IndexFormatError(path, "no format_version")
     version = a["format_version"].tolist()
-    if version in _OLD_FORMATS:
-        raise IndexFormatError(path, f"format version {version}, {_OLD_FORMATS[version]}")
     if version != INDEX_FORMAT_VERSION:
-        raise IndexFormatError(path, f"unknown format version {a['format_version']}")
+        raise IndexFormatError(path, f"format version {version}, not {INDEX_FORMAT_VERSION}")
     missing = [k for k in _INDEX_ARRAYS if k not in a]
     if missing:
         raise IndexFormatError(path, f"missing arrays: {', '.join(missing)}")

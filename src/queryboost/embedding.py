@@ -201,7 +201,7 @@ class RemoteEmbedder:
     each retried as ``service.post_json`` does. Giving up, or a body that is
     not JSON, lacks the ``embeddings`` list, or holds the wrong number of
     vectors, a vector of the wrong dimension, or one with a NaN, an infinite
-    or no nonzero component, raises ``ServiceError``.
+    or no nonzero component, raises ``ServiceError``. ``dimension`` must be >= 1.
     """
 
     max_input_tokens = 512
@@ -209,6 +209,8 @@ class RemoteEmbedder:
 
     def __init__(self, endpoint: str, dimension: int,
                  session: requests.Session | None = None):
+        if dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.endpoint = endpoint
         self.dimension = dimension
         self._session = session or requests.Session()

@@ -16,6 +16,7 @@ from threading import Lock
 
 import requests
 
+from queryboost.corpus import DataFormatError
 from queryboost.service import ATTEMPTS, ServiceError, post_json
 from queryboost.tokenizer import has_tokens
 
@@ -25,10 +26,6 @@ PROMPT_VERSION = "v1"
 PROMPT_TEMPLATE = ("Write a passage that provides relevant background knowledge "
                    "to answer the following query: {query}")
 CHAT_TIMEOUT_S = 60.0
-
-
-class CacheFormatError(ValueError):
-    pass
 
 
 class CacheMissError(KeyError):
@@ -53,6 +50,8 @@ class GenerationConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0 <= self.temperature < math.inf:
             raise ValueError(f"temperature must be in [0, inf), got {self.temperature}")
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,8 @@ class ReferenceCache:
     Reads are concurrent-safe; writes are serialized by a single lock. The
     latest entry for a key wins. A final line without a trailing newline that
     does not parse, as a crash during ``put`` leaves it, is dropped with a
-    warning; any other corrupt line is a ``CacheFormatError``.
+    warning; any other corrupt line is a ``corpus.DataFormatError``. The first
+    ``put`` makes the file, and its directory if that does not exist.
     """
 
     def __init__(self, path):
@@ -142,8 +142,8 @@ class ReferenceCache:
                     rs = _parse_line(line)
                 except (KeyError, TypeError, ValueError) as exc:
                     if line.endswith(b"\n"):
-                        raise CacheFormatError(
-                            f"{self.path}:{lineno}: corrupt cache line: {exc}") from exc
+                        raise DataFormatError(self.path, lineno,
+                                              f"corrupt cache line: {exc}") from exc
                     log.warning("%s:%d: dropping torn final line (no trailing newline): %s",
                                 self.path, lineno, exc)
                     break
@@ -156,6 +156,7 @@ class ReferenceCache:
                   "references": list(rs.references), "created_at": rs.created_at}
         line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a+b") as fh:
                 _end_last_line(fh)
                 fh.write(line)
@@ -288,7 +289,9 @@ def generate_references(client: ChatCompletionClient, cache: ReferenceCache,
 def generate_for_queries(client: ChatCompletionClient, cache: ReferenceCache,
                          queries: list[tuple[str, str]], cfg: GenerationConfig,
                          jobs: int = 4) -> list[ReferenceSet]:
-    """Generate references for many queries with bounded in-flight requests."""
+    """Generate references for many queries, at most ``jobs`` (>= 1) requests in flight."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     results: dict[str, ReferenceSet] = {}
     pending = []
     for query_id, query in queries:
@@ -298,7 +301,7 @@ def generate_for_queries(client: ChatCompletionClient, cache: ReferenceCache,
         else:
             pending.append((query_id, query))
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = {pool.submit(generate_references, client, cache, qid, q, cfg): qid
                    for qid, q in pending}
         for future, qid in futures.items():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from queryboost import files
+from queryboost import cli, files
 from queryboost.cli import (EXIT_CACHE_MISS, EXIT_ERROR, EXIT_FORMAT, EXIT_MISMATCH,
                             EXIT_MISSING_FILE, EXIT_OK, EXIT_USAGE, _pipeline_config,
                             build_parser, main, write_manifest)
@@ -161,6 +161,32 @@ class TestDeclaredInputs:
         assert manifest["outputs"][-1] == str(target)
         assert manifest["inputs"] == [str(paths[name]) for name in INPUTS[command]]
         assert not any(key.startswith("_") for key in manifest["config"])
+        assert ("jobs" in manifest["config"]) == (command == "generate")
+
+    @pytest.mark.parametrize("command", [c for c, (_, m) in OTHER_FLAGS.items() if m])
+    def test_writes_into_a_directory_that_does_not_exist(self, paths, http_stub, tmp_path,
+                                                         command):
+        http_stub.script = [(200, {"choices": [{"message": {"content": "about alias0"}}]})]
+        out = tmp_path / "new" / "dir"
+        argv = self.argv(command, paths, out)
+        if command == "generate":  # its cache is new and empty: it asks the stub for each query
+            argv += ["--endpoint", http_stub.url]
+        assert main(argv) == EXIT_OK
+        target = out / OTHER_FLAGS[command][1]
+        manifest = json.loads(Path(f"{target}.manifest.json").read_text())
+        assert target.exists() and manifest["outputs"][-1] == str(target)
+        if command == "generate":
+            assert len(ReferenceCache(target)) == http_stub.call_count > 0
+
+    def test_file_not_found_while_running_exits_1(self, paths, tmp_path, capsys,
+                                                  monkeypatch):
+        def vanished(path, *args, **kwargs):
+            raise FileNotFoundError(2, "No such file or directory", str(path))
+
+        monkeypatch.setattr(cli, "write_run", vanished)
+        assert main(self.argv("search", paths, tmp_path)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and "missing input file" not in err
 
     @pytest.mark.parametrize("command, dropped", [("eval", []), ("analyze", []),
                                                   ("sweep", ["--out"])])
@@ -245,7 +271,7 @@ class TestBadIndexFile:
         index.write_text(json.dumps({"field_policy": "title_plus_text", "num_docs": 1,
                                      "avgdl": 1.0, "doc_length": {"d1": 1},
                                      "postings": {"cat": [["d1", 1]]}}))
-        self._assert_rejected(dataset_dir, index, tmp_path, capsys, "JSON index")
+        self._assert_rejected(dataset_dir, index, tmp_path, capsys, "not an .npz archive")
 
     def test_zero_byte_file(self, dataset_dir, tmp_path, capsys):
         index = tmp_path / "empty.idx"
@@ -263,42 +289,14 @@ class TestBadIndexFile:
         _rewrite_npz(dataset_dir["index"], index, format_version=None)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys, "format_version")
 
-    def test_format_version_1(self, dataset_dir, tmp_path, capsys):
-        index = tmp_path / "v1.idx"
-        _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(1),
-                     doc_digests=None)
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99])
+    def test_format_version(self, dataset_dir, tmp_path, capsys, version):
+        # only format 6 is read: format 1's missing digests are never reached
+        index = tmp_path / f"v{version}.idx"
+        dropped = {"doc_digests": None} if version == 1 else {}
+        _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(version), **dropped)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "format version 1, which stores no document digests")
-
-    def test_format_version_2(self, dataset_dir, tmp_path, capsys):
-        index = tmp_path / "v2.idx"
-        _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(2))
-        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "format version 2, which stores offsets and every tf")
-
-    def test_format_version_3(self, dataset_dir, tmp_path, capsys):
-        index = tmp_path / "v3.idx"
-        _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(3))
-        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "format version 3, which stores whole ordinals and tf positions")
-
-    def test_format_version_4(self, dataset_dir, tmp_path, capsys):
-        index = tmp_path / "v4.idx"
-        _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(4))
-        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "format version 4, which stores each string's byte length")
-
-    def test_format_version_5(self, dataset_dir, tmp_path, capsys):
-        index = tmp_path / "v5.idx"
-        _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(5))
-        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "format version 5, which stores document lengths")
-
-    def test_unknown_format_version(self, dataset_dir, tmp_path, capsys):
-        index = tmp_path / "future.idx"
-        _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(99))
-        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "unknown format version 99")
+                              f"(format version {version}, not 6)")
 
     # a posting column with values no index build makes is rejected by name
 
@@ -754,12 +752,20 @@ _RANGES = {"k1": "[0, inf)", "b": "[0, 1]", "beta": "(0, inf)", "alpha": "[0, in
                  id="sweep-retrieve_k=5"),
     pytest.param("analyze", {"m": 0}, "m must be >= 1, got 0", id="m=0"),
     pytest.param("analyze", {"m": -1}, "m must be >= 1, got -1", id="m=-1"),
+    pytest.param("generate", {"jobs": 0}, "jobs must be >= 1, got 0", id="jobs=0"),
+    pytest.param("generate", {"max_tokens": 0}, "max_tokens must be >= 1, got 0",
+                 id="max_tokens=0"),
+    pytest.param("pipeline", {"provider": "remote", "dimension": 0},
+                 "dimension must be >= 1, got 0", id="remote-dimension=0"),
 ])
-def test_setting_out_of_range_exit_code_and_message(dataset_dir, tmp_path, capsys, source,
-                                                    command, settings, message):
+def test_setting_out_of_range_exit_code_and_message(dataset_dir, http_stub, tmp_path, capsys,
+                                                    source, command, settings, message):
     out = tmp_path / "out"
     out.mkdir()
     argv = TestDeclaredInputs.argv(command, dataset_dir, out)
+    # a service the command would ask is the stub, which must get no request
+    argv += {"generate": ["--endpoint", http_stub.url],
+             "pipeline": ["--embed-endpoint", http_stub.url]}.get(command, [])
     if source == "flag":
         argv += [a for key, value in settings.items()
                  for a in (f"--{key.replace('_', '-')}", str(value))]
@@ -771,6 +777,7 @@ def test_setting_out_of_range_exit_code_and_message(dataset_dir, tmp_path, capsy
     captured = capsys.readouterr()
     assert f"error: {message}\n" in captured.err
     assert captured.out == "" and not list(out.iterdir())
+    assert http_stub.requests == []
 
 
 class TestEmbeddingServiceFaults:
@@ -1117,9 +1124,11 @@ def test_unknown_flag_exits_2(dataset_dir, capsys):
     assert exc.value.code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("command, flag", [("pipeline", "--eval-k"), ("sweep", "--n-refs")])
+@pytest.mark.parametrize("command, flag", [("pipeline", "--eval-k"), ("sweep", "--n-refs"),
+                                           ("search", "--jobs")])
 def test_flag_of_another_command_exits_2(dataset_dir, tmp_path, capsys, command, flag):
-    # only sweep evaluates, and only pipeline runs with a fixed reference count
+    # only sweep evaluates, only pipeline runs with a fixed reference count, and only
+    # generate sends requests in parallel
     with pytest.raises(SystemExit) as exc:
         main([*TestDeclaredInputs.argv(command, dataset_dir, tmp_path), flag, "1"])
     assert exc.value.code == EXIT_USAGE

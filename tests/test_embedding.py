@@ -455,6 +455,11 @@ class TestRemoteEmbedder:
         with pytest.raises(ValueError, match="dimension"):
             emb.embed("hello")
 
+    @pytest.mark.parametrize("dimension", [0, -8])
+    def test_dimension_below_1(self, dimension):
+        with pytest.raises(ValueError, match=f"^dimension must be >= 1, got {dimension}$"):
+            RemoteEmbedder("http://x/embed", dimension=dimension)
+
     def test_defaults_of_every_caller(self):
         emb = RemoteEmbedder("http://x/embed", dimension=8)
         assert (emb.max_input_tokens, emb.batch_size) == (512, 32)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from queryboost import service
-from queryboost.generation import (CacheFormatError, CacheMissError, ChatCompletionClient,
+from queryboost.corpus import DataFormatError
+from queryboost.generation import (CacheMissError, ChatCompletionClient,
                                    GenerationConfig, ReferenceCache, ReferenceSet,
                                    StaleReferencesError, cached_references,
                                    generate_for_queries, generate_references, render_prompt)
@@ -82,6 +83,12 @@ class TestReferenceCache:
         cache = ReferenceCache(tmp_path / "cache.jsonl")
         assert cache.get("nope", "m") is None
 
+    def test_first_put_makes_the_directory(self, tmp_path):
+        cache = ReferenceCache(tmp_path / "new" / "dir" / "cache.jsonl")
+        assert not cache.path.parent.exists()
+        cache.put(ReferenceSet("q1", "q", ("a",), "m"))
+        assert ReferenceCache(cache.path).get("q1", "m").references == ("a",)
+
     def test_models_coexist(self, tmp_path):
         cache = ReferenceCache(tmp_path / "cache.jsonl")
         cache.put(ReferenceSet("q1", "q", ("a",), "m1"))
@@ -94,7 +101,7 @@ class TestReferenceCache:
         good = {"query_id": "q1", "query": "q", "model": "m",
                 "prompt_version": "v1", "references": ["r"], "created_at": ""}
         path.write_text(json.dumps(good) + "\nnot json\n")
-        with pytest.raises(CacheFormatError, match=":2"):
+        with pytest.raises(DataFormatError, match=":2"):
             ReferenceCache(path)
 
     @settings(max_examples=10, deadline=None)
@@ -142,7 +149,7 @@ class TestReferenceCache:
         path = tmp_path / "cache.jsonl"
         good = json.dumps({"query_id": "q1", "query": "q", "model": "m", "references": ["r"]})
         path.write_text(good + "\n" + good[:20] + "\n" + good)
-        with pytest.raises(CacheFormatError, match=":2"):
+        with pytest.raises(DataFormatError, match=":2"):
             ReferenceCache(path)
 
     @pytest.mark.parametrize("field, value, problem", [
@@ -157,7 +164,7 @@ class TestReferenceCache:
         path = tmp_path / "cache.jsonl"
         good = {"query_id": "q1", "query": "q", "model": "m", "references": ["r"]}
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
-        with pytest.raises(CacheFormatError, match=re.escape(f"{path}:2: corrupt cache line: "
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:2: corrupt cache line: "
                                                              f"{problem}")):
             ReferenceCache(path)
 
@@ -165,7 +172,7 @@ class TestReferenceCache:
         path = tmp_path / "cache.jsonl"
         line = {"query_id": "q1", "query": "q", "model": "m", "references": ["  ", "r"]}
         path.write_text(json.dumps(line) + "\n")
-        with pytest.raises(CacheFormatError, match=re.escape(
+        with pytest.raises(DataFormatError, match=re.escape(
                 f"{path}:1: corrupt cache line: reference 1 has no tokens: '  '")):
             ReferenceCache(path)
 
@@ -290,6 +297,14 @@ class TestGeneration:
         assert results[1].references == ("P",)
         assert stub_server.call_count == 1
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_1_sends_no_request(self, stub_server, tmp_path, jobs):
+        cache = ReferenceCache(tmp_path / "c.jsonl")
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            generate_for_queries(_client(stub_server), cache, [("q1", "a")],
+                                 GenerationConfig(model_id="m", n=1), jobs=jobs)
+        assert stub_server.call_count == 0 and not cache.path.exists()
+
     @pytest.mark.parametrize("stale", [ReferenceSet("q1", "old text", ("cached",), "m"),
                                        ReferenceSet("q1", "a", ("cached",), "m",
                                                     prompt_version="v0")])
@@ -356,3 +371,5 @@ class TestGenerationConfig:
             GenerationConfig(model_id="m", n=0)
         with pytest.raises(ValueError):
             GenerationConfig(model_id="m", temperature=-1)
+        with pytest.raises(ValueError, match="^max_tokens must be >= 1, got -5$"):
+            GenerationConfig(model_id="m", max_tokens=-5)

@@ -242,6 +242,14 @@ def _inputs(p: argparse.ArgumentParser, *names: str) -> None:
     p.set_defaults(_inputs=names)
 
 
+class _BetaAction(argparse.Action):
+    """Store ``--beta`` and unset ``t``: a ``t`` from ``--config`` yields to the flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.t = None
+
+
 def _add_sparse_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default="synthetic-refs")
     p.add_argument("--retrieve-k", type=int, default=_DEFAULTS.retrieve_k)
@@ -249,7 +257,8 @@ def _add_sparse_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", type=float, default=_DEFAULTS.bm25.b)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--beta", type=float, default=_DEFAULTS.reweight.beta,
-                       help="adaptive reweighting factor")
+                       action=_BetaAction, help="adaptive reweighting factor "
+                                                "(overrides a --config t)")
     group.add_argument("--t", type=int, default=None,
                        help="constant query repetition count (overrides --beta)")
 

@@ -1,5 +1,11 @@
 """Corpus ingestion and an immutable columnar inverted index with BM25 statistics.
 
+Every line-oriented data file (corpus, queries, qrels, run and reference
+cache) is read by one loop, ``read_data_lines``, with one rule for a bad
+line, a line that is not UTF-8 and a repeated key: a ``DataFormatError``
+naming the file and the line. The index is a binary archive with its own
+error, ``IndexFormatError``.
+
 Documents are numbered by ordinal in ascending ``doc_id`` order, so an integer
 tie-break on ordinals equals a tie-break on doc ids. Postings are stored in
 CSR form: term id ``t`` owns entries ``offsets[t]:offsets[t + 1]`` of the
@@ -20,17 +26,21 @@ arrays from it.
 
 import hashlib
 import json
+import logging
 import zipfile
 from array import array
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, pairwise
-from pathlib import Path
+from operator import attrgetter
 
 import numpy as np
 
 from queryboost.files import atomic_write
 from queryboost.tokenizer import tokenize
+
+log = logging.getLogger(__name__)
 
 FIELD_POLICIES = ("text_only", "title_plus_text")
 INDEX_FORMAT_VERSION = 6
@@ -41,6 +51,53 @@ class DataFormatError(ValueError):
 
     def __init__(self, path, lineno: int, problem: str):
         super().__init__(f"{path}:{lineno}: {problem}")
+
+
+def read_data_lines(path, parse, key=None, key_name="", torn_tail=False, prefix=""):
+    """Yield ``parse(line)`` for each line of a data file that is not blank.
+
+    Every line-oriented data file is read here, by one rule. Lines are
+    numbered from 1, split with universal newlines, so a CRLF or CR file reads
+    as its LF copy, and each is decoded once, as UTF-8; ``parse`` gets each
+    line with its newline. Each of
+    these raises DataFormatError naming the line:
+    - a line that is not UTF-8, naming the first such byte, or a ValueError
+      from ``parse``; ``prefix`` goes before either problem;
+    - a record whose ``key(record)``, a pair ``(scope, name)``, an earlier
+      record had, as ``duplicate _id 'd1' (first on line 3)``, where
+      ``key_name.format(scope, name)`` gives ``_id 'd1'``. Names are kept in
+      one small dict per scope (a run's doc ids per query), not in one dict
+      of every line.
+    With ``torn_tail``, a final line without a newline that is not UTF-8 or
+    that ``parse`` rejects, as a crash while appending leaves it, is dropped
+    with a warning instead.
+    """
+    first_line = defaultdict(dict)  # scope -> {name: line it was read from}
+    # Cache lines run to several KB; a 64 KiB buffer spares most refills.
+    with open(path, "rb", buffering=1 << 16) as fh:
+        # universal newlines: \r\n and a lone \r end a line as \n does (13 is b"\r": an
+        # int's ``in`` is one memchr, a bytes' a slower search)
+        lines = chain.from_iterable(
+            raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(True) if 13 in raw
+            else (raw,) for raw in fh)
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if line.isspace():
+                    continue
+                record = parse(line)
+            except ValueError as exc:  # UnicodeDecodeError is one
+                if torn_tail and not raw.endswith(b"\n"):
+                    log.warning("%s:%d: dropping torn final line (no trailing newline): %s",
+                                path, lineno, exc)
+                    return
+                raise DataFormatError(path, lineno, f"{prefix}{exc}") from exc
+            if key is not None:
+                scope, name = key(record)
+                if (first := first_line[scope].setdefault(name, lineno)) != lineno:
+                    raise DataFormatError(path, lineno, f"duplicate {key_name.format(scope, name)}"
+                                                        f" (first on line {first})")
+            yield record
 
 
 def is_run_field(value: str) -> bool:
@@ -122,9 +179,10 @@ class InvertedIndex:
         bad_id = next((d for d in doc_ids if not is_run_field(d)), None)
         if bad_id is not None:
             raise ValueError(f"doc id {bad_id!r} is empty or holds whitespace")
-        unordered = next((b for a, b in pairwise(doc_ids) if a >= b), None)
-        if unordered is not None:
-            raise ValueError(f"doc ids do not ascend at {unordered!r}")
+        for a, b in pairwise(doc_ids):
+            if a >= b:
+                raise ValueError(f"doc id {b!r} is repeated" if a == b
+                                 else f"doc ids do not ascend at {b!r}")
         if len(self.term_ids) != len(terms):
             repeated = next(term for t, term in enumerate(terms) if self.term_ids[term] != t)
             raise ValueError(f"term {repeated!r} is repeated")
@@ -214,13 +272,9 @@ def build_index(docs, field_policy: str = "title_plus_text") -> InvertedIndex:
     if field_policy not in FIELD_POLICIES:
         raise ValueError(f"unknown field_policy: {field_policy!r}")
 
-    by_id: dict[str, Document] = {}
-    for doc in docs:
-        if doc.doc_id in by_id:
-            raise ValueError(f"duplicate doc_id: {doc.doc_id!r}")
-        by_id[doc.doc_id] = doc
-    doc_ids = tuple(sorted(by_id))
-    texts = [by_id[doc_id].indexed_text(field_policy) for doc_id in doc_ids]
+    docs = sorted(docs, key=attrgetter("doc_id"))  # InvertedIndex rejects a repeated id
+    doc_ids = tuple(doc.doc_id for doc in docs)
+    texts = [doc.indexed_text(field_policy) for doc in docs]
 
     # One entry per (doc, term). Within a block entries go by term, then ordinal.
     vocab = _Vocabulary()
@@ -298,42 +352,35 @@ _FIELD_TYPES = {"_id": ((str, int), "a string or an integer"),
                 "title": ((str, type(None)), "a string or null"), "text": ((str,), "a string")}
 
 
+def _corpus_line(line: str) -> Document:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    if "_id" not in obj or "text" not in obj:
+        raise ValueError("missing required key '_id' or 'text'")
+    for key, (types, wanted) in _FIELD_TYPES.items():
+        if type(obj.get(key)) not in types:
+            raise ValueError(f"{key} must be {wanted}, not {type(obj.get(key)).__name__}")
+    doc_id = str(obj["_id"])
+    if not is_run_field(doc_id):
+        raise ValueError(f"_id {doc_id!r} is empty or holds whitespace")
+    return Document(doc_id=doc_id, title=obj.get("title") or "", text=obj["text"])
+
+
 def load_corpus_jsonl(path) -> list[Document]:
     """Load a JSONL corpus with keys ``_id``, ``title`` (optional), ``text``.
 
-    A line that is not a JSON object with ``_id`` and ``text``, with a field of a
-    type ``_FIELD_TYPES`` does not allow, whose ``_id`` a run file cannot hold
-    (``is_run_field``), or that repeats an earlier line's ``_id``, raises
-    DataFormatError naming the file and the line. An integer ``_id`` is read as
-    its decimal string.
+    Read by ``read_data_lines``: a line that is not a JSON object with ``_id``
+    and ``text``, with a field of a type ``_FIELD_TYPES`` does not allow, whose
+    ``_id`` a run file cannot hold (``is_run_field``), or that repeats an
+    earlier line's ``_id`` (both lines named), raises DataFormatError naming
+    the file and the line. An integer ``_id`` is read as its decimal string.
     """
-    docs = []
-    first_line: dict[str, int] = {}  # doc_id -> line it was read from
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(path, lineno, f"malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DataFormatError(path, lineno, "expected a JSON object")
-            if "_id" not in obj or "text" not in obj:
-                raise DataFormatError(path, lineno, "missing required key '_id' or 'text'")
-            for key, (types, wanted) in _FIELD_TYPES.items():
-                if type(obj.get(key)) not in types:
-                    raise DataFormatError(path, lineno, f"{key} must be {wanted}, "
-                                                        f"not {type(obj.get(key)).__name__}")
-            doc_id = str(obj["_id"])
-            if not is_run_field(doc_id):
-                raise DataFormatError(path, lineno, f"_id {doc_id!r} is empty or holds whitespace")
-            first = first_line.setdefault(doc_id, lineno)
-            if first != lineno:
-                raise DataFormatError(path, lineno,
-                                      f"duplicate _id {doc_id!r} (first on line {first})")
-            docs.append(Document(doc_id=doc_id, title=obj.get("title") or "", text=obj["text"]))
-    return docs
+    return list(read_data_lines(path, _corpus_line, key=lambda doc: (None, doc.doc_id),
+                                key_name="_id {1!r}"))
 
 
 _ESCAPE = 255  # a stored byte whose value is the next entry of its escape column

@@ -1,11 +1,19 @@
-"""nDCG@k evaluation and trec-style qrels / run file IO."""
+"""nDCG@k evaluation and trec-style qrels / run / queries file IO.
+
+Each reader is a per-line parser handed to ``corpus.read_data_lines``, which
+names the file and line of any bad one (exit 5 from the CLI). A run file may
+list a doc once per query and a qrels file may judge it once; a run's lines
+are read in score order, highest first, whatever their order in the file.
+"""
 
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 
-from queryboost.corpus import DataFormatError, is_run_field
+from queryboost.corpus import is_run_field, read_data_lines
 from queryboost.files import atomic_write
 from queryboost.tokenizer import tokenize
 
@@ -91,24 +99,33 @@ def evaluate_run(run: list[Ranking], qrels: Qrels, k: int,
                       num_evaluated=len(per_query), skipped=skipped)
 
 
+# qrels and run files: a doc once per query
+_read_doc_for_query_lines = partial(read_data_lines, key=itemgetter(0, 1),
+                                    key_name="doc {1!r} for query {0!r}")
+
+
+def _qrels_line(line: str) -> tuple[str, str, int]:
+    parts = line.split()
+    if len(parts) != 4:
+        raise ValueError(f"expected 4 fields, got {len(parts)}")
+    query_id, _, doc_id, grade = parts
+    try:
+        grade_val = int(grade)
+    except ValueError as exc:
+        raise ValueError(f"non-integer grade {grade!r}") from exc
+    if grade_val < 0:
+        raise ValueError(f"negative grade {grade_val}")
+    return query_id, doc_id, grade_val
+
+
 def read_qrels(path) -> Qrels:
-    """Parse whitespace-separated qrels lines: query_id 0 doc_id grade."""
+    """Parse whitespace-separated qrels lines: query_id 0 doc_id grade.
+
+    A (query, doc) judged on two lines is a DataFormatError naming both.
+    """
     qrels: Qrels = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise DataFormatError(path, lineno, f"expected 4 fields, got {len(parts)}")
-            query_id, _, doc_id, grade = parts
-            try:
-                grade_val = int(grade)
-            except ValueError as exc:
-                raise DataFormatError(path, lineno, f"non-integer grade {grade!r}") from exc
-            if grade_val < 0:
-                raise DataFormatError(path, lineno, f"negative grade {grade_val}")
-            qrels.setdefault(query_id, {})[doc_id] = grade_val
+    for query_id, doc_id, grade in _read_doc_for_query_lines(path, _qrels_line):
+        qrels.setdefault(query_id, {})[doc_id] = grade
     return qrels
 
 
@@ -123,23 +140,44 @@ def write_run(path, run: list[Ranking], tag: str = "queryboost") -> None:
                 fh.write(f"{ranking.query_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
 
 
+def _run_line(line: str) -> tuple[str, str, float]:
+    parts = line.split()
+    if len(parts) != 6:
+        raise ValueError(f"expected 6 fields, got {len(parts)}")
+    query_id, _, doc_id, _, score, _ = parts
+    try:
+        score_val = float(score)
+    except ValueError:
+        score_val = math.nan
+    if math.isnan(score_val):  # nan cannot be ordered
+        raise ValueError(f"non-numeric score {score!r}")
+    return query_id, doc_id, score_val
+
+
 def read_run(path) -> list[Ranking]:
-    """Read a trec run file back into per-query rankings, order preserved."""
+    """Read a trec run file back into per-query rankings, in first-seen query order.
+
+    Each query's lines are ordered by score, highest first; equal scores keep
+    their file order. A doc listed twice for one query, or a ``nan`` score, is
+    a DataFormatError naming the line (both lines for a repeat).
+    """
     by_query: dict[str, list[tuple[str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise DataFormatError(path, lineno, f"expected 6 fields, got {len(parts)}")
-            query_id, _, doc_id, _, score, _ = parts
-            try:
-                score_val = float(score)
-            except ValueError as exc:
-                raise DataFormatError(path, lineno, f"non-numeric score {score!r}") from exc
-            by_query.setdefault(query_id, []).append((doc_id, score_val))
-    return [Ranking(query_id=qid, items=tuple(items)) for qid, items in by_query.items()]
+    for query_id, doc_id, score in _read_doc_for_query_lines(path, _run_line):
+        by_query.setdefault(query_id, []).append((doc_id, score))
+    return [Ranking(query_id=qid, items=tuple(sorted(items, key=itemgetter(1), reverse=True)))
+            for qid, items in by_query.items()]
+
+
+def _query_line(line: str) -> tuple[str, str]:
+    line = line.rstrip("\n")
+    if "\t" not in line:
+        raise ValueError("expected tab-separated id and text")
+    query_id, text = line.split("\t", 1)
+    if not is_run_field(query_id):
+        raise ValueError(f"query id {query_id!r} is empty or holds whitespace")
+    if not tokenize(text):
+        raise ValueError(f"query {query_id!r} has no tokens: {text!r}")
+    return query_id, text
 
 
 def read_queries_tsv(path) -> list[tuple[str, str]]:
@@ -150,25 +188,5 @@ def read_queries_tsv(path) -> list[tuple[str, str]]:
     id that a run file cannot hold (``is_run_field``), and a query id already
     read, naming both lines, since every run file would list it twice.
     """
-    queries = []
-    first_line: dict[str, int] = {}  # query_id -> line it was read from
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise DataFormatError(path, lineno, "expected tab-separated id and text")
-            query_id, text = line.split("\t", 1)
-            if not is_run_field(query_id):
-                raise DataFormatError(path, lineno,
-                                      f"query id {query_id!r} is empty or holds whitespace")
-            if not tokenize(text):
-                raise DataFormatError(path, lineno,
-                                      f"query {query_id!r} has no tokens: {text!r}")
-            first = first_line.setdefault(query_id, lineno)
-            if first != lineno:
-                raise DataFormatError(path, lineno,
-                                      f"duplicate query id {query_id!r} (first on line {first})")
-            queries.append((query_id, text))
-    return queries
+    return list(read_data_lines(path, _query_line, key=lambda query: (None, query[0]),
+                                key_name="query id {1!r}"))

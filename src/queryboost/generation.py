@@ -5,7 +5,6 @@ downstream stages can run offline and deterministically from the cache.
 """
 
 import json
-import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -16,11 +15,9 @@ from threading import Lock
 
 import requests
 
-from queryboost.corpus import DataFormatError
+from queryboost.corpus import read_data_lines
 from queryboost.service import ATTEMPTS, ServiceError, post_json
 from queryboost.tokenizer import has_tokens
-
-log = logging.getLogger(__name__)
 
 PROMPT_VERSION = "v1"
 PROMPT_TEMPLATE = ("Write a passage that provides relevant background knowledge "
@@ -121,9 +118,10 @@ class ReferenceCache:
     """Append-only JSONL cache of reference sets, keyed on (query_id, model_id).
 
     Reads are concurrent-safe; writes are serialized by a single lock. The
-    latest entry for a key wins. A final line without a trailing newline that
-    does not parse, as a crash during ``put`` leaves it, is dropped with a
-    warning; any other corrupt line is a ``corpus.DataFormatError``. The first
+    latest entry for a key wins. It is read by ``corpus.read_data_lines``: a
+    final line without a trailing newline that does not parse, as a crash
+    during ``put`` leaves it, is dropped with a warning; any other corrupt
+    line is a ``corpus.DataFormatError``. The first
     ``put`` makes the file, and its directory if that does not exist.
     """
 
@@ -135,20 +133,9 @@ class ReferenceCache:
             self._load()
 
     def _load(self) -> None:
-        # Lines run to several KB; a 64 KiB buffer spares readline most refills.
-        with open(self.path, "rb", buffering=1 << 16) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    rs = _parse_line(line)
-                except (KeyError, TypeError, ValueError) as exc:
-                    if line.endswith(b"\n"):
-                        raise DataFormatError(self.path, lineno,
-                                              f"corrupt cache line: {exc}") from exc
-                    log.warning("%s:%d: dropping torn final line (no trailing newline): %s",
-                                self.path, lineno, exc)
-                    break
-                if rs is not None:
-                    self._entries[(rs.query_id, rs.model_id)] = rs
+        for rs in read_data_lines(self.path, _parse_line, torn_tail=True,
+                                  prefix="corrupt cache line: "):
+            self._entries[(rs.query_id, rs.model_id)] = rs
 
     def put(self, rs: ReferenceSet) -> None:
         record = {"query_id": rs.query_id, "query": rs.query, "model": rs.model_id,
@@ -169,22 +156,23 @@ class ReferenceCache:
         return len(self._entries)
 
 
-def _parse_line(line: bytes) -> ReferenceSet | None:
-    """The reference set stored on one cache line, or None for a blank line."""
-    text = line.decode("utf-8")
-    if not text.strip():
-        return None
-    obj = json.loads(text)
-    for key in ("query_id", "query", "model"):
-        if type(obj[key]) is not str:
-            raise TypeError(f"{key} must be a string, not {type(obj[key]).__name__}")
-    if type(obj["references"]) is not list or not all(type(r) is str for r in obj["references"]):
-        raise TypeError("references must be a list of strings")
-    return ReferenceSet(
-        query_id=obj["query_id"], query=obj["query"],
-        references=tuple(obj["references"]), model_id=obj["model"],
-        created_at=obj.get("created_at", ""),
-        prompt_version=obj.get("prompt_version", PROMPT_VERSION))
+def _parse_line(line: str) -> ReferenceSet:
+    """The reference set stored on one cache line; a ValueError for any other line."""
+    try:
+        obj = json.loads(line)
+        for key in ("query_id", "query", "model"):
+            if type(obj[key]) is not str:
+                raise ValueError(f"{key} must be a string, not {type(obj[key]).__name__}")
+        if (type(obj["references"]) is not list
+                or not all(type(r) is str for r in obj["references"])):
+            raise ValueError("references must be a list of strings")
+        return ReferenceSet(
+            query_id=obj["query_id"], query=obj["query"],
+            references=tuple(obj["references"]), model_id=obj["model"],
+            created_at=obj.get("created_at", ""),
+            prompt_version=obj.get("prompt_version", PROMPT_VERSION))
+    except (KeyError, TypeError) as exc:  # a key missing, or a line that is no JSON object
+        raise ValueError(exc) from exc
 
 
 def _end_last_line(fh) -> None:
@@ -204,8 +192,8 @@ def _end_last_line(fh) -> None:
     data = fh.read()
     start = data.rfind(b"\n") + 1
     try:
-        _parse_line(data[start:])
-    except (KeyError, TypeError, ValueError):
+        _parse_line(data[start:].decode("utf-8"))
+    except ValueError:
         fh.truncate(start)
     else:
         fh.write(b"\n")

@@ -74,6 +74,7 @@ class _StubHandler(BaseHTTPRequestHandler):
                                                        len(self.server.script) - 1)]
         self.server.call_count += 1
         self.server.requests.append(body)
+        self.server.request_headers.append(self.headers)
         if callable(reply):
             reply = reply(body)
         payload = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
@@ -95,11 +96,12 @@ def http_stub():
     (status, body or body-making callable[, headers]); the last entry repeats.
     A body is sent as JSON, or as is if it is bytes. The headers are sent too,
     and may replace the Content-Length of the body. Each response closes the
-    connection."""
+    connection. ``requests`` and ``request_headers`` record what each POST sent."""
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     server.script = [(200, {})]
     server.call_count = 0
     server.requests = []
+    server.request_headers = []
     server.url = f"http://127.0.0.1:{server.server_address[1]}/"
     # a short poll, since shutdown() waits for serve_forever to next look (0.5 s by default)
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},

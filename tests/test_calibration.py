@@ -88,6 +88,10 @@ class TestBuildFeedbackSets:
         with pytest.raises(ValueError):
             CalibrationConfig(k_reciprocal=0)
 
+    def test_negative_num_negatives_rejected_by_config(self):
+        with pytest.raises(ValueError, match="^num_negatives must be >= 0, got -1$"):
+            CalibrationConfig(num_negatives=-1)
+
 
 class TestCalibrate:
     def test_alpha_zero_counts_negative_in_w(self, embedder):

@@ -631,6 +631,17 @@ class TestPipelineCommand:
             lines = (tmp_path / f"out.{stage}.run").read_text().splitlines()
             assert max(int(l.split()[3]) for l in lines) == 5
 
+    def test_remote_provider_without_endpoint(self, dataset_dir, tmp_path, capsys):
+        rc = main(["pipeline", "--index", str(dataset_dir["index"]),
+                   "--corpus", str(dataset_dir["corpus"]),
+                   "--queries", str(dataset_dir["queries"]),
+                   "--cache", str(dataset_dir["cache"]), "--provider", "remote",
+                   "--out-prefix", str(tmp_path / "p")])
+        assert rc == EXIT_USAGE
+        assert (capsys.readouterr().err
+                == "error: --embed-endpoint is required with --provider remote\n")
+        assert not list(tmp_path.iterdir())
+
     def test_k_reciprocal_zero_rejected(self, dataset_dir, tmp_path):
         rc = main(["pipeline", "--index", str(dataset_dir["index"]),
                    "--corpus", str(dataset_dir["corpus"]),
@@ -866,6 +877,7 @@ class TestEvalCommand:
         ("q1 0 d1 -1", "q1 Q0 d1 1 1.0 t", "qrels.txt:2: negative grade -1"),
         ("q1 0 d1 1", "q1 Q0 d1 1 high t", "a.run:2: non-numeric score 'high'"),
         ("q1 0 d1", "q1 Q0 d1 1 1.0 t", "qrels.txt:2: expected 4 fields, got 3"),
+        ("q1 0 d1 1", "q1 Q0 d1 1 1.0", "a.run:2: expected 6 fields, got 5"),
     ])
     def test_bad_line_exit_code_and_message(self, tmp_path, capsys, qrels_line,
                                             run_line, problem):
@@ -876,6 +888,16 @@ class TestEvalCommand:
         rc = main(["eval", "--run", str(run), "--qrels", str(qrels)])
         assert rc == EXIT_FORMAT
         assert f"error: {tmp_path}/{problem}" in capsys.readouterr().err
+
+    def test_run_query_without_a_positive_judgment_is_skipped(self, tmp_path, capsys):
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 1\nq2 0 d2 0\n")
+        run = tmp_path / "a.run"
+        run.write_text("q1 Q0 d1 1 1.0 t\nq2 Q0 d2 1 1.0 t\nq3 Q0 d3 1 1.0 t\n")
+        assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "ndcg@10\tq2\tskipped\nndcg@10\tq3\tskipped\n"
+        assert captured.out == "ndcg@10\tq1\t1.000000\nndcg@10\tmean\t1.000000\n"
 
     def test_end_to_end_eval_of_pipeline_run(self, dataset_dir, tmp_path, capsys):
         prefix = tmp_path / "e2e"
@@ -902,6 +924,22 @@ class TestAnalyzeCommand:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "gt_pse_overlap" in out
+
+    def test_query_without_a_judged_document_at_min_grade_is_skipped(self, dataset_dir,
+                                                                      tmp_path, capsys):
+        # only q0 keeps its judgments, so only q0 is reported
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("".join(line for line in dataset_dir["qrels"].read_text().splitlines(
+            keepends=True) if line.split()[0] == "q0"))
+        rc = main(["analyze", "--index", str(dataset_dir["index"]),
+                   "--corpus", str(dataset_dir["corpus"]),
+                   "--queries", str(dataset_dir["queries"]),
+                   "--cache", str(dataset_dir["cache"]), "--qrels", str(qrels),
+                   "--min-grade", "1"])
+        assert rc == EXIT_OK
+        reports, summary = capsys.readouterr().out.splitlines()
+        assert json.loads(reports)["query_id"] == "q0"
+        assert summary.endswith("(1 queries)")
 
     def test_cache_miss_exit_code_and_message(self, dataset_dir, tmp_path, capsys):
         empty_cache = tmp_path / "empty.jsonl"
@@ -1106,6 +1144,38 @@ class TestConfigFile:
         from_config = capsys.readouterr().out
         assert main([*args, *flags]) == EXIT_OK
         assert from_config == capsys.readouterr().out
+
+    def test_flag_beta_overrides_a_config_t(self, dataset_dir, tmp_path):
+        # explicit flags override the config: --beta runs adaptive weighting, not t = 2
+        inputs = ["--index", str(dataset_dir["index"]), "--queries", str(dataset_dir["queries"]),
+                  "--cache", str(dataset_dir["cache"])]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t": 2}))
+        runs = {name: tmp_path / f"{name}.run" for name in ("config", "beta", "t")}
+        assert main(["--config", str(cfg), "search", *inputs, "--beta", "0.05",
+                     "--out", str(runs["config"])]) == EXIT_OK
+        assert main(["search", *inputs, "--beta", "0.05", "--out", str(runs["beta"])]) == EXIT_OK
+        assert main(["search", *inputs, "--t", "2", "--out", str(runs["t"])]) == EXIT_OK
+        assert runs["config"].read_bytes() == runs["beta"].read_bytes()
+        assert runs["beta"].read_bytes() != runs["t"].read_bytes()
+        config = json.loads(Path(f"{runs['config']}.manifest.json").read_text())["config"]
+        assert (config["beta"], config["t"]) == (0.05, None)
+
+    def test_config_t_wins_over_config_beta(self, dataset_dir, tmp_path):
+        inputs = ["--index", str(dataset_dir["index"]), "--queries", str(dataset_dir["queries"]),
+                  "--cache", str(dataset_dir["cache"])]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t": 2, "beta": 0.05}))
+        assert main(["--config", str(cfg), "search", *inputs,
+                     "--out", str(tmp_path / "config.run")]) == EXIT_OK
+        assert main(["search", *inputs, "--t", "2", "--out", str(tmp_path / "t.run")]) == EXIT_OK
+        assert (tmp_path / "config.run").read_bytes() == (tmp_path / "t.run").read_bytes()
+
+    def test_malformed_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"k": 5')
+        assert main(["--config", str(cfg), "eval", "--run", "x", "--qrels", "y"]) == EXIT_FORMAT
+        assert capsys.readouterr().err.startswith("error: malformed config file: ")
 
     def test_config_not_an_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -53,8 +53,8 @@ def test_hand_counts():
 
 
 def test_duplicate_doc_id_rejected():
-    docs = [Document("d1", "", "x"), Document("d1", "", "y")]
-    with pytest.raises(ValueError, match="d1"):
+    docs = [Document("d1", "", "x"), Document("d2", "", "z"), Document("d1", "", "y")]
+    with pytest.raises(ValueError, match="^doc id 'd1' is repeated$"):
         build_index(docs)
 
 
@@ -510,6 +510,7 @@ def test_build_rejects_a_doc_id_a_run_file_cannot_hold(doc_id):
     # "cherry" read as "banana": BM25 for "banana" would rank d3, not d2
     ("term_bytes", b"cherry", b"banana", "term 'banana' is repeated"),
     ("doc_id_bytes", b"d1\nd2", b"d2\nd1", "doc ids do not ascend at 'd1'"),
+    ("doc_id_bytes", b"d1\nd2", b"d1\nd1", "doc id 'd1' is repeated"),
     ("term_bytes", b"pie", b"p\ne", "column 'dfs' has 4 entries, not the 5 terms of "
                                     "'term_bytes'"),  # one term too many
     ("doc_id_bytes", b"d2\nd3", b"d2d3", "column 'doc_digests' has 3 entries, not the 2 "
@@ -549,6 +550,33 @@ def test_column_of_the_wrong_length_is_named_with_both_counts(tmp_path, small_in
         np.savez(fh, **arrays)
     with pytest.raises(IndexFormatError, match=re.escape(problem)):
         load_index(tmp_path / "edited")
+
+
+def _edited_archive(tmp_path, small_index, **changes):
+    """The path of small_index's archive with some arrays replaced (None drops one)."""
+    save_index(small_index, tmp_path / "index")
+    with np.load(tmp_path / "index") as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    for name, value in changes.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+    with open(tmp_path / "edited", "wb") as fh:
+        np.savez(fh, **arrays)
+    return tmp_path / "edited"
+
+
+@pytest.mark.parametrize("changes, problem", [
+    ({"tf_values": None, "dfs_escapes": None}, "missing arrays: tf_values, dfs_escapes"),
+    ({"doc_digests": np.zeros((3, 1), dtype="<u8")},
+     "column 'doc_digests' has 2 dimensions, not 1"),
+    ({"field_policy": np.str_("title_only")}, "unknown field policy 'title_only'"),
+], ids=["missing-arrays", "2-d-column", "unknown-field-policy"])
+def test_archive_without_the_current_layout_is_rejected(tmp_path, small_index, changes,
+                                                        problem):
+    with pytest.raises(IndexFormatError, match=re.escape(problem)):
+        load_index(_edited_archive(tmp_path, small_index, **changes))
 
 
 def test_failed_save_leaves_previous_index(tmp_path, small_index, monkeypatch):

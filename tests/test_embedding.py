@@ -478,6 +478,20 @@ class TestRemoteEmbedder:
         assert str(got.value) == f"embedding service {http_stub.url}: {problem}"
 
 
+@pytest.mark.parametrize("reply, problem", [
+    (b"<html>busy</html>", "response body is not JSON: "),
+    ({"embeddings": {"0": [1.0] * 8}}, "'embeddings' is not a list"),
+    ({"embeddings": [[1.0] * 8, "eight"]}, "vector 1 is not a list of numbers: "),
+    ({"embeddings": [[1.0] * 8, [1.0, [2.0]] + [1.0] * 6]}, "vector 1 is not a list of numbers: "),
+], ids=["not-json", "embeddings-not-a-list", "vector-a-string", "vector-nested"])
+def test_remote_body_without_usable_vectors_rejected(http_stub, reply, problem):
+    http_stub.script = [(200, reply)]
+    with pytest.raises(ServiceError) as got:
+        RemoteEmbedder(http_stub.url, dimension=8).embed_batch(["a", "b"])
+    assert str(got.value).startswith(f"embedding service {http_stub.url}: {problem}")
+    assert http_stub.call_count == 1
+
+
 class TestRemoteEmbedderRetries:
     """Transport errors, 5xx and 429 are retried; any other 4xx fails at once."""
 

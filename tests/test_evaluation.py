@@ -165,6 +165,25 @@ class TestRunIO:
         with pytest.raises(ValueError, match=":1"):
             read_run(p)
 
+    def test_lines_read_in_score_order(self, tmp_path):
+        # Ranking promises non-increasing scores, whatever the file's order; ties keep it
+        p = tmp_path / "a.run"
+        p.write_text("q1 Q0 d2 1 1.0 t\nq2 Q0 d9 1 5.0 t\nq1 Q0 d1 2 3.0 t\n"
+                     "q1 Q0 d4 3 1.0 t\nq1 Q0 d3 4 -inf t\nq1 Q0 d5 5 1.0 t\n")
+        assert read_run(p) == [rk("q1", ("d1", 3.0), ("d2", 1.0), ("d4", 1.0), ("d5", 1.0),
+                                  ("d3", -math.inf)),
+                               rk("q2", ("d9", 5.0))]
+        qrels = {"q1": {"d1": 3, "d2": 1}}
+        assert ndcg_at_k(read_run(p)[0], qrels, 10) == 1.0  # 0.796708 in file order
+
+    @pytest.mark.parametrize("score", ["nan", "NaN", "-nan"])
+    def test_nan_score_rejected(self, tmp_path, score):
+        p = tmp_path / "a.run"
+        p.write_text(f"q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 {score} t\n")
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"a.run:2: non-numeric score {score!r}")):
+            read_run(p)
+
 
 class TestQueriesTsv:
     def test_parse(self, tmp_path):

@@ -168,6 +168,17 @@ class TestReferenceCache:
                                                              f"{problem}")):
             ReferenceCache(path)
 
+    @pytest.mark.parametrize("line, problem", [
+        ('{"query_id": "q1", "query": "q", "model": "m"}', "'references'"),
+        ('["q1", "q", "m"]', "list indices must be integers or slices, not str"),
+    ], ids=["key-missing", "not-an-object"])
+    def test_line_without_the_keys_names_the_line(self, tmp_path, line, problem):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{path}:1: corrupt cache line: {problem}")):
+            ReferenceCache(path)
+
     def test_reference_without_tokens_names_the_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         line = {"query_id": "q1", "query": "q", "model": "m", "references": ["  ", "r"]}
@@ -279,6 +290,17 @@ class TestGeneration:
         rs = generate_references(_client(stub_server), cache, "q1", "query", cfg)
         assert rs.references == ("fixed", "kept")
         assert stub_server.requests[1]["n"] == 1
+
+    @pytest.mark.parametrize("key", ["sk-test", ""])
+    def test_bearer_key_sent_exactly_when_its_variable_is_set(self, stub_server, monkeypatch,
+                                                              key):
+        monkeypatch.setenv("QB_TEST_KEY", key)
+        client = ChatCompletionClient(stub_server.url, api_key_env="QB_TEST_KEY")
+        client.complete("p", GenerationConfig(model_id="m", n=1), 1)
+        monkeypatch.delenv("QB_TEST_KEY")
+        client.complete("p", GenerationConfig(model_id="m", n=1), 1)
+        sent = [h.get("Authorization") for h in stub_server.request_headers]
+        assert sent == ([f"Bearer {key}"] if key else [None]) + [None]
 
     def test_prompt_sent_to_service(self, stub_server, tmp_path):
         cache = ReferenceCache(tmp_path / "c.jsonl")

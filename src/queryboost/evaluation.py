@@ -110,6 +110,8 @@ def _qrels_line(line: str) -> tuple[str, str, int]:
         raise ValueError(f"expected 4 fields, got {len(parts)}")
     query_id, _, doc_id, grade = parts
     try:
+        if "_" in grade or not grade.isascii():  # int() takes both, trec_eval neither
+            raise ValueError
         grade_val = int(grade)
     except ValueError as exc:
         raise ValueError(f"non-integer grade {grade!r}") from exc
@@ -121,7 +123,9 @@ def _qrels_line(line: str) -> tuple[str, str, int]:
 def read_qrels(path) -> Qrels:
     """Parse whitespace-separated qrels lines: query_id 0 doc_id grade.
 
-    A (query, doc) judged on two lines is a DataFormatError naming both.
+    A grade that is not a non-negative ASCII decimal integer (``1_0`` and
+    ``١`` are not) is a DataFormatError naming the line; a (query, doc)
+    judged on two lines is one naming both.
     """
     qrels: Qrels = {}
     for query_id, doc_id, grade in _read_doc_for_query_lines(path, _qrels_line):
@@ -145,8 +149,8 @@ def _run_line(line: str) -> tuple[str, str, float]:
     if len(parts) != 6:
         raise ValueError(f"expected 6 fields, got {len(parts)}")
     query_id, _, doc_id, _, score, _ = parts
-    try:
-        score_val = float(score)
+    try:  # as for a grade, an ASCII literal without underscores
+        score_val = float(score) if "_" not in score and score.isascii() else math.nan
     except ValueError:
         score_val = math.nan
     if math.isnan(score_val):  # nan cannot be ordered
@@ -158,8 +162,9 @@ def read_run(path) -> list[Ranking]:
     """Read a trec run file back into per-query rankings, in first-seen query order.
 
     Each query's lines are ordered by score, highest first; equal scores keep
-    their file order. A doc listed twice for one query, or a ``nan`` score, is
-    a DataFormatError naming the line (both lines for a repeat).
+    their file order. A doc listed twice for one query, or a score that is not
+    an ASCII float literal without underscores (``1_000``) or is ``nan``, is a
+    DataFormatError naming the line (both lines for a repeat).
     """
     by_query: dict[str, list[tuple[str, float]]] = {}
     for query_id, doc_id, score in _read_doc_for_query_lines(path, _run_line):

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import struct
 import zipfile
 from pathlib import Path
 
@@ -73,6 +74,25 @@ class TestIndexCommand:
         assert (f"error: {corpus}:2: text must be a string, not NoneType"
                 in capsys.readouterr().err)
         assert not (tmp_path / "i.npz").exists()
+
+    @pytest.mark.parametrize("field", ["_id", "title", "text"])
+    def test_lone_surrogate_exit_code_and_message(self, tmp_path, capsys, field):
+        # json.dumps writes the lone surrogate as the escape \\ud800, which JSON reads back
+        doc = {"_id": "d2", "title": "t", "text": "b", field: "alpha \ud800 beta"}
+        corpus = tmp_path / "surrogate.jsonl"
+        corpus.write_text(f'{{"_id": "d1", "text": "a"}}\n{json.dumps(doc)}\n')
+        rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "i.npz")])
+        assert rc == EXIT_FORMAT
+        assert (f"error: {corpus}:2: {field} does not encode as UTF-8: 'utf-8' codec can't "
+                f"encode character '\\ud800' in position 6: surrogates not allowed"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "i.npz").exists()
+
+    def test_surrogate_pair_escape_is_read(self, tmp_path):
+        corpus = tmp_path / "pair.jsonl"
+        corpus.write_text('{"_id": "d1", "text": "alpha \\ud83d\\ude00 beta \\\\ud800"}\n')
+        assert main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "i.npz")]) == 0
+        assert load_index(tmp_path / "i.npz").terms == ("alpha", "beta", "ud800")
 
     def test_failed_manifest_write_leaves_previous_manifest(self, dataset_dir, tmp_path,
                                                            monkeypatch):
@@ -449,6 +469,33 @@ class TestBadIndexFile:
         index.write_bytes(data)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
                               "truncated or corrupt: Bad CRC-32 for file 'tf_values.npy'")
+
+    @pytest.mark.parametrize("member", ["doc_id_bytes.npy", "term_bytes.npy"])
+    def test_flipped_bit_in_a_deflated_member(self, dataset_dir, tmp_path, capsys, member):
+        # one bit of each byte of the member's deflated data, bit 0 of the first byte,
+        # bit 1 of the second and so on: each flip exits 5 or inflates to the same
+        # strings, and an inflate error (a zlib.error) exits 5 too, not 1
+        data = dataset_dir["index"].read_bytes()
+        expected = load_index(dataset_dir["index"])
+        with zipfile.ZipFile(dataset_dir["index"]) as zf:
+            info = zf.getinfo(member)
+        assert info.compress_type == zipfile.ZIP_DEFLATED
+        # the data follows the 30-byte local header, the name and the extra field
+        name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+        start = info.header_offset + 30 + name_len + extra_len
+        index = tmp_path / "flipped.idx"
+        for i in range(start, start + info.compress_size):
+            flipped = bytearray(data)
+            flipped[i] ^= 1 << (i - start) % 8
+            index.write_bytes(flipped)
+            rc = self._search(dataset_dir, index, tmp_path)
+            err = capsys.readouterr().err
+            if rc == EXIT_OK:
+                loaded = load_index(index)
+                assert (loaded.doc_ids, loaded.terms) == (expected.doc_ids, expected.terms)
+            else:
+                assert rc == EXIT_FORMAT, (i - start, err)
+                assert "truncated or corrupt" in err, (i - start, err)
 
 
 class TestIndexCorpusMismatch:

@@ -3,6 +3,7 @@ import json
 import re
 import tempfile
 import weakref
+import zipfile
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -448,6 +449,42 @@ def test_saved_columns_hold_counts_and_only_the_tfs_above_1(tmp_path, small_inde
         assert arrays[name].dtype == arrays[f"{name}_escapes"].dtype == np.uint8, name
 
 
+def test_only_the_strings_are_deflated(tmp_path, small_index):
+    save_index(small_index, tmp_path / "index")
+    # each member as np.savez names it, in the order save_index writes them
+    dtypes = {"format_version": np.int64, "field_policy": "<U15", "doc_id_bytes": np.uint8,
+              "doc_digests": "<u8", "term_bytes": np.uint8,
+              **{f"{c}{e}": np.uint8 for c in ("dfs", "tf_positions", "tf_values",
+                                               "doc_ordinals") for e in ("", "_escapes")}}
+    with zipfile.ZipFile(tmp_path / "index") as zf:
+        assert zf.namelist() == [f"{name}.npy" for name in dtypes]
+        for name, dtype in dtypes.items():
+            deflated = name in ("doc_id_bytes", "term_bytes")
+            assert zf.getinfo(f"{name}.npy").compress_type == (
+                zipfile.ZIP_DEFLATED if deflated else zipfile.ZIP_STORED), name
+    with np.load(tmp_path / "index") as npz:
+        for name, dtype in dtypes.items():
+            assert npz[name].dtype == np.dtype(dtype), name
+
+
+@pytest.mark.parametrize("docs", [
+    [Document("d1", "", "cat sat"), Document("d2", "", "dog cat cat")],
+    [Document(f"é{i:03d}", "", f"ß{i % 7} w{i} x" + " y" * (i % 300)) for i in range(300)],
+], ids=["ascii", "non-ascii-uint16"])
+def test_index_stored_uncompressed_loads_the_same(tmp_path, docs):
+    """An index written with plain ``np.savez``, every member stored, loads as before."""
+    index = build_index(docs)
+    save_index(index, tmp_path / "index")
+    with np.load(tmp_path / "index") as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    with open(tmp_path / "stored", "wb") as fh:
+        np.savez(fh, **arrays)
+    with zipfile.ZipFile(tmp_path / "stored") as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
+    assert_index_equals(load_index(tmp_path / "stored"), columns(index))
+    assert_index_equals(load_index(tmp_path / "index"), columns(index))
+
+
 @pytest.mark.parametrize("dtype, top", [(np.uint8, 255), (np.uint16, 65535),
                                         (np.uint32, 65536)])
 def test_codec_round_trip_over_postings(tmp_path, dtype, top):
@@ -584,13 +621,20 @@ def test_failed_save_leaves_previous_index(tmp_path, small_index, monkeypatch):
     save_index(small_index, path)
     before = path.read_bytes()
 
-    def fail_midway(fh, **arrays):
-        fh.write(b"PK\x03\x04partial")
-        raise OSError("No space left on device")
+    write_array = np.lib.format.write_array
+    written = []
 
-    monkeypatch.setattr(np, "savez", fail_midway)
+    def fail_midway(fh, array, **kwargs):  # the fourth member is cut short
+        if len(written) == 3:
+            fh.write(b"\x93NUMPY partial")
+            raise OSError("No space left on device")
+        written.append(array)
+        write_array(fh, array, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail_midway)
     with pytest.raises(OSError, match="No space left"):
         save_index(build_index([Document("other", "", "dog")]), path)
+    assert len(written) == 3  # format_version, field_policy and the deflated doc ids
     assert [p.name for p in tmp_path.iterdir()] == ["index.idx"]
     assert path.read_bytes() == before
     assert_index_equals(load_index(path), columns(small_index))

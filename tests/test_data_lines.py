@@ -2,9 +2,10 @@
 
 Every line-oriented data file (corpus, queries, qrels, run and reference
 cache) is read by one rule: blank lines are skipped, CRLF reads as LF, a
-line that is not UTF-8 is named as ``path:line`` (exit 5 through the CLI),
-and a repeated key names both lines. The per-reader message tests live
-beside each reader's other tests.
+byte order mark that starts the file is dropped, a line that is not UTF-8
+is named as ``path:line`` (exit 5 through the CLI), and a repeated key
+names both lines. The per-reader message tests live beside each reader's
+other tests.
 """
 
 import json
@@ -93,6 +94,14 @@ class TestEveryReader:
         spaced.write_text("\u00a0\u3000\n" + "\n".join(lines) + "\n", encoding="utf-8")
         assert read(spaced) == read(plain)
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, reader):
+        _, lines, _, read, _ = READERS[reader]
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        marked.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read(marked) == read(plain)
+
     def test_byte_not_utf8_exits_5_naming_the_line(self, tmp_path, capsys, reader):
         name, lines, word, _, argv = READERS[reader]
         path = tmp_path / name
@@ -140,3 +149,19 @@ def test_byte_not_utf8_in_the_cache_keeps_its_message(tmp_path):
             f"{path}:1: corrupt cache line: 'utf-8' codec can't decode byte 0xff in "
             f"position {position}: invalid start byte")):
         ReferenceCache(path)
+
+
+def test_byte_order_mark_after_the_start_is_part_of_its_line(tmp_path):
+    path = tmp_path / "qrels.txt"
+    path.write_text("q1 0 d1 1\n\ufeffq2 0 d2 1\n", encoding="utf-8")
+    assert read_qrels(path) == {"q1": {"d1": 1}, "\ufeffq2": {"d2": 1}}
+
+
+def test_eval_of_qrels_with_a_byte_order_mark(tmp_path, capsys):
+    # with the mark read as part of 'q1', q1 scored 0 and was skipped: mean 0.5
+    run = _partner(tmp_path, "a.run", "q1 Q0 d1 1 1.0 t\nq2 Q0 d2 1 1.0 t\n")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("q1 0 d1 1\nq2 0 d2 1\n", encoding="utf-8-sig")
+    assert main(["eval", "--run", run, "--qrels", str(qrels)]) == 0
+    out = capsys.readouterr().out
+    assert "ndcg@10\tq1\t1.000000" in out and "ndcg@10\tmean\t1.000000" in out

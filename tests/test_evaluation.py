@@ -126,6 +126,20 @@ class TestQrelsIO:
         with pytest.raises(ValueError):
             read_qrels(p)
 
+    # int() reads each as a grade (10, 1, 1, 1); trec_eval-style readers reject them
+    @pytest.mark.parametrize("grade", ["1_0", "\u0661", "\uff11", "\u0660_1"])
+    def test_grade_with_underscore_or_non_ascii_digit_rejected(self, tmp_path, grade):
+        p = tmp_path / "qrels.txt"
+        p.write_text(f"q1 0 d7 1\nq1 0 d8 {grade}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"qrels.txt:2: non-integer grade {grade!r}")):
+            read_qrels(p)
+
+    def test_signed_ascii_grade_read(self, tmp_path):
+        p = tmp_path / "qrels.txt"
+        p.write_text("q1 0 d7 +2\nq1 0 d8 007\n")
+        assert read_qrels(p) == {"q1": {"d7": 2, "d8": 7}}
+
 
 class TestRunIO:
     def test_round_trip_order(self, tmp_path):
@@ -183,6 +197,22 @@ class TestRunIO:
         with pytest.raises(DataFormatError,
                            match=re.escape(f"a.run:2: non-numeric score {score!r}")):
             read_run(p)
+
+    # float() reads each as a number (1000.0, 1.5, 1.0); trec_eval-style readers do not
+    @pytest.mark.parametrize("score", ["1_000", "\u0661.5", "1.0_0"])
+    def test_score_with_underscore_or_non_ascii_digit_rejected(self, tmp_path, score):
+        p = tmp_path / "a.run"
+        p.write_text(f"q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 {score} t\n", encoding="utf-8")
+        with pytest.raises(DataFormatError,
+                           match=re.escape(f"a.run:2: non-numeric score {score!r}")):
+            read_run(p)
+
+    def test_ascii_float_literals_read(self, tmp_path):
+        p = tmp_path / "a.run"
+        p.write_text("q1 Q0 d1 1 1e3 t\nq1 Q0 d2 2 +2.5 t\nq1 Q0 d3 3 -.5 t\n"
+                     "q1 Q0 d4 4 -inf t\n")
+        assert read_run(p) == [rk("q1", ("d1", 1000.0), ("d2", 2.5), ("d3", -0.5),
+                                  ("d4", -math.inf))]
 
 
 class TestQueriesTsv:

@@ -103,16 +103,21 @@ def build_feedback_sets(i_bm25: list[tuple[str, float]],
     return FeedbackSets(positives=tuple(positives), negatives=tuple(negatives))
 
 
+@np.errstate(over="ignore")  # an overflow is reported below, naming alpha
 def calibrate(provider: EmbeddingProvider, query: str, fb: FeedbackSets,
               cfg: CalibrationConfig) -> np.ndarray:
     """(1/W) * (sum_r f(query + r) - alpha * sum_n f(n)).
 
     Positives are embedded with the query prefixed; negatives are embedded raw,
-    all in one ``embed_batch`` call.
+    all in one ``embed_batch`` call. A result that is not finite, as when alpha
+    times the negatives overflows, is a ValueError naming alpha.
     """
     n = len(fb.positives)
     vecs = provider.embed_batch([*(f"{query} {p}" for p in fb.positives), *fb.negatives])
     out = np.sum(vecs[:n], axis=0)
     if fb.negatives:
         out = out - cfg.alpha * np.sum(vecs[n:], axis=0)
-    return out / fb.w
+    out = out / fb.w
+    if not np.isfinite(out).all():
+        raise ValueError(f"calibrated embedding is not finite (alpha {cfg.alpha})")
+    return out

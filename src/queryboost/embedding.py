@@ -28,25 +28,32 @@ from queryboost.tokenizer import tokenize
 
 # Below this norm the squares of the components underflow, which loses precision
 # or reads a nonzero vector as zero (the square root of the smallest normal double).
+# Above the other a squared norm may overflow to inf, which would read every score
+# as 0; between them a product of two norms and every dot product stay finite and normal.
 _TINY_NORM = 1e-150
+_HUGE_NORM = 1e150
 
 
+@np.errstate(over="ignore")  # an overflowing squared norm is caught and rescaled below
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """u.v / (|u||v|), in [-1, 1]. Errors on zero vectors or dim mismatch."""
+    """u.v / (|u||v|), in [-1, 1]. Errors on zero or non-finite vectors or dim mismatch."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
-    if nu < _TINY_NORM or nv < _TINY_NORM:
+    if not (_TINY_NORM <= nu <= _HUGE_NORM and _TINY_NORM <= nv <= _HUGE_NORM):
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise ValueError("cosine similarity undefined for a non-finite component")
         su, sv = np.max(np.abs(u)), np.max(np.abs(v))
         if su == 0.0 or sv == 0.0:
             raise ValueError("cosine similarity undefined for zero vector")
-        return cosine_sim(u / su, v / sv)  # scale-invariant; both norms now >= 1
+        return cosine_sim(u / su, v / sv)  # scale-invariant; both norms now in [1, sqrt(d)]
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
+@np.errstate(over="ignore")
 def cosine_scores(u: np.ndarray, vectors) -> list[float]:
     """``[cosine_sim(u, v) for v in vectors]``, bit for bit, without its per-call overhead.
 
@@ -55,16 +62,18 @@ def cosine_scores(u: np.ndarray, vectors) -> list[float]:
     ``cosine_sim`` computes (``np.linalg.norm`` of a 1-D float64 array is
     ``sqrt(x.dot(x))``), with the division and the clip done on Python floats.
     A matrix-vector product would not do: it sums in another order and changes
-    the last bits of most rows. Rows with a tiny or zero norm, another shape or
-    another dtype go to ``cosine_sim``, which rescales them or raises.
+    the last bits of most rows. Rows with a tiny, zero, huge or non-finite norm,
+    another shape or another dtype go to ``cosine_sim``, which rescales them or
+    raises; so does every row if ``u``'s norm is one of those.
     """
     u = np.asarray(u, dtype=np.float64)
     nu = math.sqrt(u.dot(u))
+    u_in_range = _TINY_NORM <= nu <= _HUGE_NORM
     scores = []
     for v in vectors:
         if type(v) is np.ndarray and v.dtype == np.float64 and v.shape == u.shape:
             nv = math.sqrt(v.dot(v))
-            if nu >= _TINY_NORM and nv >= _TINY_NORM:
+            if u_in_range and _TINY_NORM <= nv <= _HUGE_NORM:
                 s = float(u.dot(v)) / (nu * nv)
                 scores.append(-1.0 if s < -1.0 else 1.0 if s > 1.0 else s)
                 continue

@@ -80,7 +80,10 @@ def evaluate_run(run: list[Ranking], qrels: Qrels, k: int,
     """Mean nDCG@k over queries with at least one positive judgment.
 
     Queries without positive judgments are skipped and listed, not scored 0.
+    A k below 1 is a ValueError even when no query is judged.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     per_query: dict[str, float] = {}
     skipped: list[str] = []
     for ranking in run:

@@ -5,20 +5,12 @@ top-k candidates with BM25, rerank those candidates with the pooled query
 embedding, then calibrate the embedding with relevance feedback and rank once
 more. All three rankings are kept for analysis.
 
-Each ``run_pipeline`` or ``run_query_pipeline`` call wraps its provider in an
-``EmbeddingMemo`` for that call, unless it is handed one (``sweep`` hands all
-its points one memo). The memo holds every distinct text the call embeds:
-document texts, pooled query texts and feedback texts. Each stage embeds its
-texts in one batch, and only texts the memo has not seen reach the provider.
-Right after BM25 each candidate's text is built once, as BM25 indexed it
-(under the index's ``field_policy``), into one map from doc id to text that
-every dense stage reads, and the memo is asked to add their
-vectors (``EmbeddingMemo.add_documents``). A ``HashingEmbedder`` reads them
-from the bucket counts it keeps for the index, counted from the postings on
-first use, bit for bit as from the text, so rerank, the final rank and
-calibration's negatives find every document in the memo and no document text
-reaches the provider. Any other provider (one without ``embed_documents``)
-embeds the document texts as before.
+Each ``run_pipeline`` or ``run_query_pipeline`` call embeds through one
+``EmbeddingMemo`` (see ``embedding``), unless it is handed one (``sweep`` hands
+all its points one memo). Right after BM25 each candidate's text is built once,
+as BM25 indexed it (under the index's ``field_policy``), into one map from doc
+id to text that every dense stage reads, and handed to
+``EmbeddingMemo.add_documents``.
 """
 
 from dataclasses import dataclass, field, asdict, replace
@@ -120,17 +112,17 @@ def run_pipeline(queries: list[tuple[str, str]], index: InvertedIndex,
     """Run the pipeline over a query set using cached references.
 
     Each query gets ``cached_references(..., n_refs)``: with 0, none (the
-    no-expansion baseline). One ``EmbeddingMemo`` serves all queries: the
-    provider if it is one, else a new one.
+    no-expansion baseline). Every query's references are looked up before the
+    first query runs, so a missing or stale entry fails before any embedding.
+    One ``EmbeddingMemo`` serves all queries: the provider if it is one, else a
+    new one.
     """
+    all_refs = [cached_references(cache, query_id, query, model_id, n_refs)
+                for query_id, query in queries]
     if not isinstance(provider, EmbeddingMemo):
         provider = EmbeddingMemo(provider)
-    results = []
-    for query_id, query in queries:
-        refs = cached_references(cache, query_id, query, model_id, n_refs)
-        results.append(run_query_pipeline(query_id, query, index, doc_store,
-                                          provider, refs, cfg))
-    return results
+    return [run_query_pipeline(query_id, query, index, doc_store, provider, refs, cfg)
+            for (query_id, query), refs in zip(queries, all_refs)]
 
 
 @dataclass

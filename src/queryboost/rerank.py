@@ -10,13 +10,8 @@ only in the texts whose vectors ``embed_query`` averages:
 - contex_pool: each (query + reference) pair.
 
 ``rerank`` takes the candidates as doc id -> text, the text BM25 indexed, and
-embeds them in one ``embed_batch`` call. Inside the pipeline the provider is
-an ``EmbeddingMemo`` that lives for one ``run_pipeline`` or
-``run_query_pipeline`` call and holds every distinct text that call embeds, so
-a document shared by several queries or stages reaches the underlying provider
-once per call. With a ``HashingEmbedder`` the memo already holds every
-candidate's vector when ``rerank`` runs (``EmbeddingMemo.add_documents``), so
-no document text reaches the provider.
+embeds them in one ``embed_batch`` call; inside the pipeline that call goes
+through the pipeline's ``EmbeddingMemo``.
 """
 
 import numpy as np

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 import zipfile
 from pathlib import Path
 
@@ -665,6 +666,21 @@ class TestPipelineCommand:
         assert rc == EXIT_OK
         for stage in ("bm25", "pre", "post"):
             assert (tmp_path / f"out.{stage}.run").exists()
+        # a title on every document, indexed text_only, changes no ranking: every stage
+        # reads the text BM25 indexed, so the three run files are the untitled ones
+        titled = tmp_path / "titled.jsonl"
+        titled.write_text("".join(
+            json.dumps({**doc, "title": f"title of {doc['_id']}"}) + "\n"
+            for doc in map(json.loads, dataset_dir["corpus"].read_text().splitlines())))
+        assert main(["index", "--corpus", str(titled), "--out", str(tmp_path / "titled.npz"),
+                     "--field-policy", "text_only"]) == EXIT_OK
+        assert main(["pipeline", "--index", str(tmp_path / "titled.npz"),
+                     "--corpus", str(titled), "--queries", str(dataset_dir["queries"]),
+                     "--cache", str(dataset_dir["cache"]),
+                     "--out-prefix", str(tmp_path / "titled")]) == EXIT_OK
+        for stage in ("bm25", "pre", "post"):
+            assert ((tmp_path / f"titled.{stage}.run").read_bytes()
+                    == (tmp_path / f"out.{stage}.run").read_bytes()), stage
 
     def test_retrieve_k_below_eval_k(self, dataset_dir, tmp_path):
         # pipeline evaluates nothing either: a retrieve-k under sweep's eval-k is fine
@@ -709,6 +725,36 @@ class TestPipelineCommand:
                    "--out-prefix", str(tmp_path / "o")])
         assert rc == EXIT_USAGE
         assert (f"error: embedding seed must be an integer in [0, 2**64), got {seed}"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("alpha", ["1e200", "1e308"])
+    def test_alpha_whose_calibrated_norm_overflows_ranks_as_a_large_one(
+            self, default_dataset_dir, tmp_path, capsys, alpha):
+        # the calibrated embedding's squared norm overflows (past about 1e154), which
+        # cosine must rescale, not read as a score of 0 for every document
+        inputs = [a for name in INPUTS["pipeline"]
+                  for a in (f"--{name}", str(default_dataset_dir[name]))]
+        means = []
+        for value in ("1e150", alpha):
+            prefix = tmp_path / value
+            assert main(["pipeline", *inputs, "--alpha", value,
+                         "--out-prefix", str(prefix)]) == EXIT_OK
+            capsys.readouterr()
+            assert main(["eval", "--run", f"{prefix}.post.run",
+                         "--qrels", str(default_dataset_dir["qrels"])]) == EXIT_OK
+            means.append(capsys.readouterr().out.splitlines()[-1])
+        assert means == ["ndcg@10\tmean\t0.878595"] * 2
+
+    def test_alpha_that_overflows_the_calibrated_embedding_exit_code_and_message(
+            self, default_dataset_dir, tmp_path, capsys):
+        # alpha times a negative's largest component (1.32 on this set) is past any double
+        alpha = repr(sys.float_info.max)
+        inputs = [a for name in INPUTS["pipeline"]
+                  for a in (f"--{name}", str(default_dataset_dir[name]))]
+        rc = main(["pipeline", *inputs, "--alpha", alpha, "--out-prefix", str(tmp_path / "o")])
+        assert rc == EXIT_USAGE
+        assert (f"error: calibrated embedding is not finite (alpha {alpha})\n"
                 in capsys.readouterr().err)
         assert not list(tmp_path.iterdir())
 
@@ -815,12 +861,18 @@ _RANGES = {"k1": "[0, inf)", "b": "[0, 1]", "beta": "(0, inf)", "alpha": "[0, in
                  id="max_tokens=0"),
     pytest.param("pipeline", {"provider": "remote", "dimension": 0},
                  "dimension must be >= 1, got 0", id="remote-dimension=0"),
+    pytest.param("eval", {"k": 0}, "k must be >= 1, got 0", id="eval-k=0"),
+    pytest.param("eval", {"k": -3}, "k must be >= 1, got -3", id="eval-k=-3"),
 ])
 def test_setting_out_of_range_exit_code_and_message(dataset_dir, http_stub, tmp_path, capsys,
                                                     source, command, settings, message):
-    out = tmp_path / "out"
-    out.mkdir()
-    argv = TestDeclaredInputs.argv(command, dataset_dir, out)
+    out = tmp_path / "new" / "out"  # no command makes its output's directory before it fails
+    paths = dataset_dir
+    if command == "eval":  # no query is judged relevant, so only k's own check can fail
+        paths = {"run": tmp_path / "a.run", "qrels": tmp_path / "qrels.txt"}
+        paths["run"].write_text("qx Q0 d1 1 1.0 t\n")
+        paths["qrels"].write_text("qx 0 d1 0\n")
+    argv = TestDeclaredInputs.argv(command, paths, out)
     # a service the command would ask is the stub, which must get no request
     argv += {"generate": ["--endpoint", http_stub.url],
              "pipeline": ["--embed-endpoint", http_stub.url]}.get(command, [])
@@ -834,7 +886,7 @@ def test_setting_out_of_range_exit_code_and_message(dataset_dir, http_stub, tmp_
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert f"error: {message}\n" in captured.err
-    assert captured.out == "" and not list(out.iterdir())
+    assert captured.out == "" and not out.parent.exists()
     assert http_stub.requests == []
 
 

@@ -63,6 +63,22 @@ class TestCosine:
         with pytest.raises(ValueError):
             cosine_sim(np.zeros(2), np.array([1e-170, 0.0]))
 
+    def test_huge_vectors(self):
+        # the squares of these components overflow to inf
+        u = np.array([1.0, 2.0, 3.0])
+        assert cosine_sim(u, u * 1e200) == pytest.approx(1.0)
+        assert cosine_sim(-u * 1e200, u * 1e300) == pytest.approx(-1.0)
+        assert cosine_scores(u, [u * 1e200, -u]) == pytest.approx([1.0, -1.0])
+        assert cosine_scores(u * 1e200, [u]) == pytest.approx([1.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_component_rejected(self, bad):
+        for u, v in ((np.array([1.0, bad]), np.ones(2)), (np.ones(2), np.array([bad, 1.0]))):
+            with pytest.raises(ValueError, match="non-finite component"):
+                cosine_sim(u, v)
+            with pytest.raises(ValueError, match="non-finite component"):
+                cosine_scores(u, [v])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cosine_sim(np.ones(3), np.ones(4))
@@ -95,14 +111,17 @@ _COMPONENTS = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.int
 def _query_and_rows(draw):
     d = draw(st.integers(1, 8))
     vec = st.lists(_COMPONENTS, min_size=d, max_size=d).map(np.array)
-    u = draw(vec) * draw(st.sampled_from([1.0, 1e-170]))
+    u = draw(vec) * draw(st.sampled_from([1.0, 1e-170, 1e170]))
     rows = []
-    for kind in draw(st.lists(st.sampled_from(["any", "near_u", "tiny", "list"]), max_size=8)):
+    for kind in draw(st.lists(st.sampled_from(["any", "near_u", "tiny", "huge", "list"]),
+                              max_size=8)):
         if kind == "near_u":  # cosines at the clip edges, +1 and -1
             scale = draw(st.sampled_from([1.0, -1.0, 3.0, -0.7, 1e-3]))
             v = u * scale + draw(vec) * draw(st.sampled_from([0.0, 1e-17, 1e-12]))
         elif kind == "tiny":  # squares underflow: cosine_sim's rescaling branch
             v = draw(vec) * 1e-170
+        elif kind == "huge":  # squares overflow: the same branch
+            v = draw(vec) * 1e170
         else:
             v = draw(vec)
         rows.append(v.tolist() if kind == "list" else v)

@@ -9,7 +9,8 @@ from queryboost.calibration import CalibrationConfig
 from queryboost.corpus import FIELD_POLICIES, Document, build_index, load_index, save_index
 from queryboost.embedding import EmbeddingMemo, HashingEmbedder
 from queryboost.evaluation import evaluate_run, write_run
-from queryboost.generation import ReferenceCache, ReferenceSet, StaleReferencesError
+from queryboost.generation import (CacheMissError, ReferenceCache, ReferenceSet,
+                                   StaleReferencesError)
 from queryboost.pipeline import (PipelineConfig, format_sweep_table, keyword_overlap,
                                  run_pipeline, run_query_pipeline, sweep,
                                  top_idf_tokens)
@@ -138,6 +139,25 @@ class TestRunPipeline:
                          cfg)
         assert run_pipeline([("q1", "apple fruit")], index, store, embedder, cache, "m",
                             cfg)[0].bm25.items[0][0] == "d1"
+
+    @pytest.mark.parametrize("fault", ["missing", "stale", "missing-service-down"])
+    def test_every_reference_is_looked_up_before_the_first_query_runs(
+            self, synthetic_dataset, counting, fault):
+        # only the last query's entry is bad: no query is embedded, and a miss wins
+        # over a service fault that the first query would have met
+        ds = synthetic_dataset
+        index, store, refs = _synthetic_run(ds)
+        last_id = ds.queries[-1][0]
+        queries = ds.queries
+        if fault == "stale":
+            queries = [*ds.queries[:-1], (last_id, "rocket launch")]
+        else:
+            del refs[last_id]
+        counting.fail = fault == "missing-service-down"
+        with pytest.raises(StaleReferencesError if fault == "stale" else CacheMissError,
+                           match=f"query {last_id!r}"):
+            run_pipeline(queries, index, store, counting, _Cache(refs), "m", PipelineConfig())
+        assert counting.calls == []
 
 
 class TestKeywordOverlap:

@@ -118,11 +118,11 @@ def cmd_generate(args, queries) -> list:
 def cmd_search(args, index, queries, cache) -> list:
     cfg = _sparse_config(args)
 
-    run = []
-    for query_id, query in queries:
-        refs = cached_references(cache, query_id, query, args.model)
-        run.append(Ranking(query_id=query_id,
-                           items=tuple(sparse_ranking(query, refs, index, cfg))))
+    # every lookup before the first BM25, so a bad entry fails before any search
+    all_refs = [cached_references(cache, query_id, query, args.model)
+                for query_id, query in queries]
+    run = [Ranking(query_id=query_id, items=tuple(sparse_ranking(query, refs, index, cfg)))
+           for (query_id, query), refs in zip(queries, all_refs)]
     write_run(args.out, run, tag=args.tag)
     log.info("wrote sparse run for %d queries -> %s", len(run), args.out)
     return [args.out]

@@ -448,10 +448,9 @@ def save_index(index: InvertedIndex, path) -> None:
     dtype. ``doc_lengths`` is not stored: each is the sum of a document's tfs.
     Doc ids and terms are stored as their ``"\n".join`` in UTF-8
     (``doc_id_bytes``, ``term_bytes``). Each array is one ``<name>.npy``
-    member, as ``np.savez`` writes it; those two members are deflated at level
-    ``_DEFLATE_LEVEL``, and every other member is stored and streamed, with no
-    copy. It is written through ``atomic_write``, so a failed write leaves any
-    previous index intact.
+    member, written whole: those two members deflated at level
+    ``_DEFLATE_LEVEL``, every other member stored. It is written through
+    ``atomic_write``, so a failed write leaves any previous index intact.
     """
     doc_id_bytes, term_bytes = (np.frombuffer("\n".join(s).encode("utf-8"), dtype=np.uint8)
                                 for s in (index.doc_ids, index.terms))
@@ -471,16 +470,13 @@ def save_index(index: InvertedIndex, path) -> None:
               "field_policy": np.array(index.field_policy),
               "doc_id_bytes": doc_id_bytes, "doc_digests": index.doc_digests,
               "term_bytes": term_bytes, **coded}
-    with atomic_write(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as zf:
+    with (atomic_write(path, binary=True) as fh,
+          zipfile.ZipFile(fh, "w", compresslevel=_DEFLATE_LEVEL) as zf):
         for name, values in arrays.items():
-            if name in _DEFLATED:
-                npy = io.BytesIO()
-                np.lib.format.write_array(npy, values, allow_pickle=False)
-                zf.writestr(f"{name}.npy", npy.getvalue(), compress_type=zipfile.ZIP_DEFLATED,
-                            compresslevel=_DEFLATE_LEVEL)
-            else:  # as np.savez writes a member
-                with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
-                    np.lib.format.write_array(member, values, allow_pickle=False)
+            npy = io.BytesIO()
+            np.lib.format.write_array(npy, values, allow_pickle=False)
+            zf.writestr(f"{name}.npy", npy.getbuffer(),
+                        zipfile.ZIP_DEFLATED if name in _DEFLATED else zipfile.ZIP_STORED)
 
 
 # Columns stored one byte per entry, each with its escape column (see _escaped).

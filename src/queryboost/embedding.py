@@ -91,6 +91,23 @@ class EmbeddingProvider(Protocol):
     def embed_batch(self, texts: list[str]) -> list[np.ndarray]: ...
 
 
+class _Buckets(dict):
+    """token -> bucket, fixed by a seed and a dimension; looking up a new token hashes it."""
+
+    def __init__(self, seed: int, dimension: int):
+        self._keyed = hashlib.blake2b(key=seed.to_bytes(8, "little"), digest_size=8)
+        self._dimension = dimension
+
+    def digest(self, token: str) -> bytes:
+        hasher = self._keyed.copy()  # keyed once; each token is hashed by a copy
+        hasher.update(token.encode("utf-8"))
+        return hasher.digest()
+
+    def __missing__(self, token: str) -> int:
+        self[token] = bucket = int.from_bytes(self.digest(token), "little") % self._dimension
+        return bucket
+
+
 class HashingEmbedder:
     """Deterministic bag-of-tokens embedder: hash tokens into d buckets, L2-normalize.
 
@@ -110,23 +127,9 @@ class HashingEmbedder:
             raise ValueError(f"embedding seed must be an integer in [0, 2**64), got {seed!r}")
         self.dimension = dimension
         self.seed = seed
-        # keyed once; each token is hashed by a copy of this hasher
-        self._keyed = hashlib.blake2b(key=seed.to_bytes(8, "little"), digest_size=8)
-        self._buckets: dict[str, int] = {}  # token -> bucket; fixed by seed and dimension
+        self._buckets = _Buckets(seed, dimension)
         # index -> (counts, norms); an entry goes as soon as its index is freed
         self._tables = weakref.WeakKeyDictionary()
-
-    def _digest(self, token: str) -> bytes:
-        hasher = self._keyed.copy()
-        hasher.update(token.encode("utf-8"))
-        return hasher.digest()
-
-    def _bucket(self, token: str) -> int:
-        bucket = self._buckets.get(token)
-        if bucket is None:
-            bucket = int.from_bytes(self._digest(token), "little") % self.dimension
-            self._buckets[token] = bucket
-        return bucket
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_batch([text])[0]
@@ -140,16 +143,10 @@ class HashingEmbedder:
         token_lists = [tokenize(t) for t in texts]
         if not all(token_lists):
             raise ValueError("cannot embed text with no tokens")
-        tokens = list(chain.from_iterable(token_lists))
-        try:
-            buckets = np.fromiter(map(self._buckets.__getitem__, tokens),
-                                  dtype=np.int64, count=len(tokens))
-        except KeyError:  # a token not seen before: hash the ones missing
-            buckets = np.fromiter(map(self._bucket, tokens), dtype=np.int64,
-                                  count=len(tokens))
         n, d = len(texts), self.dimension
         keys = np.repeat(np.arange(0, n * d, d), list(map(len, token_lists)))
-        keys += buckets
+        keys += np.fromiter(map(self._buckets.__getitem__, chain.from_iterable(token_lists)),
+                            dtype=np.int64, count=len(keys))
         counts = np.bincount(keys, minlength=n * d).reshape(n, d).astype(np.float64)
         counts /= np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]
         return list(counts)
@@ -169,7 +166,7 @@ class HashingEmbedder:
         table = self._tables.get(index)
         if table is not None:
             return table
-        digests = np.frombuffer(b"".join(map(self._digest, index.terms)), dtype="<u8")
+        digests = np.frombuffer(b"".join(map(self._buckets.digest, index.terms)), dtype="<u8")
         term_buckets = (digests % self.dimension).astype(np.min_scalar_type(self.dimension - 1))
         dtype = np.min_scalar_type(int(index.doc_lengths.max(initial=0)))
         counts = np.zeros((index.num_docs, self.dimension), dtype=dtype)

@@ -52,12 +52,16 @@ def config_fingerprint(config: dict) -> str:
 
 
 def _gain(grade: int, exponential: bool) -> float:
-    return float(2 ** grade - 1) if exponential else float(grade)
+    """r or 2^r - 1 as a float (ldexp never builds 2^r as an int); OverflowError past it."""
+    return math.ldexp(1.0, grade) - 1.0 if exponential else float(grade)
 
 
 def ndcg_at_k(ranking: Ranking, qrels: Qrels, k: int,
               exponential_gain: bool = False) -> float:
-    """DCG@k / IDCG@k with gain(r) = r (or 2^r - 1) and log2(i+1) discount."""
+    """DCG@k / IDCG@k with gain(r) = r (or 2^r - 1) and log2(i+1) discount.
+
+    A gain or a DCG that overflows a float is a ValueError naming the query.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     grades = qrels.get(ranking.query_id, {})
@@ -66,11 +70,16 @@ def ndcg_at_k(ranking: Ranking, qrels: Qrels, k: int,
         raise ValueError(
             f"query {ranking.query_id!r} has no positive relevance judgments")
 
-    dcg = 0.0
-    for i, (doc_id, _) in enumerate(ranking.items[:k], start=1):
-        dcg += _gain(grades.get(doc_id, 0), exponential_gain) / math.log2(i + 1)
-    idcg = sum(_gain(g, exponential_gain) / math.log2(i + 1)
-               for i, g in enumerate(positive[:k], start=1))
+    try:
+        dcg = 0.0
+        for i, (doc_id, _) in enumerate(ranking.items[:k], start=1):
+            dcg += _gain(grades.get(doc_id, 0), exponential_gain) / math.log2(i + 1)
+        idcg = sum(_gain(g, exponential_gain) / math.log2(i + 1)
+                   for i, g in enumerate(positive[:k], start=1))
+    except OverflowError:
+        dcg = idcg = math.inf
+    if not (math.isfinite(dcg) and math.isfinite(idcg)):
+        raise ValueError(f"query {ranking.query_id!r}: a gain or the DCG overflows a float")
     return dcg / idcg
 
 

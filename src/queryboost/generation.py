@@ -219,8 +219,8 @@ class ChatCompletionClient:
         """Request n completions for one prompt.
 
         The request is retried as ``service.post_json`` does. A body that is not
-        JSON, has no ``choices`` list of messages, or holds a content that is not
-        a string raises ServiceError at once.
+        JSON, has no ``choices`` list of messages, holds a content that is not
+        a string or other than n of them raises ServiceError at once.
         """
         payload = {
             "model": cfg.model_id,
@@ -239,6 +239,8 @@ class ChatCompletionClient:
             raise self._error("response body has no 'choices' list of messages") from exc
         if not all(isinstance(c, str) for c in contents):
             raise self._error("a message's content is not a string")
+        if len(contents) != n:
+            raise self._error(f"returned {len(contents)} completions for n={n}")
         return contents
 
     def _error(self, problem: str) -> ServiceError:
@@ -261,7 +263,7 @@ def generate_references(client: ChatCompletionClient, cache: ReferenceCache,
         for i, text in enumerate(completions):
             if not has_tokens(text):
                 completions[i] = client.complete(prompt, cfg, 1)[0].strip()
-    if not all(map(has_tokens, completions)) or len(completions) != cfg.n:
+    if not all(map(has_tokens, completions)):
         raise ServiceError(
             "chat service", client.endpoint,
             f"query {query_id!r}: got {sum(map(has_tokens, completions))}/{cfg.n} "

@@ -25,10 +25,18 @@ from queryboost.rerank import STRATEGIES, embed_query, rerank
 from queryboost.sparse import BM25Params, ReweightConfig, bm25_search, build_sparse_query, idf
 from queryboost.tokenizer import tokenize
 
-SWEEP_AXES = ("beta", "t", "alpha", "n_refs", "strategy")
-# the values each numeric axis takes as they are, never rounded or converted
-_AXIS_VALUES = {"beta": (Real, "a finite number"), "alpha": (Real, "a finite number"),
-                "t": (Integral, "an integer"), "n_refs": (Integral, "an integer")}
+# axis -> (the type its values must have as they are, its name, (base, value) -> (config, n_refs))
+_AXES = {
+    "beta": (Real, "a finite number", lambda base, v: (
+        replace(base, reweight=ReweightConfig.adaptive(beta=float(v))), None)),
+    "t": (Integral, "an integer", lambda base, v: (
+        replace(base, reweight=ReweightConfig.constant(t=int(v))), None)),
+    "alpha": (Real, "a finite number", lambda base, v: (
+        replace(base, calibration=replace(base.calibration, alpha=float(v))), None)),
+    "n_refs": (Integral, "an integer", lambda base, v: (base, int(v))),
+    "strategy": (str, "a string", lambda base, v: (replace(base, strategy=v), None)),
+}
+SWEEP_AXES = tuple(_AXES)
 # The final rank is a rerank by the calibrated embedding; perfbench times it under this name.
 final_rank = rerank
 
@@ -168,21 +176,6 @@ def keyword_overlap(query: str, refs: ReferenceSet, gt_docs: list[Document],
         gt_query_overlap=len(set(gt_top) & set(q_tokens)))
 
 
-def _config_for_value(base: PipelineConfig, axis: str, value) -> tuple[PipelineConfig, int | None]:
-    """Derive the pipeline config (and reference count) for one sweep point."""
-    if axis == "beta":
-        return replace(base, reweight=ReweightConfig.adaptive(beta=float(value))), None
-    if axis == "t":
-        return replace(base, reweight=ReweightConfig.constant(t=int(value))), None
-    if axis == "alpha":
-        return replace(base, calibration=replace(base.calibration, alpha=float(value))), None
-    if axis == "strategy":
-        return replace(base, strategy=str(value)), None
-    if axis == "n_refs":
-        return base, int(value)
-    raise ValueError(f"unknown sweep axis: {axis!r} (expected one of {SWEEP_AXES})")
-
-
 def sweep(axis: str, values: list, base_cfg: PipelineConfig,
           index: InvertedIndex, doc_store: dict[str, Document],
           provider: EmbeddingProvider, cache: ReferenceCache, model_id: str,
@@ -190,22 +183,23 @@ def sweep(axis: str, values: list, base_cfg: PipelineConfig,
           eval_k: int = 10) -> list[tuple[object, EvalReport]]:
     """nDCG@eval_k of the final ranking at each value along one ablation axis.
 
-    An eval_k outside [1, retrieve_k], a value the axis does not take as it is
-    (1.5 on ``t``, a string or a bool on ``beta``) or one out of range (-1 on
-    ``t`` or ``n_refs``, NaN on ``alpha``, an unknown strategy) is a
-    ValueError before the first point runs. One ``EmbeddingMemo`` serves every
-    point, so a text that several points embed reaches the provider once.
+    An unknown axis, an eval_k outside [1, retrieve_k], a value the axis does
+    not take as it is (1.5 on ``t``, a string or a bool on ``beta``) or one out
+    of range (-1 on ``t`` or ``n_refs``, NaN on ``alpha``, an unknown strategy)
+    is a ValueError before the first point runs. One ``EmbeddingMemo`` serves
+    every point, so a text that several points embed reaches the provider once.
     """
     if eval_k < 1:
         raise ValueError(f"eval_k must be >= 1, got {eval_k}")
     if base_cfg.retrieve_k < eval_k:
         raise ValueError(f"retrieve_k ({base_cfg.retrieve_k}) must be >= eval_k ({eval_k})")
-    if axis in _AXIS_VALUES:
-        kind, wanted = _AXIS_VALUES[axis]
-        for value in values:
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ValueError(f"sweep axis {axis!r} takes {wanted}, not {value!r}")
-    points = [(value, *_config_for_value(base_cfg, axis, value)) for value in values]
+    if axis not in _AXES:
+        raise ValueError(f"unknown sweep axis: {axis!r} (expected one of {SWEEP_AXES})")
+    kind, wanted, point = _AXES[axis]
+    for value in values:
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"sweep axis {axis!r} takes {wanted}, not {value!r}")
+    points = [(value, *point(base_cfg, value)) for value in values]
     if axis == "n_refs":  # fail before the first point, not midway
         for query_id, query in queries:
             for n_refs in (min(values), max(values)):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from queryboost import cli, files
+from queryboost import cli, files, pipeline
 from queryboost.cli import (EXIT_CACHE_MISS, EXIT_ERROR, EXIT_FORMAT, EXIT_MISMATCH,
                             EXIT_MISSING_FILE, EXIT_OK, EXIT_USAGE, _pipeline_config,
                             build_parser, main, write_manifest)
@@ -604,6 +604,25 @@ class TestSearchCommand:
                    "--out", str(tmp_path / "x.run")])
         assert rc == EXIT_CACHE_MISS
 
+    def test_cache_missing_the_last_query_runs_no_search(self, dataset_dir, tmp_path, capsys,
+                                                         monkeypatch):
+        last_id = dataset_dir["queries"].read_text().splitlines()[-1].split("\t")[0]
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("".join(
+            line for line in dataset_dir["cache"].read_text().splitlines(keepends=True)
+            if json.loads(line)["query_id"] != last_id))
+        searches = []
+        bm25_search = pipeline.bm25_search
+        monkeypatch.setattr(pipeline, "bm25_search",
+                            lambda *a: searches.append(a) or bm25_search(*a))
+        rc = main(["search", "--index", str(dataset_dir["index"]),
+                   "--queries", str(dataset_dir["queries"]), "--cache", str(cache),
+                   "--out", str(tmp_path / "x.run")])
+        assert rc == EXIT_CACHE_MISS
+        assert f"no cached references for query {last_id!r}" in capsys.readouterr().err
+        assert searches == []  # every lookup comes before the first BM25
+        assert not (tmp_path / "x.run").exists()
+
     @pytest.mark.parametrize("references", ["one string", [1, 2]])
     def test_cached_references_not_a_list_of_strings_exit_code(self, dataset_dir, tmp_path,
                                                                capsys, references):
@@ -681,6 +700,20 @@ class TestPipelineCommand:
         for stage in ("bm25", "pre", "post"):
             assert ((tmp_path / f"titled.{stage}.run").read_bytes()
                     == (tmp_path / f"out.{stage}.run").read_bytes()), stage
+
+    @pytest.mark.parametrize("flag, value", [("--negatives", "0"), ("--k-reciprocal", "1")])
+    def test_calibration_flag_changes_the_post_run(self, default_dataset_dir, tmp_path,
+                                                   flag, value):
+        # the default set, since dataset_dir gives no query a calibration negative
+        inputs = [a for name in INPUTS["pipeline"]
+                  for a in (f"--{name}", str(default_dataset_dir[name]))]
+        assert main(["pipeline", *inputs, "--out-prefix", str(tmp_path / "default")]) == EXIT_OK
+        assert main(["pipeline", *inputs, flag, value,
+                     "--out-prefix", str(tmp_path / "flag")]) == EXIT_OK
+        runs = {stage: [(tmp_path / f"{prefix}.{stage}.run").read_text()
+                        for prefix in ("default", "flag")] for stage in ("bm25", "pre", "post")}
+        assert runs["bm25"][0] == runs["bm25"][1] and runs["pre"][0] == runs["pre"][1]
+        assert runs["post"][0] != runs["post"][1]
 
     def test_retrieve_k_below_eval_k(self, dataset_dir, tmp_path):
         # pipeline evaluates nothing either: a retrieve-k under sweep's eval-k is fine
@@ -923,18 +956,24 @@ class TestEmbeddingServiceFaults:
 
 
 class TestChatServiceFaults:
-    """A complete chat answer without usable completions fails at once (exit 1),
-    caches nothing, and the message names the endpoint and the problem."""
+    """A complete chat answer without usable completions, to the first request or
+    to a re-ask, fails at once (exit 1), caches nothing, and the message names the
+    endpoint and the problem."""
 
-    @pytest.mark.parametrize("reply, problem", [
-        ({"choices": [{"message": {"content": None}}]}, "a message's content is not a string"),
-        ([{"message": {"content": "x"}}], "response body has no 'choices' list of messages"),
-        ({"choices": [{"message": "x"}]}, "response body has no 'choices' list of messages"),
-        ({"id": "x"}, "response body has no 'choices' list of messages"),
-        (b"<html>busy</html>", "response body is not JSON"),
-    ], ids=["null-content", "json-list", "message-not-object", "no-choices", "not-json"])
-    def test_exit_code_and_message(self, http_stub, tmp_path, capsys, reply, problem):
-        http_stub.script = [(200, reply)]
+    @pytest.mark.parametrize("replies, problem", [
+        ([{"choices": [{"message": {"content": None}}]}], "a message's content is not a string"),
+        ([[{"message": {"content": "x"}}]], "response body has no 'choices' list of messages"),
+        ([{"choices": [{"message": "x"}]}], "response body has no 'choices' list of messages"),
+        ([{"id": "x"}], "response body has no 'choices' list of messages"),
+        ([b"<html>busy</html>"], "response body is not JSON"),
+        ([{"choices": []}], "returned 0 completions for n=1"),
+        # the first completion has no tokens, so it is asked for again, and none comes
+        ([{"choices": [{"message": {"content": "  "}}]}, {"choices": []}],
+         "returned 0 completions for n=1"),
+    ], ids=["null-content", "json-list", "message-not-object", "no-choices", "not-json",
+            "no-completion", "re-ask-without-a-completion"])
+    def test_exit_code_and_message(self, http_stub, tmp_path, capsys, replies, problem):
+        http_stub.script = [(200, reply) for reply in replies]
         queries = tmp_path / "queries.tsv"
         queries.write_text("q1\tabout alias1\n")
         cache = tmp_path / "cache.jsonl"
@@ -943,7 +982,7 @@ class TestChatServiceFaults:
         assert rc == EXIT_ERROR
         err = capsys.readouterr().err
         assert f"chat service {http_stub.url}: {problem}" in err
-        assert http_stub.call_count == 1
+        assert http_stub.call_count == len(replies)
         assert len(ReferenceCache(cache)) == 0
 
 
@@ -987,6 +1026,23 @@ class TestEvalCommand:
         rc = main(["eval", "--run", str(run), "--qrels", str(qrels)])
         assert rc == EXIT_FORMAT
         assert f"error: {tmp_path}/{problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grade, flags", [
+        ("1023", ["--exponential-gain"]),  # each gain is finite, their DCG is not
+        ("1100", ["--exponential-gain"]),
+        ("1" + "0" * 400, []),
+    ], ids=["dcg-overflows", "exponential-gain-overflows", "401-digit-grade"])
+    def test_gain_that_overflows_a_float_exit_code_and_message(self, tmp_path, capsys, grade,
+                                                               flags):
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("".join(f"q1 0 d{i} {grade}\n" for i in (1, 2, 3)))
+        run = tmp_path / "a.run"
+        run.write_text("".join(f"q1 Q0 d{i} {i} {4 - i}.0 t\n" for i in (1, 2, 3)))
+        rc = main(["eval", "--run", str(run), "--qrels", str(qrels), *flags])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "error: query 'q1': a gain or the DCG overflows a float" in captured.err
+        assert captured.out == ""
 
     def test_run_query_without_a_positive_judgment_is_skipped(self, tmp_path, capsys):
         qrels = tmp_path / "qrels.txt"

@@ -306,7 +306,7 @@ class TestEmbedDocuments:
         counts, norms = embedder._table(index)
         assert index.tfs.dtype == np.uint8 and counts.dtype == np.uint16
         # a term falls in the last bucket: at 257 dimensions bucket 256, beyond uint8
-        assert max(map(embedder._bucket, index.terms)) == dimension - 1
+        assert max(map(embedder._buckets.__getitem__, index.terms)) == dimension - 1
         got = embedder.embed_documents(index, [1, 0])
         want = _definition_vectors(["w7 w7 x", long_text], dimension, 11)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
@@ -320,7 +320,7 @@ class TestEmbedDocuments:
             for doc, row, norm in zip(small_docs, counts, norms):
                 want = np.zeros(dimension, dtype=np.int64)
                 for token in tokenize(doc.text):
-                    want[embedder._bucket(token)] += 1
+                    want[embedder._buckets[token]] += 1
                 assert row.tolist() == want.tolist()
                 assert norm == np.linalg.norm(want.astype(np.float64))
 

@@ -162,27 +162,22 @@ def cmd_eval(args, run, qrels) -> None:
 
 
 def cmd_analyze(args, index, corpus, queries, cache, qrels) -> None:
-    gt_pse_total = 0
-    gt_query_total = 0
-    reported = 0
     # every lookup before the first report, so a bad entry leaves stdout empty
     all_refs = [cached_references(cache, query_id, query, args.model)
                 for query_id, query in queries]
+    reports = []
     for (query_id, query), refs in zip(queries, all_refs):
         grades = qrels.get(query_id, {})
         gt_docs = [corpus[d] for d, g in grades.items()
                    if g >= args.min_grade and d in corpus]
         if not gt_docs:
             continue
-        rep = keyword_overlap(query, refs, gt_docs, index, m=args.m)
-        print(json.dumps(rep.to_dict(), ensure_ascii=False))
-        gt_pse_total += rep.gt_pse_overlap
-        gt_query_total += rep.gt_query_overlap
-        reported += 1
-    if reported:
-        print(f"# mean gt∩pse {gt_pse_total / reported:.2f}  "
-              f"mean gt∩query {gt_query_total / reported:.2f}  "
-              f"({reported} queries)")
+        reports.append(keyword_overlap(query, refs, gt_docs, index, m=args.m))
+        print(json.dumps(reports[-1].to_dict(), ensure_ascii=False))
+    if reports:
+        print(f"# mean gt∩pse {sum(r.gt_pse_overlap for r in reports) / len(reports):.2f}  "
+              f"mean gt∩query {sum(r.gt_query_overlap for r in reports) / len(reports):.2f}  "
+              f"({len(reports)} queries)")
 
 
 def _json_or_text(text: str):

@@ -39,6 +39,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, pairwise
 from operator import attrgetter
+from types import NoneType
 
 import numpy as np
 
@@ -355,31 +356,38 @@ def check_corpus(index: InvertedIndex, doc_store: Mapping[str, Document]) -> Non
             f"(first: {index.doc_ids[changed[0]]!r}); {rebuild}")
 
 
-# The types each corpus field may have: exact types, so a bool is no integer _id.
-_FIELD_TYPES = {"_id": ((str, int), "a string or an integer"),
-                "title": ((str, type(None)), "a string or null"), "text": ((str,), "a string")}
-
-
-def _corpus_line(line: str) -> Document:
+def json_object(line: str, fields: Mapping[str, tuple[tuple[type, ...], str]]) -> dict:
+    """The JSON object on one data line, checked against ``fields``: key -> (its exact types,
+    so a bool is no int; their name). A key typed NoneType may be missing. ValueError, in this
+    order, for bad JSON, no object, a missing key, a wrong type, a lone surrogate in a string."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
-    if "_id" not in obj or "text" not in obj:
-        raise ValueError("missing required key '_id' or 'text'")
-    for key, (types, wanted) in _FIELD_TYPES.items():
-        if type(obj.get(key)) not in types:
+    for key, (types, wanted) in fields.items():
+        if type(obj.get(key)) not in types:  # a missing key fails here too, and goes first
+            if missing := [k for k, (t, _) in fields.items() if k not in obj and NoneType not in t]:
+                raise ValueError(f"missing required key {missing[0]!r}")
             raise ValueError(f"{key} must be {wanted}, not {type(obj.get(key)).__name__}")
     # A UTF-8 line gives a lone surrogate only through an escape such as \ud800, and
     # one memchr for a backslash is about 20x cheaper than a search for "\ud".
     if "\\" in line:
-        for key in _FIELD_TYPES:
+        for key in (k for k in fields if type(obj.get(k)) is str):
             try:
-                str(obj.get(key) or "").encode("utf-8")
+                obj[key].encode("utf-8")
             except UnicodeEncodeError as exc:
                 raise ValueError(f"{key} does not encode as UTF-8: {exc}") from exc
+    return obj
+
+
+_FIELD_TYPES = {"_id": ((str, int), "a string or an integer"),
+                "title": ((str, NoneType), "a string or null"), "text": ((str,), "a string")}
+
+
+def _corpus_line(line: str) -> Document:
+    obj = json_object(line, _FIELD_TYPES)
     doc_id = str(obj["_id"])
     if not is_run_field(doc_id):
         raise ValueError(f"_id {doc_id!r} is empty or holds whitespace")
@@ -389,12 +397,11 @@ def _corpus_line(line: str) -> Document:
 def load_corpus_jsonl(path) -> list[Document]:
     """Load a JSONL corpus with keys ``_id``, ``title`` (optional), ``text``.
 
-    Read by ``read_data_lines``: a line that is not a JSON object with ``_id``
-    and ``text``, with a field of a type ``_FIELD_TYPES`` does not allow, whose
-    ``_id`` a run file cannot hold (``is_run_field``), or that repeats an
-    earlier line's ``_id`` (both lines named), raises DataFormatError naming
-    the file and the line, and so does a field holding a lone surrogate, which
-    does not encode as UTF-8. An integer ``_id`` is read as its decimal string.
+    Read by ``read_data_lines``: a line that ``json_object`` rejects against
+    ``_FIELD_TYPES``, whose ``_id`` a run file cannot hold (``is_run_field``),
+    or that repeats an earlier line's ``_id`` (both lines named), raises
+    DataFormatError naming the file and the line. An integer ``_id`` is read as
+    its decimal string.
     """
     return list(read_data_lines(path, _corpus_line, key=lambda doc: (None, doc.doc_id),
                                 key_name="_id {1!r}"))
@@ -448,7 +455,8 @@ def save_index(index: InvertedIndex, path) -> None:
     dtype. ``doc_lengths`` is not stored: each is the sum of a document's tfs.
     Doc ids and terms are stored as their ``"\n".join`` in UTF-8
     (``doc_id_bytes``, ``term_bytes``). Each array is one ``<name>.npy``
-    member, written whole: those two members deflated at level
+    member, written whole and dated 1980-01-01 as ``np.savez`` dates it, so an
+    index is the same bytes on every save: those two members deflated at level
     ``_DEFLATE_LEVEL``, every other member stored. It is written through
     ``atomic_write``, so a failed write leaves any previous index intact.
     """
@@ -470,19 +478,20 @@ def save_index(index: InvertedIndex, path) -> None:
               "field_policy": np.array(index.field_policy),
               "doc_id_bytes": doc_id_bytes, "doc_digests": index.doc_digests,
               "term_bytes": term_bytes, **coded}
-    with (atomic_write(path, binary=True) as fh,
-          zipfile.ZipFile(fh, "w", compresslevel=_DEFLATE_LEVEL) as zf):
+    with atomic_write(path, binary=True) as fh, zipfile.ZipFile(fh, "w") as zf:
         for name, values in arrays.items():
             npy = io.BytesIO()
             np.lib.format.write_array(npy, values, allow_pickle=False)
-            zf.writestr(f"{name}.npy", npy.getbuffer(),
-                        zipfile.ZIP_DEFLATED if name in _DEFLATED else zipfile.ZIP_STORED)
+            zf.writestr(zipfile.ZipInfo(f"{name}.npy", (1980, 1, 1, 0, 0, 0)), npy.getbuffer(),
+                        zipfile.ZIP_DEFLATED if name in _DEFLATED else zipfile.ZIP_STORED,
+                        _DEFLATE_LEVEL)
 
 
-# Columns stored one byte per entry, each with its escape column (see _escaped).
+# Each stored column's dtype, or None for an escape column (see _escaped): unsigned, within int64.
 _ESCAPED_COLUMNS = ("dfs", "doc_ordinals", "tf_positions", "tf_values")
-_COLUMNS = ("doc_id_bytes", "doc_digests", "term_bytes",
-            *_ESCAPED_COLUMNS, *(f"{c}_escapes" for c in _ESCAPED_COLUMNS))
+_COLUMNS = {"doc_id_bytes": np.dtype(np.uint8), "doc_digests": np.dtype("<u8"),
+            **dict.fromkeys(("term_bytes", *_ESCAPED_COLUMNS), np.dtype(np.uint8)),
+            **dict.fromkeys((f"{c}_escapes" for c in _ESCAPED_COLUMNS), None)}
 _INDEX_ARRAYS = ("format_version", "field_policy", *_COLUMNS)
 
 
@@ -583,20 +592,16 @@ def load_index(path) -> InvertedIndex:
     missing = [k for k in _INDEX_ARRAYS if k not in a]
     if missing:
         raise IndexFormatError(path, f"missing arrays: {', '.join(missing)}")
-    for name in _COLUMNS:
-        if a[name].ndim != 1:
-            raise IndexFormatError(path, f"column {name!r} has {a[name].ndim} dimensions, "
-                                         f"not 1")
-    for name in ("doc_id_bytes", "doc_digests", "term_bytes", *_ESCAPED_COLUMNS):
-        dtype = np.dtype("<u8" if name == "doc_digests" else np.uint8)
-        if a[name].dtype != dtype:
-            raise IndexFormatError(path, f"column {name!r} has dtype {a[name].dtype}, "
+    for name, dtype in _COLUMNS.items():
+        if (column := a[name]).ndim != 1:
+            raise IndexFormatError(path, f"column {name!r} has {column.ndim} dimensions, not 1")
+        if dtype is None:
+            if column.dtype.kind != "u" or not np.can_cast(column.dtype, np.int64):
+                raise IndexFormatError(path, f"column {name!r} has dtype {column.dtype}, "
+                                             f"not an unsigned type that fits in int64")
+        elif column.dtype != dtype:
+            raise IndexFormatError(path, f"column {name!r} has dtype {column.dtype}, "
                                          f"not {dtype}")
-    for name in _ESCAPED_COLUMNS:
-        dtype = a[f"{name}_escapes"].dtype
-        if dtype.kind != "u" or not np.can_cast(dtype, np.int64):
-            raise IndexFormatError(path, f"column '{name}_escapes' has dtype {dtype}, "
-                                         f"not an unsigned type that fits in int64")
 
     try:  # no bytes are no strings, not one empty string
         doc_ids, terms = (tuple(a[c].tobytes().decode("utf-8").split("\n")) if a[c].size

@@ -9,7 +9,7 @@ are read in score order, highest first, whatever their order in the file.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from operator import itemgetter
 
@@ -33,16 +33,14 @@ class Ranking:
 
 @dataclass
 class EvalReport:
-    per_query: dict[str, float]
     mean: float
+    per_query: dict[str, float]
     fingerprint: str
     num_evaluated: int
     skipped: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"mean": self.mean, "per_query": self.per_query,
-                "fingerprint": self.fingerprint,
-                "num_evaluated": self.num_evaluated, "skipped": self.skipped}
+        return asdict(self)
 
 
 def config_fingerprint(config: dict) -> str:

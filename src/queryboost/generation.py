@@ -15,7 +15,7 @@ from threading import Lock
 
 import requests
 
-from queryboost.corpus import read_data_lines
+from queryboost.corpus import json_object, read_data_lines
 from queryboost.service import ATTEMPTS, ServiceError, post_json
 from queryboost.tokenizer import has_tokens
 
@@ -156,23 +156,19 @@ class ReferenceCache:
         return len(self._entries)
 
 
+_CACHE_FIELDS = {"query_id": ((str,), "a string"), "query": ((str,), "a string"),
+                 "model": ((str,), "a string"), "references": ((list,), "a list of strings")}
+
+
 def _parse_line(line: str) -> ReferenceSet:
     """The reference set stored on one cache line; a ValueError for any other line."""
-    try:
-        obj = json.loads(line)
-        for key in ("query_id", "query", "model"):
-            if type(obj[key]) is not str:
-                raise ValueError(f"{key} must be a string, not {type(obj[key]).__name__}")
-        if (type(obj["references"]) is not list
-                or not all(type(r) is str for r in obj["references"])):
-            raise ValueError("references must be a list of strings")
-        return ReferenceSet(
-            query_id=obj["query_id"], query=obj["query"],
-            references=tuple(obj["references"]), model_id=obj["model"],
-            created_at=obj.get("created_at", ""),
-            prompt_version=obj.get("prompt_version", PROMPT_VERSION))
-    except (KeyError, TypeError) as exc:  # a key missing, or a line that is no JSON object
-        raise ValueError(exc) from exc
+    obj = json_object(line, _CACHE_FIELDS)
+    if not all(type(r) is str for r in obj["references"]):
+        raise ValueError("references must be a list of strings")
+    return ReferenceSet(
+        query_id=obj["query_id"], query=obj["query"], references=tuple(obj["references"]),
+        model_id=obj["model"], created_at=obj.get("created_at", ""),
+        prompt_version=obj.get("prompt_version", PROMPT_VERSION))
 
 
 def _end_last_line(fh) -> None:
@@ -220,7 +216,8 @@ class ChatCompletionClient:
 
         The request is retried as ``service.post_json`` does. A body that is not
         JSON, has no ``choices`` list of messages, holds a content that is not
-        a string or other than n of them raises ServiceError at once.
+        a string or does not encode as UTF-8, or other than n of them raises
+        ServiceError at once.
         """
         payload = {
             "model": cfg.model_id,
@@ -239,6 +236,11 @@ class ChatCompletionClient:
             raise self._error("response body has no 'choices' list of messages") from exc
         if not all(isinstance(c, str) for c in contents):
             raise self._error("a message's content is not a string")
+        try:  # a lone surrogate, which JSON may escape as \ud800, does not encode
+            for content in contents:
+                content.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise self._error(f"a message's content does not encode as UTF-8: {exc}") from exc
         if len(contents) != n:
             raise self._error(f"returned {len(contents)} completions for n={n}")
         return contents

@@ -967,11 +967,14 @@ class TestChatServiceFaults:
         ([{"id": "x"}], "response body has no 'choices' list of messages"),
         ([b"<html>busy</html>"], "response body is not JSON"),
         ([{"choices": []}], "returned 0 completions for n=1"),
+        ([{"choices": [{"message": {"content": "alpha \ud800 beta"}}]}],
+         "a message's content does not encode as UTF-8: 'utf-8' codec can't encode "
+         "character '\\ud800' in position 6: surrogates not allowed"),
         # the first completion has no tokens, so it is asked for again, and none comes
         ([{"choices": [{"message": {"content": "  "}}]}, {"choices": []}],
          "returned 0 completions for n=1"),
     ], ids=["null-content", "json-list", "message-not-object", "no-choices", "not-json",
-            "no-completion", "re-ask-without-a-completion"])
+            "no-completion", "lone-surrogate", "re-ask-without-a-completion"])
     def test_exit_code_and_message(self, http_stub, tmp_path, capsys, replies, problem):
         http_stub.script = [(200, reply) for reply in replies]
         queries = tmp_path / "queries.tsv"

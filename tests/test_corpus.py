@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import tempfile
+import time
 import weakref
 import zipfile
 from collections import Counter
@@ -467,6 +468,18 @@ def test_only_the_strings_are_deflated(tmp_path, small_index):
             assert npz[name].dtype == np.dtype(dtype), name
 
 
+def test_same_index_saves_the_same_bytes(tmp_path, small_index, monkeypatch):
+    save_index(small_index, tmp_path / "first")
+    with zipfile.ZipFile(tmp_path / "first") as zf:
+        assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+    # a member dated by the clock would take the clock's time a day later
+    later = time.time() + 86400
+    monkeypatch.setattr(zipfile, "time", mock.Mock(time=lambda: later,
+                                                   localtime=time.localtime))
+    save_index(small_index, tmp_path / "second")
+    assert (tmp_path / "second").read_bytes() == (tmp_path / "first").read_bytes()
+
+
 @pytest.mark.parametrize("docs", [
     [Document("d1", "", "cat sat"), Document("d2", "", "dog cat cat")],
     [Document(f"é{i:03d}", "", f"ß{i % 7} w{i} x" + " y" * (i % 300)) for i in range(300)],
@@ -608,8 +621,13 @@ def _edited_archive(tmp_path, small_index, **changes):
     ({"tf_values": None, "dfs_escapes": None}, "missing arrays: tf_values, dfs_escapes"),
     ({"doc_digests": np.zeros((3, 1), dtype="<u8")},
      "column 'doc_digests' has 2 dimensions, not 1"),
+    ({"tf_values_escapes": np.zeros((0, 1), dtype=np.uint8)},
+     "column 'tf_values_escapes' has 2 dimensions, not 1"),
+    ({"tf_values_escapes": np.zeros(0, dtype=np.uint64)},
+     "column 'tf_values_escapes' has dtype uint64, not an unsigned type that fits in int64"),
     ({"field_policy": np.str_("title_only")}, "unknown field policy 'title_only'"),
-], ids=["missing-arrays", "2-d-column", "unknown-field-policy"])
+], ids=["missing-arrays", "2-d-column", "2-d-escape-column", "escapes-past-int64",
+        "unknown-field-policy"])
 def test_archive_without_the_current_layout_is_rejected(tmp_path, small_index, changes,
                                                         problem):
     with pytest.raises(IndexFormatError, match=re.escape(problem)):

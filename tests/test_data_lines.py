@@ -128,6 +128,47 @@ def test_repeated_key_exits_5_naming_both_lines(tmp_path, capsys, reader, repeat
     assert f"error: {path}:3: duplicate {key} (first on line 1)\n" in capsys.readouterr().err
 
 
+# The two JSON readers share one rule (``corpus.json_object``). reader -> (its message
+# prefix, a required key, a string field)
+JSON_READERS = {"corpus": ("", "text", "text"),
+                "cache": ("corrupt cache line: ", "references", "query")}
+SURROGATE_ERROR = ("'utf-8' codec can't encode character '\\ud800' in position 6: "
+                   "surrogates not allowed")
+
+
+# each bad line is made from the reader's good line 2 (a dict), its required key and its
+# string field
+@pytest.mark.parametrize("spoil, problem", [
+    (lambda rec, key, field: json.dumps(rec)[:-1], "malformed JSON: Expecting ',' delimiter"),
+    (lambda rec, key, field: json.dumps(list(rec.values())), "expected a JSON object"),
+    (lambda rec, key, field: json.dumps({k: v for k, v in rec.items() if k != key}),
+     "missing required key {key!r}"),
+    (lambda rec, key, field: json.dumps({**rec, field: 7}), "{field} must be a string, not int"),
+    (lambda rec, key, field: json.dumps({**rec, field: "alpha \ud800 beta"}),
+     f"{{field}} does not encode as UTF-8: {SURROGATE_ERROR}"),
+], ids=["malformed-json", "not-an-object", "missing-key", "wrong-type", "lone-surrogate"])
+@pytest.mark.parametrize("reader", JSON_READERS)
+def test_bad_json_line_names_the_line_in_every_json_reader(tmp_path, reader, spoil, problem):
+    name, lines, _, read, _ = READERS[reader]
+    prefix, key, field = JSON_READERS[reader]
+    path = tmp_path / name
+    path.write_text(f"{lines[0]}\n{spoil(json.loads(lines[1]), key, field)}\n")
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"{path}:2: {prefix}{problem.format(key=key, field=field)}")):
+        read(path)
+
+
+@pytest.mark.parametrize("field", ["query_id", "query", "model"])
+def test_lone_surrogate_in_the_cache_exits_5_naming_the_line(tmp_path, capsys, field):
+    name, lines, _, _, argv = READERS["cache"]
+    path = tmp_path / name
+    line2 = json.dumps({**json.loads(lines[1]), field: "alpha \ud800 beta"})
+    path.write_text(f"{lines[0]}\n{line2}\n")
+    assert main(argv(str(path), tmp_path)) == EXIT_FORMAT
+    assert (f"error: {path}:2: corrupt cache line: {field} does not encode as UTF-8: "
+            f"{SURROGATE_ERROR}\n" in capsys.readouterr().err)
+
+
 def test_torn_cache_line_cut_inside_a_character_is_dropped(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
     last = _cache_line("q2", "über alias1").encode()

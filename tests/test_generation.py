@@ -169,8 +169,8 @@ class TestReferenceCache:
             ReferenceCache(path)
 
     @pytest.mark.parametrize("line, problem", [
-        ('{"query_id": "q1", "query": "q", "model": "m"}', "'references'"),
-        ('["q1", "q", "m"]', "list indices must be integers or slices, not str"),
+        ('{"query_id": "q1", "query": "q", "model": "m"}', "missing required key 'references'"),
+        ('["q1", "q", "m"]', "expected a JSON object"),
     ], ids=["key-missing", "not-an-object"])
     def test_line_without_the_keys_names_the_line(self, tmp_path, line, problem):
         path = tmp_path / "cache.jsonl"

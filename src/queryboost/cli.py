@@ -2,14 +2,15 @@
 
 Exit codes: 0 success, 2 usage error (any ``ValueError`` not named here), 3
 missing declared input file or ``--config`` (checked before the command runs), 4
-reference-cache miss, 5 malformed data file (a corpus, queries, qrels, run, cache
-or index file), 6 index built from another corpus or references cached for
-another query text or prompt version, 1 anything else (a chat or embedding
-service that fails or answers without a usable body included). Logs go to
-stderr; data goes to files or stdout. ``main`` reads each command's declared
-input files and passes them to the command, which returns the paths it wrote;
-``main`` then writes a JSON run manifest beside the last of them. Every writer
-makes the directory of its output.
+reference-cache miss, 5 malformed data file (a corpus, queries, qrels, run, cache,
+index or ``--config`` file), 6 index built from another corpus or references
+cached for another query text or prompt version, 1 anything else (a chat or
+embedding service that fails or answers without a usable body included). Every
+failure but argparse's own leaves ``main`` as one ``error:`` line through
+``_EXIT_CODES``. Logs go to stderr; data goes to files or stdout. ``main`` reads
+each command's declared input files and passes them to the command, which
+returns the paths it wrote; ``main`` then writes a JSON run manifest beside the
+last of them. Every writer makes the directory of its output.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from queryboost import __version__
 from queryboost.calibration import CalibrationConfig
 from queryboost.corpus import (FIELD_POLICIES, DataFormatError, IndexFormatError,
                                IndexMismatchError, build_index, check_corpus, is_run_field,
-                               load_corpus_jsonl, load_index, save_index)
+                               json_object, load_corpus_jsonl, load_index, save_index)
 from queryboost.embedding import HashingEmbedder, RemoteEmbedder
 from queryboost.evaluation import (Ranking, evaluate_run, read_qrels, read_queries_tsv,
                                    read_run, write_run)
@@ -45,9 +46,19 @@ EXIT_MISSING_FILE = 3
 EXIT_CACHE_MISS = 4
 EXIT_FORMAT = 5
 EXIT_MISMATCH = 6
+
+
+class _MissingInputError(Exception):
+    """A declared input file or the ``--config`` file does not exist."""
+
+
+class _ConfigFormatError(ValueError):
+    """A ``--config`` file that is not UTF-8 or does not hold one JSON object."""
+
+
 # each error's exit code, from the first match: any ValueError not named first is a usage error
-_EXIT_CODES = ((CacheMissError, EXIT_CACHE_MISS),
-               ((DataFormatError, IndexFormatError), EXIT_FORMAT),
+_EXIT_CODES = ((_MissingInputError, EXIT_MISSING_FILE), (CacheMissError, EXIT_CACHE_MISS),
+               ((DataFormatError, IndexFormatError, _ConfigFormatError), EXIT_FORMAT),
                ((IndexMismatchError, StaleReferencesError), EXIT_MISMATCH),
                (ServiceError, EXIT_ERROR), (ValueError, EXIT_USAGE), (Exception, EXIT_ERROR))
 
@@ -343,54 +354,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _set_config_defaults(parser: argparse.ArgumentParser, path) -> None:
+    """Make a ``--config`` file's values the parsers' defaults. The file is read as a data
+    file is (strict UTF-8, a leading byte order mark dropped, one JSON object); each key must
+    be some subcommand's flag and each value one that flag takes (``_config_value_ok``)."""
+    if not Path(path).exists():
+        raise _MissingInputError(f"config file not found: {path}")
+    try:
+        defaults = json_object(Path(path).read_text(encoding="utf-8-sig"), {})
+    except ValueError as exc:  # UnicodeDecodeError is one
+        raise _ConfigFormatError(f"malformed config file: {path}: {exc}") from exc
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = [parser, *subcommands.choices.values()]
+    # a key any subcommand defines is allowed, since one config serves every command
+    actions = [a for p in parsers for a in p._actions]
+    if unknown := sorted(set(defaults) - {a.dest for a in actions}):
+        raise ValueError(f"config file {path}: unknown key(s) {', '.join(map(repr, unknown))} "
+                         "(keys are flag names with '_' for '-', as in 'k_reciprocal')")
+    for a in actions:
+        if a.dest in defaults and not _config_value_ok(a, defaults[a.dest]):
+            raise ValueError(f"config file {path}: key {a.dest!r} cannot be "
+                             f"{json.dumps(defaults[a.dest])}")
+    for p in parsers:  # each parser takes its own keys, so a command sees only its flags
+        p.set_defaults(**{a.dest: defaults[a.dest] for a in p._actions if a.dest in defaults})
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args, remaining = parser.parse_known_args(argv)
-    if args.config:
-        try:
-            defaults = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            print(f"error: config file not found: {args.config}", file=sys.stderr)
-            return EXIT_MISSING_FILE
-        except json.JSONDecodeError as exc:
-            print(f"error: malformed config file: {exc}", file=sys.stderr)
-            return EXIT_FORMAT
-        if not isinstance(defaults, dict):
-            print(f"error: malformed config file: {args.config} does not hold a JSON object",
-                  file=sys.stderr)
-            return EXIT_FORMAT
-        subcommands = next(a for a in parser._actions
-                           if isinstance(a, argparse._SubParsersAction))
-        parsers = [parser, *subcommands.choices.values()]
-        # a key any subcommand defines is allowed, since one config serves every command
-        actions = [a for p in parsers for a in p._actions]
-        unknown = sorted(set(defaults) - {a.dest for a in actions})
-        if unknown:
-            print(f"error: config file {args.config}: unknown key(s) "
-                  f"{', '.join(map(repr, unknown))} (keys are flag names with '_' for '-', "
-                  "as in 'k_reciprocal')", file=sys.stderr)
-            return EXIT_USAGE
-        for a in actions:
-            if a.dest in defaults and not _config_value_ok(a, defaults[a.dest]):
-                print(f"error: config file {args.config}: key {a.dest!r} cannot be "
-                      f"{json.dumps(defaults[a.dest])}", file=sys.stderr)
-                return EXIT_USAGE
-        for p in parsers:  # each parser takes its own keys, so a command sees only its flags
-            p.set_defaults(**{a.dest: defaults[a.dest] for a in p._actions
-                              if a.dest in defaults})
-        args = parser.parse_args(argv)
-    elif remaining:
-        parser.parse_args(argv)  # reports unknown flags and exits 2
-
-    logging.basicConfig(stream=sys.stderr,
-                        level=logging.DEBUG if args.verbose else logging.INFO,
-                        format="%(levelname)s %(message)s")
-    paths = {name: getattr(args, name) for name in args._inputs}
-    for path in paths.values():
-        if not Path(path).exists():
-            print(f"error: missing input file: {path}", file=sys.stderr)
-            return EXIT_MISSING_FILE
     try:
+        if args.config:
+            _set_config_defaults(parser, args.config)
+            args = parser.parse_args(argv)
+        elif remaining:
+            parser.parse_args(argv)  # reports unknown flags and exits 2
+        logging.basicConfig(stream=sys.stderr,
+                            level=logging.DEBUG if args.verbose else logging.INFO,
+                            format="%(levelname)s %(message)s")
+        paths = {name: getattr(args, name) for name in args._inputs}
+        if missing := [path for path in paths.values() if not Path(path).exists()]:
+            raise _MissingInputError(f"missing input file: {missing[0]}")
         if hasattr(args, "tag") and not is_run_field(args.tag):
             raise ValueError(f"--tag {args.tag!r} is empty or holds whitespace")
         inputs = {name: _READERS[name](path) for name, path in paths.items()}

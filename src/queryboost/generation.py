@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from threading import Lock
+from types import NoneType
 
 import requests
 
@@ -157,7 +158,9 @@ class ReferenceCache:
 
 
 _CACHE_FIELDS = {"query_id": ((str,), "a string"), "query": ((str,), "a string"),
-                 "model": ((str,), "a string"), "references": ((list,), "a list of strings")}
+                 "model": ((str,), "a string"), "references": ((list,), "a list of strings"),
+                 "prompt_version": ((str, NoneType), "a string or null"),
+                 "created_at": ((str, NoneType), "a string or null")}
 
 
 def _parse_line(line: str) -> ReferenceSet:
@@ -281,22 +284,18 @@ def generate_references(client: ChatCompletionClient, cache: ReferenceCache,
 def generate_for_queries(client: ChatCompletionClient, cache: ReferenceCache,
                          queries: list[tuple[str, str]], cfg: GenerationConfig,
                          jobs: int = 4) -> list[ReferenceSet]:
-    """Generate references for many queries, at most ``jobs`` (>= 1) requests in flight."""
+    """Each query's usable cached references or new ones, at most ``jobs`` (>= 1) requests
+    in flight. Every query is tried; the first failure in query order is raised at the end."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    results: dict[str, ReferenceSet] = {}
-    pending = []
-    for query_id, query in queries:
+
+    def references_for(query_id: str, query: str) -> ReferenceSet:
         cached = cache.get(query_id, cfg.model_id)
         if cached is not None and cached.is_for(query) and len(cached.references) >= cfg.n:
-            results[query_id] = cached
-        else:
-            pending.append((query_id, query))
+            return cached
+        return generate_references(client, cache, query_id, query, cfg)
 
+    # not pool.map: after a failure its results iterator cancels every query still queued
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(generate_references, client, cache, qid, q, cfg): qid
-                   for qid, q in pending}
-        for future, qid in futures.items():
-            results[qid] = future.result()
-
-    return [results[qid] for qid, _ in queries]
+        futures = [pool.submit(references_for, query_id, query) for query_id, query in queries]
+        return [future.result() for future in futures]

@@ -9,7 +9,7 @@ much longer references.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -59,14 +59,12 @@ class ReweightConfig:
 
 @dataclass(frozen=True)
 class SparseQuery:
-    """Token multiset of the expanded query, with its provenance."""
+    """Term counts of the expanded query in first-appearance order (no zero count),
+    with its provenance."""
 
-    tokens: tuple[str, ...]
+    tokens: Counter
     query_repeats: int
     num_references: int
-
-    def counts(self) -> Counter:
-        return Counter(self.tokens)
 
 
 def idf(index: InvertedIndex, term: str) -> float:
@@ -83,14 +81,13 @@ def bm25_search(index: InvertedIndex, params: BM25Params,
     Gathers the CSR postings of every distinct query term and scores them in
     one vectorized pass. The result is bit-identical to accumulating
     ``q * idf * tf * (k1 + 1) / (tf + k1 * norm)`` term by term in
-    ``query.counts()`` order: the expression keeps that association, and
+    ``query.tokens`` order: the expression keeps that association, and
     ``bincount`` adds each document's contributions in input order.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    counts = query.counts()
-    term_ids = list(map(index.term_ids.get, counts))
-    q_counts = list(counts.values())
+    term_ids = list(map(index.term_ids.get, query.tokens))
+    q_counts = list(query.tokens.values())
     if None in term_ids:  # drop query terms the index has never seen
         known = [t is not None for t in term_ids]
         term_ids, q_counts = list(compress(term_ids, known)), list(compress(q_counts, known))
@@ -147,7 +144,7 @@ def _repeat_count(q_len: int, total_ref_len: int, beta: float) -> int:
 
 
 def build_sparse_query(query: str, references, config: ReweightConfig) -> SparseQuery:
-    """Expand a query: repeat it, then append every reference's tokens."""
+    """Expand a query: repeat it, then append every reference's tokens, as term counts."""
     ref_tokens = [tokenize(ref) for ref in references]
     q_tokens = tokenize(query)
     if config.beta is not None:
@@ -156,8 +153,5 @@ def build_sparse_query(query: str, references, config: ReweightConfig) -> Sparse
         repeats = _repeat_count(len(q_tokens), sum(map(len, ref_tokens)), config.beta)
     else:
         repeats = config.t
-    tokens = q_tokens * repeats
-    for t in ref_tokens:
-        tokens.extend(t)
-    return SparseQuery(tokens=tuple(tokens), query_repeats=repeats,
-                       num_references=len(ref_tokens))
+    return SparseQuery(tokens=Counter(chain(q_tokens * repeats, *ref_tokens)),
+                       query_repeats=repeats, num_references=len(ref_tokens))

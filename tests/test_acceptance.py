@@ -8,6 +8,7 @@ pytest invocation.
 import math
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_criterion_1_bm25_oracle_equivalence(capsys):
                     for i in range(rng.randint(1, 50))]
             index = build_index(docs)
             q_tokens = tuple(rng.choices(vocab, k=rng.randint(1, 6)))
-            query = SparseQuery(tokens=q_tokens, query_repeats=1, num_references=0)
+            query = SparseQuery(tokens=Counter(q_tokens), query_repeats=1, num_references=0)
             got = bm25_search(index, params, query, top_k=len(docs))
             want = oracle_bm25(docs, params, q_tokens)
             assert [d for d, _ in got] == [d for d, _ in want]

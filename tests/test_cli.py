@@ -1,5 +1,8 @@
 import argparse
+import codecs
+import contextlib
 import hashlib
+import io
 import json
 import math
 import struct
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from queryboost import cli, files, pipeline
 from queryboost.cli import (EXIT_CACHE_MISS, EXIT_ERROR, EXIT_FORMAT, EXIT_MISMATCH,
@@ -1344,6 +1348,52 @@ class TestConfigFile:
         rc = main(["--config", str(tmp_path / "nope.json"), "eval",
                    "--run", "x", "--qrels", "y"])
         assert rc == EXIT_MISSING_FILE
+
+    def test_config_not_utf8_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"k": 5, "model": "\xff"}')
+        assert main(["--config", str(cfg), "eval", "--run", "x", "--qrels", "y"]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed config file: {cfg}: ") and "0xff" in err
+
+    def test_config_directory_exits_1_with_one_error_line(self, tmp_path, capsys):
+        rc = main(["--config", str(tmp_path), "eval", "--run", "x", "--qrels", "y"])
+        assert rc == EXIT_ERROR
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(tmp_path) in line
+
+    def test_config_with_byte_order_mark_reads_as_without(self, tmp_path, capsys):
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 1\nq1 0 d2 3\n")
+        run = tmp_path / "r.run"
+        run.write_text("q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 1.0 t\n")
+        outputs = []
+        for name, data in (("plain", b'{"k": 1}'), ("bom", codecs.BOM_UTF8 + b'{"k": 1}')):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_bytes(data)
+            assert main(["--config", str(cfg), "eval", "--run", str(run),
+                         "--qrels", str(qrels)]) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out.startswith("ndcg@1\t")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=40),
+        st.dictionaries(st.sampled_from(["k", "k1", "t", "verbose", "strategy", "config",
+                                         "command", "bogus"]),
+                        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                        max_size=3).map(lambda d: json.dumps(d).encode())))
+    @example(b"\xff")
+    @example(codecs.BOM_UTF8 * 2 + b"{}")
+    @example(b"[" * 100_000)
+    def test_any_config_bytes_give_an_exit_code_and_one_error_line(self, tmp_path_factory,
+                                                                   data):
+        cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        cfg.write_bytes(data)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(["--config", str(cfg), "eval", "--run", "x", "--qrels", "y"])
+        assert rc in {EXIT_ERROR, EXIT_USAGE, EXIT_MISSING_FILE, EXIT_FORMAT}
+        assert [line.startswith("error:") for line in err.getvalue().splitlines()] == [True]
 
 
 def test_unknown_flag_exits_2(dataset_dir, capsys):

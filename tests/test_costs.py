@@ -69,7 +69,7 @@ def _count_postings(monkeypatch) -> list[int]:
     bm25_search = pipeline.bm25_search
 
     def counted(index, params, query, top_k):
-        known = [t for t in map(index.term_ids.get, query.counts()) if t is not None]
+        known = [t for t in map(index.term_ids.get, query.tokens) if t is not None]
         postings.append(sum(int(index.offsets[t + 1] - index.offsets[t]) for t in known))
         return bm25_search(index, params, query, top_k)
 

@@ -137,17 +137,33 @@ SURROGATE_ERROR = ("'utf-8' codec can't encode character '\\ud800' in position 6
 
 
 # each bad line is made from the reader's good line 2 (a dict), its required key and its
-# string field
-@pytest.mark.parametrize("spoil, problem", [
-    (lambda rec, key, field: json.dumps(rec)[:-1], "malformed JSON: Expecting ',' delimiter"),
-    (lambda rec, key, field: json.dumps(list(rec.values())), "expected a JSON object"),
-    (lambda rec, key, field: json.dumps({k: v for k, v in rec.items() if k != key}),
-     "missing required key {key!r}"),
-    (lambda rec, key, field: json.dumps({**rec, field: 7}), "{field} must be a string, not int"),
-    (lambda rec, key, field: json.dumps({**rec, field: "alpha \ud800 beta"}),
-     f"{{field}} does not encode as UTF-8: {SURROGATE_ERROR}"),
-], ids=["malformed-json", "not-an-object", "missing-key", "wrong-type", "lone-surrogate"])
-@pytest.mark.parametrize("reader", JSON_READERS)
+# string field: id -> (how, the problem named)
+BAD_JSON_LINES = {
+    "malformed-json": (lambda rec, key, field: json.dumps(rec)[:-1],
+                       "malformed JSON: Expecting ',' delimiter"),
+    "not-an-object": (lambda rec, key, field: json.dumps(list(rec.values())),
+                      "expected a JSON object"),
+    "missing-key": (lambda rec, key, field: json.dumps({k: v for k, v in rec.items() if k != key}),
+                    "missing required key {key!r}"),
+    "wrong-type": (lambda rec, key, field: json.dumps({**rec, field: 7}),
+                   "{field} must be a string, not int"),
+    "lone-surrogate": (lambda rec, key, field: json.dumps({**rec, field: "alpha \ud800 beta"}),
+                       f"{{field}} does not encode as UTF-8: {SURROGATE_ERROR}"),
+}
+# the cache's two fields that may be absent
+BAD_CACHE_LINES = {
+    "prompt-version-list": (lambda rec, key, field: json.dumps({**rec, "prompt_version": ["v1"]}),
+                            "prompt_version must be a string or null, not list"),
+    "created-at-int": (lambda rec, key, field: json.dumps({**rec, "created_at": 5}),
+                       "created_at must be a string or null, not int"),
+}
+
+
+@pytest.mark.parametrize("reader, spoil, problem", [
+    *(pytest.param(reader, spoil, problem, id=f"{reader}-{name}")
+      for reader in JSON_READERS for name, (spoil, problem) in BAD_JSON_LINES.items()),
+    *(pytest.param("cache", spoil, problem, id=f"cache-{name}")
+      for name, (spoil, problem) in BAD_CACHE_LINES.items())])
 def test_bad_json_line_names_the_line_in_every_json_reader(tmp_path, reader, spoil, problem):
     name, lines, _, read, _ = READERS[reader]
     prefix, key, field = JSON_READERS[reader]

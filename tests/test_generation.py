@@ -338,6 +338,23 @@ class TestGeneration:
         assert results[0].references == ("P",)
         assert cached_references(cache, "q1", "a", "m").references == ("P",)
 
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_batch_failure_still_caches_every_other_query(self, tmp_path, jobs):
+        class FailsOnQ1:
+            endpoint = "http://127.0.0.1:9/chat"
+
+            def complete(self, prompt, cfg, n):
+                if prompt == render_prompt("a"):
+                    raise ServiceError("chat service", self.endpoint, "q1 failed")
+                return ["P"] * n
+
+        cache = ReferenceCache(tmp_path / "c.jsonl")
+        with pytest.raises(ServiceError, match="q1 failed"):
+            generate_for_queries(FailsOnQ1(), cache, [("q1", "a"), ("q2", "b"), ("q3", "c")],
+                                 GenerationConfig(model_id="m", n=1), jobs=jobs)
+        reloaded = ReferenceCache(cache.path)
+        assert [reloaded.get(q, "m") is not None for q in ("q1", "q2", "q3")] == [False, True, True]
+
 
 class TestCachedReferences:
     def _cache(self, tmp_path):

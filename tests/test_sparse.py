@@ -59,7 +59,7 @@ class TestIdf:
 
 
 def search_scores(index, params, tokens, top_k=1000):
-    sq = SparseQuery(tokens=tuple(tokens), query_repeats=1, num_references=0)
+    sq = SparseQuery(tokens=Counter(tokens), query_repeats=1, num_references=0)
     return dict(bm25_search(index, params, sq, top_k))
 
 
@@ -146,7 +146,7 @@ def test_bm25_search_equals_exhaustive_scorer(doc_ids, texts, query, k1, b, extr
     docs = [Document(doc_id, "", text) for doc_id, text in zip(doc_ids, texts)]
     params = BM25Params(k1=k1, b=b)
     top_k = max(1, len(docs) + extra_k)
-    sq = SparseQuery(tokens=tuple(query), query_repeats=1, num_references=0)
+    sq = SparseQuery(tokens=Counter(query), query_repeats=1, num_references=0)
     assert bm25_search(build_index(docs), params, sq, top_k) == exhaustive_bm25(
         docs, params, query, top_k)
 
@@ -161,24 +161,24 @@ def random_corpus(rng, max_docs=50, max_len=8, vocab="abcdefgh"):
 class TestBm25Search:
     def test_single_doc(self):
         idx = build_index([Document("d1", "", "cat sat")])
-        sq = SparseQuery(tokens=("cat",), query_repeats=1, num_references=0)
+        sq = SparseQuery(tokens=Counter(["cat"]), query_repeats=1, num_references=0)
         assert len(bm25_search(idx, BM25Params(), sq, 10)) == 1
 
     def test_tie_broken_by_doc_id(self):
         docs = [Document("b", "", "cat sat"), Document("a", "", "cat sat")]
         idx = build_index(docs)
-        sq = SparseQuery(tokens=("cat",), query_repeats=1, num_references=0)
+        sq = SparseQuery(tokens=Counter(["cat"]), query_repeats=1, num_references=0)
         assert [d for d, _ in bm25_search(idx, BM25Params(), sq, 10)] == ["a", "b"]
 
     def test_top_k_bounds(self, small_index):
-        sq = SparseQuery(tokens=("sat",), query_repeats=1, num_references=0)
+        sq = SparseQuery(tokens=Counter(["sat"]), query_repeats=1, num_references=0)
         assert len(bm25_search(small_index, BM25Params(), sq, 1)) == 1
         with pytest.raises(ValueError):
             bm25_search(small_index, BM25Params(), sq, 0)
 
     def test_empty_index_returns_empty(self):
         idx = build_index([])
-        sq = SparseQuery(tokens=("cat",), query_repeats=1, num_references=0)
+        sq = SparseQuery(tokens=Counter(["cat"]), query_repeats=1, num_references=0)
         assert bm25_search(idx, BM25Params(), sq, 5) == []
 
     def test_matches_exhaustive_oracle_random(self):
@@ -188,7 +188,7 @@ class TestBm25Search:
             docs = random_corpus(rng)
             idx = build_index(docs)
             q_tokens = tuple(rng.choice("abcdefghz") for _ in range(rng.randint(1, 5)))
-            sq = SparseQuery(tokens=q_tokens, query_repeats=1, num_references=0)
+            sq = SparseQuery(tokens=Counter(q_tokens), query_repeats=1, num_references=0)
             top_k = rng.randint(1, len(docs) + 2)
             got = bm25_search(idx, params, sq, top_k)
 
@@ -203,7 +203,7 @@ class TestBm25Search:
         # Scaling every idf by c > 0 scales every score by c; argsort is
         # unchanged, so compare against scores scaled post hoc.
         idx = build_index(small_docs)
-        sq = SparseQuery(tokens=("cat", "sat"), query_repeats=1, num_references=0)
+        sq = SparseQuery(tokens=Counter(["cat", "sat"]), query_repeats=1, num_references=0)
         base = bm25_search(idx, BM25Params(), sq, 10)
         scaled = sorted(((d, 3.7 * s) for d, s in base), key=lambda ds: (-ds[1], ds[0]))
         assert [d for d, _ in scaled] == [d for d, _ in base]
@@ -272,6 +272,19 @@ class TestBuildSparseQuery:
         expected = Counter({"cat": 3, "dog": 2, "bird": 1})
         assert Counter(sq.tokens) == expected
         assert sq.num_references == 2
+
+    @pytest.mark.parametrize("config", [ReweightConfig.adaptive(beta=1),
+                                        ReweightConfig.constant(t=0),
+                                        ReweightConfig.constant(t=2)],
+                             ids=["adaptive", "t=0", "t=2"])
+    def test_terms_in_first_appearance_order(self, config):
+        # bm25_search sums each document's contributions in this order
+        query, refs = "dog cat", ["bird dog", "ant cat bird", "eel"]
+        sq = build_sparse_query(query, refs, config)
+        stream = tokenize(query) * sq.query_repeats + [t for r in refs for t in tokenize(r)]
+        assert list(sq.tokens) == list(dict.fromkeys(stream))
+        assert sq.tokens == Counter(stream)
+        assert all(count > 0 for count in sq.tokens.values())
 
 
 class TestConfigs:

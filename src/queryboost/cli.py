@@ -128,10 +128,7 @@ def cmd_generate(args, queries) -> list:
 
 def cmd_search(args, index, queries, cache) -> list:
     cfg = _sparse_config(args)
-
-    # every lookup before the first BM25, so a bad entry fails before any search
-    all_refs = [cached_references(cache, query_id, query, args.model)
-                for query_id, query in queries]
+    all_refs = cached_references(cache, queries, args.model)
     run = [Ranking(query_id=query_id, items=tuple(sparse_ranking(query, refs, index, cfg)))
            for (query_id, query), refs in zip(queries, all_refs)]
     write_run(args.out, run, tag=args.tag)
@@ -173,9 +170,7 @@ def cmd_eval(args, run, qrels) -> None:
 
 
 def cmd_analyze(args, index, corpus, queries, cache, qrels) -> None:
-    # every lookup before the first report, so a bad entry leaves stdout empty
-    all_refs = [cached_references(cache, query_id, query, args.model)
-                for query_id, query in queries]
+    all_refs = cached_references(cache, queries, args.model)
     reports = []
     for (query_id, query), refs in zip(queries, all_refs):
         grades = qrels.get(query_id, {})
@@ -357,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _set_config_defaults(parser: argparse.ArgumentParser, path) -> None:
     """Make a ``--config`` file's values the parsers' defaults. The file is read as a data
     file is (strict UTF-8, a leading byte order mark dropped, one JSON object); each key must
-    be some subcommand's flag and each value one that flag takes (``_config_value_ok``)."""
+    be some subcommand's flag, other than ``--help`` and ``--config``, and each value one that
+    flag takes (``_config_value_ok``)."""
     if not Path(path).exists():
         raise _MissingInputError(f"config file not found: {path}")
     try:
@@ -366,17 +362,19 @@ def _set_config_defaults(parser: argparse.ArgumentParser, path) -> None:
         raise _ConfigFormatError(f"malformed config file: {path}: {exc}") from exc
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     parsers = [parser, *subcommands.choices.values()]
-    # a key any subcommand defines is allowed, since one config serves every command
-    actions = [a for p in parsers for a in p._actions]
-    if unknown := sorted(set(defaults) - {a.dest for a in actions}):
+    # a flag any subcommand defines may be set, since one config serves every command
+    settable = [(p, a) for p in parsers for a in p._actions if a.option_strings
+                and not isinstance(a, argparse._HelpAction) and a.dest != "config"]
+    if unknown := sorted(set(defaults) - {a.dest for _, a in settable}):
         raise ValueError(f"config file {path}: unknown key(s) {', '.join(map(repr, unknown))} "
                          "(keys are flag names with '_' for '-', as in 'k_reciprocal')")
-    for a in actions:
+    for _, a in settable:
         if a.dest in defaults and not _config_value_ok(a, defaults[a.dest]):
             raise ValueError(f"config file {path}: key {a.dest!r} cannot be "
                              f"{json.dumps(defaults[a.dest])}")
-    for p in parsers:  # each parser takes its own keys, so a command sees only its flags
-        p.set_defaults(**{a.dest: defaults[a.dest] for a in p._actions if a.dest in defaults})
+    for p, a in settable:  # each parser takes its own keys, so a command sees only its flags
+        if a.dest in defaults:
+            p.set_defaults(**{a.dest: defaults[a.dest]})
 
 
 def main(argv: list[str] | None = None) -> int:

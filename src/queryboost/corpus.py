@@ -359,7 +359,8 @@ def check_corpus(index: InvertedIndex, doc_store: Mapping[str, Document]) -> Non
 def json_object(line: str, fields: Mapping[str, tuple[tuple[type, ...], str]]) -> dict:
     """The JSON object on one data line, checked against ``fields``: key -> (its exact types,
     so a bool is no int; their name). A key typed NoneType may be missing. ValueError, in this
-    order, for bad JSON, no object, a missing key, a wrong type, a lone surrogate in a string."""
+    order, for bad JSON, no object, a missing key, a wrong type, a lone surrogate in a string
+    (any top-level value or item of a top-level list, declared or not)."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -374,11 +375,13 @@ def json_object(line: str, fields: Mapping[str, tuple[tuple[type, ...], str]]) -
     # A UTF-8 line gives a lone surrogate only through an escape such as \ud800, and
     # one memchr for a backslash is about 20x cheaper than a search for "\ud".
     if "\\" in line:
-        for key in (k for k in fields if type(obj.get(k)) is str):
-            try:
-                obj[key].encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise ValueError(f"{key} does not encode as UTF-8: {exc}") from exc
+        for key, value in obj.items():
+            for text in value if type(value) is list else (value,):
+                if type(text) is str:
+                    try:
+                        text.encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise ValueError(f"{key} does not encode as UTF-8: {exc}") from exc
     return obj
 
 
@@ -582,7 +585,9 @@ def load_index(path) -> InvertedIndex:
         try:
             with np.load(fh, allow_pickle=False) as npz:
                 a = {k: npz[k] for k in _INDEX_ARRAYS if k in npz.files}
-        except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        # a corrupt central directory also gives OSError or NotImplementedError
+        except (zipfile.BadZipFile, zlib.error, EOFError, ValueError, OSError,
+                NotImplementedError) as exc:
             raise IndexFormatError(path, f"truncated or corrupt: {exc}") from exc
     if "format_version" not in a:
         raise IndexFormatError(path, "no format_version")

@@ -78,34 +78,39 @@ class ReferenceSet:
         return self.query == query and self.prompt_version == PROMPT_VERSION
 
 
-def cached_references(cache, query_id: str, query: str, model_id: str,
-                      n_refs: int | None = None) -> ReferenceSet | None:
-    """The cached reference set of a query, cut to its first n_refs references.
+def cached_references(cache, queries: list[tuple[str, str]], model_id: str,
+                      n_refs: int | None = None) -> list[ReferenceSet | None]:
+    """Each (query_id, query)'s cached reference set, cut to its first n_refs references,
+    every query looked up before any is returned, so a bad entry fails before any query runs.
 
     Only ``cache.get`` is called, so any object with that method serves. A miss
     is a CacheMissError naming the query and model; a set generated for another
     query text or prompt version is a StaleReferencesError naming the query; a
     set holding fewer than n_refs references, or a negative n_refs, is a
-    ValueError. With n_refs None the set comes back uncut; with 0 the answer is
+    ValueError. With n_refs None each set comes back uncut; with 0 each is
     None, the no-expansion baseline, and the cache is not read.
     """
     if n_refs is not None and n_refs < 0:
         raise ValueError(f"n_refs must be >= 0, got {n_refs}")
     if n_refs == 0:
-        return None
-    refs = cache.get(query_id, model_id)
-    if refs is None:
-        raise CacheMissError(
-            f"no cached references for query {query_id!r} (model {model_id!r})")
-    if not refs.is_for(query):
-        raise StaleReferencesError(
-            f"cached references for query {query_id!r} were generated for "
-            f"{refs.query!r} with prompt version {refs.prompt_version!r}, not for "
-            f"{query!r} with {PROMPT_VERSION!r}; regenerate them with `queryboost generate`")
-    if n_refs is not None and len(refs.references) < n_refs:
-        raise ValueError(f"query {query_id!r}: need {n_refs} cached references, "
-                         f"have {len(refs.references)}")
-    return refs if n_refs is None else replace(refs, references=refs.references[:n_refs])
+        return [None] * len(queries)
+    all_refs = []
+    for query_id, query in queries:
+        refs = cache.get(query_id, model_id)
+        if refs is None:
+            raise CacheMissError(
+                f"no cached references for query {query_id!r} (model {model_id!r})")
+        if not refs.is_for(query):
+            raise StaleReferencesError(
+                f"cached references for query {query_id!r} were generated for "
+                f"{refs.query!r} with prompt version {refs.prompt_version!r}, not for "
+                f"{query!r} with {PROMPT_VERSION!r}; regenerate them with `queryboost generate`")
+        if n_refs is not None and len(refs.references) < n_refs:
+            raise ValueError(f"query {query_id!r}: need {n_refs} cached references, "
+                             f"have {len(refs.references)}")
+        all_refs.append(refs if n_refs is None
+                        else replace(refs, references=refs.references[:n_refs]))
+    return all_refs
 
 
 def render_prompt(query: str) -> str:

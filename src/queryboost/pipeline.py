@@ -119,14 +119,11 @@ def run_pipeline(queries: list[tuple[str, str]], index: InvertedIndex,
                  n_refs: int | None = None) -> list[PipelineRankings]:
     """Run the pipeline over a query set using cached references.
 
-    Each query gets ``cached_references(..., n_refs)``: with 0, none (the
-    no-expansion baseline). Every query's references are looked up before the
-    first query runs, so a missing or stale entry fails before any embedding.
-    One ``EmbeddingMemo`` serves all queries: the provider if it is one, else a
-    new one.
+    The queries' references are ``cached_references(..., n_refs)``: with 0,
+    none (the no-expansion baseline). One ``EmbeddingMemo`` serves all queries:
+    the provider if it is one, else a new one.
     """
-    all_refs = [cached_references(cache, query_id, query, model_id, n_refs)
-                for query_id, query in queries]
+    all_refs = cached_references(cache, queries, model_id, n_refs)
     if not isinstance(provider, EmbeddingMemo):
         provider = EmbeddingMemo(provider)
     return [run_query_pipeline(query_id, query, index, doc_store, provider, refs, cfg)
@@ -201,9 +198,8 @@ def sweep(axis: str, values: list, base_cfg: PipelineConfig,
             raise ValueError(f"sweep axis {axis!r} takes {wanted}, not {value!r}")
     points = [(value, *point(base_cfg, value)) for value in values]
     if axis == "n_refs":  # fail before the first point, not midway
-        for query_id, query in queries:
-            for n_refs in (min(values), max(values)):
-                cached_references(cache, query_id, query, model_id, n_refs)
+        cached_references(cache, queries, model_id, min(values))
+        cached_references(cache, queries, model_id, max(values))
 
     if not isinstance(provider, EmbeddingMemo):
         provider = EmbeddingMemo(provider)

@@ -502,6 +502,99 @@ class TestBadIndexFile:
                 assert rc == EXIT_FORMAT, (i - start, err)
                 assert "truncated or corrupt" in err, (i - start, err)
 
+    @pytest.mark.parametrize("field", ["central directory offset", "version needed",
+                                       "compression method"])
+    def test_flipped_bit_in_the_zip_container(self, dataset_dir, tmp_path, capsys, field):
+        # bit 7 of byte 1 of the end record's central-directory offset makes zipfile seek
+        # before the file's start (OSError); bit 7 of the first central-directory entry's
+        # "version needed" or compression method asks for one zipfile lacks
+        # (NotImplementedError)
+        data = bytearray(dataset_dir["index"].read_bytes())
+        end = data.rfind(b"PK\x05\x06")
+        [directory] = struct.unpack_from("<I", data, end + 16)
+        data[{"central directory offset": end + 17, "version needed": directory + 6,
+              "compression method": directory + 10}[field]] ^= 0x80
+        index = tmp_path / "flipped.idx"
+        index.write_bytes(data)
+        assert self._search(dataset_dir, index, tmp_path) == EXIT_FORMAT
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {index}: not a current queryboost index (truncated "
+                               "or corrupt: ")
+        assert not (tmp_path / "x.run").exists()
+
+
+# each declared input -> the command run over a mutated copy of it, and the exit codes the
+# README gives that command for a bad file of that input: 4 and 6 where an edit can change
+# a query id or text, or a doc id or text, into one that still reads
+MUTATED_INPUTS = {
+    "corpus": ("analyze", {EXIT_OK, EXIT_FORMAT, EXIT_MISMATCH}),
+    "queries": ("search", {EXIT_OK, EXIT_CACHE_MISS, EXIT_FORMAT, EXIT_MISMATCH}),
+    "qrels": ("eval", {EXIT_OK, EXIT_FORMAT}),
+    "run": ("eval", {EXIT_OK, EXIT_FORMAT}),
+    "cache": ("search", {EXIT_OK, EXIT_CACHE_MISS, EXIT_FORMAT, EXIT_MISMATCH}),
+    "index": ("search", {EXIT_OK, EXIT_FORMAT}),
+}
+_AT = st.integers(0, 1 << 20)  # a position, taken modulo the file's length
+# (kind, position, argument): a bit flip, a byte write, a truncation, inserted or deleted
+# bytes, or the line holding the position written twice
+_EDITS = st.lists(st.one_of(
+    st.tuples(st.just("flip"), _AT, st.integers(0, 7)),
+    st.tuples(st.just("write"), _AT, st.integers(0, 255)),
+    st.tuples(st.sampled_from(["truncate", "repeat"]), _AT, st.none()),
+    st.tuples(st.just("insert"), _AT, st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("delete"), _AT, st.integers(1, 8))), min_size=1, max_size=3)
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    data = bytearray(data)
+    for kind, position, arg in edits:
+        at = position % max(len(data), 1)
+        if kind == "flip" and data:
+            data[at] ^= 1 << arg
+        elif kind == "write" and data:
+            data[at] = arg
+        elif kind == "truncate":
+            del data[at:]
+        elif kind == "insert":
+            data[at:at] = arg
+        elif kind == "delete":
+            del data[at:at + arg]
+        elif kind == "repeat":
+            start = data.rfind(b"\n", 0, at) + 1
+            end = data.find(b"\n", at) + 1 or len(data)
+            data[end:end] = data[start:end]
+    return bytes(data)
+
+
+class TestMutatedInputs:
+    """Any few edits to a declared input exit with a code the README gives that input,
+    with one ``error:`` line on failure and no traceback; an index exits 0 only if it
+    ranks as the clean one does."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, dataset_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("clean")
+        assert main(TestDeclaredInputs.argv("search", dataset_dir, out)) == EXIT_OK
+        return {**dataset_dir, "run": out / "s.run"}
+
+    @pytest.mark.parametrize("name", MUTATED_INPUTS)
+    @settings(max_examples=50, deadline=None)
+    @given(edits=_EDITS)
+    def test_exit_code_and_one_error_line(self, clean, tmp_path_factory, name, edits):
+        command, codes = MUTATED_INPUTS[name]
+        out = tmp_path_factory.mktemp("mutated")
+        mutated = out / f"mutated-{name}"
+        mutated.write_bytes(_mutated(clean[name].read_bytes(), edits))
+        with contextlib.redirect_stderr(io.StringIO()) as err, \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(TestDeclaredInputs.argv(command, {**clean, name: mutated}, out))
+        assert rc in codes, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == (rc != EXIT_OK), err.getvalue()
+        if name == "index" and rc == EXIT_OK:
+            assert (out / "s.run").read_bytes() == clean["run"].read_bytes()
+
 
 class TestIndexCorpusMismatch:
     """pipeline, analyze and sweep refuse an index built from another corpus."""
@@ -642,6 +735,26 @@ class TestSearchCommand:
         assert (f"error: {cache}:1: corrupt cache line: references must be a list of strings"
                 in capsys.readouterr().err)
         assert not (tmp_path / "x.run").exists()
+
+    @pytest.mark.parametrize("command", ["search", "pipeline"])
+    def test_lone_surrogate_in_a_cached_reference_exit_code_and_message(
+            self, dataset_dir, tmp_path, capsys, command):
+        # json.dumps writes the lone surrogate as the escape \\ud800; a string in a list is
+        # held to the rule a string field is
+        lines = dataset_dir["cache"].read_text().splitlines()
+        entry = json.loads(lines[0])
+        entry["references"] = [entry["references"][0], "alpha \ud800"]
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("\n".join([json.dumps(entry), *lines[1:]]) + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(TestDeclaredInputs.argv(command, {**dataset_dir, "cache": cache}, out))
+        assert rc == EXIT_FORMAT
+        assert capsys.readouterr().err == (
+            f"error: {cache}:1: corrupt cache line: references does not encode as UTF-8: "
+            "'utf-8' codec can't encode character '\\ud800' in position 6: "
+            "surrogates not allowed\n")
+        assert not list(out.iterdir())
 
     def test_constant_repetition_flag(self, dataset_dir, tmp_path):
         rc = main(["search", "--index", str(dataset_dir["index"]),
@@ -1332,6 +1445,39 @@ class TestConfigFile:
                      "--out", str(tmp_path / "config.run")]) == EXIT_OK
         assert main(["search", *inputs, "--t", "2", "--out", str(tmp_path / "t.run")]) == EXIT_OK
         assert (tmp_path / "config.run").read_bytes() == (tmp_path / "t.run").read_bytes()
+
+    @pytest.mark.parametrize("key, value", [("help", True), ("command", "index"),
+                                            ("config", "elsewhere.json")])
+    def test_key_of_no_flag_a_config_sets_is_unknown(self, dataset_dir, tmp_path, capsys,
+                                                     key, value):
+        # help, the subcommand and --config itself are no defaults a config file can set
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        rc = main(["--config", str(cfg), *TestDeclaredInputs.argv("search", dataset_dir,
+                                                                  tmp_path)])
+        assert rc == EXIT_USAGE
+        assert f"unknown key(s) {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s.run").exists()
+
+    def test_verbose_key_is_accepted(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"verbose": True}))
+        assert main(["--config", str(cfg),
+                     *TestDeclaredInputs.argv("search", dataset_dir, tmp_path)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "s.run.manifest.json").read_text())
+        assert manifest["config"]["verbose"] is True
+
+    def test_lone_surrogate_in_a_config_string_names_the_file_and_key(self, dataset_dir,
+                                                                      tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tag": "a\ud800"}))  # written as the escape \\ud800
+        rc = main(["--config", str(cfg), *TestDeclaredInputs.argv("search", dataset_dir,
+                                                                  tmp_path)])
+        assert rc == EXIT_FORMAT
+        assert capsys.readouterr().err == (
+            f"error: malformed config file: {cfg}: tag does not encode as UTF-8: 'utf-8' "
+            "codec can't encode character '\\ud800' in position 1: surrogates not allowed\n")
+        assert not list(tmp_path.glob("s.run*"))
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -58,14 +58,14 @@ class TestReferenceSet:
             def get(self, query_id, model_id):
                 raise AssertionError("the cache was read")
 
-        assert cached_references(OneSetCache(), "q1", "q", "m") is rs
-        assert cached_references(UnreadCache(), "q1", "q", "m", 0) is None
-        assert cached_references(OneSetCache(), "q1", "q", "m", 2) == ReferenceSet(
-            "q1", "q", ("a", "b"), "m")
+        assert cached_references(OneSetCache(), [("q1", "q")], "m")[0] is rs
+        assert cached_references(UnreadCache(), [("q1", "q")], "m", 0) == [None]
+        assert cached_references(OneSetCache(), [("q1", "q")], "m", 2) == [ReferenceSet(
+            "q1", "q", ("a", "b"), "m")]
         with pytest.raises(ValueError, match="need 4 cached references, have 3"):
-            cached_references(OneSetCache(), "q1", "q", "m", 4)
+            cached_references(OneSetCache(), [("q1", "q")], "m", 4)
         with pytest.raises(ValueError, match="n_refs must be >= 0, got -1"):
-            cached_references(UnreadCache(), "q1", "q", "m", -1)
+            cached_references(UnreadCache(), [("q1", "q")], "m", -1)
 
 
 class TestReferenceCache:
@@ -336,7 +336,7 @@ class TestGeneration:
         results = generate_for_queries(_client(stub_server), cache, [("q1", "a")],
                                        GenerationConfig(model_id="m", n=1))
         assert results[0].references == ("P",)
-        assert cached_references(cache, "q1", "a", "m").references == ("P",)
+        assert cached_references(cache, [("q1", "a")], "m")[0].references == ("P",)
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_batch_failure_still_caches_every_other_query(self, tmp_path, jobs):
@@ -364,19 +364,19 @@ class TestCachedReferences:
 
     def test_miss_names_query_and_model(self, tmp_path):
         with pytest.raises(CacheMissError) as info:
-            cached_references(self._cache(tmp_path), "q2", "a", "m")
+            cached_references(self._cache(tmp_path), [("q2", "a")], "m")
         assert str(info.value) == "no cached references for query 'q2' (model 'm')"
         with pytest.raises(CacheMissError, match="model 'other'"):
-            cached_references(self._cache(tmp_path), "q1", "a", "other")
+            cached_references(self._cache(tmp_path), [("q1", "a")], "other")
 
     def test_too_few_names_n(self, tmp_path):
         with pytest.raises(ValueError, match="'q1': need 4 cached references, have 3"):
-            cached_references(self._cache(tmp_path), "q1", "a", "m", 4)
+            cached_references(self._cache(tmp_path), [("q1", "a")], "m", 4)
 
     def test_n_cuts_and_none_keeps_all(self, tmp_path):
         cache = self._cache(tmp_path)
-        assert cached_references(cache, "q1", "a", "m", 2).references == ("r1", "r2")
-        assert cached_references(cache, "q1", "a", "m") is cache.get("q1", "m")
+        assert cached_references(cache, [("q1", "a")], "m", 2)[0].references == ("r1", "r2")
+        assert cached_references(cache, [("q1", "a")], "m")[0] is cache.get("q1", "m")
 
     def test_any_object_with_get(self):
         refs = ReferenceSet("q1", "a", ("r1",), "m")
@@ -385,13 +385,13 @@ class TestCachedReferences:
             def get(self, query_id, model_id):
                 return {("q1", "m"): refs}.get((query_id, model_id))
 
-        assert cached_references(DictCache(), "q1", "a", "m", 1) == refs
+        assert cached_references(DictCache(), [("q1", "a")], "m", 1) == [refs]
         with pytest.raises(CacheMissError):
-            cached_references(DictCache(), "q9", "a", "m")
+            cached_references(DictCache(), [("q9", "a")], "m")
 
     def test_other_query_text_is_stale(self, tmp_path):
         with pytest.raises(StaleReferencesError) as info:
-            cached_references(self._cache(tmp_path), "q1", "b", "m")
+            cached_references(self._cache(tmp_path), [("q1", "b")], "m")
         assert str(info.value) == ("cached references for query 'q1' were generated for "
                                    "'a' with prompt version 'v1', not for 'b' with 'v1'; "
                                    "regenerate them with `queryboost generate`")
@@ -401,7 +401,7 @@ class TestCachedReferences:
         cache.put(ReferenceSet("q1", "a", ("r1",), "m", prompt_version="v0"))
         with pytest.raises(StaleReferencesError,
                            match="'q1' .* 'a' with prompt version 'v0', not for 'a' with 'v1'"):
-            cached_references(cache, "q1", "a", "m")
+            cached_references(cache, [("q1", "a")], "m")
 
 
 class TestGenerationConfig:

@@ -14,16 +14,16 @@ are kept at the narrowest unsigned dtype that holds their largest value.
 Each document also keeps an 8-byte blake2b digest of the text it was indexed
 from, so a corpus whose text changed under the same doc ids is caught.
 ``save_index`` writes one ``.npz`` archive holding only what the postings
-cannot give back: each term's document count in place of ``offsets``, only
-the tfs above 1 with their positions, each posting's ordinal as its
-difference from the previous posting's, and no document lengths, which are
-the sums of the documents' tfs. Every count column is stored as one byte per
-entry, with the values of 255 and above in an escape column (``_escaped``).
-Doc ids and terms are stored as lines of UTF-8 text: no token and no doc id
-that a run file can hold contains a newline. Those two members are deflated
-(``_DEFLATED``), about 2x for a vocabulary; every other member is stored
-uncompressed. ``load_index`` rebuilds the same arrays from it, and reads a
-format-6 index whether or not its members are deflated.
+cannot give back: each term's document count in place of ``offsets``, each
+posting's ordinal as its difference from the previous posting's, and no
+document lengths, which are the sums of the documents' tfs. Every count
+column (``dfs``, ``doc_ordinals``, ``tfs``) is stored as one byte per entry,
+with the values of 255 and above in an escape column (``_escaped``). Doc ids
+and terms are stored as lines of UTF-8 text: no token and no doc id that a
+run file can hold contains a newline. Those two members and ``tfs`` are
+deflated (``_DEFLATED``); every other member is stored uncompressed.
+``load_index`` rebuilds the same arrays from it, and reads a format-7 index
+whether or not its members are deflated.
 """
 
 import codecs
@@ -49,7 +49,7 @@ from queryboost.tokenizer import tokenize
 log = logging.getLogger(__name__)
 
 FIELD_POLICIES = ("text_only", "title_plus_text")
-INDEX_FORMAT_VERSION = 6
+INDEX_FORMAT_VERSION = 7
 
 
 class DataFormatError(ValueError):
@@ -59,13 +59,26 @@ class DataFormatError(ValueError):
         super().__init__(f"{path}:{lineno}: {problem}")
 
 
+def raw_lines(fh):
+    """The lines, as bytes, of a data file open for binary reading at its start: a UTF-8
+    byte order mark that starts the file dropped, and ``\\r\\n`` or a lone ``\\r``
+    read as ``\\n`` (universal newlines), so every line but an unterminated last one
+    ends in ``\\n``."""
+    if fh.peek(len(codecs.BOM_UTF8)).startswith(codecs.BOM_UTF8):
+        fh.read(len(codecs.BOM_UTF8))
+    # 13 is b"\r": an int's ``in`` is one memchr, a bytes' a slower search
+    return chain.from_iterable(
+        raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(True) if 13 in raw
+        else (raw,) for raw in fh)
+
+
 def read_data_lines(path, parse, key=None, key_name="", torn_tail=False, prefix=""):
     """Yield ``parse(line)`` for each line of a data file that is not blank.
 
     Every line-oriented data file is read here, by one rule. Lines are
-    numbered from 1, split with universal newlines, so a CRLF or CR file reads
-    as its LF copy, and each is decoded once, as UTF-8; ``parse`` gets each
-    line with its newline. Each of
+    numbered from 1, split by ``raw_lines``, so a CRLF or CR file reads as its
+    LF copy, and each is decoded once, as UTF-8; ``parse`` gets each line with
+    its newline. Each of
     these raises DataFormatError naming the line:
     - a line that is not UTF-8, naming the first such byte, or a ValueError
       from ``parse``; ``prefix`` goes before either problem;
@@ -76,20 +89,12 @@ def read_data_lines(path, parse, key=None, key_name="", torn_tail=False, prefix=
       of every line.
     With ``torn_tail``, a final line without a newline that is not UTF-8 or
     that ``parse`` rejects, as a crash while appending leaves it, is dropped
-    with a warning instead. A UTF-8 byte order mark at the very start of the
-    file is dropped; one anywhere else is part of its line.
+    with a warning instead.
     """
     first_line = defaultdict(dict)  # scope -> {name: line it was read from}
     # Cache lines run to several KB; a 64 KiB buffer spares most refills.
     with open(path, "rb", buffering=1 << 16) as fh:
-        if fh.peek(len(codecs.BOM_UTF8)).startswith(codecs.BOM_UTF8):
-            fh.read(len(codecs.BOM_UTF8))
-        # universal newlines: \r\n and a lone \r end a line as \n does (13 is b"\r": an
-        # int's ``in`` is one memchr, a bytes' a slower search)
-        lines = chain.from_iterable(
-            raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(True) if 13 in raw
-            else (raw,) for raw in fh)
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(raw_lines(fh), start=1):
             try:
                 line = raw.decode("utf-8")
                 if line.isspace():
@@ -439,9 +444,10 @@ def _unescape(a: dict, column: str, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# The members save_index deflates: the strings deflate about 2x at level 1, while
-# the count columns, already one byte an entry, would cost more time than bytes.
-_DEFLATED = ("doc_id_bytes", "term_bytes")
+# The members save_index deflates, at level 1. The strings deflate about 2x. Of the
+# count columns only tfs pays its time: 94.6% of sparse-zipf's tfs are 1, so the
+# column deflates from 465 KB to 33 KB in 2-4 ms, where doc_ordinals took 16 ms.
+_DEFLATED = ("doc_id_bytes", "term_bytes", "tfs")
 _DEFLATE_LEVEL = 1
 
 
@@ -449,30 +455,26 @@ def save_index(index: InvertedIndex, path) -> None:
     """Persist an index as one ``.npz`` archive, written to exactly ``path``.
 
     The archive stores ``dfs``, each term's document count, in place of
-    ``offsets``, and the postings whose tf is above 1 (``tf_positions``, each
-    as its difference from the one before, and ``tf_values``) in place of every
-    tf. Each posting's ordinal is stored as its difference from the previous
-    posting's, modulo 2**bits of the ordinals' dtype. Those four count columns
-    hold one byte per entry, with an escape column each (``_escaped``): the
-    ordinals' at the ordinals' dtype, the others' at the narrowest unsigned
-    dtype. ``doc_lengths`` is not stored: each is the sum of a document's tfs.
-    Doc ids and terms are stored as their ``"\n".join`` in UTF-8
-    (``doc_id_bytes``, ``term_bytes``). Each array is one ``<name>.npy``
-    member, written whole and dated 1980-01-01 as ``np.savez`` dates it, so an
-    index is the same bytes on every save: those two members deflated at level
-    ``_DEFLATE_LEVEL``, every other member stored. It is written through
-    ``atomic_write``, so a failed write leaves any previous index intact.
+    ``offsets``, and each posting's ordinal as its difference from the previous
+    posting's, modulo 2**bits of the ordinals' dtype. Those two count columns
+    and ``tfs`` hold one byte per entry, with an escape column each
+    (``_escaped``): the ordinals' at the ordinals' dtype, the others' at the
+    narrowest unsigned dtype. ``doc_lengths`` is not stored: each is the sum
+    of a document's tfs. Doc ids and terms are stored as their ``"\n".join``
+    in UTF-8 (``doc_id_bytes``, ``term_bytes``). Each array is one
+    ``<name>.npy`` member, written whole and dated 1980-01-01 as ``np.savez``
+    dates it, so an index is the same bytes on every save: the members of
+    ``_DEFLATED`` deflated at level ``_DEFLATE_LEVEL``, every other member
+    stored. It is written through ``atomic_write``, so a failed write leaves
+    any previous index intact.
     """
     doc_id_bytes, term_bytes = (np.frombuffer("\n".join(s).encode("utf-8"), dtype=np.uint8)
                                 for s in (index.doc_ids, index.terms))
     ordinals = _narrowed(index.doc_ordinals)
     ordinal_gaps = ordinals.copy()
     np.subtract(ordinals[1:], ordinals[:-1], out=ordinal_gaps[1:])  # unsigned: wraps
-    tf_positions = np.flatnonzero(index.tfs > 1)
     coded = {}
-    for column, values in (("dfs", np.diff(index.offsets)),
-                           ("tf_positions", np.diff(tf_positions, prepend=0)),
-                           ("tf_values", index.tfs[tf_positions])):
+    for column, values in (("dfs", np.diff(index.offsets)), ("tfs", index.tfs)):
         coded[column], escapes = _escaped(values)
         coded[f"{column}_escapes"] = _narrowed(escapes)
     # the ordinals' escapes keep the ordinals' dtype, which load_index gives back
@@ -491,7 +493,7 @@ def save_index(index: InvertedIndex, path) -> None:
 
 
 # Each stored column's dtype, or None for an escape column (see _escaped): unsigned, within int64.
-_ESCAPED_COLUMNS = ("dfs", "doc_ordinals", "tf_positions", "tf_values")
+_ESCAPED_COLUMNS = ("dfs", "doc_ordinals", "tfs")
 _COLUMNS = {"doc_id_bytes": np.dtype(np.uint8), "doc_digests": np.dtype("<u8"),
             **dict.fromkeys(("term_bytes", *_ESCAPED_COLUMNS), np.dtype(np.uint8)),
             **dict.fromkeys((f"{c}_escapes" for c in _ESCAPED_COLUMNS), None)}
@@ -527,27 +529,19 @@ def _decoded_postings(a: dict, num_docs: int, terms: tuple[str, ...]):
         term = terms[np.searchsorted(offsets, posting, side="right") - 1]
         raise ValueError(f"column 'doc_ordinals' does not increase within the postings "
                          f"of term {term!r}, at posting {posting}")
-    positions = _unescape(a, "tf_positions",
-                          np.empty(len(a["tf_positions"]), dtype=np.int64))
-    if len(repeats := np.flatnonzero(positions[1:] == 0)):
-        raise ValueError(f"column 'tf_positions' does not increase at entry {repeats[0] + 1}")
-    np.cumsum(positions, out=positions)
-    if len(positions) and positions[-1] >= num_postings:
-        raise ValueError(f"column 'tf_positions' holds {positions[-1]}, "
-                         f"not a position among the {num_postings} postings")
-    values = _unescape(a, "tf_values", np.empty(len(positions), dtype=np.int64))
-    if len(values) and values.min() < 2:
-        raise ValueError(f"column 'tf_values' holds {values.min()}, below 2")
+    tfs = _narrowed(_unescape(a, "tfs", np.empty(num_postings, dtype=a["tfs_escapes"].dtype)))
+    if num_postings and tfs[first := tfs.argmin()] == 0:
+        raise ValueError(f"column 'tfs' holds 0, at posting {first}")
     # A document's length is its number of postings plus tf - 1 for each tf above 1.
-    # np.add.at, not np.bincount, which would make an intp copy of every ordinal.
+    # np.add.at, not np.bincount, which would make an intp copy of every ordinal; int64
+    # values add about 2x faster than the tfs' own dtype.
     lengths = np.zeros(num_docs, dtype=np.int64)
     np.add.at(lengths, ordinals, 1)
-    np.add.at(lengths, ordinals[positions], values - 1)
+    above = np.flatnonzero(tfs > 1)
+    np.add.at(lengths, ordinals[above], tfs[above].astype(np.int64) - 1)
     if num_docs and (longest := lengths.max()) > np.iinfo(np.int32).max:
-        raise ValueError(f"column 'tf_values' makes a document {longest} tokens long, "
+        raise ValueError(f"column 'tfs' makes a document {longest} tokens long, "
                          f"more than int32 holds")
-    tfs = np.ones(num_postings, dtype=_narrow_dtype(values))
-    tfs[positions] = values
     return offsets, lengths.astype(np.int32), ordinals, tfs
 
 
@@ -560,18 +554,17 @@ def load_index(path) -> InvertedIndex:
     The index equals the one saved, array for array and dtype for dtype:
     ``offsets`` is the int64 running sum of ``dfs``, ``doc_ordinals`` the
     running sum of the stored differences at the dtype of their escape column,
-    ``tfs`` is 1 but at ``tf_positions`` and at the narrowest unsigned dtype
-    holding its largest value, and ``doc_lengths`` is the int32 sum of each
-    document's tfs. A column of the wrong dtype or not one-dimensional, escapes
-    other than the column's bytes 255, a column whose length is not the count
-    it must match (``doc_digests`` and the doc ids, ``dfs`` and the terms,
-    ``tf_values`` and ``tf_positions``; both counts are named), ``dfs`` that do
-    not add up to the postings, an ordinal outside the documents, ordinals that
-    do not increase within a term, ``tf_positions`` that do not increase or
-    fall outside the postings, a ``tf_values`` entry below 2, a document
-    longer than int32 holds, strings that are not UTF-8, or an index that
-    breaks an invariant of ``InvertedIndex`` is an IndexFormatError naming the
-    column, the id or the term, never a wrong score.
+    ``tfs`` is at the narrowest unsigned dtype holding its largest value, and
+    ``doc_lengths`` is the int32 sum of each document's tfs. A column of the
+    wrong dtype or not one-dimensional, escapes other than the column's bytes
+    255, a column whose length is not the count it must match (``doc_digests``
+    and the doc ids, ``dfs`` and the terms, ``tfs`` and the postings; both
+    counts are named), ``dfs`` that do not add up to the postings, an ordinal
+    outside the documents, ordinals that do not increase within a term, a tf
+    of 0, a document longer than int32 holds, strings that are not UTF-8, or
+    an index that breaks an invariant of ``InvertedIndex`` is an
+    IndexFormatError naming the column, the id or the term, never a wrong
+    score.
     """
     # np.load is given the open file, not the path: on a corrupt archive it raises
     # without closing a file it opened itself.
@@ -615,7 +608,7 @@ def load_index(path) -> InvertedIndex:
         raise IndexFormatError(path, f"corrupt strings: {exc}") from exc
     for column, count, of in (("doc_digests", len(doc_ids), "doc ids of 'doc_id_bytes'"),
                               ("dfs", len(terms), "terms of 'term_bytes'"),
-                              ("tf_values", len(a["tf_positions"]), "of 'tf_positions'")):
+                              ("tfs", len(a["doc_ordinals"]), "postings of 'doc_ordinals'")):
         if len(a[column]) != count:
             raise IndexFormatError(path, f"column {column!r} has {len(a[column])} entries, "
                                          f"not the {count} {of}")

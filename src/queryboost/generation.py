@@ -16,7 +16,7 @@ from types import NoneType
 
 import requests
 
-from queryboost.corpus import json_object, read_data_lines
+from queryboost.corpus import json_object, raw_lines, read_data_lines
 from queryboost.service import ATTEMPTS, ServiceError, post_json
 from queryboost.tokenizer import has_tokens
 
@@ -182,23 +182,25 @@ def _parse_line(line: str) -> ReferenceSet:
 def _end_last_line(fh) -> None:
     """Make a cache file opened for appending end with a complete line.
 
-    A last line without a newline is ended if it parses (``_load`` kept it) and
-    cut off if it does not (``_load`` dropped it), so the next record starts a
-    line of its own.
+    The last line, as ``corpus.raw_lines`` splits it for ``_load``, is ended
+    with a newline if it parses (``_load`` kept it) and cut off if it does not
+    (``_load`` dropped it), so the next record starts a line of its own. A
+    last byte ``\\n`` or ``\\r`` already ends a line.
     """
     size = fh.seek(0, os.SEEK_END)
     if size == 0:
         return
     fh.seek(size - 1)
-    if fh.read(1) == b"\n":
+    if fh.read(1) in (b"\n", b"\r"):
         return
     fh.seek(0)
-    data = fh.read()
-    start = data.rfind(b"\n") + 1
+    last = b""  # a file holding only a byte order mark has no line
+    for last in raw_lines(fh):
+        pass
     try:
-        _parse_line(data[start:].decode("utf-8"))
+        _parse_line(last.decode("utf-8"))
     except ValueError:
-        fh.truncate(start)
+        fh.truncate(size - len(last))
     else:
         fh.write(b"\n")
 

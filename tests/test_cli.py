@@ -314,58 +314,48 @@ class TestBadIndexFile:
         _rewrite_npz(dataset_dir["index"], index, format_version=None)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys, "format_version")
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 99])
     def test_format_version(self, dataset_dir, tmp_path, capsys, version):
-        # only format 6 is read: format 1's missing digests are never reached
+        # only format 7 is read: format 1's missing digests are never reached
         index = tmp_path / f"v{version}.idx"
         dropped = {"doc_digests": None} if version == 1 else {}
         _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(version), **dropped)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              f"(format version {version}, not 6)")
+                              f"(format version {version}, not 7)")
 
     # a posting column with values no index build makes is rejected by name
 
     def test_float_tfs(self, dataset_dir, tmp_path, capsys):
         index = tmp_path / "float-tfs.idx"
         _rewrite_npz(dataset_dir["index"], index,
-                     tf_values=_column(dataset_dir["index"], "tf_values") + 0.5)
+                     tfs=_column(dataset_dir["index"], "tfs") + 0.5)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "column 'tf_values' has dtype float64, not uint8")
+                              "column 'tfs' has dtype float64, not uint8")
 
     def test_negative_tfs(self, dataset_dir, tmp_path, capsys):
         index = tmp_path / "negative-tfs.idx"
         _rewrite_npz(dataset_dir["index"], index,
-                     tf_values=-_column(dataset_dir["index"], "tf_values", np.int32))
+                     tfs=-_column(dataset_dir["index"], "tfs", np.int32))
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "column 'tf_values' has dtype int32, not uint8")
+                              "column 'tfs' has dtype int32, not uint8")
 
-    def test_tf_value_of_1(self, dataset_dir, tmp_path, capsys):
-        # a tf of 1 is never stored: every posting not named in tf_positions has it
-        values = _column(dataset_dir["index"], "tf_values")
-        values[0] = 1
-        index = tmp_path / "tf-1.idx"
-        _rewrite_npz(dataset_dir["index"], index, tf_values=values)
+    def test_tf_of_0(self, dataset_dir, tmp_path, capsys):
+        # a posting holds its term at least once
+        tfs = _column(dataset_dir["index"], "tfs")
+        tfs[3] = 0
+        index = tmp_path / "tf-0.idx"
+        _rewrite_npz(dataset_dir["index"], index, tfs=tfs)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "column 'tf_values' holds 1, below 2")
+                              "column 'tfs' holds 0, at posting 3")
 
-    def test_repeated_tf_position(self, dataset_dir, tmp_path, capsys):
-        positions = np.flatnonzero(load_index(dataset_dir["index"]).tfs > 1)
-        positions[2] = positions[1]
-        index = tmp_path / "repeated.idx"
-        _rewrite_coded(dataset_dir["index"], index, "tf_positions", positions)
+    def test_tfs_of_the_wrong_length(self, dataset_dir, tmp_path, capsys):
+        # one tf per posting: a tf too few would shift every later document's length
+        tfs = _column(dataset_dir["index"], "tfs")
+        index = tmp_path / "short-tfs.idx"
+        _rewrite_npz(dataset_dir["index"], index, tfs=tfs[:-1])
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "column 'tf_positions' does not increase at entry 2")
-
-    def test_tf_position_past_the_postings(self, dataset_dir, tmp_path, capsys):
-        loaded = load_index(dataset_dir["index"])
-        positions = np.flatnonzero(loaded.tfs > 1)
-        postings = len(loaded.tfs)
-        positions[-1] = postings
-        index = tmp_path / "past.idx"
-        _rewrite_coded(dataset_dir["index"], index, "tf_positions", positions)
-        self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              f"column 'tf_positions' holds {postings}, "
-                              f"not a position among the {postings} postings")
+                              f"column 'tfs' has {len(tfs) - 1} entries, "
+                              f"not the {len(tfs)} postings of 'doc_ordinals'")
 
     def test_dfs_that_do_not_add_up(self, dataset_dir, tmp_path, capsys):
         dfs = np.diff(load_index(dataset_dir["index"]).offsets)
@@ -460,26 +450,31 @@ class TestBadIndexFile:
                               f"column 'doc_ordinals' holds 255, "
                               f"not an ordinal of the {loaded.num_docs} documents")
 
-    def test_flipped_bit_in_a_stored_tf(self, dataset_dir, tmp_path, capsys):
-        # the archive's CRC-32 catches a flipped bit in any member, here the last
-        # stored tf above 1, which would otherwise load as another valid tf
+    def test_flipped_bit_in_a_stored_member(self, dataset_dir, tmp_path, capsys):
+        # the archive's CRC-32 catches a flipped bit in any member, here in the last
+        # document's digest, which would otherwise load and blame the corpus for a
+        # change it does not have
         data = bytearray(dataset_dir["index"].read_bytes())
         with zipfile.ZipFile(dataset_dir["index"]) as zf:
-            info = zf.getinfo("tf_values.npy")
+            info = zf.getinfo("doc_digests.npy")
             member = zf.read(info)
+        assert info.compress_type == zipfile.ZIP_STORED
         end = data.index(member, info.header_offset) + len(member)
         data[end - 1] ^= 1
-        assert 2 <= data[end - 1] < 255  # a tf that would load without the CRC
+        digests = _column(dataset_dir["index"], "doc_digests")
+        digests[-1] ^= 1 << 56  # the same bit: the digests are little-endian
+        _rewrite_npz(dataset_dir["index"], tmp_path / "unchecked.idx", doc_digests=digests)
+        assert load_index(tmp_path / "unchecked.idx").doc_digests.tolist() == digests.tolist()
         index = tmp_path / "flipped.idx"
         index.write_bytes(data)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              "truncated or corrupt: Bad CRC-32 for file 'tf_values.npy'")
+                              "truncated or corrupt: Bad CRC-32 for file 'doc_digests.npy'")
 
-    @pytest.mark.parametrize("member", ["doc_id_bytes.npy", "term_bytes.npy"])
+    @pytest.mark.parametrize("member", ["doc_id_bytes.npy", "term_bytes.npy", "tfs.npy"])
     def test_flipped_bit_in_a_deflated_member(self, dataset_dir, tmp_path, capsys, member):
         # one bit of each byte of the member's deflated data, bit 0 of the first byte,
         # bit 1 of the second and so on: each flip exits 5 or inflates to the same
-        # strings, and an inflate error (a zlib.error) exits 5 too, not 1
+        # arrays, and an inflate error (a zlib.error) exits 5 too, not 1
         data = dataset_dir["index"].read_bytes()
         expected = load_index(dataset_dir["index"])
         with zipfile.ZipFile(dataset_dir["index"]) as zf:
@@ -498,6 +493,7 @@ class TestBadIndexFile:
             if rc == EXIT_OK:
                 loaded = load_index(index)
                 assert (loaded.doc_ids, loaded.terms) == (expected.doc_ids, expected.terms)
+                assert loaded.tfs.tobytes() == expected.tfs.tobytes()
             else:
                 assert rc == EXIT_FORMAT, (i - start, err)
                 assert "truncated or corrupt" in err, (i - start, err)

@@ -219,10 +219,13 @@ def test_document_longer_than_int32_is_rejected(tmp_path, small_index):
     save_index(small_index, tmp_path / "index")
     with np.load(tmp_path / "index") as npz:
         arrays = {k: npz[k] for k in npz.files}
-    arrays.update(coded("tf_values", np.array([2**31], dtype=np.int64)))
+    tfs = small_index.tfs.astype(np.int64)
+    assert tfs[1] == 3
+    tfs[1] = 2**31
+    arrays.update(coded("tfs", tfs))
     with open(tmp_path / "edited", "wb") as fh:
         np.savez(fh, **arrays)
-    with pytest.raises(IndexFormatError, match=f"column 'tf_values' makes a document "
+    with pytest.raises(IndexFormatError, match=f"column 'tfs' makes a document "
                                                f"{2**31} tokens long"):
         load_index(tmp_path / "edited")
 
@@ -236,7 +239,7 @@ def test_tfs_dtype_edges(tmp_path, max_tf, dtype):
     # a stored tf of 255 or more escapes, and loads back at the same dtype
     save_index(index, tmp_path / "index")
     with np.load(tmp_path / "index") as npz:
-        assert npz["tf_values_escapes"].tolist() == ([max_tf] if max_tf >= 255 else [])
+        assert npz["tfs_escapes"].tolist() == ([max_tf] if max_tf >= 255 else [])
     assert_index_equals(load_index(tmp_path / "index"), columns(index))
 
 
@@ -417,50 +420,49 @@ def test_load_gives_back_every_saved_array_and_dtype(docs, field_policy):
 
 
 def coded(column, values):
-    """``values`` stored as save_index stores ``column``, by name: one byte each and an
-    escape column. ``dfs`` and ``tf_values`` go as they are; ``tf_positions`` and
-    ``doc_ordinals`` as differences from the entry before. The ordinals' escapes keep
-    the ordinals' dtype, which they load at; the others' are uint32."""
-    if column not in ("dfs", "tf_values"):
+    """``values`` stored as save_index stores ``column``: one byte each and an escape
+    column. ``doc_ordinals`` go as differences from the entry before, modulo 2**bits of
+    their dtype, and their escapes keep that dtype, which they load at; ``dfs`` and
+    ``tfs`` go as they are, and their escapes at the narrowest unsigned dtype."""
+    if column == "doc_ordinals":
         values = np.diff(values, prepend=np.zeros(1, dtype=values.dtype))
     stored, escapes = corpus._escaped(values)
     if column != "doc_ordinals":
-        escapes = escapes.astype(np.uint32)
+        escapes = corpus._narrowed(escapes)
     return {column: stored, f"{column}_escapes": escapes}
 
 
-def test_saved_columns_hold_counts_and_only_the_tfs_above_1(tmp_path, small_index):
+def test_saved_columns_hold_counts_and_every_tf(tmp_path, small_index):
     save_index(small_index, tmp_path / "index")
     with np.load(tmp_path / "index") as npz:
         arrays = {k: npz[k] for k in npz.files}
-    assert "offsets" not in arrays and "tfs" not in arrays
+    assert "offsets" not in arrays
     # terms cat, sat, mat, dog, log; d3's "cat cat cat" is posting 1, cat's second
     assert arrays["dfs"].tolist() == np.diff(small_index.offsets).tolist() == [2, 2, 1, 1, 1]
-    assert arrays["tf_positions"].tolist() == [1]
-    assert arrays["tf_values"].tolist() == [3]
+    assert arrays["tfs"].tolist() == small_index.tfs.tolist() == [1, 3, 1, 1, 1, 1, 1]
     assert "doc_lengths" not in arrays  # each is the sum of a document's tfs
     # ordinals 0 2 | 0 1 | 0 | 1 | 1, each less the one before modulo 256: sat's first
     # is 254, mat's 255, which escapes, and log's 0
     assert small_index.doc_ordinals.tolist() == [0, 2, 0, 1, 0, 1, 1]
     assert arrays["doc_ordinals"].tolist() == [0, 2, 254, 1, 255, 1, 0]
     assert arrays["doc_ordinals_escapes"].tolist() == [255]
-    for name in ("dfs", "tf_positions", "tf_values"):
+    for name in ("dfs", "tfs"):
         assert arrays[f"{name}_escapes"].tolist() == [], name
-    for name in ("dfs", "doc_ordinals", "tf_positions", "tf_values"):
+    for name in ("dfs", "doc_ordinals", "tfs"):
         assert arrays[name].dtype == arrays[f"{name}_escapes"].dtype == np.uint8, name
 
 
-def test_only_the_strings_are_deflated(tmp_path, small_index):
+def test_only_the_strings_and_the_tfs_are_deflated(tmp_path, small_index):
     save_index(small_index, tmp_path / "index")
     # each member as np.savez names it, in the order save_index writes them
     dtypes = {"format_version": np.int64, "field_policy": "<U15", "doc_id_bytes": np.uint8,
               "doc_digests": "<u8", "term_bytes": np.uint8,
-              **{f"{c}{e}": np.uint8 for c in ("dfs", "tf_positions", "tf_values",
-                                               "doc_ordinals") for e in ("", "_escapes")}}
+              **{f"{c}{e}": np.uint8 for c in ("dfs", "tfs", "doc_ordinals")
+                 for e in ("", "_escapes")}}
     with zipfile.ZipFile(tmp_path / "index") as zf:
         assert zf.namelist() == [f"{name}.npy" for name in dtypes]
         for name, dtype in dtypes.items():
-            deflated = name in ("doc_id_bytes", "term_bytes")
+            deflated = name in ("doc_id_bytes", "term_bytes", "tfs")
             assert zf.getinfo(f"{name}.npy").compress_type == (
                 zipfile.ZIP_DEFLATED if deflated else zipfile.ZIP_STORED), name
     with np.load(tmp_path / "index") as npz:
@@ -522,10 +524,10 @@ def test_codec_round_trip_over_postings(tmp_path, dtype, top):
     np.cumsum(decoded, dtype=dtype, out=decoded)
     assert decoded.dtype == dtype and decoded.tolist() == ordinals.tolist()
 
-    # the same postings through save_index and load_index, with tfs above 1 at the
-    # first and the last posting, so the gap between their positions escapes too
-    tfs = np.ones(len(ordinals), dtype=np.uint8)
-    tfs[[0, -1]] = 2
+    # the same postings through save_index and load_index, with a tf above 1 at the
+    # first posting and one that escapes at the last
+    tfs = np.ones(len(ordinals), dtype=np.uint16)
+    tfs[[0, -1]] = 2, 300
     lengths = np.zeros(top + 1, dtype=np.int32)
     np.add.at(lengths, ordinals, tfs)
     offsets = np.cumsum([0, *map(len, postings)], dtype=np.int64)
@@ -534,7 +536,7 @@ def test_codec_round_trip_over_postings(tmp_path, dtype, top):
                           ordinals, tfs, "text_only")
     save_index(index, tmp_path / "index")
     with np.load(tmp_path / "index") as npz:
-        assert npz["tf_positions_escapes"].tolist() == [len(ordinals) - 1]
+        assert npz["tfs_escapes"].tolist() == [300]
     assert_index_equals(load_index(tmp_path / "index"), columns(index))
 
 
@@ -586,7 +588,7 @@ def test_crafted_strings_are_rejected(tmp_path, column, old, new, problem):
     ("dfs", -1, "column 'dfs' has 4 entries, not the 5 terms of 'term_bytes'"),
     ("doc_digests", 1, "column 'doc_digests' has 4 entries, not the 3 doc ids of "
                        "'doc_id_bytes'"),
-    ("tf_values", 1, "column 'tf_values' has 2 entries, not the 1 of 'tf_positions'"),
+    ("tfs", 1, "column 'tfs' has 8 entries, not the 7 postings of 'doc_ordinals'"),
 ])
 def test_column_of_the_wrong_length_is_named_with_both_counts(tmp_path, small_index,
                                                               column, change, problem):
@@ -618,13 +620,13 @@ def _edited_archive(tmp_path, small_index, **changes):
 
 
 @pytest.mark.parametrize("changes, problem", [
-    ({"tf_values": None, "dfs_escapes": None}, "missing arrays: tf_values, dfs_escapes"),
+    ({"tfs": None, "dfs_escapes": None}, "missing arrays: tfs, dfs_escapes"),
     ({"doc_digests": np.zeros((3, 1), dtype="<u8")},
      "column 'doc_digests' has 2 dimensions, not 1"),
-    ({"tf_values_escapes": np.zeros((0, 1), dtype=np.uint8)},
-     "column 'tf_values_escapes' has 2 dimensions, not 1"),
-    ({"tf_values_escapes": np.zeros(0, dtype=np.uint64)},
-     "column 'tf_values_escapes' has dtype uint64, not an unsigned type that fits in int64"),
+    ({"tfs_escapes": np.zeros((0, 1), dtype=np.uint8)},
+     "column 'tfs_escapes' has 2 dimensions, not 1"),
+    ({"tfs_escapes": np.zeros(0, dtype=np.uint64)},
+     "column 'tfs_escapes' has dtype uint64, not an unsigned type that fits in int64"),
     ({"field_policy": np.str_("title_only")}, "unknown field policy 'title_only'"),
 ], ids=["missing-arrays", "2-d-column", "2-d-escape-column", "escapes-past-int64",
         "unknown-field-policy"])

@@ -1,3 +1,4 @@
+import codecs
 import json
 import logging
 import re
@@ -134,6 +135,31 @@ class TestReferenceCache:
             assert len(reloaded) == len(want) + 1
             assert all(reloaded.get(rs.query_id, "m") == rs for rs in [*want, new])
             assert path.read_bytes().endswith(b"\n")
+
+    @pytest.mark.parametrize("last", ["terminated", "unterminated", "torn"])
+    @pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["no-bom", "bom"])
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("lines_before", [0, 1])
+    def test_put_keeps_every_entry_whatever_ends_the_lines(self, tmp_path, lines_before,
+                                                           ending, mark, last):
+        # put ends or cuts the file's last line as the reader splits it: a lone \r
+        # ends a line and a leading byte order mark is no part of the first
+        entries = [ReferenceSet(f"q{i}", f"query {i}", (f"r{i}",), "m")
+                   for i in range(lines_before + 1)]
+        lines = [json.dumps({"query_id": rs.query_id, "query": rs.query, "model": "m",
+                             "references": list(rs.references)}).encode() for rs in entries]
+        tail = {"terminated": lines[-1] + ending, "unterminated": lines[-1],
+                "torn": lines[-1][:len(lines[-1]) // 2]}[last]
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(mark + b"".join(line + ending for line in lines[:-1]) + tail)
+        kept = entries[:-1] if last == "torn" else entries
+        cache = ReferenceCache(path)
+        assert len(cache) == len(kept)
+        new = ReferenceSet("new", "new", ("n",), "m")
+        cache.put(new)
+        reloaded = ReferenceCache(path)
+        assert len(reloaded) == len(kept) + 1
+        assert all(reloaded.get(rs.query_id, "m") == rs for rs in [*kept, new])
 
     def test_torn_tail_warns_with_path_and_line(self, tmp_path, caplog):
         path = tmp_path / "cache.jsonl"

@@ -527,12 +527,12 @@ class TestFieldPolicy:
 
 def _save_with_wide_columns(index, path):
     """Save ``index`` with every escape column wider than it needs: uint32
-    ``doc_ordinals`` escapes (so the ordinals load as uint32) and uint32 ``dfs``,
-    ``tf_positions`` and ``tf_values`` escapes."""
+    ``doc_ordinals`` escapes (so the ordinals load as uint32) and uint32 ``dfs`` and
+    ``tfs`` escapes."""
     save_index(index, path)
     with np.load(path) as npz:
         arrays = {k: npz[k] for k in npz.files}
-    for key in ("dfs_escapes", "tf_positions_escapes", "tf_values_escapes"):
+    for key in ("dfs_escapes", "tfs_escapes"):
         arrays[key] = arrays[key].astype(np.uint32)
     arrays.update(coded("doc_ordinals", index.doc_ordinals.astype(np.uint32)))
     with open(path, "wb") as fh:

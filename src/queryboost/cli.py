@@ -1,7 +1,8 @@
 """Command-line interface: index, generate, search, pipeline, eval, analyze, sweep.
 
-Exit codes: 0 success, 2 usage error (any ``ValueError`` not named here), 3
-missing declared input file or ``--config`` (checked before the command runs), 4
+Exit codes: 0 success, 2 usage error (any ``ValueError`` not named here, an
+output that is one of the command's declared input files included), 3 missing
+declared input file or ``--config`` (checked before the command runs), 4
 reference-cache miss, 5 malformed data file (a corpus, queries, qrels, run, cache,
 index or ``--config`` file), 6 index built from another corpus or references
 cached for another query text or prompt version, 1 anything else (a chat or
@@ -16,6 +17,7 @@ last of them. Every writer makes the directory of its output.
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -67,6 +69,10 @@ log = logging.getLogger("queryboost")
 _DEFAULTS = PipelineConfig()
 
 
+def _manifest_path(output_path) -> str:
+    return str(output_path) + ".manifest.json"
+
+
 def write_manifest(output_path, args: argparse.Namespace, outputs: list) -> None:
     manifest = {
         "tool": "queryboost",
@@ -78,7 +84,7 @@ def write_manifest(output_path, args: argparse.Namespace, outputs: list) -> None
         "inputs": [str(getattr(args, name)) for name in args._inputs],
         "outputs": [str(p) for p in outputs],
     }
-    with atomic_write(str(output_path) + ".manifest.json") as fh:
+    with atomic_write(_manifest_path(output_path)) as fh:
         fh.write(json.dumps(manifest, indent=2, default=str))
 
 
@@ -136,6 +142,11 @@ def cmd_search(args, index, queries, cache) -> list:
     return [args.out]
 
 
+def _stage_paths(out_prefix) -> dict:
+    """Each pipeline stage's run file under ``--out-prefix``, in the order they are written."""
+    return {stage: Path(f"{out_prefix}.{stage}.run") for stage in ("bm25", "pre", "post")}
+
+
 def cmd_pipeline(args, index, corpus, queries, cache) -> list:
     provider = _provider_from_args(args)
     cfg = _pipeline_config(args)
@@ -143,14 +154,12 @@ def cmd_pipeline(args, index, corpus, queries, cache) -> list:
     rankings = run_pipeline(queries, index, corpus, provider, cache,
                             args.model, cfg, n_refs=args.n_refs)
 
-    stage_paths = []
-    for stage in ("bm25", "pre", "post"):
-        stage_paths.append(Path(f"{args.out_prefix}.{stage}.run"))
-        write_run(stage_paths[-1], [getattr(r, stage) for r in rankings],
-                  tag=f"{args.tag}-{stage}")
+    stage_paths = _stage_paths(args.out_prefix)
+    for stage, path in stage_paths.items():
+        write_run(path, [getattr(r, stage) for r in rankings], tag=f"{args.tag}-{stage}")
     log.info("wrote pipeline runs for %d queries -> %s.{bm25,pre,post}.run",
              len(rankings), args.out_prefix)
-    return stage_paths
+    return list(stage_paths.values())
 
 
 def cmd_eval(args, run, qrels) -> None:
@@ -232,6 +241,24 @@ _READERS = {"index": load_index,
             "corpus": lambda path: {d.doc_id: d for d in load_corpus_jsonl(path)},
             "queries": read_queries_tsv, "cache": ReferenceCache,
             "qrels": read_qrels, "run": read_run}
+
+
+def _check_outputs(args, inputs: dict) -> None:
+    """ValueError naming the flag and the path if a file the command writes (``--out``, or
+    ``--out-prefix``'s run files, and the manifest beside the last) is one of its declared
+    ``inputs``, name -> path, which all exist: an output is one of them only if it exists
+    too, by ``os.path.samefile``, so a link or another spelling of an input's path is
+    caught."""
+    if getattr(args, "out_prefix", None) is not None:
+        outputs = [("--out-prefix", path) for path in _stage_paths(args.out_prefix).values()]
+    else:
+        outputs = [("--out", args.out)] if getattr(args, "out", None) else []
+    if outputs:
+        outputs.append((outputs[-1][0], _manifest_path(outputs[-1][1])))
+    for flag, out in outputs:
+        for name, path in inputs.items():
+            if os.path.exists(out) and os.path.samefile(out, path):
+                raise ValueError(f"{flag} would write {out}, which is the --{name} input file")
 
 
 def _inputs(p: argparse.ArgumentParser, *names: str) -> None:
@@ -392,6 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         paths = {name: getattr(args, name) for name in args._inputs}
         if missing := [path for path in paths.values() if not Path(path).exists()]:
             raise _MissingInputError(f"missing input file: {missing[0]}")
+        _check_outputs(args, paths)
         if hasattr(args, "tag") and not is_run_field(args.tag):
             raise ValueError(f"--tag {args.tag!r} is empty or holds whitespace")
         inputs = {name: _READERS[name](path) for name, path in paths.items()}

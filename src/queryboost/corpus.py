@@ -15,15 +15,16 @@ Each document also keeps an 8-byte blake2b digest of the text it was indexed
 from, so a corpus whose text changed under the same doc ids is caught.
 ``save_index`` writes one ``.npz`` archive holding only what the postings
 cannot give back: each term's document count in place of ``offsets``, each
-posting's ordinal as its difference from the previous posting's, and no
-document lengths, which are the sums of the documents' tfs. Every count
-column (``dfs``, ``doc_ordinals``, ``tfs``) is stored as one byte per entry,
-with the values of 255 and above in an escape column (``_escaped``). Doc ids
-and terms are stored as lines of UTF-8 text: no token and no doc id that a
-run file can hold contains a newline. Those two members and ``tfs`` are
-deflated (``_DEFLATED``); every other member is stored uncompressed.
-``load_index`` rebuilds the same arrays from it, and reads a format-7 index
-whether or not its members are deflated.
+posting's ordinal as its difference from the previous posting of its term
+(a term's first posting holds its ordinal), and no document lengths, which
+are the sums of the documents' tfs. Every count column (``dfs``,
+``doc_ordinals``, ``tfs``) is stored as one byte per entry, with the values
+of 255 and above in an escape column (``_escaped``). Doc ids and terms are
+stored as lines of UTF-8 text: no token and no doc id that a run file can
+hold contains a newline. Those two members, ``dfs``, ``tfs`` and the
+ordinals' escapes are deflated (``_DEFLATED``); every other member is stored
+uncompressed. ``load_index`` rebuilds the same arrays from it, and reads a
+format-8 index whether or not its members are deflated.
 """
 
 import codecs
@@ -49,7 +50,7 @@ from queryboost.tokenizer import tokenize
 log = logging.getLogger(__name__)
 
 FIELD_POLICIES = ("text_only", "title_plus_text")
-INDEX_FORMAT_VERSION = 7
+INDEX_FORMAT_VERSION = 8
 
 
 class DataFormatError(ValueError):
@@ -444,10 +445,17 @@ def _unescape(a: dict, column: str, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# The members save_index deflates, at level 1. The strings deflate about 2x. Of the
-# count columns only tfs pays its time: 94.6% of sparse-zipf's tfs are 1, so the
-# column deflates from 465 KB to 33 KB in 2-4 ms, where doc_ordinals took 16 ms.
-_DEFLATED = ("doc_id_bytes", "term_bytes", "tfs")
+# The members save_index deflates, at level 1, each for what it saved at seed 1 of the
+# benchmark workloads:
+# - the doc ids and the terms: UTF-8 text, which deflates about 2x;
+# - tfs: 94.6% of sparse-zipf's tfs are 1, so the column deflates from 465,618 to
+#   33,099 bytes in 2-4 ms;
+# - dfs: 28,452 -> 15,988 bytes in 0.5 ms on dense-remote, 30,824 -> 20,319 in 0.6 ms
+#   on sparse-zipf;
+# - the ordinals' escapes: 37,864 -> 19,391 bytes in 0.7 ms on dense-remote,
+#   235,280 -> 179,952 in 7.2 ms on sparse-zipf.
+# doc_ordinals is stored: deflating it took 16 ms a save on sparse-zipf.
+_DEFLATED = ("doc_id_bytes", "term_bytes", "dfs", "tfs", "doc_ordinals_escapes")
 _DEFLATE_LEVEL = 1
 
 
@@ -456,7 +464,8 @@ def save_index(index: InvertedIndex, path) -> None:
 
     The archive stores ``dfs``, each term's document count, in place of
     ``offsets``, and each posting's ordinal as its difference from the previous
-    posting's, modulo 2**bits of the ordinals' dtype. Those two count columns
+    posting of its term, modulo 2**bits of the ordinals' dtype; a term's first
+    posting holds its ordinal, its difference from 0. Those two count columns
     and ``tfs`` hold one byte per entry, with an escape column each
     (``_escaped``): the ordinals' at the ordinals' dtype, the others' at the
     narrowest unsigned dtype. ``doc_lengths`` is not stored: each is the sum
@@ -473,8 +482,11 @@ def save_index(index: InvertedIndex, path) -> None:
     ordinals = _narrowed(index.doc_ordinals)
     ordinal_gaps = ordinals.copy()
     np.subtract(ordinals[1:], ordinals[:-1], out=ordinal_gaps[1:])  # unsigned: wraps
+    dfs = np.diff(index.offsets)
+    firsts = index.offsets[:-1][dfs > 0]  # each term's gaps start from 0
+    ordinal_gaps[firsts] = ordinals[firsts]
     coded = {}
-    for column, values in (("dfs", np.diff(index.offsets)), ("tfs", index.tfs)):
+    for column, values in (("dfs", dfs), ("tfs", index.tfs)):
         coded[column], escapes = _escaped(values)
         coded[f"{column}_escapes"] = _narrowed(escapes)
     # the ordinals' escapes keep the ordinals' dtype, which load_index gives back
@@ -513,17 +525,22 @@ def _decoded_postings(a: dict, num_docs: int, terms: tuple[str, ...]):
     if offsets[-1] != num_postings:
         raise ValueError(f"column 'dfs' sums to {offsets[-1]}, "
                          f"not to the {num_postings} postings")
-    # At the ordinals' own dtype the running sum wraps as save_index's differences
-    # did, so it is exact: every ordinal is below 2**bits.
+    # At the ordinals' own dtype the running sums wrap as save_index's differences
+    # did, so they are exact: every ordinal is below 2**bits. Each term's gaps start
+    # from 0, so the running sum before a term's first posting is taken off its postings.
     dtype = a["doc_ordinals_escapes"].dtype
     ordinals = _unescape(a, "doc_ordinals", np.empty(num_postings, dtype=dtype))
     np.cumsum(ordinals, dtype=dtype, out=ordinals)
+    dfs = np.diff(offsets)
+    firsts = offsets[:-1][dfs > 0]  # the first posting of each term that has any
+    before = np.zeros(len(firsts), dtype=dtype)  # firsts[0] is 0, with nothing before
+    before[1:] = ordinals[firsts[1:] - 1]
+    ordinals -= np.repeat(before, dfs[dfs > 0])
     if num_postings and (hi := ordinals.max()) >= num_docs:
         raise ValueError(f"column 'doc_ordinals' holds {hi}, "
                          f"not an ordinal of the {num_docs} documents")
     falls = ordinals[1:] <= ordinals[:-1]
-    starts = offsets[1:-1]  # each term's first posting may fall below the term before
-    falls[starts[(starts > 0) & (starts < num_postings)] - 1] = False
+    falls[firsts[1:] - 1] = False  # a term's first posting may fall below the term before
     if len(falls := np.flatnonzero(falls)):  # drops the mask
         posting = falls[0] + 1
         term = terms[np.searchsorted(offsets, posting, side="right") - 1]
@@ -552,9 +569,9 @@ def load_index(path) -> InvertedIndex:
     ``np.savez`` load the same.
 
     The index equals the one saved, array for array and dtype for dtype:
-    ``offsets`` is the int64 running sum of ``dfs``, ``doc_ordinals`` the
-    running sum of the stored differences at the dtype of their escape column,
-    ``tfs`` is at the narrowest unsigned dtype holding its largest value, and
+    ``offsets`` is the int64 running sum of ``dfs``, ``doc_ordinals`` each
+    term's running sum of its stored differences at the dtype of their escape
+    column, ``tfs`` is at the narrowest unsigned dtype holding its largest value, and
     ``doc_lengths`` is the int32 sum of each document's tfs. A column of the
     wrong dtype or not one-dimensional, escapes other than the column's bytes
     255, a column whose length is not the count it must match (``doc_digests``

@@ -224,6 +224,28 @@ class TestDeclaredInputs:
         assert set(paths["dir"].glob("*.manifest.json")) == before
         assert not list(tmp_path.glob("*.manifest.json"))
 
+    @pytest.mark.parametrize("command, name, written", [
+        ("index", "corpus", "i.npz"), ("search", "queries", "s.run"),
+        ("pipeline", "cache", "p.pre.run"), ("sweep", "qrels", "sweep.jsonl"),
+        ("pipeline", "corpus", "p.post.run.manifest.json")])
+    def test_output_that_is_an_input_exit_code_and_message(self, paths, tmp_path, capsys,
+                                                           command, name, written):
+        # the input is a copy at an output's path, named on the command line by a symlink,
+        # so only the files' identity, not their spelling, shows that they are one
+        out = tmp_path / "out"
+        out.mkdir()
+        target = out / written
+        target.write_bytes(Path(paths[name]).read_bytes())
+        link = tmp_path / f"link-{name}"
+        link.symlink_to(target)
+        rc = main(self.argv(command, {**paths, name: link}, out))
+        assert rc == EXIT_USAGE
+        flag = "--out-prefix" if command == "pipeline" else "--out"
+        assert capsys.readouterr().err == (f"error: {flag} would write {target}, "
+                                           f"which is the --{name} input file\n")
+        assert target.read_bytes() == Path(paths[name]).read_bytes()
+        assert list(out.iterdir()) == [target]
+
     def test_missing_input_is_checked_before_the_tag(self, paths, tmp_path, capsys):
         rc = main(self.argv("search", {**paths, "cache": tmp_path / "nope.jsonl"},
                             tmp_path) + ["--tag", "my run"])
@@ -264,8 +286,9 @@ def _rewrite_npz(src, dst, **changes):
 
 
 def _rewrite_coded(src, dst, column, values):
-    """Copy an index archive with ``values`` stored in ``column`` as save_index stores them."""
-    _rewrite_npz(src, dst, **coded(column, values))
+    """Copy an index archive with ``values`` stored in ``column`` as save_index stores them,
+    ordinal gaps starting from 0 at each term of the archive's own ``dfs``."""
+    _rewrite_npz(src, dst, **coded(column, values, load_index(src).offsets))
 
 
 def _column(index, name, dtype=None):
@@ -314,14 +337,14 @@ class TestBadIndexFile:
         _rewrite_npz(dataset_dir["index"], index, format_version=None)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys, "format_version")
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 99])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 99])
     def test_format_version(self, dataset_dir, tmp_path, capsys, version):
-        # only format 7 is read: format 1's missing digests are never reached
+        # only format 8 is read: format 1's missing digests are never reached
         index = tmp_path / f"v{version}.idx"
         dropped = {"doc_digests": None} if version == 1 else {}
         _rewrite_npz(dataset_dir["index"], index, format_version=np.int64(version), **dropped)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
-                              f"(format version {version}, not 7)")
+                              f"(format version {version}, not 8)")
 
     # a posting column with values no index build makes is rejected by name
 
@@ -368,7 +391,7 @@ class TestBadIndexFile:
 
     def test_ordinal_past_the_documents(self, dataset_dir, tmp_path, capsys):
         loaded = load_index(dataset_dir["index"])
-        ordinals = loaded.doc_ordinals + 5  # the first gap raised by 5
+        ordinals = loaded.doc_ordinals + 5  # each term's first gap raised by 5
         index = tmp_path / "ordinals.idx"
         _rewrite_coded(dataset_dir["index"], index, "doc_ordinals", ordinals)
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
@@ -470,7 +493,8 @@ class TestBadIndexFile:
         self._assert_rejected(dataset_dir, index, tmp_path, capsys,
                               "truncated or corrupt: Bad CRC-32 for file 'doc_digests.npy'")
 
-    @pytest.mark.parametrize("member", ["doc_id_bytes.npy", "term_bytes.npy", "tfs.npy"])
+    @pytest.mark.parametrize("member", ["doc_id_bytes.npy", "term_bytes.npy", "dfs.npy",
+                                        "tfs.npy", "doc_ordinals_escapes.npy"])
     def test_flipped_bit_in_a_deflated_member(self, dataset_dir, tmp_path, capsys, member):
         # one bit of each byte of the member's deflated data, bit 0 of the first byte,
         # bit 1 of the second and so on: each flip exits 5 or inflates to the same
@@ -493,7 +517,8 @@ class TestBadIndexFile:
             if rc == EXIT_OK:
                 loaded = load_index(index)
                 assert (loaded.doc_ids, loaded.terms) == (expected.doc_ids, expected.terms)
-                assert loaded.tfs.tobytes() == expected.tfs.tobytes()
+                for name in ("offsets", "doc_ordinals", "tfs"):
+                    assert getattr(loaded, name).tobytes() == getattr(expected, name).tobytes()
             else:
                 assert rc == EXIT_FORMAT, (i - start, err)
                 assert "truncated or corrupt" in err, (i - start, err)

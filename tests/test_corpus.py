@@ -406,12 +406,13 @@ def test_round_trip_any_doc_ids(texts_by_id):
 @example([Document(f"d{i:03d}", "", f"w x{i % 2} x{i % 2}") for i in range(300)],
          "text_only")
 @example([Document(f"d{i:03d}", "", ("a a" if i % 300 == 0 else "a")
-                   + (" c" if i % 400 == 0 else "") + f" b{i % 3}") for i in range(700)],
+                   + (" c" if i % 400 == 0 else "") + (" d" if i == 600 else "")
+                   + f" b{i % 3}") for i in range(700)],
          "text_only")
 def test_load_gives_back_every_saved_array_and_dtype(docs, field_policy):
     """Covered by the examples: no documents, every tf 1, a tf above 255, a df above
     255, and at uint16 ordinals gaps of 255 and more that escape: within a term
-    ("c"), between terms and between tfs above 1 ("a")."""
+    ("c"), between tfs above 1 ("a") and at a term's first posting ("d")."""
     index = build_index(docs, field_policy=field_policy)
     with tempfile.TemporaryDirectory() as tmp:
         save_index(index, Path(tmp) / "index")
@@ -419,13 +420,17 @@ def test_load_gives_back_every_saved_array_and_dtype(docs, field_policy):
     assert_index_equals(loaded, columns(index))
 
 
-def coded(column, values):
+def coded(column, values, offsets=None):
     """``values`` stored as save_index stores ``column``: one byte each and an escape
-    column. ``doc_ordinals`` go as differences from the entry before, modulo 2**bits of
-    their dtype, and their escapes keep that dtype, which they load at; ``dfs`` and
-    ``tfs`` go as they are, and their escapes at the narrowest unsigned dtype."""
+    column. ``doc_ordinals`` go as differences from the entry before within each term of
+    ``offsets``, modulo 2**bits of their dtype, a term's first as its ordinal, and their
+    escapes keep that dtype, which they load at; ``dfs`` and ``tfs`` go as they are, and
+    their escapes at the narrowest unsigned dtype."""
     if column == "doc_ordinals":
-        values = np.diff(values, prepend=np.zeros(1, dtype=values.dtype))
+        gaps = np.diff(values, prepend=np.zeros(1, dtype=values.dtype))
+        firsts = offsets[:-1][np.diff(offsets) > 0]
+        gaps[firsts] = values[firsts]
+        values = gaps
     stored, escapes = corpus._escaped(values)
     if column != "doc_ordinals":
         escapes = corpus._narrowed(escapes)
@@ -441,18 +446,18 @@ def test_saved_columns_hold_counts_and_every_tf(tmp_path, small_index):
     assert arrays["dfs"].tolist() == np.diff(small_index.offsets).tolist() == [2, 2, 1, 1, 1]
     assert arrays["tfs"].tolist() == small_index.tfs.tolist() == [1, 3, 1, 1, 1, 1, 1]
     assert "doc_lengths" not in arrays  # each is the sum of a document's tfs
-    # ordinals 0 2 | 0 1 | 0 | 1 | 1, each less the one before modulo 256: sat's first
-    # is 254, mat's 255, which escapes, and log's 0
+    # ordinals 0 2 | 0 1 | 0 | 1 | 1, each less the one before in its term, a term's
+    # first as it is: no gap wraps back from the term before, so none escapes
     assert small_index.doc_ordinals.tolist() == [0, 2, 0, 1, 0, 1, 1]
-    assert arrays["doc_ordinals"].tolist() == [0, 2, 254, 1, 255, 1, 0]
-    assert arrays["doc_ordinals_escapes"].tolist() == [255]
-    for name in ("dfs", "tfs"):
+    assert arrays["doc_ordinals"].tolist() == [0, 2, 0, 1, 0, 1, 1]
+    for name in ("dfs", "tfs", "doc_ordinals"):
         assert arrays[f"{name}_escapes"].tolist() == [], name
     for name in ("dfs", "doc_ordinals", "tfs"):
         assert arrays[name].dtype == arrays[f"{name}_escapes"].dtype == np.uint8, name
 
 
-def test_only_the_strings_and_the_tfs_are_deflated(tmp_path, small_index):
+def test_only_the_strings_dfs_tfs_and_the_ordinal_escapes_are_deflated(tmp_path,
+                                                                        small_index):
     save_index(small_index, tmp_path / "index")
     # each member as np.savez names it, in the order save_index writes them
     dtypes = {"format_version": np.int64, "field_policy": "<U15", "doc_id_bytes": np.uint8,
@@ -462,7 +467,8 @@ def test_only_the_strings_and_the_tfs_are_deflated(tmp_path, small_index):
     with zipfile.ZipFile(tmp_path / "index") as zf:
         assert zf.namelist() == [f"{name}.npy" for name in dtypes]
         for name, dtype in dtypes.items():
-            deflated = name in ("doc_id_bytes", "term_bytes", "tfs")
+            deflated = name in ("doc_id_bytes", "term_bytes", "dfs", "tfs",
+                                "doc_ordinals_escapes")
             assert zf.getinfo(f"{name}.npy").compress_type == (
                 zipfile.ZIP_DEFLATED if deflated else zipfile.ZIP_STORED), name
     with np.load(tmp_path / "index") as npz:
@@ -505,37 +511,45 @@ def test_index_stored_uncompressed_loads_the_same(tmp_path, docs):
 def test_codec_round_trip_over_postings(tmp_path, dtype, top):
     """Ordinals up to ``top``, the largest of their dtype or the first to need it.
 
-    The first term's first ordinal is ``top`` and the next term wraps back to 0;
-    gaps of exactly 255 escape as 255, and above uint8 a gap above 255 within a
-    term escapes. The last term's 256 postings put the first and the last posting
-    more than 255 apart.
+    Each term's gaps start from 0: the first term's first posting, ``top``,
+    escapes, and every later term with postings starts below the last ordinal of
+    the term before it. Term "c" has no postings. Gaps of exactly 255 escape as
+    255, and above uint8 a gap above 255 within a term escapes. The last term's
+    256 postings put the first and the last posting more than 255 apart.
     """
-    postings = [[top], sorted({0, 255, top}), [1, 2, top - 1], list(range(256))]
+    postings = [[top], sorted({0, 255, top}), [], [1, 2, top - 1], list(range(256))]
     ordinals = np.array([o for p in postings for o in p], dtype=dtype)
-    gaps = np.diff(ordinals, prepend=np.zeros(1, dtype=dtype))  # modulo 2**bits
+    offsets = np.cumsum([0, *map(len, postings)], dtype=np.int64)
+    gaps = np.concatenate([np.diff(np.array(p, dtype=dtype), prepend=np.zeros(1, dtype=dtype))
+                           for p in postings])  # modulo 2**bits
+    assert gaps[0] == top and gaps[offsets[3]] == 1
     stored, escapes = corpus._escaped(gaps)
     assert stored.dtype == np.uint8 and escapes.dtype == dtype
     assert escapes.tolist() == [g for g in gaps.tolist() if g >= 255]
     assert 255 in escapes.tolist() and (dtype is np.uint8 or escapes.max() > 255)
     assert np.count_nonzero(stored == 255) == len(escapes)
-    arrays = {"doc_ordinals": stored, "doc_ordinals_escapes": escapes}
+    arrays = coded("doc_ordinals", ordinals, offsets)
+    assert arrays["doc_ordinals"].tolist() == stored.tolist()
+    assert arrays["doc_ordinals_escapes"].tolist() == escapes.tolist()
     decoded = corpus._unescape(arrays, "doc_ordinals", np.empty(len(stored), dtype=dtype))
     assert arrays == {}
-    np.cumsum(decoded, dtype=dtype, out=decoded)
-    assert decoded.dtype == dtype and decoded.tolist() == ordinals.tolist()
+    assert decoded.dtype == dtype and decoded.tolist() == gaps.tolist()
 
-    # the same postings through save_index and load_index, with a tf above 1 at the
-    # first posting and one that escapes at the last
+    # the same postings through save_index, which stores those gaps, and load_index,
+    # with a tf above 1 at the first posting and one that escapes at the last
     tfs = np.ones(len(ordinals), dtype=np.uint16)
     tfs[[0, -1]] = 2, 300
     lengths = np.zeros(top + 1, dtype=np.int32)
     np.add.at(lengths, ordinals, tfs)
-    offsets = np.cumsum([0, *map(len, postings)], dtype=np.int64)
     index = InvertedIndex(tuple(f"d{i:06d}" for i in range(top + 1)), lengths,
-                          np.zeros(top + 1, dtype="<u8"), ("a", "b", "c", "d"), offsets,
+                          np.zeros(top + 1, dtype="<u8"), ("a", "b", "c", "d", "e"), offsets,
                           ordinals, tfs, "text_only")
     save_index(index, tmp_path / "index")
     with np.load(tmp_path / "index") as npz:
+        assert npz["dfs_escapes"].tolist() == [256]  # the last term's df
+        assert npz["doc_ordinals"].tolist() == stored.tolist()
+        assert npz["doc_ordinals_escapes"].dtype == dtype
+        assert npz["doc_ordinals_escapes"].tolist() == escapes.tolist()
         assert npz["tfs_escapes"].tolist() == [300]
     assert_index_equals(load_index(tmp_path / "index"), columns(index))
 

@@ -14,14 +14,17 @@ writes, under the default config, by two providers that give the same vectors:
 Each pin counts the provider's ``embed_batch`` calls, the texts they sent,
 the distinct texts among those, the HTTP requests, the ``pipeline.bm25_search``
 calls and the postings those calls scored (the postings of each call's
-distinct indexed terms). A change that moves a count updates it here and says
-why in CHANGES.md, as for the golden hashes.
+distinct indexed terms). The set's saved index is pinned too: each member's
+uncompressed size and compression type. A change that moves a count updates it
+here and says why in CHANGES.md, as for the golden hashes.
 """
+
+import zipfile
 
 import pytest
 
 from queryboost import pipeline
-from queryboost.corpus import build_index
+from queryboost.corpus import build_index, save_index
 from queryboost.embedding import HashingEmbedder, RemoteEmbedder
 from queryboost.generation import ReferenceCache
 from queryboost.pipeline import PipelineConfig, run_pipeline, sweep
@@ -38,6 +41,17 @@ COSTS = {
     ("pipeline", "remote"): (60, 259, 259, 61, 20, 880),
     ("sweep-n_refs", "hashing"): (105, 199, 199, 0, 80, 3238),
     ("sweep-n_refs", "remote"): (141, 284, 284, 141, 80, 3238),
+}
+
+STORED, DEFLATED = zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED
+# each member of the set's saved index: (uncompressed size in bytes, compression type)
+INDEX_MEMBERS = {
+    "format_version.npy": (136, STORED), "field_policy.npy": (188, STORED),
+    "doc_id_bytes.npy": (3067, DEFLATED), "doc_digests.npy": (4128, STORED),
+    "term_bytes.npy": (1812, DEFLATED), "dfs.npy": (368, DEFLATED),
+    "dfs_escapes.npy": (128, STORED), "tfs.npy": (5143, DEFLATED),
+    "tfs_escapes.npy": (128, STORED), "doc_ordinals.npy": (5143, STORED),
+    "doc_ordinals_escapes.npy": (408, DEFLATED),
 }
 
 
@@ -98,3 +112,15 @@ def test_costs(data, http_stub, monkeypatch, command, path):
     counts = (len(calls), len(sent), len(set(sent)), http_stub.call_count, len(postings),
               sum(postings))
     assert dict(zip(COUNTS, counts)) == dict(zip(COUNTS, COSTS[command, path]))
+
+
+def test_index_members(data, tmp_path):
+    save_index(data[1], tmp_path / "index.npz")
+    with zipfile.ZipFile(tmp_path / "index.npz") as zf:
+        infos = zf.infolist()
+    assert {i.filename: (i.file_size, i.compress_type) for i in infos} == INDEX_MEMBERS
+    # a deflated member's size varies with the zlib build (zlib-ng, for one): only that
+    # deflating made it smaller is pinned
+    for info in infos:
+        if info.compress_type == DEFLATED:
+            assert info.compress_size < info.file_size, info.filename

@@ -328,7 +328,8 @@ class TestEmbedDocuments:
         save_index(small_index, tmp_path / "index")
         with np.load(tmp_path / "index") as npz:
             arrays = {k: npz[k] for k in npz.files}
-        arrays.update(coded("doc_ordinals", small_index.doc_ordinals.astype(np.uint32)))
+        arrays.update(coded("doc_ordinals", small_index.doc_ordinals.astype(np.uint32),
+                             small_index.offsets))
         with open(tmp_path / "wide", "wb") as fh:
             np.savez(fh, **arrays)
         loaded = load_index(tmp_path / "wide")

@@ -534,7 +534,7 @@ def _save_with_wide_columns(index, path):
         arrays = {k: npz[k] for k in npz.files}
     for key in ("dfs_escapes", "tfs_escapes"):
         arrays[key] = arrays[key].astype(np.uint32)
-    arrays.update(coded("doc_ordinals", index.doc_ordinals.astype(np.uint32)))
+    arrays.update(coded("doc_ordinals", index.doc_ordinals.astype(np.uint32), index.offsets))
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 

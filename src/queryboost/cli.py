@@ -9,12 +9,14 @@ cached for another query text or prompt version, 1 anything else (a chat or
 embedding service that fails or answers without a usable body included). Every
 failure but argparse's own leaves ``main`` as one ``error:`` line through
 ``_EXIT_CODES``. Logs go to stderr; data goes to files or stdout. ``main`` reads
-each command's declared input files and passes them to the command, which
-returns the paths it wrote; ``main`` then writes a JSON run manifest beside the
-last of them. Every writer makes the directory of its output.
+each command's declared input files, after taking each one's size and sha256,
+and passes them to the command, which returns the paths it wrote; ``main`` then
+writes a JSON run manifest beside the last of them. Every writer makes the
+directory of its output.
 """
 
 import argparse
+import hashlib
 import json
 import logging
 import os
@@ -73,7 +75,20 @@ def _manifest_path(output_path) -> str:
     return str(output_path) + ".manifest.json"
 
 
-def write_manifest(output_path, args: argparse.Namespace, outputs: list) -> None:
+def file_facts(path) -> dict:
+    """What a manifest records of a file: its path, its size in bytes and its sha256."""
+    digest, size = hashlib.sha256(), 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+            size += len(chunk)
+    return {"path": str(path), "bytes": size, "sha256": digest.hexdigest()}
+
+
+def write_manifest(output_path, args: argparse.Namespace, outputs: list,
+                   input_files: list[dict]) -> None:
+    """Write the manifest beside ``output_path``: ``input_files`` are the ``file_facts`` of
+    the declared inputs, taken before the command ran; the outputs' are taken here."""
     manifest = {
         "tool": "queryboost",
         "version": __version__,
@@ -83,6 +98,8 @@ def write_manifest(output_path, args: argparse.Namespace, outputs: list) -> None
                    if k != "func" and not k.startswith("_")},
         "inputs": [str(getattr(args, name)) for name in args._inputs],
         "outputs": [str(p) for p in outputs],
+        "input_files": input_files,
+        "output_files": [file_facts(p) for p in outputs],
     }
     with atomic_write(_manifest_path(output_path)) as fh:
         fh.write(json.dumps(manifest, indent=2, default=str))
@@ -422,12 +439,13 @@ def main(argv: list[str] | None = None) -> int:
         _check_outputs(args, paths)
         if hasattr(args, "tag") and not is_run_field(args.tag):
             raise ValueError(f"--tag {args.tag!r} is empty or holds whitespace")
+        input_files = [file_facts(path) for path in paths.values()]
         inputs = {name: _READERS[name](path) for name, path in paths.items()}
         if "index" in inputs and "corpus" in inputs:
             check_corpus(inputs["index"], inputs["corpus"])
         outputs = args.func(args, **inputs)
         if outputs:
-            write_manifest(outputs[-1], args, outputs)
+            write_manifest(outputs[-1], args, outputs, input_files)
         return EXIT_OK
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

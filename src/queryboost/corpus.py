@@ -21,10 +21,11 @@ are the sums of the documents' tfs. Every count column (``dfs``,
 ``doc_ordinals``, ``tfs``) is stored as one byte per entry, with the values
 of 255 and above in an escape column (``_escaped``). Doc ids and terms are
 stored as lines of UTF-8 text: no token and no doc id that a run file can
-hold contains a newline. Those two members, ``dfs``, ``tfs`` and the
-ordinals' escapes are deflated (``_DEFLATED``); every other member is stored
-uncompressed. ``load_index`` rebuilds the same arrays from it, and reads a
-format-8 index whether or not its members are deflated.
+hold contains a newline. Those two members, the three count columns and the
+ordinals' escapes are deflated (``_DEFLATED``); every other member (the
+digests, the other two escape columns, the format version and the field
+policy) is stored uncompressed. ``load_index`` rebuilds the same arrays
+from it, and reads a format-8 index whether or not its members are deflated.
 """
 
 import codecs
@@ -453,9 +454,12 @@ def _unescape(a: dict, column: str, out: np.ndarray) -> np.ndarray:
 # - dfs: 28,452 -> 15,988 bytes in 0.5 ms on dense-remote, 30,824 -> 20,319 in 0.6 ms
 #   on sparse-zipf;
 # - the ordinals' escapes: 37,864 -> 19,391 bytes in 0.7 ms on dense-remote,
-#   235,280 -> 179,952 in 7.2 ms on sparse-zipf.
-# doc_ordinals is stored: deflating it took 16 ms a save on sparse-zipf.
-_DEFLATED = ("doc_id_bytes", "term_bytes", "dfs", "tfs", "doc_ordinals_escapes")
+#   235,280 -> 179,952 in 7.2 ms on sparse-zipf;
+# - doc_ordinals, the largest column: 465,618 -> 350,480 bytes on sparse-zipf in 12-18 ms
+#   (3-5 ms to inflate), 211,866 -> 168,606 on dense-remote in 5-9 ms (about 2 ms).
+# The digests, random bytes, are stored: they deflate by under 2%.
+_DEFLATED = ("doc_id_bytes", "term_bytes", "dfs", "tfs", "doc_ordinals",
+             "doc_ordinals_escapes")
 _DEFLATE_LEVEL = 1
 
 
@@ -473,7 +477,8 @@ def save_index(index: InvertedIndex, path) -> None:
     in UTF-8 (``doc_id_bytes``, ``term_bytes``). Each array is one
     ``<name>.npy`` member, written whole and dated 1980-01-01 as ``np.savez``
     dates it, so an index is the same bytes on every save: the members of
-    ``_DEFLATED`` deflated at level ``_DEFLATE_LEVEL``, every other member
+    ``_DEFLATED`` (the strings, ``dfs``, ``doc_ordinals``, ``tfs`` and the
+    ordinals' escapes) deflated at level ``_DEFLATE_LEVEL``, every other member
     stored. It is written through ``atomic_write``, so a failed write leaves
     any previous index intact.
     """

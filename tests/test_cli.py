@@ -14,16 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from queryboost import cli, files, pipeline
+from queryboost import cli, corpus, files, pipeline
 from queryboost.cli import (EXIT_CACHE_MISS, EXIT_ERROR, EXIT_FORMAT, EXIT_MISMATCH,
                             EXIT_MISSING_FILE, EXIT_OK, EXIT_USAGE, _pipeline_config,
-                            build_parser, main, write_manifest)
-from queryboost.corpus import load_index
+                            build_parser, file_facts, main, write_manifest)
+from queryboost.corpus import build_index, load_corpus_jsonl, load_index, save_index
 from queryboost.evaluation import Ranking, write_run
 from queryboost.generation import ReferenceCache
 from queryboost.pipeline import PipelineConfig
 from queryboost.synthetic import make_synthetic_dataset, write_dataset
-from test_corpus import coded
+from test_corpus import assert_index_equals, coded, columns
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +102,10 @@ class TestIndexCommand:
     def test_failed_manifest_write_leaves_previous_manifest(self, dataset_dir, tmp_path,
                                                            monkeypatch):
         out = tmp_path / "out.run"
+        out.write_text("q1 Q0 d1 1 1.000000 t\n")
         args = argparse.Namespace(command="search", k1=1.2, queries=dataset_dir["queries"],
                                   _inputs=("queries",))
-        write_manifest(out, args, [out])
+        write_manifest(out, args, [out], [file_facts(dataset_dir["queries"])])
         manifest = tmp_path / "out.run.manifest.json"
         before = manifest.read_bytes()
 
@@ -113,9 +114,10 @@ class TestIndexCommand:
 
         monkeypatch.setattr(files.os, "fsync", disk_full)
         with pytest.raises(OSError, match="No space left"):
-            write_manifest(out, argparse.Namespace(command="search", k1=2.0, _inputs=()), [out])
+            write_manifest(out, argparse.Namespace(command="search", k1=2.0, _inputs=()), [out],
+                           [])
         assert manifest.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == [manifest.name]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, manifest.name]
 
 
 # each command's declared input files, in the order its manifest lists them
@@ -187,6 +189,25 @@ class TestDeclaredInputs:
         assert manifest["inputs"] == [str(paths[name]) for name in INPUTS[command]]
         assert not any(key.startswith("_") for key in manifest["config"])
         assert ("jobs" in manifest["config"]) == (command == "generate")
+
+    @pytest.mark.parametrize("command", [c for c, (_, m) in OTHER_FLAGS.items() if m])
+    def test_manifest_records_each_file_size_and_sha256(self, paths, tmp_path, command):
+        # the inputs as they were before the command ran, the outputs as it left them
+        inputs = [Path(paths[name]) for name in INPUTS[command]]
+        before = [(p.stat().st_size, hashlib.sha256(p.read_bytes()).hexdigest())
+                  for p in inputs]
+        assert main(self.argv(command, paths, tmp_path)) == EXIT_OK
+        manifest = json.loads(
+            (tmp_path / f"{OTHER_FLAGS[command][1]}.manifest.json").read_text())
+        assert set(manifest) == {"tool", "version", "prompt_version", "created_at", "config",
+                                 "inputs", "outputs", "input_files", "output_files"}
+        assert manifest["input_files"] == [
+            {"path": str(p), "bytes": size, "sha256": sha256}
+            for p, (size, sha256) in zip(inputs, before)]
+        assert manifest["output_files"] == [
+            {"path": p, "bytes": Path(p).stat().st_size,
+             "sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
+            for p in manifest["outputs"]]
 
     @pytest.mark.parametrize("command", [c for c, (_, m) in OTHER_FLAGS.items() if m])
     def test_writes_into_a_directory_that_does_not_exist(self, paths, http_stub, tmp_path,
@@ -494,7 +515,8 @@ class TestBadIndexFile:
                               "truncated or corrupt: Bad CRC-32 for file 'doc_digests.npy'")
 
     @pytest.mark.parametrize("member", ["doc_id_bytes.npy", "term_bytes.npy", "dfs.npy",
-                                        "tfs.npy", "doc_ordinals_escapes.npy"])
+                                        "tfs.npy", "doc_ordinals.npy",
+                                        "doc_ordinals_escapes.npy"])
     def test_flipped_bit_in_a_deflated_member(self, dataset_dir, tmp_path, capsys, member):
         # one bit of each byte of the member's deflated data, bit 0 of the first byte,
         # bit 1 of the second and so on: each flip exits 5 or inflates to the same
@@ -804,6 +826,39 @@ class TestSearchCommand:
                    "--retrieve-k", "5", "--out", str(out)])
         assert rc == EXIT_OK
         assert max(int(l.split()[3]) for l in out.read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("layout", ["ordinals-stored", "all-stored", "all-deflated"])
+    def test_any_mix_of_deflated_and_stored_members_searches_the_same(
+            self, dataset_dir, tmp_path, monkeypatch, layout):
+        """A format-8 index reads the same whichever of its members are deflated: one
+        saved before ``doc_ordinals`` was deflated, one written by ``np.savez`` and one by
+        ``np.savez_compressed`` each load to the built arrays and search the same."""
+        built = build_index(load_corpus_jsonl(dataset_dir["corpus"]))
+        index = tmp_path / "index.npz"
+        ordinals_stored = ("doc_id_bytes", "term_bytes", "dfs", "tfs", "doc_ordinals_escapes")
+        if layout == "ordinals-stored":
+            monkeypatch.setattr(corpus, "_DEFLATED", ordinals_stored)
+            save_index(built, index)
+        else:
+            with np.load(dataset_dir["index"]) as npz:
+                arrays = {k: npz[k] for k in npz.files}
+            with open(index, "wb") as fh:
+                (np.savez if layout == "all-stored" else np.savez_compressed)(fh, **arrays)
+        with zipfile.ZipFile(index) as zf:
+            names = {name.removesuffix(".npy") for name in zf.namelist()}
+            deflated = {info.filename.removesuffix(".npy") for info in zf.infolist()
+                        if info.compress_type == zipfile.ZIP_DEFLATED}
+        assert deflated == {"ordinals-stored": set(ordinals_stored), "all-stored": set(),
+                            "all-deflated": names}[layout]
+        assert_index_equals(load_index(index), columns(built))
+        runs = {}
+        for name, path in (("current", dataset_dir["index"]), (layout, index)):
+            runs[name] = tmp_path / f"{name}.run"
+            assert main(["search", "--index", str(path),
+                         "--queries", str(dataset_dir["queries"]),
+                         "--cache", str(dataset_dir["cache"]),
+                         "--out", str(runs[name])]) == EXIT_OK
+        assert runs["current"].read_bytes() == runs[layout].read_bytes()
 
 
 class TestPipelineCommand:

@@ -456,8 +456,8 @@ def test_saved_columns_hold_counts_and_every_tf(tmp_path, small_index):
         assert arrays[name].dtype == arrays[f"{name}_escapes"].dtype == np.uint8, name
 
 
-def test_only_the_strings_dfs_tfs_and_the_ordinal_escapes_are_deflated(tmp_path,
-                                                                        small_index):
+def test_only_the_strings_the_count_columns_and_the_ordinal_escapes_are_deflated(
+        tmp_path, small_index):
     save_index(small_index, tmp_path / "index")
     # each member as np.savez names it, in the order save_index writes them
     dtypes = {"format_version": np.int64, "field_policy": "<U15", "doc_id_bytes": np.uint8,
@@ -467,7 +467,7 @@ def test_only_the_strings_dfs_tfs_and_the_ordinal_escapes_are_deflated(tmp_path,
     with zipfile.ZipFile(tmp_path / "index") as zf:
         assert zf.namelist() == [f"{name}.npy" for name in dtypes]
         for name, dtype in dtypes.items():
-            deflated = name in ("doc_id_bytes", "term_bytes", "dfs", "tfs",
+            deflated = name in ("doc_id_bytes", "term_bytes", "dfs", "tfs", "doc_ordinals",
                                 "doc_ordinals_escapes")
             assert zf.getinfo(f"{name}.npy").compress_type == (
                 zipfile.ZIP_DEFLATED if deflated else zipfile.ZIP_STORED), name

@@ -50,7 +50,7 @@ INDEX_MEMBERS = {
     "doc_id_bytes.npy": (3067, DEFLATED), "doc_digests.npy": (4128, STORED),
     "term_bytes.npy": (1812, DEFLATED), "dfs.npy": (368, DEFLATED),
     "dfs_escapes.npy": (128, STORED), "tfs.npy": (5143, DEFLATED),
-    "tfs_escapes.npy": (128, STORED), "doc_ordinals.npy": (5143, STORED),
+    "tfs_escapes.npy": (128, STORED), "doc_ordinals.npy": (5143, DEFLATED),
     "doc_ordinals_escapes.npy": (408, DEFLATED),
 }
 
